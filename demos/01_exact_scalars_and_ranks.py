@@ -4,7 +4,7 @@ Exact arithmetic over declared constants
 
 Periods and levels live in a Q-vector space spanned by named real constants.
 Equality and rank are decided coefficient-wise (exactly); only signs consult
-the numeric embeddings, through interval arithmetic.
+the numeric embeddings, read as the exact rationals their literals write.
 """
 
 from fractions import Fraction
@@ -27,7 +27,7 @@ print("rank of {2, 3}      :", q_rank([table.rational(2), table.rational(3)]))
 print("3/2 rational?       :", is_rational(table.rational(Fraction(3, 2))))
 print("3/2 + p rational?   :", is_rational(table.rational(Fraction(3, 2)) + p))
 
-# signs go through the numeric embedding at escalating precision
+# signs are the signs of the exact rational sums of the embeddings
 print("sign(1 + q)         :", sign(one + q))
 print("sign(q - 2)         :", sign(q - table.rational(2)))
 print("sign(p - p)         :", sign(p - p))

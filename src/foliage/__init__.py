@@ -36,7 +36,6 @@ from .forms import (
     Zero,
     check_basic,
     g_path_integral,
-    make_generic,
     periods,
     rank_of_class,
     zeros,

@@ -792,6 +792,16 @@ def run(command: str, built: Optional[BuiltScenario], options: Optional[dict] = 
     return report, artifacts, code
 
 
+def _seed_arg(text: str) -> tuple[Fraction, Fraction]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not 'theta,phi'")
+    try:
+        return Fraction(parts[0]), Fraction(parts[1])
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a pair of rationals") from None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="foliage",
@@ -801,14 +811,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("scenario", nargs="?", help="scenario file (or built-in name)")
     parser.add_argument("--dot", help="write the leaf graph in DOT form here")
     parser.add_argument("--svg", help="write the trace picture here")
-    parser.add_argument("--seed", help="tracer seed 'theta,phi'")
+    parser.add_argument("--seed", type=_seed_arg, help="tracer seed 'theta,phi'")
     parser.add_argument("--steps", type=int, help="tracer step budget")
     parser.add_argument("--step", type=float, help="tracer step size")
-    parser.add_argument("--precision", type=int, help="sign precision ceiling (decimal digits)")
     args = parser.parse_args(argv)
-
-    if args.precision:
-        sc.SIGN_DPS_CEILING = args.precision
 
     try:
         built = None
@@ -823,8 +829,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             built = build_scenario(parse_scenario(text))
         options = {}
         if args.seed:
-            parts = args.seed.split(",")
-            options["seed"] = (Fraction(parts[0]), Fraction(parts[1]))
+            options["seed"] = args.seed
         if args.steps:
             options["steps"] = args.steps
         if args.step:

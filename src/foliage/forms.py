@@ -264,7 +264,6 @@ class SurgeredForm:
 
     sides: tuple[ClosedForm, ...]
     patch_zeros: tuple[Zero, ...]
-    level_shifts: tuple[tuple[str, Fraction], ...] = ()  # genericity bumps, by zero id
     name: str = "surgered form"
 
     @property
@@ -275,53 +274,3 @@ class SurgeredForm:
     def patches(self) -> tuple[str, ...]:
         return tuple(sorted({z.host for z in self.patch_zeros}))
 
-    def shifted_level(self, zero: Zero) -> sc.SymScalar:
-        shift = dict(self.level_shifts).get(zero.zero_id, Fraction(0))
-        return zero.level + self.table.rational(shift)
-
-
-def form_zeros(form) -> list[Zero]:
-    if isinstance(form, SurgeredForm):
-        inherited = [z for side in form.sides for z in form_zeros(side)]
-        return inherited + list(form.patch_zeros)
-    return zeros(form)
-
-
-def make_generic(form, model=None):
-    """Perturb so that every singular leaf carries exactly one zero.
-
-    Adds one flat annular bump per zero (supports away from the zeros, so the
-    zeros and their indices are untouched and all loop periods are preserved)
-    with rational amplitudes chosen so that no two perturbed singular levels
-    differ by an element of the period lattice.  Forms with at most one zero
-    come back unchanged.
-    """
-    zs = form_zeros(form)
-    if len(zs) <= 1:
-        return form
-    if not isinstance(form, SurgeredForm):
-        raise FormError("multi-zero forms arise only from surgery patches")
-    if model is None:
-        raise FormError("genericity needs the model's period lattice")
-    lattice = model.generator_periods()
-    levels = [form.shifted_level(z) for z in zs]
-    table = form.table
-    for attempt in range(20):
-        denom = 7 * (2 ** attempt)
-        shifts = [Fraction(j, denom) for j in range(len(zs))]
-        shifted = [lv + table.rational(s) for lv, s in zip(levels, shifts)]
-        if _levels_admissible(shifted, lattice):
-            merged = dict(form.level_shifts)
-            for z, s in zip(zs, shifts):
-                merged[z.zero_id] = merged.get(z.zero_id, Fraction(0)) + s
-            return replace(form, level_shifts=tuple(sorted(merged.items())))
-    raise FormError("no admissible genericity amplitudes after 20 attempts")
-
-
-def _levels_admissible(levels: list[sc.SymScalar], lattice: list[sc.SymScalar]) -> bool:
-    for i in range(len(levels)):
-        for j in range(i + 1, len(levels)):
-            diff = levels[i] - levels[j]
-            if diff.is_zero() or sc.in_lattice(diff, lattice):
-                return False
-    return True

@@ -3,12 +3,12 @@
 Values are formal Q-linear combinations of named basis constants ("symbols").
 The table declares which constants are independent over Q; equality, rank and
 lattice membership are decided coefficient-wise, so they are exact under that
-declaration.  Each symbol carries a high-precision decimal embedding used only
-to decide signs, via interval arithmetic at escalating precision.
+declaration.  Each symbol carries a decimal embedding, read as the exact
+rational it writes; signs are decided by evaluating a value's combination of
+those rationals exactly.
 
-Values are immutable and freely shareable; the sign engine serializes through
-mpmath's global interval context, so concurrent sign() calls from several
-threads should be externally synchronized (as with any mpmath use).
+Values are immutable and freely shareable across threads; no operation reads
+or writes module state.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
-
-from mpmath import iv
-
-SIGN_DPS_START = 32
-SIGN_DPS_CEILING = 256
 
 
 class ScalarError(ValueError):
@@ -35,9 +30,9 @@ class MixedTableError(ScalarError):
 class PrecisionExhausted(ScalarError):
     """The numeric embedding could not separate a value from zero.
 
-    Raised when the sign interval still straddles 0 at the precision ceiling;
-    this signals an ill-conditioned symbol table (e.g. a declared-independent
-    symbol whose embedding is numerically a rational combination of others).
+    Raised when a symbolically nonzero value embeds to exactly 0; this signals
+    an ill-conditioned symbol table (e.g. a declared-independent symbol whose
+    embedding is a rational combination of the others' embeddings).
     """
 
 
@@ -53,6 +48,7 @@ class SymbolTable:
 
     def __init__(self, symbols: Iterable[tuple[str, str] | tuple[str, str, bool]] = ()):
         self.symbols: list[Symbol] = [Symbol("one", "1")]
+        self.values: list[Fraction] = [Fraction(1)]  # exact embedding, by index
         self._index: dict[str, int] = {"one": 0}
         for entry in symbols:
             name, value = entry[0], entry[1]
@@ -62,11 +58,14 @@ class SymbolTable:
     def declare(self, name: str, value: str, independent: bool = True) -> int:
         if name in self._index:
             raise ScalarError(f"duplicate symbol {name!r}")
-        if not _is_decimal_literal(value):
-            raise ScalarError(f"symbol {name!r}: value {value!r} is not a decimal literal")
-        if Fraction(value) == 0:
+        try:
+            exact = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ScalarError(f"symbol {name!r}: value {value!r} is not a decimal literal") from None
+        if exact == 0:
             raise ScalarError(f"symbol {name!r}: numeric value must be nonzero")
         self.symbols.append(Symbol(name, value, independent))
+        self.values.append(exact)
         self._index[name] = len(self.symbols) - 1
         return self._index[name]
 
@@ -101,14 +100,6 @@ class SymbolTable:
         for coeff, name in terms:
             out = out + self.symbol(name, coeff)
         return out
-
-
-def _is_decimal_literal(text: str) -> bool:
-    try:
-        Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
 
 
 class SymScalar:
@@ -194,8 +185,13 @@ class SymScalar:
     def __repr__(self) -> str:
         return f"SymScalar({self.render()})"
 
+    def value(self) -> Fraction:
+        """The exact embedding: sum of coefficient times declared literal."""
+        values = self.table.values
+        return sum((c * values[i] for i, c in self.coeffs.items()), Fraction(0))
+
     def __float__(self) -> float:
-        return float(_interval_value(self, 50).mid)
+        return float(self.value())
 
 
 # -- module operations -------------------------------------------------------
@@ -239,37 +235,18 @@ def q_rank(vals: Sequence[SymScalar]) -> int:
 def sign(a: SymScalar) -> int:
     """-1, 0 or +1; zero iff the scalar is symbolically zero.
 
-    Nonzero scalars are evaluated through the numeric embedding with interval
-    arithmetic, doubling precision until the interval excludes 0 or the
-    ceiling (256 decimal digits) is reached.
+    Nonzero scalars take the sign of their exact embedding; one that embeds
+    to exactly 0 raises PrecisionExhausted.
     """
     if a.is_zero():
         return 0
-    dps = SIGN_DPS_START
-    while dps <= SIGN_DPS_CEILING:
-        val = _interval_value(a, dps)
-        if val.a > 0:
-            return 1
-        if val.b < 0:
-            return -1
-        dps *= 2
-    raise PrecisionExhausted(
-        f"sign of {a.render()} undecided at {SIGN_DPS_CEILING} digits; "
-        "the symbol table's numeric embedding is ill-conditioned"
-    )
-
-
-def _interval_value(a: SymScalar, dps: int):
-    saved = iv.dps
-    try:
-        iv.dps = dps
-        total = iv.mpf(0)
-        for i, c in sorted(a.coeffs.items()):
-            sym = iv.mpf(a.table.symbols[i].value)
-            total += sym * iv.mpf(c.numerator) / iv.mpf(c.denominator)
-        return total
-    finally:
-        iv.dps = saved
+    value = a.value()
+    if value == 0:
+        raise PrecisionExhausted(
+            f"sign of {a.render()} undecided: it embeds to exactly 0; "
+            "the symbol table's numeric embedding is ill-conditioned"
+        )
+    return 1 if value > 0 else -1
 
 
 def compare(a: SymScalar, b: SymScalar) -> int:

@@ -27,7 +27,6 @@ from .forms import (
     NotBasicError,
     SurgeredForm,
     Zero,
-    _levels_admissible,
     g_path_integral,
     invariance_verdict,
 )
@@ -170,12 +169,7 @@ class FoliationModel:
         return all(leaf.compact for leaf in self.catalog)
 
     def singular_levels(self) -> list[tuple[str, sc.SymScalar]]:
-        shifts = dict(getattr(self.form, "level_shifts", ()))
-        out = []
-        for z in sorted(self.zeros, key=lambda z: z.zero_id):
-            shift = self.table.rational(shifts.get(z.zero_id, Fraction(0)))
-            out.append((z.zero_id, z.level + shift))
-        return out
+        return [(z.zero_id, z.level) for z in sorted(self.zeros, key=lambda z: z.zero_id)]
 
 
 # -- virgin models ---------------------------------------------------------------
@@ -372,27 +366,25 @@ class _Workspace:
 
 def _mod_reduce(x: sc.SymScalar, modulus: sc.SymScalar) -> sc.SymScalar:
     """Representative of x mod modulus in [0, modulus), exactly verified."""
-    k0 = int(float(x) // float(modulus))
-    for k in (k0 - 1, k0, k0 + 1):
-        r = x - modulus * k
-        if sc.sign(r) >= 0 and sc.sign(modulus - r) > 0:
-            return r
+    r = x - modulus * (x.value() // modulus.value())
+    if sc.sign(r) >= 0 and sc.sign(modulus - r) > 0:
+        return r
     raise ModelError("could not reduce a level mod the side circumference")
 
 
 def _locate_window(window, span, modulus) -> Optional[sc.SymScalar]:
-    """Shift (a multiple of the modulus) placing the window inside the span."""
+    """Shift (a multiple of the modulus) placing the window inside the span.
+
+    The smallest multiple lifting the window's low end to the span's is the
+    only candidate: any larger one pushes the high end further up.
+    """
     lo, hi = window
     s_lo, s_hi = span
-    zero = lo.table.zero()
-    if modulus is None:
-        candidates = [zero]
-    else:
-        k0 = int((float(s_lo) - float(lo)) // float(modulus))
-        candidates = [modulus * k for k in range(k0 - 1, k0 + 3)]
-    for shift in candidates:
-        if sc.sign(lo + shift - s_lo) >= 0 and sc.sign(s_hi - (hi + shift)) >= 0:
-            return shift
+    shift = lo.table.zero()
+    if modulus is not None:
+        shift = modulus * -((lo.value() - s_lo.value()) // modulus.value())
+    if sc.sign(lo + shift - s_lo) >= 0 and sc.sign(s_hi - (hi + shift)) >= 0:
+        return shift
     return None
 
 
@@ -826,6 +818,15 @@ def genericize(model: FoliationModel) -> FoliationModel:
         )
         return rebuilt
     raise ModelError(f"no admissible genericity amplitudes after 20 attempts ({last_error})")
+
+
+def _levels_admissible(levels: list[sc.SymScalar], lattice: list[sc.SymScalar]) -> bool:
+    for i in range(len(levels)):
+        for j in range(i + 1, len(levels)):
+            diff = levels[i] - levels[j]
+            if diff.is_zero() or sc.in_lattice(diff, lattice):
+                return False
+    return True
 
 
 def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> FoliationModel:

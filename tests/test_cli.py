@@ -1,11 +1,13 @@
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from foliage.catalog import SCENARIOS
 from foliage.cli import (
     ScenarioError,
+    build_report,
     build_scenario,
     main,
     parse_scenario,
@@ -115,6 +117,22 @@ class TestDeterminism:
             r2, _, _ = run("surgery", build_scenario(parse_scenario(s)))
             assert r1 == r2
 
+    def test_reports_are_byte_identical_across_threads(self):
+        def reports(name):
+            built = build_scenario(parse_scenario(SCENARIOS[name]))
+            return [build_report(built, c) for c in ("surgery", "transitivity", "periods")]
+
+        names = sorted(SCENARIOS)
+        serial = [reports(n) for n in names]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside sign() too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(reports, names * 4))
+        finally:
+            sys.setswitchinterval(saved)
+        assert threaded == serial * 4
+
     def test_dot_is_byte_identical(self):
         for name in ("pillowcase-ex3", "torus-rational"):
             s = SCENARIOS[name]
@@ -133,6 +151,15 @@ class TestEntryPoint:
         bad = tmp_path / "bad.scn"
         bad.write_text("this is not a scenario\n")
         assert main(["periods", str(bad)]) == 2
+
+    @pytest.mark.parametrize("seed", ["abc", "1/8", "1/0,1"])
+    def test_malformed_seed_exit_two(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "torus-dense", "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "Traceback" not in err
 
     def test_missing_file_exit_two(self):
         assert main(["periods", "/nonexistent/path.scn"]) == 2

@@ -2,35 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from foliage.forms import ClosedForm, FormError, make_generic
+from foliage.forms import ClosedForm
 from foliage.orbifold import torus_presentation
-from foliage.scalar import in_lattice, sign
-from foliage.surgery import genericize
+from foliage.scalar import in_lattice, is_rational, sign
+from foliage.surgery import FoliationModel, ModelError, analyze, genericize
 
 from conftest import build_catalog_model
-
-
-class TestFormLevel:
-    def test_zero_free_forms_come_back_unchanged(self, table):
-        T = torus_presentation()
-        form = ClosedForm((table.symbol("p"), table.symbol("q")), T)
-        assert make_generic(form) is form
-
-    def test_kind_c_form_gets_admissible_shifts(self):
-        model = build_catalog_model("pillowcase-ex2")
-        perturbed = make_generic(model.form, model)
-        shifts = dict(perturbed.level_shifts)
-        assert set(shifts) == {z.zero_id for z in model.zeros}
-        lattice = model.generator_periods()
-        levels = [perturbed.shifted_level(z) for z in model.zeros]
-        diff = levels[0] - levels[1]
-        assert not diff.is_zero()
-        assert not in_lattice(diff, lattice)
-
-    def test_surgered_form_needs_its_model(self):
-        model = build_catalog_model("pillowcase-ex2")
-        with pytest.raises(FormError):
-            make_generic(model.form, None)
 
 
 class TestModelLevel:
@@ -38,6 +15,34 @@ class TestModelLevel:
         model = build_catalog_model("pillowcase-ex1")
         assert model.is_generic
         assert genericize(model) is model
+
+    def test_zero_free_models_come_back_unchanged(self, table):
+        T = torus_presentation()
+        model = analyze(T, ClosedForm((table.symbol("p"), table.symbol("q")), T), "w")
+        assert genericize(model) is model
+
+    def test_kind_c_companion_gets_admissible_shifts(self):
+        model = build_catalog_model("pillowcase-ex2")
+        raw = dict(model.singular_levels())
+        shifted = dict(genericize(model).singular_levels())
+        assert set(shifted) == set(raw) == {z.zero_id for z in model.zeros}
+        # each zero moves by a rational amount, and the moved levels differ
+        # by no element of the raw model's period lattice
+        assert all(is_rational(shifted[z] - raw[z]) for z in raw)
+        lattice = model.generator_periods()
+        diff = shifted["ex2.x"] - shifted["ex2.y"]
+        assert not diff.is_zero()
+        assert not in_lattice(diff, lattice)
+
+    def test_model_without_provenance_raises(self):
+        m = build_catalog_model("pillowcase-ex2")
+        orphan = FoliationModel(
+            m.name, m.orbifold, m.form, m.sides, m.graph, m.zeros, m.zero_sites,
+            m.x_inf_gens, m.special_vertices, m.singular_entries, m.provenance,
+            m.notes, m.is_generic,
+        )
+        with pytest.raises(ModelError):
+            genericize(orphan)
 
     def test_construction_c_postconditions(self):
         model = build_catalog_model("pillowcase-ex2")

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,6 +141,82 @@ class TestSign:
         t = SymbolTable([("s", "2")])
         with pytest.raises(PrecisionExhausted):
             sign(t.symbol("s") - t.rational(2))
+
+    def test_float_is_the_correctly_rounded_embedding(self):
+        a = TABLE.symbol("p", Fraction(1, 3)) - TABLE.symbol("q", 7)
+        assert float(a) == float(Fraction(PI) / 3 - 7 * Fraction(SQRT2))
+
+
+def _oracle_sign(a):
+    """The sign mpmath interval arithmetic decides at up to 256 digits, or
+    None when the interval still straddles 0 there."""
+    from mpmath import iv
+
+    saved = iv.dps
+    try:
+        for dps in (32, 64, 128, 256):
+            iv.dps = dps
+            total = iv.mpf(0)
+            for i, c in sorted(a.coeffs.items()):
+                sym = iv.mpf(a.table.symbols[i].value)
+                total += sym * iv.mpf(c.numerator) / iv.mpf(c.denominator)
+            if total.a > 0:
+                return 1
+            if total.b < 0:
+                return -1
+        return None
+    finally:
+        iv.dps = saved
+
+
+def _literal40(digits: int, point: int, negative: bool) -> str:
+    text = str(digits)
+    return f"{'-' if negative else ''}{text[:point]}.{text[point:]}"
+
+
+literals40 = st.builds(
+    _literal40, st.integers(10**39, 10**40 - 1), st.integers(1, 39), st.booleans()
+)
+
+
+@st.composite
+def scalars_over_40_digit_tables(draw):
+    lits = draw(st.lists(literals40, min_size=1, max_size=4))
+    table = SymbolTable([(f"s{i}", lit) for i, lit in enumerate(lits)])
+    coeffs = draw(st.lists(rationals, min_size=len(lits), max_size=len(lits)))
+    a = table.zero()
+    for i, c in enumerate(coeffs):
+        a = a + table.symbol(f"s{i}", c)
+    if draw(st.booleans()):
+        # cancel the embedding down to 0 or to a tiny offset
+        exact = sum((c * Fraction(lit) for c, lit in zip(coeffs, lits)), Fraction(0))
+        offset = draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10 ** draw(st.integers(1, 80)))
+        a = a + table.rational(offset - exact)
+    return a
+
+
+class TestSignAgainstIntervals:
+    @given(a=scalars_over_40_digit_tables())
+    def test_sign_agrees_with_the_interval_oracle(self, a):
+        expected = _oracle_sign(a)
+        if a.is_zero():
+            assert sign(a) == 0
+        elif expected is None:
+            with pytest.raises(PrecisionExhausted):
+                sign(a)
+        else:
+            assert sign(a) == expected
+
+    def test_import_leaves_mpmath_unloaded(self):
+        import foliage
+
+        src = os.path.dirname(os.path.dirname(foliage.__file__))
+        code = "import sys, foliage; print('mpmath' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestLattice:

@@ -1,8 +1,12 @@
 """Scenario-level coverage beyond the built-in catalog: custom actions,
-bump declarations, basepoint overrides and virgin decompositions."""
+bump declarations, basepoint overrides, virgin decompositions and level
+shifts by whole circumferences."""
 
 from fractions import Fraction
 
+import pytest
+
+from foliage.catalog import SCENARIOS
 from foliage.cli import build_scenario, parse_scenario, run, serialize_scenario
 from foliage.leaves import trace_leaf
 from foliage.orbifold import TorusPoint
@@ -133,3 +137,33 @@ class TestDerivedVerdictNote:
         assert any("derived from the graph alone" in note for note in mixed.notes)
         model = build_scenario(parse_scenario(BUMPED)).final
         assert not any("derived" in note for note in model.notes)
+
+
+class TestLevelShiftInvariance:
+    """Shifting every window and tube level by k circumferences is the same
+    surgery; the levels are placed exactly, however large k is."""
+
+    @staticmethod
+    def _verdicts(text):
+        report, _, _ = run("transitivity", build_scenario(parse_scenario(text)))
+        return report[report.index("== verdicts =="):]
+
+    @staticmethod
+    def _shifted(text, keys, k):
+        out = []
+        for line in text.splitlines():
+            key, _, value = line.partition(" = ")
+            if key in keys:
+                lo, hi = (Fraction(v) + k for v in value.split(":"))
+                line = f"{key} = {lo} : {hi}"
+            out.append(line)
+        return "\n".join(out) + "\n"
+
+    @pytest.mark.parametrize("k", [3**34, 3**36, 10**30], ids=["3^34", "3^36", "10^30"])
+    def test_sum_b_compact_verdicts_survive_the_shift(self, k):
+        # both sides of sum-b-compact have circumference 1
+        text = SCENARIOS["sum-b-compact"]
+        shifted = self._shifted(text, ("left_window", "right_window", "tube"), k)
+        assert shifted != text
+        assert self._verdicts(shifted) == self._verdicts(text)
+        assert "transitive: no" in self._verdicts(shifted)
