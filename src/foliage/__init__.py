@@ -6,10 +6,10 @@ compact/noncompact decomposition, and combinatorial tube surgeries.
 """
 
 from .scalar import (
+    FoliageError,
     PrecisionExhausted,
     SymbolTable,
     SymScalar,
-    add,
     in_lattice,
     is_rational,
     q_rank,
@@ -53,7 +53,6 @@ from .leaves import (
 from .graph import (
     FactorizationWitness,
     FoliationGraph,
-    build_graph,
     calabi_equiv_bruteforce,
     edge_weight,
     factorization_witness,
@@ -67,6 +66,7 @@ from .surgery import (
     genericize,
     harmonicity_verdict,
     is_transitive,
+    verdicts,
 )
 
 __version__ = "0.1.0"

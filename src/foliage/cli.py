@@ -9,6 +9,7 @@ scenario text always produces byte-identical reports and DOT output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,27 +17,23 @@ from typing import Optional
 
 from . import scalar as sc
 from . import catalog as builtin_catalog
-from .forms import ClosedForm, BumpTerm, FormError, NotBasicError, invariance_verdict, periods
-from .graph import build_graph, factorization_witness, is_calabi
+from .forms import ClosedForm, BumpTerm, NotBasicError, invariance_verdict, periods
+from .graph import factorization_witness
 from .leaves import trace_leaf
 from .orbifold import (
     BUILTIN_PRESENTATIONS,
     AffineMap,
     GroupAction,
-    OrbifoldError,
     OrbifoldPresentation,
     TorusPoint,
 )
-from .scalar import PrecisionExhausted, ScalarError
+from .scalar import FoliageError, PrecisionExhausted
 from .surgery import (
     FoliationModel,
-    ModelError,
     SurgerySpec,
     analyze,
     connected_sum,
-    genericize,
-    harmonicity_verdict,
-    is_transitive,
+    verdicts,
 )
 
 COMMANDS = (
@@ -52,7 +49,7 @@ COMMANDS = (
 )
 
 
-class ScenarioError(ValueError):
+class ScenarioError(FoliageError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
@@ -264,7 +261,10 @@ def parse_scenario(text: str) -> Scenario:
             on, _ = single(items, "on", required=True, where=where)
             dtheta_text, i1 = single(items, "dtheta", required=True, where=where)
             dphi_text, i2 = single(items, "dphi", required=True, where=where)
-            override_text, _ = single(items, "basic_override", default="false", where=where)
+            override_text, i4 = single(items, "basic_override", default="false", where=where)
+            if override_text.lower() not in ("true", "false"):
+                raise ScenarioError(
+                    f"basic_override must be true or false, got {override_text!r}", i4)
             bumps = []
             for value, i in items.get("bump", []):
                 words = value.split()
@@ -313,15 +313,15 @@ def parse_scenario(text: str) -> Scenario:
             )
         elif kind == "tracer":
             seed_text, i = single(items, "seed", default="1/8, 1/8", where=where)
-            step_text, _ = single(items, "step", default="0.005", where=where)
-            steps_text, _ = single(items, "max_steps", default="1000000", where=where)
+            step_text, i1 = single(items, "step", default="0.005", where=where)
+            steps_text, i2 = single(items, "max_steps", default="1000000", where=where)
             parts = seed_text.split(",")
             if len(parts) != 2:
                 raise ScenarioError("seed needs 'theta, phi'", i)
             tracer = TracerDecl(
                 seed=(_parse_rational(parts[0], i), _parse_rational(parts[1], i)),
-                step=float(step_text),
-                max_steps=int(steps_text),
+                step=_tracer_value(_step_arg, "step", step_text, i1),
+                max_steps=_tracer_value(_steps_arg, "max_steps", steps_text, i2),
             )
         elif kind == "output":
             dot, _ = single(items, "dot", where=where)
@@ -338,6 +338,14 @@ def parse_scenario(text: str) -> Scenario:
     )
     _validate_refs(scenario)
     return scenario
+
+
+def _tracer_value(convert, key: str, text: str, line: Optional[int]):
+    """A [tracer] value, checked by the parser of the matching CLI flag."""
+    try:
+        return convert(text)
+    except argparse.ArgumentTypeError as err:
+        raise ScenarioError(f"{key}: {err}", line) from None
 
 
 def _validate_refs(s: Scenario) -> None:
@@ -521,6 +529,16 @@ def _leaf_counts(model: FoliationModel) -> dict[str, int]:
     return counts
 
 
+def _graph_lines(graph, indent: str) -> list[str]:
+    lines = [f"v{vid}: {v.kind}" + (f" ref {v.ref}" if v.ref else "")
+             for vid, v in sorted(graph.vertices.items())]
+    lines += [f"v{e.src} -> v{e.dst} weight {e.weight.render()} family {e.family}"
+              for _, e in sorted(graph.edges.items())]
+    lines += [f"attach v{a.zero_vertex} <-> v{a.special_vertex} ({a.mode})"
+              for a in graph.attachments]
+    return [indent + line for line in lines]
+
+
 def build_report(built: BuiltScenario, command: str) -> str:
     model = built.final
     lines = [f"foliage report :: command {command}", ""]
@@ -618,43 +636,22 @@ def build_report(built: BuiltScenario, command: str) -> str:
     lines.append("")
 
     lines.append("== graph ==")
-    g = model.graph
-    for vid in sorted(g.vertices):
-        v = g.vertices[vid]
-        ref = f" ref {v.ref}" if v.ref else ""
-        lines.append(f"v{vid}: {v.kind}{ref}")
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
-        lines.append(f"v{e.src} -> v{e.dst} weight {e.weight.render()} family {e.family}")
-    for a in g.attachments:
-        lines.append(f"attach v{a.zero_vertex} <-> v{a.special_vertex} ({a.mode})")
+    lines.extend(_graph_lines(model.graph, ""))
     lines.append("")
 
     lines.append("== verdicts ==")
-    companion = genericize(model)
-    if companion is not model:
+    decided = verdicts(model)
+    if decided.companion is not model:
         lines.append("genericized companion used for the graph verdict:")
-        cg = companion.graph
-        for vid in sorted(cg.vertices):
-            v = cg.vertices[vid]
-            lines.append(f"  v{vid}: {v.kind}" + (f" ref {v.ref}" if v.ref else ""))
-        for eid in sorted(cg.edges):
-            e = cg.edges[eid]
-            lines.append(
-                f"  v{e.src} -> v{e.dst} weight {e.weight.render()} family {e.family}"
-            )
-        for a in cg.attachments:
-            lines.append(f"  attach v{a.zero_vertex} <-> v{a.special_vertex} ({a.mode})")
-    if model.zeros:
-        calabi = is_calabi(build_graph(companion))
-        lines.append(f"Calabi graph: {'yes' if calabi else 'no'}")
-        route = "Calabi graph criterion on the leaf-space graph"
-    else:
+        lines.extend(_graph_lines(decided.companion.graph, "  "))
+    if decided.calabi is None:
         route = "positive straight loop from nonvanishing periods"
-    transitive = is_transitive(model)
-    lines.append(f"transitive: {'yes' if transitive else 'no'} ({route})")
+    else:
+        lines.append(f"Calabi graph: {'yes' if decided.calabi else 'no'}")
+        route = "Calabi graph criterion on the leaf-space graph"
+    lines.append(f"transitive: {'yes' if decided.transitive else 'no'} ({route})")
     lines.append(
-        f"intrinsically harmonic: {harmonicity_verdict(model)} "
+        f"intrinsically harmonic: {decided.harmonicity} "
         "(criterion: transitivity; no metric constructed)"
     )
     lines.append("")
@@ -724,12 +721,13 @@ def run_examples() -> tuple[str, int]:
     for name, expected in builtin_catalog.EXAMPLES:
         built = build_scenario(parse_scenario(builtin_catalog.SCENARIOS[name]))
         model = built.final
+        decided = verdicts(model)
         got = {
-            "transitive": is_transitive(model),
+            "transitive": decided.transitive,
             "has_compact_leaf": any(l.compact for l in model.catalog),
             "has_noncompact_leaf": any(not l.compact for l in model.catalog),
             "compact_singular_components": len(model.decomposition.boundary),
-            "harmonic": harmonicity_verdict(model),
+            "harmonic": decided.harmonicity,
         }
         row_ok = True
         for key, want in expected.items():
@@ -802,6 +800,26 @@ def _seed_arg(text: str) -> tuple[Fraction, Fraction]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a pair of rationals") from None
 
 
+def _step_arg(text: str) -> float:
+    try:
+        step = float(text)
+    except ValueError:
+        step = math.nan
+    if not (math.isfinite(step) and step > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return step
+
+
+def _steps_arg(text: str) -> int:
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return steps
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="foliage",
@@ -812,8 +830,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--dot", help="write the leaf graph in DOT form here")
     parser.add_argument("--svg", help="write the trace picture here")
     parser.add_argument("--seed", type=_seed_arg, help="tracer seed 'theta,phi'")
-    parser.add_argument("--steps", type=int, help="tracer step budget")
-    parser.add_argument("--step", type=float, help="tracer step size")
+    parser.add_argument("--steps", type=_steps_arg, help="tracer step budget")
+    parser.add_argument("--step", type=_step_arg, help="tracer step size")
     args = parser.parse_args(argv)
 
     try:
@@ -837,7 +855,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.dot:
             options["dot"] = args.dot
         report, artifacts, code = run(args.command, built, options)
-    except (ScenarioError, ModelError, FormError, OrbifoldError, ScalarError, OSError) as err:
+    except (FoliageError, OSError) as err:
         if isinstance(err, PrecisionExhausted):
             print(f"numeric failure: {err}", file=sys.stderr)
             return 3

@@ -27,7 +27,7 @@ from .orbifold import (
 _BUMP_SLOPE_SUP = 8.0 * (6.0 / 7.0) ** 3 / 7.0 ** 0.5
 
 
-class FormError(ValueError):
+class FormError(sc.FoliageError):
     pass
 
 
@@ -269,8 +269,3 @@ class SurgeredForm:
     @property
     def table(self) -> sc.SymbolTable:
         return self.sides[0].table
-
-    @property
-    def patches(self) -> tuple[str, ...]:
-        return tuple(sorted({z.host for z in self.patch_zeros}))
-

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from . import scalar as sc
 
 
-class GraphError(ValueError):
+class GraphError(sc.FoliageError):
     pass
 
 
@@ -158,17 +158,6 @@ class FoliationGraph:
             lines.append(f'v{e.src} -> v{e.dst} [label="{e.weight.render()}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def build_graph(model) -> FoliationGraph:
-    """The leaf-space graph of a model; validates the structural invariants."""
-    if model.catalog is None:
-        raise GraphError("model leaf catalog is incomplete")
-    graph = model.graph
-    graph.validate()
-    if graph.vertices and not graph.underlying_connected():
-        raise GraphError("foliation graph must be connected")
-    return graph
 
 
 def edge_weight(graph: FoliationGraph, eid: int) -> sc.SymScalar:

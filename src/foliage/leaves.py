@@ -27,7 +27,7 @@ from .forms import (
 from .orbifold import OrbifoldPresentation, TorusPoint
 
 
-class LeafError(ValueError):
+class LeafError(sc.FoliageError):
     pass
 
 
@@ -64,10 +64,6 @@ class Decomposition:
     boundary: tuple[tuple[str, str], ...]  # (leaf id, compact component id)
     restricted_ranks: tuple[tuple[str, Optional[int]], ...]
     flags: tuple[str, ...] = ()
-
-    @property
-    def x_inf_empty(self) -> bool:
-        return not self.x_inf_components
 
 
 # -- the linear layer -----------------------------------------------------------

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .scalar import FoliageError
 
-class OrbifoldError(ValueError):
+
+class OrbifoldError(FoliageError):
     pass
 
 

@@ -19,7 +19,12 @@ from math import lcm
 from typing import Iterable, Sequence
 
 
-class ScalarError(ValueError):
+class FoliageError(ValueError):
+    """Base of every domain error the package raises: malformed input or a
+    configuration outside the theory."""
+
+
+class ScalarError(FoliageError):
     pass
 
 
@@ -197,10 +202,6 @@ class SymScalar:
 # -- module operations -------------------------------------------------------
 
 
-def add(a: SymScalar, b: SymScalar) -> SymScalar:
-    return a + b
-
-
 def is_rational(a: SymScalar) -> bool:
     """True iff every coefficient except the one on "one" vanishes."""
     return all(i == 0 for i in a.coeffs)
@@ -300,23 +301,39 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     return [r for r in m[:done] if any(r)]
 
 
-def in_lattice(value: SymScalar, generators: Sequence[SymScalar]) -> bool:
-    """Whether value lies in the Z-lattice spanned by the generators.
+class Lattice:
+    """The Z-lattice spanned by scalars of one table, kept as one HNF.
 
-    Decided exactly: clear denominators, then compare the Hermite normal form
-    of the generator rows with the form after adjoining the value's row.
+    Denominators are cleared once, at construction; every later question is a
+    reduction against the same Hermite normal form.
     """
-    gens = [g for g in generators if not g.is_zero()]
-    if value.is_zero():
-        return True
-    if not gens:
-        return False
-    for g in gens:
-        value._check(g)
-    vecs = [g.vector() for g in gens] + [value.vector()]
-    denom = lcm(*[c.denominator for row in vecs for c in row])
-    ints = [[int(c * denom) for c in row] for row in vecs]
-    base = hermite_normal_form(ints[:-1])
-    extended = hermite_normal_form(ints)
-    return base == extended
 
+    def __init__(self, generators: Iterable[SymScalar]):
+        gens = [g for g in generators if not g.is_zero()]
+        for g in gens[1:]:
+            gens[0]._check(g)
+        self.table = gens[0].table if gens else None
+        self.denom = lcm(*[c.denominator for g in gens for c in g.coeffs.values()])
+        hnf = hermite_normal_form([[int(c * self.denom) for c in g.vector()] for g in gens])
+        self._rows = [(next(i for i, a in enumerate(row) if a), row) for row in hnf]
+
+    def reduce(self, v: SymScalar) -> SymScalar:
+        """The canonical representative of the coset v + L: top-down through
+        the HNF rows, each pivot coordinate is brought into [0, pivot).  The
+        row-echelon shape makes the result unique."""
+        if self.table is not None and v.table is not self.table:
+            raise MixedTableError("operands belong to different symbol tables")
+        x = [c * self.denom for c in v.vector()]
+        for col, row in self._rows:
+            q = x[col] // row[col]
+            for i, a in enumerate(row):
+                x[i] -= q * a
+        return SymScalar(v.table, {i: Fraction(c, self.denom) for i, c in enumerate(x)})
+
+    def __contains__(self, v: SymScalar) -> bool:
+        return self.reduce(v).is_zero()
+
+
+def in_lattice(value: SymScalar, generators: Sequence[SymScalar]) -> bool:
+    """Whether value lies in the Z-lattice spanned by the generators."""
+    return value in Lattice(generators)

@@ -35,7 +35,6 @@ from .graph import (
     SPECIAL,
     ZERO,
     FoliationGraph,
-    build_graph,
     is_calabi,
 )
 from .leaves import (
@@ -51,7 +50,7 @@ from .leaves import (
 from .orbifold import OrbifoldPresentation, fundamental_generators
 
 
-class ModelError(ValueError):
+class ModelError(sc.FoliageError):
     pass
 
 
@@ -585,8 +584,7 @@ def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> tuple[list[Zero], boo
 
     generic = True
     if comp_ref is not None:
-        lattice = identifications + [p for _, p in ws.x_inf_gens[comp_ref]]
-        generic = not sc.in_lattice(band, lattice)
+        generic = band not in sc.Lattice(identifications + [p for _, p in ws.x_inf_gens[comp_ref]])
     return [zx, zy], generic
 
 
@@ -796,7 +794,7 @@ def genericize(model: FoliationModel) -> FoliationModel:
         return model
     if model._spec is None:
         raise ModelError("cannot genericize a model without its surgery provenance")
-    lattice = model.generator_periods()
+    lattice = sc.Lattice(model.generator_periods())
     zero_ids = sorted(z.zero_id for z in model.zeros)
     base = {zid: level for zid, level in model.singular_levels()}
     table = model.table
@@ -820,13 +818,9 @@ def genericize(model: FoliationModel) -> FoliationModel:
     raise ModelError(f"no admissible genericity amplitudes after 20 attempts ({last_error})")
 
 
-def _levels_admissible(levels: list[sc.SymScalar], lattice: list[sc.SymScalar]) -> bool:
-    for i in range(len(levels)):
-        for j in range(i + 1, len(levels)):
-            diff = levels[i] - levels[j]
-            if diff.is_zero() or sc.in_lattice(diff, lattice):
-                return False
-    return True
+def _levels_admissible(levels: list[sc.SymScalar], lattice: sc.Lattice) -> bool:
+    """No two levels agree modulo the lattice: their canonical reductions differ."""
+    return len({lattice.reduce(level) for level in levels}) == len(levels)
 
 
 def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> FoliationModel:
@@ -859,23 +853,40 @@ def _rebuild_c_as_pinch(spec: SurgerySpec, left, right, levels) -> FoliationMode
     return _finalize(ws, True, zeros)
 
 
-def is_transitive(model: FoliationModel) -> bool:
+@dataclass(frozen=True)
+class Verdicts:
+    """A model's verdicts, decided once; calabi is None for zero-free models."""
+
+    companion: FoliationModel
+    calabi: Optional[bool]
+    transitive: bool
+
+    @property
+    def harmonicity(self) -> str:
+        """IntrinsicallyHarmonic iff transitive; no metric is ever constructed."""
+        return "IntrinsicallyHarmonic" if self.transitive else "NotIntrinsicallyHarmonic"
+
+
+def verdicts(model: FoliationModel) -> Verdicts:
     """Positive-loop test for zero-free forms, Calabi graph test otherwise.
 
     Zero-free: a straight integer-direction loop with positive period passes
     through every point, and one exists iff the generator periods are not all
-    zero.  With zeros, the verdict is the Calabi property of the (genericized)
-    leaf graph.
+    zero.  With zeros, the verdict is the Calabi property of the genericized
+    companion's leaf graph.
     """
-    if not model.zeros:
-        if not any(sc.sign(p) != 0 for p in model.generator_periods()):
-            raise ModelError("zero-free form with vanishing periods cannot be of Morse type")
-        return True
-    companion = genericize(model)
-    return is_calabi(build_graph(companion))
+    if model.zeros:
+        companion = genericize(model)
+        calabi = is_calabi(companion.graph)
+        return Verdicts(companion, calabi, calabi)
+    if not any(sc.sign(p) != 0 for p in model.generator_periods()):
+        raise ModelError("zero-free form with vanishing periods cannot be of Morse type")
+    return Verdicts(model, None, True)
+
+
+def is_transitive(model: FoliationModel) -> bool:
+    return verdicts(model).transitive
 
 
 def harmonicity_verdict(model: FoliationModel) -> str:
-    """IntrinsicallyHarmonic iff transitive; decided by the transitivity
-    criterion alone, no metric is ever constructed."""
-    return "IntrinsicallyHarmonic" if is_transitive(model) else "NotIntrinsicallyHarmonic"
+    return verdicts(model).harmonicity

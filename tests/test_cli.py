@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from foliage import cli
 from foliage.catalog import SCENARIOS
 from foliage.cli import (
     ScenarioError,
@@ -159,6 +160,52 @@ class TestEntryPoint:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--seed" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["step = abc", "step = nan", "step = inf", "step = -0.01", "max_steps = 1e3"],
+    )
+    def test_malformed_tracer_value_exit_two(self, line, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_text(SCENARIOS["torus-dense"] + f"\n[tracer]\n{line}\n")
+        assert main(["trace", str(path), "--steps", "100"]) == 2
+        err = capsys.readouterr().err
+        assert f"{line.split()[0]}: " in err and "line " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--step", "nan"), ("--step", "inf"), ("--step", "-1"), ("--steps", "-5")]
+    )
+    def test_malformed_tracer_flag_exit_two(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "torus-dense", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
+    def test_non_boolean_override_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        ex2 = SCENARIOS["pillowcase-ex2"]
+        path.write_text(ex2.replace("basic_override = true", "basic_override = yes"))
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "basic_override must be true or false" in err and "line " in err
+        assert "Traceback" not in err
+        upper = ex2.replace("basic_override = true", "basic_override = TRUE")
+        assert all(f.basic_override for f in parse_scenario(upper).forms)
+
+    def test_graph_error_in_a_report_exit_two(self, monkeypatch, capsys):
+        from foliage.graph import GraphError
+
+        def broken(model):
+            raise GraphError("circuit edges missing from graph")
+
+        monkeypatch.setattr(cli, "factorization_witness", broken)
+        assert main(["classify", "torus-rational"]) == 2
+        err = capsys.readouterr().err
+        assert "circuit edges missing" in err
         assert "Traceback" not in err
 
     def test_missing_file_exit_two(self):

@@ -10,7 +10,6 @@ from foliage.graph import (
     ZERO,
     FoliationGraph,
     GraphError,
-    build_graph,
     calabi_equiv_bruteforce,
     digraph_from_arcs,
     edge_weight,
@@ -32,7 +31,7 @@ def cycle_graph(n):
 class TestBuildGraph:
     def test_all_compact_circle(self):
         model = build_catalog_model("torus-rational")
-        g = build_graph(model)
+        g = model.graph
         kinds = sorted(v.kind for v in g.vertices.values())
         assert kinds == [MARKER]
         (edge,) = g.edges.values()
@@ -41,13 +40,13 @@ class TestBuildGraph:
 
     def test_dense_single_special_vertex(self):
         model = build_catalog_model("torus-dense")
-        g = build_graph(model)
+        g = model.graph
         assert [v.kind for v in g.vertices.values()] == [SPECIAL]
         assert not g.edges
 
     def test_b_surgery_has_a_chain_family(self):
         model = build_catalog_model("pillowcase-ex3")
-        g = build_graph(model)
+        g = model.graph
         chain = [e for e in g.edges.values() if e.family.endswith(".chain")]
         assert len(chain) == 1
 
@@ -112,7 +111,7 @@ class TestIsCalabi:
         from foliage.surgery import genericize
 
         model = build_catalog_model("pillowcase-ex2")
-        assert is_calabi(build_graph(genericize(model))) is False
+        assert is_calabi(genericize(model).graph) is False
 
     def test_disconnected_graph_rejected(self):
         g = digraph_from_arcs(4, [(0, 1), (1, 0), (2, 3), (3, 2)], TABLE)

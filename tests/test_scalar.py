@@ -3,12 +3,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from foliage import scalar as sc
 from foliage.scalar import (
+    Lattice,
     PrecisionExhausted,
     SymbolTable,
     hermite_normal_form,
@@ -256,3 +258,69 @@ class TestLattice:
     def test_zero_always_member(self):
         assert in_lattice(TABLE.zero(), [TABLE.symbol("p")])
         assert not in_lattice(TABLE.symbol("p"), [])
+
+
+def _hnf_member(value, generators):
+    """The reference membership rule: adjoining the value's row leaves the
+    Hermite normal form of the generator rows unchanged."""
+    gens = [g for g in generators if not g.is_zero()]
+    if value.is_zero():
+        return True
+    if not gens:
+        return False
+    vecs = [g.vector() for g in gens] + [value.vector()]
+    denom = lcm(*[c.denominator for row in vecs for c in row])
+    ints = [[int(c * denom) for c in row] for row in vecs]
+    return hermite_normal_form(ints[:-1]) == hermite_normal_form(ints)
+
+
+@st.composite
+def lattice_cases(draw):
+    """Generators and a value over a table of 40-digit literals, and one
+    integer multiplier per generator."""
+    lits = draw(st.lists(literals40, min_size=1, max_size=3))
+    table = SymbolTable([(f"s{i}", lit) for i, lit in enumerate(lits)])
+    names = ["one"] + [f"s{i}" for i in range(len(lits))]
+
+    def scalar():
+        coeffs = draw(st.lists(rationals, min_size=len(names), max_size=len(names)))
+        return table.combination(zip(coeffs, names))
+
+    gens = [scalar() for _ in range(draw(st.integers(0, 4)))]
+    ks = draw(st.lists(st.integers(-6, 6), min_size=len(gens), max_size=len(gens)))
+    return gens, scalar(), ks
+
+
+def _combination(gens, ks, table):
+    return sum((g * k for g, k in zip(gens, ks)), table.zero())
+
+
+class TestLatticeReduction:
+    @given(case=lattice_cases())
+    def test_reduce_is_constant_on_cosets(self, case):
+        gens, v, ks = case
+        lattice = Lattice(gens)
+        reduced = lattice.reduce(v)
+        assert lattice.reduce(v + _combination(gens, ks, v.table)) == reduced
+        assert _hnf_member(reduced - v, gens)
+
+    @given(case=lattice_cases())
+    def test_reduce_is_idempotent(self, case):
+        gens, v, _ = case
+        lattice = Lattice(gens)
+        assert lattice.reduce(lattice.reduce(v)) == lattice.reduce(v)
+
+    @given(case=lattice_cases(), shape=st.sampled_from(["random", "member", "half"]))
+    def test_membership_agrees_with_the_two_hnf_rule(self, case, shape):
+        gens, v, ks = case
+        combo = _combination(gens, ks, v.table)
+        value = {"random": v, "member": combo, "half": combo * Fraction(1, 2)}[shape]
+        assert in_lattice(value, gens) == _hnf_member(value, gens)
+        if shape == "member":
+            assert value in Lattice(gens)
+
+    def test_generators_from_two_tables_are_rejected(self):
+        with pytest.raises(sc.MixedTableError):
+            Lattice([TABLE.symbol("p"), make_table().symbol("p")])
+        with pytest.raises(sc.MixedTableError):
+            Lattice([TABLE.symbol("p")]).reduce(make_table().symbol("p"))

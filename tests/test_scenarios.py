@@ -1,13 +1,14 @@
 """Scenario-level coverage beyond the built-in catalog: custom actions,
-bump declarations, basepoint overrides, virgin decompositions and level
-shifts by whole circumferences."""
+bump declarations, basepoint overrides, virgin decompositions, level shifts
+by whole circumferences, reordered symbols and renamed models."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from foliage.catalog import SCENARIOS
-from foliage.cli import build_scenario, parse_scenario, run, serialize_scenario
+from foliage.cli import build_report, build_scenario, parse_scenario, run, serialize_scenario
 from foliage.leaves import trace_leaf
 from foliage.orbifold import TorusPoint
 
@@ -167,3 +168,65 @@ class TestLevelShiftInvariance:
         assert shifted != text
         assert self._verdicts(shifted) == self._verdicts(text)
         assert "transitive: no" in self._verdicts(shifted)
+
+
+SURGERY_SCENARIOS = sorted(name for name, text in SCENARIOS.items() if "[surgery " in text)
+
+
+class TestDeclarationInvariance:
+    """Reordering the symbol declarations or renaming every model is the same
+    mathematics.  Weights render their terms in table order and graph blocks
+    print model names, so only the three verdict lines are compared."""
+
+    @staticmethod
+    def _verdict_lines(scenario):
+        report = build_report(build_scenario(scenario), "transitivity")
+        keys = ("Calabi graph:", "transitive:", "intrinsically harmonic:")
+        return [line for line in report.splitlines() if line.startswith(keys)]
+
+    @staticmethod
+    def _renamed(s):
+        """Every orbifold, form and surgery renamed, in reverse sort order."""
+        names = sorted([o.name for o in s.orbifolds] + [f.name for f in s.forms]
+                       + [g.name for g in s.surgeries])
+        new = {old: f"m{len(names) - i:02d}" for i, old in enumerate(names)}
+
+        def region(text):
+            head, dot, tail = text.partition(".")
+            return text if text == "auto" else new[head] + dot + tail
+
+        return replace(
+            s,
+            orbifolds=tuple(replace(o, name=new[o.name]) for o in s.orbifolds),
+            forms=tuple(replace(f, name=new[f.name], on=new[f.on]) for f in s.forms),
+            surgeries=tuple(
+                replace(g, name=new[g.name], left=new[g.left], right=new[g.right],
+                        left_region=region(g.left_region), right_region=region(g.right_region))
+                for g in s.surgeries
+            ),
+        )
+
+    @pytest.mark.parametrize("name", SURGERY_SCENARIOS)
+    def test_permuted_symbols_keep_the_verdicts(self, name):
+        s = parse_scenario(SCENARIOS[name])
+        expected = self._verdict_lines(s)
+        assert any(line.startswith("transitive:") for line in expected)
+        for perm in (s.symbols[::-1], s.symbols[1:] + s.symbols[:1]):
+            assert self._verdict_lines(replace(s, symbols=perm)) == expected
+
+    @pytest.mark.parametrize("name", SURGERY_SCENARIOS)
+    def test_renamed_models_keep_the_verdicts(self, name):
+        s = parse_scenario(SCENARIOS[name])
+        renamed = self._renamed(s)
+        assert build_report(build_scenario(renamed), "transitivity") != build_report(
+            build_scenario(s), "transitivity"
+        )
+        assert self._verdict_lines(renamed) == self._verdict_lines(s)
+
+    def test_renaming_reaches_named_regions(self):
+        s = parse_scenario(
+            SCENARIOS["pillowcase-ex2"].replace("kind = C", "kind = C\nleft_region = wL.inf")
+        )
+        renamed = self._renamed(s)
+        assert renamed.surgeries[0].left_region != "wL.inf"
+        assert self._verdict_lines(renamed) == self._verdict_lines(s)

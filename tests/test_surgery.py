@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from foliage import scalar, surgery
+from foliage.catalog import SCENARIOS
+from foliage.cli import build_report, build_scenario, parse_scenario
 from foliage.forms import ClosedForm
 from foliage.graph import factorization_witness
 from foliage.orbifold import pillowcase_presentation, torus_presentation
@@ -14,9 +17,10 @@ from foliage.surgery import (
     genericize,
     harmonicity_verdict,
     is_transitive,
+    verdicts,
 )
 
-from conftest import build_catalog_model
+from conftest import PI, SQRT2, build_catalog_model
 
 
 def r(table, value):
@@ -331,3 +335,59 @@ class TestDerivedCases:
         assert companion.is_generic
         assert is_transitive(model) is False
         assert factorization_witness(model) is not None
+
+
+def kind_c_chain(n):
+    """n + 1 dense pillowcase forms joined in sequence by kind-C surgeries
+    through the noncompact components, tube levels equal at i/(4n+8)."""
+    out = ["[symbols]", f"p = {PI}", f"q = {SQRT2}"]
+    for i in range(n + 1):
+        out += [f"[orbifold Q{i}]", "builtin = pillowcase", f"[form w{i}]", f"on = Q{i}",
+                "dtheta = 1*p", "dphi = 1*q", "basic_override = true"]
+    for i in range(1, n + 1):
+        out += [f"[surgery s{i}]", "kind = C", f"left = {'w0' if i == 1 else f's{i - 1}'}",
+                f"right = w{i}", "left_region = w0.inf", f"right_region = w{i}.inf",
+                "left_window = 0 : 1", "right_window = 0 : 1",
+                f"tube = {i}/{4 * n + 8} : {i}/{4 * n + 8}"]
+    return "\n".join(out) + "\n"
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestVerdictsDecidedOnce:
+    def test_record_of_a_model_with_zeros(self):
+        model = build_catalog_model("pillowcase-ex2")
+        decided = verdicts(model)
+        assert decided.companion is not model and decided.companion.is_generic
+        assert (decided.calabi, decided.transitive) == (False, False)
+        assert decided.harmonicity == harmonicity_verdict(model) == "NotIntrinsicallyHarmonic"
+
+    def test_record_of_a_zero_free_model(self):
+        model = build_catalog_model("torus-dense")
+        decided = verdicts(model)
+        assert decided.companion is model
+        assert (decided.calabi, decided.transitive) == (None, True)
+        assert decided.harmonicity == "IntrinsicallyHarmonic"
+
+    def test_one_report_genericizes_once(self, monkeypatch):
+        built = build_scenario(parse_scenario(SCENARIOS["pillowcase-ex2"]))
+        calls = _counting(monkeypatch, surgery, "genericize")
+        build_report(built, "surgery")
+        assert len(calls) == 1
+
+    def test_one_report_on_a_kind_c_chain_computes_one_hnf(self, monkeypatch):
+        built = build_scenario(parse_scenario(kind_c_chain(8)))
+        calls = _counting(monkeypatch, scalar, "hermite_normal_form")
+        report = build_report(built, "surgery")
+        assert len(calls) == 1
+        assert "transitive: no" in report
