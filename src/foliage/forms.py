@@ -23,9 +23,6 @@ from .orbifold import (
     orbit,
 )
 
-# sup of |h'| for h(r) = (1 - (r/R)^2)^4 is (8/R) * (6/7)^3 / sqrt(7)
-_BUMP_SLOPE_SUP = 8.0 * (6.0 / 7.0) ** 3 / 7.0 ** 0.5
-
 
 class FormError(sc.FoliageError):
     pass
@@ -57,8 +54,6 @@ class BumpTerm:
     amplitude: sc.SymScalar
 
     def __post_init__(self):
-        if not self.center.exact:
-            raise FormError("bump centers must be exact")
         if not (0 < self.radius < Fraction(1, 2)):
             raise FormError("bump radius must lie in (0, 1/2)")
 
@@ -124,14 +119,14 @@ def _validate_bump_supports(form: ClosedForm) -> None:
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             (ci, ri), (cj, rj) = centers[i], centers[j]
-            d2 = _torus_dist2((Fraction(ci.theta), Fraction(ci.phi)), cj)
+            d2 = _torus_dist2((ci.theta, ci.phi), cj)
             if d2 <= (ri + rj) ** 2:
                 raise FormError("bump supports overlap (orbit copies included)")
 
 
 def bump_potential(form: ClosedForm, point: TorusPoint) -> sc.SymScalar:
     """Exact value of the summed bump potentials at a torus point."""
-    x = (Fraction(point.theta), Fraction(point.phi))
+    x = (point.theta, point.phi)
     total = form.table.zero()
     for term in form.bumps:
         for copy in orbit(term.center, form.orbifold):
@@ -141,23 +136,6 @@ def bump_potential(form: ClosedForm, point: TorusPoint) -> sc.SymScalar:
                 s = d2 / r2
                 total = total + term.amplitude * (1 - s) ** 4
     return total
-
-
-def bump_gradient(form: ClosedForm, x: float, y: float) -> tuple[float, float]:
-    """Numeric gradient of the bump potentials (for the leaf tracer)."""
-    gx = gy = 0.0
-    for term in form.bumps:
-        for copy in orbit(term.center, form.orbifold):
-            cx, cy = float(copy.theta), float(copy.phi)
-            dx = (x - cx + 0.5) % 1.0 - 0.5
-            dy = (y - cy + 0.5) % 1.0 - 0.5
-            r2 = float(term.radius) ** 2
-            s = (dx * dx + dy * dy) / r2
-            if s < 1.0:
-                f = float(term.amplitude) * 4.0 * (1.0 - s) ** 3 * (-1.0 / r2)
-                gx += f * 2.0 * dx
-                gy += f * 2.0 * dy
-    return gx, gy
 
 
 # -- operations ----------------------------------------------------------------
@@ -203,13 +181,16 @@ def invariant_subgroup(form: ClosedForm) -> list[int]:
 
 
 def zeros(form: ClosedForm) -> list[Zero]:
-    """The linear + bump layer is zero-free under the nondominance condition."""
+    """The linear + bump layer is zero-free under the nondominance condition
+    |amplitude| * sup|h'| < |(a, b)|, decided exactly in squared form."""
     a, b = form.linear
-    norm = (float(a) ** 2 + float(b) ** 2) ** 0.5
-    if norm == 0.0 and (a.is_zero() and b.is_zero()):
+    if a.is_zero() and b.is_zero():
         raise FormError("the zero form has no foliation")
+    norm2 = a.value() ** 2 + b.value() ** 2
     for term in form.bumps:
-        if abs(float(term.amplitude)) * _BUMP_SLOPE_SUP / float(term.radius) >= norm:
+        # sup of |h'| for h(r) = (1 - (r/R)^2)^4 is (8/R) * (6/7)^3 / sqrt(7),
+        # whose square is 64 * 6^6 / 7^7 / R^2
+        if term.amplitude.value() ** 2 * Fraction(64 * 6**6, 7**7) >= term.radius**2 * norm2:
             raise BumpDominatesError(
                 f"bump at {term.center} dominates the linear part; "
                 "the perturbation regime is violated"
@@ -220,7 +201,7 @@ def zeros(form: ClosedForm) -> list[Zero]:
 def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
     """Sum of segment line integrals: linear part in closed form over each
     straight piece, bump terms as potential differences at the endpoints."""
-    if isinstance(form, SurgeredForm) or getattr(form, "patches", ()):
+    if isinstance(form, SurgeredForm):
         raise PatchedFormError("path crosses a surgery patch; use the graph layer")
     a, b = form.linear
     total = form.table.zero()

@@ -17,14 +17,11 @@ from . import scalar as sc
 from .forms import (
     ClosedForm,
     SurgeredForm,
-    FormError,
     PatchedFormError,
-    bump_gradient,
-    bump_potential,
     invariant_subgroup,
     zeros as form_layer_zeros,
 )
-from .orbifold import OrbifoldPresentation, TorusPoint
+from .orbifold import OrbifoldPresentation, TorusPoint, orbit
 
 
 class LeafError(sc.FoliageError):
@@ -84,10 +81,8 @@ class LinearStructure:
 
 
 def linear_structure(form: ClosedForm) -> LinearStructure:
-    form_layer_zeros(form)  # enforces the nondominance regime
+    form_layer_zeros(form)  # rejects the zero form and enforces nondominance
     a, b = form.linear
-    if a.is_zero() and b.is_zero():
-        raise FormError("the zero form has no foliation")
     keep = tuple(invariant_subgroup(form))
     reduced = len(keep) < len(form.orbifold.action.elements)
     rank = sc.q_rank([a, b])
@@ -284,17 +279,28 @@ def trace_leaf(
     closure is tested against every form-preserving translate of the seed.
     Verdicts: Closed when the trace returns within tolerance with matching
     direction, DenseEvidence when grid coverage passes the threshold,
-    Inconclusive otherwise (including field-degeneracy and drift aborts).
+    Inconclusive otherwise (including field-degeneracy and drift aborts, and
+    forms whose coefficients exceed the float range).
     """
     if isinstance(form, SurgeredForm):
         raise PatchedFormError("surgered models are combinatorial; nothing to trace")
-    a_num, b_num = float(form.linear[0]), float(form.linear[1])
+    # the one place a form becomes floats: the linear part, and one
+    # (center, r^2, amplitude) tuple per orbit copy of each bump
+    try:
+        a_num, b_num = float(form.linear[0]), float(form.linear[1])
+        bumps = [
+            (float(copy.theta), float(copy.phi), float(term.radius) ** 2, float(term.amplitude))
+            for term in form.bumps
+            for copy in orbit(term.center, form.orbifold)
+        ]
+    except OverflowError:
+        return TraceResult("Inconclusive", reason="form overflows the float range")
 
     def field(x: float, y: float):
         wx = a_num + 0.0
         wy = b_num + 0.0
-        if form.bumps:
-            gx, gy = bump_gradient(form, x % 1.0, y % 1.0)
+        if bumps:
+            _, gx, gy = _bump_sums(bumps, x % 1.0, y % 1.0)
             wx += gx
             wy += gy
         norm = (wx * wx + wy * wy) ** 0.5
@@ -322,8 +328,8 @@ def trace_leaf(
 
     def level(px: float, py: float) -> float:
         value = a_num * px + b_num * py
-        if form.bumps:
-            value += _bump_potential_numeric(form, px % 1.0, py % 1.0)
+        if bumps:
+            value += _bump_sums(bumps, px % 1.0, py % 1.0)[0]
         return value
 
     sx, sy = float(seed.theta), float(seed.phi)
@@ -401,18 +407,20 @@ def trace_leaf(
     )
 
 
-def _bump_potential_numeric(form: ClosedForm, x: float, y: float) -> float:
-    from .orbifold import orbit as _orbit
-
-    total = 0.0
-    for term in form.bumps:
-        for copy in _orbit(term.center, form.orbifold):
-            dx = (x - float(copy.theta) + 0.5) % 1.0 - 0.5
-            dy = (y - float(copy.phi) + 0.5) % 1.0 - 0.5
-            s = (dx * dx + dy * dy) / float(term.radius) ** 2
-            if s < 1.0:
-                total += float(term.amplitude) * (1.0 - s) ** 4
-    return total
+def _bump_sums(bumps, x: float, y: float) -> tuple[float, float, float]:
+    """Summed bump potential and its gradient at a point of [0, 1)^2, over
+    the (cx, cy, r^2, amplitude) copies trace_leaf compiles."""
+    potential = gx = gy = 0.0
+    for cx, cy, r2, amp in bumps:
+        dx = (x - cx + 0.5) % 1.0 - 0.5
+        dy = (y - cy + 0.5) % 1.0 - 0.5
+        s = (dx * dx + dy * dy) / r2
+        if s < 1.0:
+            potential += amp * (1.0 - s) ** 4
+            f = amp * 4.0 * (1.0 - s) ** 3 * (-1.0 / r2)
+            gx += f * 2.0 * dx
+            gy += f * 2.0 * dy
+    return potential, gx, gy
 
 
 def _closure_targets(form, presentation, sx, sy, v0):

@@ -27,22 +27,18 @@ def _mod1(x: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """Point of the torus; exact (Fraction) or numeric (float) coordinates."""
+    """Point of the torus with exact coordinates in [0, 1).
 
-    theta: object
-    phi: object
+    Any rational input is reduced mod 1; a float is read as the binary
+    rational it stores.
+    """
+
+    theta: Fraction
+    phi: Fraction
 
     def __post_init__(self):
-        if self.exact:
-            object.__setattr__(self, "theta", _mod1(Fraction(self.theta)))
-            object.__setattr__(self, "phi", _mod1(Fraction(self.phi)))
-        else:
-            object.__setattr__(self, "theta", float(self.theta) % 1.0)
-            object.__setattr__(self, "phi", float(self.phi) % 1.0)
-
-    @property
-    def exact(self) -> bool:
-        return not (isinstance(self.theta, float) or isinstance(self.phi, float))
+        object.__setattr__(self, "theta", _mod1(Fraction(self.theta)))
+        object.__setattr__(self, "phi", _mod1(Fraction(self.phi)))
 
     def __iter__(self):
         yield self.theta
@@ -82,12 +78,6 @@ class AffineMap:
         return (a * x + b * y + self.offset[0], c * x + d * y + self.offset[1])
 
     def apply(self, p: TorusPoint) -> TorusPoint:
-        if not p.exact:
-            (a, b), (c, d) = self.matrix
-            return TorusPoint(
-                a * p.theta + b * p.phi + float(self.offset[0]),
-                c * p.theta + d * p.phi + float(self.offset[1]),
-            )
         t, f = self.apply_cover((p.theta, p.phi))
         return TorusPoint(t, f)
 
@@ -197,14 +187,10 @@ BUILTIN_PRESENTATIONS = {
 
 
 def orbit(x: TorusPoint, presentation: OrbifoldPresentation) -> set[TorusPoint]:
-    if not x.exact:
-        raise OrbifoldError("orbit needs an exact point")
     return {g.apply(x) for g in presentation.action.elements}
 
 
 def isotropy_order(x: TorusPoint, presentation: OrbifoldPresentation) -> int:
-    if not x.exact:
-        raise OrbifoldError("isotropy needs an exact point")
     return sum(1 for g in presentation.action.elements if g.apply(x) == x)
 
 
@@ -215,7 +201,7 @@ CoverPoint = tuple[Fraction, Fraction]
 
 def _as_cover(p) -> CoverPoint:
     if isinstance(p, TorusPoint):
-        return (Fraction(p.theta), Fraction(p.phi))
+        return (p.theta, p.phi)
     return (Fraction(p[0]), Fraction(p[1]))
 
 

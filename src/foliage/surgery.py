@@ -177,17 +177,18 @@ class FoliationModel:
 def analyze(presentation: OrbifoldPresentation, form: ClosedForm, name: str) -> FoliationModel:
     """Build the model of a zero-free linear (+ bumps) form on one orbifold."""
     notes = []
-    if not invariance_verdict(form, presentation):
-        if not form.basic_override:
-            raise NotBasicError(
-                f"{name}: form is not invariant under the action and no override is declared"
-            )
-        kept = ",".join(str(i) for i in linear_structure(form).invariant_elements)
+    invariant = invariance_verdict(form, presentation)
+    if not invariant and not form.basic_override:
+        raise NotBasicError(
+            f"{name}: form is not invariant under the action and no override is declared"
+        )
+    structure = linear_structure(form)
+    if not invariant:
+        kept = ",".join(str(i) for i in structure.invariant_elements)
         notes.append(
             f"{name}: invariance check FAILED; proceeding under the declared-basic "
             f"override, foliation data computed on the invariant subgroup [{kept}]"
         )
-    structure = linear_structure(form)
     generator_list = fundamental_generators(presentation)
     gens = tuple((g.gen_id, g_path_integral(form, g.loop)) for g in generator_list)
     kept = set(structure.invariant_elements)

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from foliage import cli
 from foliage.catalog import SCENARIOS
@@ -236,3 +239,59 @@ class TestEntryPoint:
         assert main(["trace", "torus-dense", "--steps", "2000"]) == 3
         out = capsys.readouterr().out
         assert "Inconclusive" in out
+
+    @pytest.mark.parametrize("command, code", [("periods", 0), ("transitivity", 0), ("trace", 3)])
+    def test_overflowing_symbol_never_tracebacks(self, command, code, tmp_path, capsys):
+        # p = 1e400 is exact everywhere but the tracer, where it has no float
+        path = tmp_path / "huge.scn"
+        path.write_text(SCENARIOS["torus-dense"].replace(
+            "p = 3.14159265358979323846264338327950288420", "p = 1e400"))
+        assert main([command, str(path)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if command == "trace":
+            assert "reason: form overflows the float range" in captured.out
+
+
+# -- fuzz: mutated catalog scenarios end in exit 0, 2 or 3, never in an exception
+
+FUZZ_TOKENS = [
+    "1e400", "-1e400", "1e-400", "nan", "1/0", "inf", "0", "-1", "1/3", "7/2",
+    "1e400*p", "1e-400*q", "-1*p", "abc", "true", "",
+]
+FUZZ_LINES = [
+    "[tracer]", "[symbols]", "seed = 1e400, 1/3", "seed = 1e-400, -1e400",
+    "step = 1e-400", "max_steps = 1e400", "r = 1e400", "s = 1e-400 dependent",
+    "bump = center 1/4 1/8 radius 1/32 amplitude 1e400*p",
+    "bump = center 1/4 1/8 radius 1/32 amplitude 1e-400",
+    "basic_override = true", "dtheta = 1e400*p", "dphi = 1/0",
+]
+FUZZ_COMMANDS = [c for c in cli.COMMANDS if c != "examples"]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    lines = SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))].splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            lines.insert(i, draw(st.sampled_from(FUZZ_LINES)))
+        elif "=" in lines[i]:
+            key, _, value = lines[i].partition("=")
+            words = value.split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = f"{key}= {' '.join(words)}"
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=mutated_scenarios(), command=st.sampled_from(FUZZ_COMMANDS))
+    def test_mutated_scenarios_exit_cleanly(self, tmp_path, text, command):
+        path = tmp_path / "fuzz.scn"
+        path.write_text(text)
+        argv = [command, str(path)] + (["--steps", "2000"] if command == "trace" else [])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3), text

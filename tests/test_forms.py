@@ -82,6 +82,25 @@ class TestZeros:
         with pytest.raises(BumpDominatesError):
             zeros(form)
 
+    # the nondominance bound |amplitude| < R / sup|h'| is (1/32)*343*sqrt(7)/1728
+    # on 1 dtheta with radius 1/32; these 40-digit literals bracket it
+    BELOW_BOUND = "0.01641154332492684050459444089081066127782"
+    ABOVE_BOUND = "0.01641154332492684050459444089081066127783"
+
+    def boundary_form(self, literal):
+        table = SymbolTable([("amp", literal)])
+        bump = BumpTerm(TorusPoint(Fraction(1, 4), Fraction(1, 8)), Fraction(1, 32),
+                        table.symbol("amp"))
+        return ClosedForm((table.rational(1), table.zero()), T, bumps=(bump,))
+
+    def test_amplitude_just_below_the_bound_is_accepted(self):
+        assert zeros(self.boundary_form(self.BELOW_BOUND)) == []
+
+    def test_amplitude_just_above_the_bound_dominates(self):
+        # a float comparison puts this amplitude's peak slope below the norm 1
+        with pytest.raises(BumpDominatesError):
+            zeros(self.boundary_form(self.ABOVE_BOUND))
+
     def test_overlapping_supports_rejected(self, table):
         b1 = small_bump(table)
         b2 = small_bump(table, center=(Fraction(1, 4) + Fraction(1, 64), Fraction(1, 8)))

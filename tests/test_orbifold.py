@@ -29,7 +29,7 @@ class TestPoints:
 
     def test_numeric_tag(self):
         p = TorusPoint(1.25, 0.5)
-        assert not p.exact
+        assert p.theta == Fraction(1, 4)
         assert abs(p.theta - 0.25) < 1e-12
 
 

@@ -3,15 +3,23 @@ from math import gcd, sqrt
 
 import pytest
 
-from foliage.forms import BumpTerm, ClosedForm
-from foliage.leaves import classify_leaf, trace_leaf
-from foliage.orbifold import TorusPoint, shifted_torus_presentation, torus_presentation
+from foliage import leaves
+from foliage.forms import BumpTerm, ClosedForm, bump_potential
+from foliage.leaves import _bump_sums, classify_leaf, trace_leaf
+from foliage.orbifold import (
+    TorusPoint,
+    orbit,
+    pillowcase_presentation,
+    shifted_torus_presentation,
+    torus_presentation,
+)
 from foliage.scalar import SymbolTable
 
 from conftest import SQRT2, SQRT3
 
 T = torus_presentation()
 S = shifted_torus_presentation()
+Q = pillowcase_presentation()
 SEED = TorusPoint(Fraction(1, 8), Fraction(1, 8))
 
 
@@ -117,3 +125,90 @@ class TestOracleAgreement:
         result = trace_leaf(form, T, SEED, step=0.02, max_steps=1_000_000)
         assert result.verdict == "DenseEvidence"
         assert result.coverage >= 0.99
+
+
+class TestCompiledField:
+    """trace_leaf turns a form into floats once; these pin that the compiled
+    field keeps the numbers of the exact geometry."""
+
+    BUMP_RADIUS = Fraction(1, 16)
+
+    def bump(self, table, center):
+        return BumpTerm(TorusPoint(*center), self.BUMP_RADIUS, table.rational(Fraction(1, 200)))
+
+    def assert_crosses_support(self, result, center):
+        def dist2(x, y):
+            dx = (x - float(center[0]) + 0.5) % 1.0 - 0.5
+            dy = (y - float(center[1]) + 0.5) % 1.0 - 0.5
+            return dx * dx + dy * dy
+
+        assert min(dist2(x, y) for x, y in result.polyline) < float(self.BUMP_RADIUS) ** 2
+
+    def test_golden_torus_bumped_leaf(self, table):
+        center = (Fraction(5, 8), Fraction(5, 8))
+        form = rational_form(table, 2, 3).with_bumps([self.bump(table, center)])
+        seed = TorusPoint(Fraction(29, 400), 0)
+        result = trace_leaf(form, T, seed, step=0.002, return_tol=1e-6, collect_polyline=True)
+        assert (result.verdict, result.steps) == ("Closed", 1802)
+        assert result.period_length.hex() == "0x1.cd8420521fbccp+1"
+        self.assert_crosses_support(result, center)
+
+    def test_golden_pillowcase_bumped_leaf(self, table):
+        center = (Fraction(1, 4), Fraction(3, 8))
+        form = ClosedForm(
+            (table.rational(1), table.rational(2)), Q, bumps=(self.bump(table, center),)
+        )
+        seed = TorusPoint(Fraction(1, 100), 0)
+        result = trace_leaf(form, Q, seed, step=0.002, return_tol=1e-6, collect_polyline=True)
+        assert (result.verdict, result.steps) == ("Closed", 1117)
+        assert result.period_length.hex() == "0x1.1e3f0ced0c62dp+1"
+        self.assert_crosses_support(result, center)
+
+    def test_orbits_are_compiled_once_per_bump(self, table, monkeypatch):
+        calls = []
+
+        def counting_orbit(x, presentation):
+            calls.append(x)
+            return orbit(x, presentation)
+
+        bumps = [
+            self.bump(table, (Fraction(5, 8), Fraction(5, 8))),
+            self.bump(table, (Fraction(1, 4), Fraction(7, 8))),
+        ]
+        form = ClosedForm((table.rational(2), table.rational(3)), Q, bumps=tuple(bumps))
+        monkeypatch.setattr(leaves, "orbit", counting_orbit)
+        result = trace_leaf(form, Q, SEED, step=0.01, max_steps=500)
+        assert result.steps > 100
+        assert calls == [b.center for b in bumps]
+
+    POINTS = [
+        (Fraction(5, 8), Fraction(5, 8)),  # a center
+        (Fraction(5, 8) + Fraction(1, 40), Fraction(5, 8) - Fraction(1, 50)),
+        (Fraction(3, 8) - Fraction(1, 30), Fraction(3, 8) + Fraction(1, 45)),  # orbit copy
+        (Fraction(1, 4) + Fraction(1, 23), Fraction(7, 8)),
+        (Fraction(1, 4), Fraction(15, 16) + Fraction(1, 100)),
+        (Fraction(0), Fraction(1, 2)),  # outside every support
+        (Fraction(1, 7), Fraction(2, 9)),
+    ]
+
+    @pytest.mark.parametrize("x, y", POINTS)
+    def test_bump_sums_match_the_exact_potential(self, table, x, y):
+        bumps = [
+            self.bump(table, (Fraction(5, 8), Fraction(5, 8))),
+            BumpTerm(TorusPoint(Fraction(1, 4), Fraction(7, 8)), Fraction(1, 10),
+                     table.rational(Fraction(-3, 400))),
+        ]
+        form = ClosedForm((table.rational(2), table.rational(3)), Q, bumps=tuple(bumps))
+        compiled = [
+            (float(c.theta), float(c.phi), float(b.radius) ** 2, float(b.amplitude))
+            for b in bumps
+            for c in orbit(b.center, Q)
+        ]
+        potential, gx, gy = _bump_sums(compiled, float(x), float(y))
+        assert abs(potential - float(bump_potential(form, TorusPoint(x, y)))) < 1e-12
+        h = 1e-6
+        dx = (_bump_sums(compiled, float(x) + h, float(y))[0]
+              - _bump_sums(compiled, float(x) - h, float(y))[0]) / (2 * h)
+        dy = (_bump_sums(compiled, float(x), float(y) + h)[0]
+              - _bump_sums(compiled, float(x), float(y) - h)[0]) / (2 * h)
+        assert abs(gx - dx) < 1e-6 and abs(gy - dy) < 1e-6
