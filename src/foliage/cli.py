@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import scalar as sc
 from . import catalog as builtin_catalog
-from .forms import ClosedForm, BumpTerm, NotBasicError, invariance_verdict, periods
+from .forms import ClosedForm, BumpTerm, invariance_verdict
 from .graph import factorization_witness
 from .leaves import trace_leaf
 from .orbifold import (
@@ -158,6 +158,18 @@ def _parse_pair(text: str, names: set[str], line: int, sep: str = ":") -> tuple[
     return _parse_expr(parts[0], names, line), _parse_expr(parts[1], names, line)
 
 
+# the section kinds and the keys each allows; [symbols] keys are the symbol names
+SECTION_KEYS = {
+    "symbols": None,
+    "orbifold": ("builtin", "element", "basepoint"),
+    "form": ("on", "dtheta", "dphi", "basic_override", "bump"),
+    "surgery": ("kind", "left", "right", "left_window", "right_window", "tube",
+                "left_region", "right_region"),
+    "tracer": ("seed", "step", "max_steps"),
+    "output": ("dot", "svg"),
+}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario; every reference must resolve."""
     symbols: list[tuple[str, str, bool]] = []
@@ -188,10 +200,12 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) not in (1, 2):
                 raise ScenarioError(f"bad section header {line!r}", i)
             kind = parts[0]
-            if kind not in ("symbols", "orbifold", "form", "surgery", "tracer", "output"):
+            if kind not in SECTION_KEYS:
                 raise ScenarioError(f"unknown section {kind!r}", i)
             if kind in ("orbifold", "form", "surgery") and len(parts) != 2:
                 raise ScenarioError(f"section {kind!r} needs a name", i)
+            if kind in ("tracer", "output") and any(k == kind for (k, _), _ in sections):
+                raise ScenarioError(f"repeated section [{kind}]", i)
             section = (kind, parts[1] if len(parts) == 2 else "")
             body = {}
             continue
@@ -200,7 +214,11 @@ def parse_scenario(text: str) -> Scenario:
         if section is None:
             raise ScenarioError("key outside any [section]", i)
         key, _, value = line.partition("=")
-        body.setdefault(key.strip(), []).append((value.strip(), i))
+        key = key.strip()
+        allowed = SECTION_KEYS[section[0]]
+        if allowed is not None and key not in allowed:
+            raise ScenarioError(f"unknown key {key!r} in [{section[0]}]", i)
+        body.setdefault(key, []).append((value.strip(), i))
     flush()
 
     def single(items: dict, key: str, default=None, required=False, where="?"):
@@ -588,12 +606,7 @@ def build_report(built: BuiltScenario, command: str) -> str:
 
     lines.append("== periods ==")
     for name in sorted(built.forms):
-        form = built.forms[name]
-        try:
-            pairs = periods(form)
-        except NotBasicError:
-            lines.append(f"{name}: periods unavailable (not basic, no override)")
-            continue
+        pairs = built.models[name].sides[0].generators  # integrated once, by analyze
         rank = sc.q_rank([v for _, v in pairs])
         rendered = ", ".join(f"{g} = {v.render()}" for g, v in pairs)
         lines.append(f"{name}: {rendered}; rank {rank}")

@@ -102,13 +102,13 @@ class ClosedForm:
 
 
 def _torus_dist2(x: tuple[Fraction, Fraction], c: TorusPoint) -> Fraction:
-    """Exact squared torus distance via the nine nearest lattice shifts."""
-    best = None
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            d2 = (x[0] - c.theta + dx) ** 2 + (x[1] - c.phi + dy) ** 2
-            best = d2 if best is None or d2 < best else best
-    return best
+    """Exact squared torus distance by the minimal image: per coordinate
+    u = (x - c) mod 1, then min(u, 1 - u) squared, summed over both."""
+    total = Fraction(0)
+    for xi, ci in zip(x, c):
+        u = (xi - ci) % 1
+        total += min(u, 1 - u) ** 2
+    return total
 
 
 def _validate_bump_supports(form: ClosedForm) -> None:
@@ -126,15 +126,25 @@ def _validate_bump_supports(form: ClosedForm) -> None:
 
 def bump_potential(form: ClosedForm, point: TorusPoint) -> sc.SymScalar:
     """Exact value of the summed bump potentials at a torus point."""
+    return _potential(form, _bump_copies(form), point)
+
+
+def _bump_copies(form: ClosedForm) -> list[tuple[TorusPoint, Fraction, sc.SymScalar]]:
+    """(center, r^2, amplitude) for every orbit copy of every bump."""
+    return [
+        (copy, term.radius**2, term.amplitude)
+        for term in form.bumps
+        for copy in orbit(term.center, form.orbifold)
+    ]
+
+
+def _potential(form: ClosedForm, copies, point: TorusPoint) -> sc.SymScalar:
     x = (point.theta, point.phi)
     total = form.table.zero()
-    for term in form.bumps:
-        for copy in orbit(term.center, form.orbifold):
-            d2 = _torus_dist2(x, copy)
-            r2 = term.radius ** 2
-            if d2 < r2:
-                s = d2 / r2
-                total = total + term.amplitude * (1 - s) ** 4
+    for center, r2, amplitude in copies:
+        d2 = _torus_dist2(x, center)
+        if d2 < r2:
+            total = total + amplitude * (1 - d2 / r2) ** 4
     return total
 
 
@@ -204,14 +214,15 @@ def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
     if isinstance(form, SurgeredForm):
         raise PatchedFormError("path crosses a surgery patch; use the graph layer")
     a, b = form.linear
+    copies = _bump_copies(form)
     total = form.table.zero()
     for seg in path.segments:
         d_theta = seg[-1][0] - seg[0][0]
         d_phi = seg[-1][1] - seg[0][1]
         total = total + a * d_theta + b * d_phi
-        if form.bumps:
-            end = bump_potential(form, TorusPoint(seg[-1][0], seg[-1][1]))
-            start = bump_potential(form, TorusPoint(seg[0][0], seg[0][1]))
+        if copies:
+            end = _potential(form, copies, TorusPoint(seg[-1][0], seg[-1][1]))
+            start = _potential(form, copies, TorusPoint(seg[0][0], seg[0][1]))
             total = total + end - start
     return total
 

@@ -439,14 +439,16 @@ def _closure_targets(form, presentation, sx, sy, v0):
 
 def _try_close(field, rk4, px, py, targets, capture, return_tol):
     wx, wy = px % 1.0, py % 1.0
-    v = field(px, py)
-    if v is None:
-        return None
+    v = None  # the field is evaluated only once some target is within capture
     for tx, ty, tv in targets:
         dx = (wx - tx + 0.5) % 1.0 - 0.5
         dy = (wy - ty + 0.5) % 1.0 - 0.5
         if dx * dx + dy * dy > capture * capture:
             continue
+        if v is None:
+            v = field(px, py)
+            if v is None:
+                return None
         if abs(v[0] * tv[0] + v[1] * tv[1]) < 0.9:
             continue
         # slide along the flow to the closest approach (locally linear)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .scalar import FoliageError
@@ -146,18 +147,30 @@ class OrbifoldPresentation:
     basepoint: tuple[Fraction, Fraction] = DEFAULT_BASEPOINT
 
     def singular_points_on_grid(self, denominator: int = 24) -> list[TorusPoint]:
-        """Exact grid scan for points with nontrivial isotropy (display aid).
+        """Grid points (i/d, j/d) with nontrivial isotropy (display aid), i-major.
 
-        Fixed points of affine torus maps have coordinates with small
-        denominators, so a modest grid finds them all for the shipped actions.
+        A non-identity element x -> A x + b fixes (i, j)/d iff
+        (A - I)(i, j)/d + b is integral; scaled by L = lcm(d, denominators of
+        b) the test runs on integers.  Fixed points of affine torus maps have
+        small denominators, so a modest grid finds them all for the shipped
+        actions.
         """
-        found = []
-        for i in range(denominator):
-            for j in range(denominator):
-                p = TorusPoint(Fraction(i, denominator), Fraction(j, denominator))
-                if isotropy_order(p, self) > 1:
-                    found.append(p)
-        return found
+        d = denominator
+        tests = []  # per element: the rows of L*((A - I)(i, j)/d + b), and L
+        for g in self.action.elements[1:]:
+            (a, b), (c, e) = g.matrix
+            u, v = g.offset
+            scale = lcm(d, u.denominator, v.denominator)
+            k = scale // d
+            rows = ((k * (a - 1), k * b, int(u * scale)), (k * c, k * (e - 1), int(v * scale)))
+            tests.append((rows, scale))
+        return [
+            TorusPoint(Fraction(i, d), Fraction(j, d))
+            for i in range(d)
+            for j in range(d)
+            if any(all((p * i + q * j + r) % scale == 0 for p, q, r in rows)
+                   for rows, scale in tests)
+        ]
 
 
 def torus_presentation() -> OrbifoldPresentation:

@@ -199,6 +199,43 @@ class TestEntryPoint:
         upper = ex2.replace("basic_override = true", "basic_override = TRUE")
         assert all(f.basic_override for f in parse_scenario(upper).forms)
 
+    TORUS = SCENARIOS["torus-rational"]
+
+    UNKNOWN_KEYS = [
+        ("[form w]", "bumb = center 1/4 1/4 radius 1/16 amplitude 1/100"),
+        ("[form w]", "basic_overide = true"),
+        ("[tracer]", "sead = 1/3, 1/5"),
+        ("[orbifold T]", "bultin = torus"),
+        ("[output]", "svgg = leaf.svg"),
+        ("[surgery ex1]", "tubes = 1/3 : 1/3"),
+    ]
+
+    @pytest.mark.parametrize(
+        "header, line", UNKNOWN_KEYS, ids=[line.split()[0] for _, line in UNKNOWN_KEYS]
+    )
+    def test_unknown_key_exit_two(self, header, line, tmp_path, capsys):
+        text = EX1 if header.startswith("[surgery") else self.TORUS + "\n[tracer]\n\n[output]\n"
+        assert header in text
+        text = text.replace(header + "\n", f"{header}\n{line}\n", 1)
+        path = tmp_path / "bad.scn"
+        path.write_text(text)
+        assert main(["periods", str(path)]) == 2
+        err = capsys.readouterr().err
+        lineno = text.splitlines().index(line) + 1
+        assert f"line {lineno}: unknown key {line.split()[0]!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section", ["[tracer]\nstep = 0.01", "[output]\ndot = g.dot"], ids=["tracer", "output"]
+    )
+    def test_repeated_section_exit_two(self, section, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_text(self.TORUS + f"\n{section}\n\n{section}\n")
+        assert main(["periods", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "repeated section" in err and "line " in err
+        assert "Traceback" not in err
+
     def test_graph_error_in_a_report_exit_two(self, monkeypatch, capsys):
         from foliage.graph import GraphError
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from foliage.forms import (
     BumpDominatesError,
@@ -9,6 +10,7 @@ from foliage.forms import (
     ClosedForm,
     FormError,
     NotBasicError,
+    _torus_dist2,
     bump_potential,
     check_basic,
     g_path_integral,
@@ -118,6 +120,27 @@ class TestZeros:
         with pytest.raises(FormError):
             ClosedForm((table.rational(1), table.zero()), Q, bumps=(near_cone,),
                        basic_override=True)
+
+
+def nine_shift_dist2(x, c):
+    """Reference: the squared distance minimised over the nine nearest lattice shifts."""
+    return min(
+        (x[0] - c.theta + dx) ** 2 + (x[1] - c.phi + dy) ** 2
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+    )
+
+
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
+    lambda f: f < 1
+)
+
+
+class TestTorusDistance:
+    @given(st.tuples(unit_rationals, unit_rationals), st.tuples(unit_rationals, unit_rationals))
+    def test_minimal_image_equals_the_nine_shift_minimum(self, x, c):
+        center = TorusPoint(*c)
+        assert _torus_dist2(x, center) == nine_shift_dist2(x, center)
 
 
 class TestPathIntegral:

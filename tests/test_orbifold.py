@@ -7,6 +7,7 @@ from foliage.orbifold import (
     GPath,
     GroupAction,
     OrbifoldError,
+    OrbifoldPresentation,
     TorusPoint,
     concat,
     fundamental_generators,
@@ -91,6 +92,39 @@ class TestOrbits:
             seen |= o
             total += len(o)
         assert total == n * n
+
+
+def cyclic_presentation(name, matrix, offset=(0, 0)):
+    """The cyclic group one affine map generates, as a presentation."""
+    g = AffineMap.of(matrix, offset)
+    elements = [AffineMap.identity()]
+    while (h := g.compose(elements[-1])) != elements[0]:
+        elements.append(h)
+    return OrbifoldPresentation(GroupAction(elements), name)
+
+
+class TestSingularGrid:
+    """singular_points_on_grid decides fixed points by an integer test; the
+    isotropy_order scan over the same grid is its reference."""
+
+    PRESENTATIONS = [
+        T,
+        Q,
+        S,
+        cyclic_presentation("order-4 rotation", ((0, -1), (1, 0))),
+        cyclic_presentation("order-6 hexagonal rotation", ((1, -1), (1, 0))),
+        cyclic_presentation("glide reflection", ((1, 0), (0, -1)), (Fraction(1, 2), 0)),
+        cyclic_presentation("shifted half-turn", ((-1, 0), (0, -1)), (Fraction(1, 3), 0)),
+    ]
+
+    @pytest.mark.parametrize("d", [8, 12, 24])
+    @pytest.mark.parametrize("pres", PRESENTATIONS, ids=lambda p: p.name)
+    def test_matches_the_isotropy_scan(self, pres, d):
+        grid = [TorusPoint(Fraction(i, d), Fraction(j, d)) for i in range(d) for j in range(d)]
+        assert pres.singular_points_on_grid(d) == [p for p in grid if isotropy_order(p, pres) > 1]
+
+    def test_group_orders(self):
+        assert [len(p.action) for p in self.PRESENTATIONS] == [1, 2, 2, 4, 6, 2, 2]
 
 
 class TestGenerators:

@@ -181,6 +181,24 @@ class TestCompiledField:
         assert result.steps > 100
         assert calls == [b.center for b in bumps]
 
+    def test_four_field_evaluations_per_step(self, table, monkeypatch):
+        # _try_close evaluates the field only once a closure target is within
+        # capture, so the RK4 stages make nearly all of the calls
+        calls = []
+
+        def counting_bump_sums(bumps, x, y):
+            calls.append((x, y))
+            return _bump_sums(bumps, x, y)
+
+        center = (Fraction(1, 4), Fraction(3, 8))
+        form = ClosedForm(
+            (table.rational(1), table.rational(2)), Q, bumps=(self.bump(table, center),)
+        )
+        monkeypatch.setattr(leaves, "_bump_sums", counting_bump_sums)
+        result = trace_leaf(form, Q, TorusPoint(Fraction(1, 100), 0), step=0.002, return_tol=1e-6)
+        assert (result.verdict, result.steps) == ("Closed", 1117)
+        assert len(calls) <= 4 * result.steps + 16
+
     POINTS = [
         (Fraction(5, 8), Fraction(5, 8)),  # a center
         (Fraction(5, 8) + Fraction(1, 40), Fraction(5, 8) - Fraction(1, 50)),
