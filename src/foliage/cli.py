@@ -113,7 +113,7 @@ class OutputDecl:
 
 @dataclass(frozen=True)
 class Scenario:
-    symbols: tuple[tuple[str, str, bool], ...] = ()
+    symbols: tuple[tuple[str, str, bool], ...] = ()  # (name, literal, independent=True)
     orbifolds: tuple[OrbifoldDecl, ...] = ()
     forms: tuple[FormDecl, ...] = ()
     surgeries: tuple[SurgeryDecl, ...] = ()
@@ -239,15 +239,14 @@ def parse_scenario(text: str) -> Scenario:
                     parts = value.split()
                     if len(parts) not in (1, 2):
                         raise ScenarioError(f"bad symbol line {value!r}", i)
-                    independent = True
-                    if len(parts) == 2:
-                        if parts[1] not in ("independent", "dependent"):
-                            raise ScenarioError(f"bad symbol flag {parts[1]!r}", i)
-                        independent = parts[1] == "independent"
+                    if len(parts) == 2 and parts[1] == "dependent":
+                        raise ScenarioError("a dependent symbol needs its relation", i)
+                    if len(parts) == 2 and parts[1] != "independent":
+                        raise ScenarioError(f"bad symbol flag {parts[1]!r}", i)
                     if sym in names or sym == "one":
                         raise ScenarioError(f"duplicate symbol {sym!r}", i)
                     names.add(sym)
-                    symbols.append((sym, parts[0], independent))
+                    symbols.append((sym, parts[0], True))
         elif kind == "orbifold":
             builtin, _ = single(items, "builtin", where=where)
             elements = []
@@ -400,9 +399,8 @@ def render_expr(expr: Expr) -> str:
 
 def serialize_scenario(s: Scenario) -> str:
     out = ["[symbols]"]
-    for name, value, independent in s.symbols:
-        flag = "" if independent else " dependent"
-        out.append(f"{name} = {value}{flag}")
+    for name, value, _ in s.symbols:
+        out.append(f"{name} = {value}")
     for o in s.orbifolds:
         out.append("")
         out.append(f"[orbifold {o.name}]")
@@ -471,7 +469,7 @@ def _expr_value(table: sc.SymbolTable, expr: Expr) -> sc.SymScalar:
 
 
 def build_scenario(s: Scenario) -> BuiltScenario:
-    table = sc.SymbolTable([(n, v, ind) for n, v, ind in s.symbols])
+    table = sc.SymbolTable([(n, v) for n, v, _ in s.symbols])
     presentations: dict[str, OrbifoldPresentation] = {}
     for o in s.orbifolds:
         if o.builtin:
@@ -561,9 +559,8 @@ def build_report(built: BuiltScenario, command: str) -> str:
     model = built.final
     lines = [f"foliage report :: command {command}", ""]
     lines.append("== scenario ==")
-    for name, value, independent in built.scenario.symbols:
-        tag = "independent" if independent else "DEPENDENT"
-        lines.append(f"symbol {name} = {value} ({tag})")
+    for name, value, _ in built.scenario.symbols:
+        lines.append(f"symbol {name} = {value} (independent)")
     for o in built.scenario.orbifolds:
         kind = o.builtin if o.builtin else f"custom ({len(o.elements) + 1} elements)"
         lines.append(f"orbifold {o.name}: {kind}")

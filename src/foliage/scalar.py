@@ -3,19 +3,26 @@
 Values are formal Q-linear combinations of named basis constants ("symbols").
 The table declares which constants are independent over Q; equality, rank and
 lattice membership are decided coefficient-wise, so they are exact under that
-declaration.  Each symbol carries a decimal embedding, read as the exact
-rational it writes; signs are decided by evaluating a value's combination of
-those rationals exactly.
+declaration.  A value is one positive integer denominator over a tuple of
+integer numerators by table position, in lowest terms and without trailing
+zeros: the form is unique, even across later declarations, and ranks and
+lattices work on the integer rows.  Each symbol carries a decimal embedding,
+read as the exact rational it writes; the table keeps those literals as
+integers over one common denominator, so a sign is that of an integer sum.
 
 Values are immutable and freely shareable across threads; no operation reads
-or writes module state.
+or writes module state.  Declarations are serialised by the table's lock, and
+each replaces the scaled literals in one assignment, so no reader pairs a new
+scale with old numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
+from threading import Lock
 from typing import Iterable, Sequence
 
 
@@ -45,34 +52,37 @@ class PrecisionExhausted(ScalarError):
 class Symbol:
     name: str
     value: str  # decimal literal, the numeric embedding
-    independent: bool = True
 
 
 class SymbolTable:
     """Ordered basis of named real constants; index 0 is always "one" = 1."""
 
-    def __init__(self, symbols: Iterable[tuple[str, str] | tuple[str, str, bool]] = ()):
+    def __init__(self, symbols: Iterable[tuple[str, str]] = ()):
         self.symbols: list[Symbol] = [Symbol("one", "1")]
-        self.values: list[Fraction] = [Fraction(1)]  # exact embedding, by index
+        # (literals as integers over D, D), replaced whole by each declare
+        self.scaled: tuple[tuple[int, ...], int] = ((1,), 1)
         self._index: dict[str, int] = {"one": 0}
-        for entry in symbols:
-            name, value = entry[0], entry[1]
-            independent = entry[2] if len(entry) > 2 else True
-            self.declare(name, value, independent)
+        self._declaring = Lock()
+        for name, value in symbols:
+            self.declare(name, value)
 
-    def declare(self, name: str, value: str, independent: bool = True) -> int:
-        if name in self._index:
-            raise ScalarError(f"duplicate symbol {name!r}")
-        try:
-            exact = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ScalarError(f"symbol {name!r}: value {value!r} is not a decimal literal") from None
-        if exact == 0:
-            raise ScalarError(f"symbol {name!r}: numeric value must be nonzero")
-        self.symbols.append(Symbol(name, value, independent))
-        self.values.append(exact)
-        self._index[name] = len(self.symbols) - 1
-        return self._index[name]
+    def declare(self, name: str, value: str) -> int:
+        with self._declaring:  # a read-modify-write of the whole table
+            if name in self._index:
+                raise ScalarError(f"duplicate symbol {name!r}")
+            try:
+                exact = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ScalarError(f"symbol {name!r}: value {value!r} is not a decimal literal") from None
+            if exact == 0:
+                raise ScalarError(f"symbol {name!r}: numeric value must be nonzero")
+            lits, den = self.scaled
+            common = lcm(den, exact.denominator)
+            self.symbols.append(Symbol(name, value))
+            new = exact.numerator * (common // exact.denominator)
+            self.scaled = (tuple(a * (common // den) for a in lits) + (new,), common)
+            self._index[name] = len(self.symbols) - 1
+            return self._index[name]
 
     def index_of(self, name: str) -> int:
         try:
@@ -89,15 +99,15 @@ class SymbolTable:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "SymScalar":
-        return SymScalar(self, {})
+        return SymScalar(self, ())
 
     def rational(self, value) -> "SymScalar":
         c = Fraction(value)
-        return SymScalar(self, {0: c} if c else {})
+        return SymScalar(self, (c.numerator,), c.denominator)
 
     def symbol(self, name: str, coeff=1) -> "SymScalar":
         c = Fraction(coeff)
-        return SymScalar(self, {self.index_of(name): c} if c else {})
+        return SymScalar(self, (0,) * self.index_of(name) + (c.numerator,), c.denominator)
 
     def combination(self, terms: Iterable[tuple[object, str]]) -> "SymScalar":
         """Build sum of coeff*symbol terms, e.g. [(Fraction(3,2),'one'),(1,'p')]."""
@@ -108,13 +118,18 @@ class SymbolTable:
 
 
 class SymScalar:
-    """Element of the Q-span of the table's symbols, in canonical sparse form."""
+    """Element of the Q-span of the table's symbols: numerators nums over den."""
 
-    __slots__ = ("table", "coeffs")
+    __slots__ = ("table", "nums", "den")
 
-    def __init__(self, table: SymbolTable, coeffs: dict[int, Fraction]):
+    def __init__(self, table: SymbolTable, nums: Sequence[int], den: int = 1):
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        g = gcd(den, *nums[:n])
         self.table = table
-        self.coeffs = {i: c for i, c in coeffs.items() if c}
+        self.nums = tuple(x // g for x in nums[:n]) if g != 1 else tuple(nums[:n])
+        self.den = den // g
 
     # -- ring-ish operations ------------------------------------------------
 
@@ -124,20 +139,20 @@ class SymScalar:
 
     def __add__(self, other: "SymScalar") -> "SymScalar":
         self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return SymScalar(self.table, out)
+        g = gcd(self.den, other.den)
+        ka, kb = other.den // g, self.den // g
+        nums = [x * ka + y * kb for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]
+        return SymScalar(self.table, nums, self.den * ka)
 
     def __neg__(self) -> "SymScalar":
-        return SymScalar(self.table, {i: -c for i, c in self.coeffs.items()})
+        return SymScalar(self.table, [-x for x in self.nums], self.den)
 
     def __sub__(self, other: "SymScalar") -> "SymScalar":
         return self + (-other)
 
     def __mul__(self, rational) -> "SymScalar":
-        c = Fraction(rational)
-        return SymScalar(self.table, {i: c * v for i, v in self.coeffs.items()})
+        c = rational if isinstance(rational, (int, Fraction)) else Fraction(rational)
+        return SymScalar(self.table, [c.numerator * x for x in self.nums], c.denominator * self.den)
 
     __rmul__ = __mul__
 
@@ -147,18 +162,18 @@ class SymScalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymScalar):
             return NotImplemented
-        return self.table is other.table and self.coeffs == other.coeffs
+        return self.table is other.table and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((id(self.table), tuple(sorted(self.coeffs.items()))))
+        return hash((id(self.table), self.den, self.nums))
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, index: int) -> Fraction:
-        return self.coeffs.get(index, Fraction(0))
+        return Fraction(self.nums[index], self.den) if index < len(self.nums) else Fraction(0)
 
     def rational_part(self) -> Fraction:
         return self.coefficient(0)
@@ -172,8 +187,8 @@ class SymScalar:
         self._check(other)
         if other.is_zero():
             return Fraction(0) if self.is_zero() else None
-        i0, c0 = next(iter(sorted(other.coeffs.items())))
-        r = self.coefficient(i0) / c0
+        i0 = next(i for i, x in enumerate(other.nums) if x)
+        r = self.coefficient(i0) / other.coefficient(i0)
         return r if self == other * r else None
 
     # -- rendering ----------------------------------------------------------
@@ -181,19 +196,22 @@ class SymScalar:
     def render(self) -> str:
         """Canonical text: rational part first, then + c*name terms in table order."""
         parts = [str(self.rational_part())]
-        for i in sorted(self.coeffs):
-            if i == 0:
-                continue
-            parts.append(f"+ {self.coeffs[i]}*{self.table.symbols[i].name}")
+        for i in range(1, len(self.nums)):
+            if self.nums[i]:
+                parts.append(f"+ {self.coefficient(i)}*{self.table.symbols[i].name}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"SymScalar({self.render()})"
 
+    def _dot(self) -> tuple[int, int]:
+        """Numerator and denominator of the exact embedding, unreduced."""
+        lits, den = self.table.scaled  # one read: a consistent pair
+        return sum(x * a for x, a in zip(self.nums, lits)), self.den * den
+
     def value(self) -> Fraction:
         """The exact embedding: sum of coefficient times declared literal."""
-        values = self.table.values
-        return sum((c * values[i] for i, c in self.coeffs.items()), Fraction(0))
+        return Fraction(*self._dot())
 
     def __float__(self) -> float:
         return float(self.value())
@@ -204,50 +222,55 @@ class SymScalar:
 
 def is_rational(a: SymScalar) -> bool:
     """True iff every coefficient except the one on "one" vanishes."""
-    return all(i == 0 for i in a.coeffs)
+    return len(a.nums) <= 1
 
 
 def q_rank(vals: Sequence[SymScalar]) -> int:
-    """Dimension of the Q-span of the values, by exact Gaussian elimination."""
+    """Dimension of the Q-span of the values, by fraction-free (Bareiss)
+    elimination on their integer numerator rows."""
     if not vals:
         raise ScalarError("q_rank needs a nonempty list")
     table = vals[0].table
     for v in vals[1:]:
         if v.table is not table:
             raise MixedTableError("q_rank inputs span several symbol tables")
-    rows = [list(v.vector()) for v in vals]
-    ncols = len(table)
-    rank = 0
+    rows = [v.nums for v in vals if v.nums]
+    ncols = max(map(len, rows), default=0)
+    rows = [list(r) + [0] * (ncols - len(r)) for r in rows]
+    rank, prev = 0, 1
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
+        lead = rows[rank]
+        p = lead[col]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col] / lead
-                for c in range(col, ncols):
-                    rows[r][c] -= f * rows[rank][c]
+            row, f = rows[r], rows[r][col]
+            rows[r] = [(p * x - f * y) // prev for x, y in zip(row, lead)]
+        prev = p
         rank += 1
+        if rank == len(rows):  # past the last column the loop ends anyway
+            break
     return rank
 
 
 def sign(a: SymScalar) -> int:
     """-1, 0 or +1; zero iff the scalar is symbolically zero.
 
-    Nonzero scalars take the sign of their exact embedding; one that embeds
-    to exactly 0 raises PrecisionExhausted.
+    Nonzero scalars take the sign of their exact embedding, one integer dot
+    product with the table's scaled literals; one that embeds to exactly 0
+    raises PrecisionExhausted.
     """
-    if a.is_zero():
+    if not a.nums:
         return 0
-    value = a.value()
-    if value == 0:
+    total = a._dot()[0]
+    if total == 0:
         raise PrecisionExhausted(
             f"sign of {a.render()} undecided: it embeds to exactly 0; "
             "the symbol table's numeric embedding is ill-conditioned"
         )
-    return 1 if value > 0 else -1
+    return 1 if total > 0 else -1
 
 
 def compare(a: SymScalar, b: SymScalar) -> int:
@@ -313,8 +336,10 @@ class Lattice:
         for g in gens[1:]:
             gens[0]._check(g)
         self.table = gens[0].table if gens else None
-        self.denom = lcm(*[c.denominator for g in gens for c in g.coeffs.values()])
-        hnf = hermite_normal_form([[int(c * self.denom) for c in g.vector()] for g in gens])
+        self.denom = lcm(*[g.den for g in gens])
+        self._ncols = max((len(g.nums) for g in gens), default=0)
+        rows = [[x * (self.denom // g.den) for x in g.nums] for g in gens]
+        hnf = hermite_normal_form([r + [0] * (self._ncols - len(r)) for r in rows])
         self._rows = [(next(i for i, a in enumerate(row) if a), row) for row in hnf]
 
     def reduce(self, v: SymScalar) -> SymScalar:
@@ -323,12 +348,14 @@ class Lattice:
         row-echelon shape makes the result unique."""
         if self.table is not None and v.table is not self.table:
             raise MixedTableError("operands belong to different symbol tables")
-        x = [c * self.denom for c in v.vector()]
+        # x counts units of 1/(denom*v.den), so the rows scale by v.den
+        x = [c * self.denom for c in v.nums] + [0] * (self._ncols - len(v.nums))
         for col, row in self._rows:
-            q = x[col] // row[col]
-            for i, a in enumerate(row):
-                x[i] -= q * a
-        return SymScalar(v.table, {i: Fraction(c, self.denom) for i, c in enumerate(x)})
+            q = x[col] // (row[col] * v.den) * v.den
+            if q:
+                for i, a in enumerate(row):
+                    x[i] -= q * a
+        return SymScalar(v.table, x, self.denom * v.den)
 
     def __contains__(self, v: SymScalar) -> bool:
         return self.reduce(v).is_zero()

@@ -3,6 +3,7 @@ import io
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -155,6 +156,33 @@ class TestEntryPoint:
         bad = tmp_path / "bad.scn"
         bad.write_text("this is not a scenario\n")
         assert main(["periods", str(bad)]) == 2
+
+    def test_bare_dependent_flag_exit_two(self, tmp_path, capsys):
+        # the flag names no relation, so honouring it is impossible and
+        # ignoring it would treat r as a new constant: rank 2, not compact
+        path = tmp_path / "dependent.scn"
+        path.write_text(
+            "[symbols]\n"
+            "q = 1.41421356237309504880168872420969807857\n"
+            "r = 2.82842712474619009760337744841939615714 dependent\n\n"
+            "[orbifold T]\nbuiltin = torus\n\n"
+            "[form w]\non = T\ndtheta = 1*q\ndphi = 1*r\n"
+        )
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: a dependent symbol needs its relation" in err
+        assert "Traceback" not in err
+
+    def test_readme_scenario_example_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Scenario files", 1)[1]
+        example = section.split("```\n", 2)[1]
+        path = tmp_path / "readme.scn"
+        path.write_text(example)
+        monkeypatch.chdir(tmp_path)  # its [output] section writes graph.dot here
+        for command in ("periods", "surgery"):
+            assert main([command, str(path)]) == 0, capsys.readouterr().err
+        assert (tmp_path / "graph.dot").exists()
 
     @pytest.mark.parametrize("seed", ["abc", "1/8", "1/0,1"])
     def test_malformed_seed_exit_two(self, seed, capsys):

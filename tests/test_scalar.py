@@ -1,6 +1,7 @@
 import os
 import random
 import subprocess
+import threading
 import sys
 from fractions import Fraction
 from math import lcm
@@ -65,8 +66,9 @@ class TestArithmetic:
             TABLE.symbol("p") + other.symbol("p")
 
     def test_canonical_form_drops_zero_coefficients(self):
-        p = TABLE.symbol("p")
-        assert not (p - p).coeffs
+        p, q = TABLE.symbol("p"), TABLE.symbol("q")
+        assert (p - p).is_zero() and (p - p).nums == ()
+        assert (p + q - q).nums == p.nums
 
 
 class TestIsRational:
@@ -159,8 +161,8 @@ def _oracle_sign(a):
         for dps in (32, 64, 128, 256):
             iv.dps = dps
             total = iv.mpf(0)
-            for i, c in sorted(a.coeffs.items()):
-                sym = iv.mpf(a.table.symbols[i].value)
+            for sym, c in zip(a.table.symbols, a.vector()):
+                sym = iv.mpf(sym.value)
                 total += sym * iv.mpf(c.numerator) / iv.mpf(c.denominator)
             if total.a > 0:
                 return 1
@@ -324,3 +326,268 @@ class TestLatticeReduction:
             Lattice([TABLE.symbol("p"), make_table().symbol("p")])
         with pytest.raises(sc.MixedTableError):
             Lattice([TABLE.symbol("p")]).reduce(make_table().symbol("p"))
+
+
+# -- differential oracle: the dict-of-Fraction core the integer core replaced
+
+
+class RefScalar:
+    """A value as a sparse dict {table index: nonzero Fraction}."""
+
+    def __init__(self, table, coeffs):
+        self.table = table
+        self.coeffs = {i: Fraction(c) for i, c in coeffs.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            out[i] = out.get(i, Fraction(0)) + c
+        return RefScalar(self.table, out)
+
+    def __neg__(self):
+        return RefScalar(self.table, {i: -c for i, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, rational):
+        return RefScalar(self.table, {i: rational * c for i, c in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return self.table is other.table and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((id(self.table), tuple(sorted(self.coeffs.items()))))
+
+    def vector(self):
+        return tuple(self.coeffs.get(i, Fraction(0)) for i in range(len(self.table)))
+
+    def ratio_to(self, other):
+        if not other.coeffs:
+            return Fraction(0) if not self.coeffs else None
+        i0, c0 = min(other.coeffs.items())
+        r = self.coeffs.get(i0, Fraction(0)) / c0
+        return r if self == other * r else None
+
+    def render(self):
+        parts = [str(self.coeffs.get(0, Fraction(0)))]
+        parts += [f"+ {c}*{self.table.symbols[i].name}" for i, c in sorted(self.coeffs.items()) if i]
+        return " ".join(parts)
+
+    def value(self):
+        return sum((c * Fraction(self.table.symbols[i].value) for i, c in self.coeffs.items()),
+                   Fraction(0))
+
+
+def ref_sign(a):
+    if not a.coeffs:
+        return 0
+    value = a.value()
+    if value == 0:
+        raise PrecisionExhausted(a.render())
+    return 1 if value > 0 else -1
+
+
+def ref_q_rank(vals):
+    """Rank by Gaussian elimination over Fraction rows."""
+    rows = [list(v.vector()) for v in vals]
+    ncols = len(vals[0].table)
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def ref_reduce(gens, v):
+    """The coset representative of v modulo the Z-span of gens, reduced over
+    Fraction coordinates against the HNF of the cleared generator rows."""
+    gens = [g for g in gens if g.coeffs]
+    denom = lcm(*[c.denominator for g in gens for c in g.coeffs.values()])
+    hnf = hermite_normal_form([[int(c * denom) for c in g.vector()] for g in gens])
+    x = [c * denom for c in v.vector()]
+    for row in hnf:
+        col = next(i for i, a in enumerate(row) if a)
+        q = x[col] // row[col]
+        x = [c - q * a for c, a in zip(x, row)]
+    return RefScalar(v.table, {i: c / denom for i, c in enumerate(x)})
+
+
+def as_ref(a):
+    """The reference value with a's coefficients, read through the public API."""
+    return RefScalar(a.table, dict(enumerate(a.vector())))
+
+
+def assert_same(a, ref):
+    assert as_ref(a) == ref
+    assert a.render() == ref.render()
+
+
+@st.composite
+def scalar_pairs(draw, table, names=("one", "p", "q", "r")):
+    """One value built twice, as a SymScalar and as a RefScalar, from the same
+    coefficients; a few coefficients are drawn 0, so trailing zeros occur."""
+    coeffs = draw(st.lists(rationals | st.just(Fraction(0)), min_size=len(names), max_size=len(names)))
+    ref = RefScalar(table, {table.index_of(n): c for n, c in zip(names, coeffs)})
+    return table.combination(zip(coeffs, names)), ref
+
+
+@st.composite
+def forty_digit_pairs(draw, count=3):
+    """count values over one table of 40-digit literals, each built both ways."""
+    lits = draw(st.lists(literals40, min_size=1, max_size=4))
+    table = SymbolTable([(f"s{i}", lit) for i, lit in enumerate(lits)])
+    names = ("one",) + tuple(f"s{i}" for i in range(len(lits)))
+    pairs = [draw(scalar_pairs(table, names)) for _ in range(count)]
+    if draw(st.booleans()):
+        # cancel the first value's embedding down to 0 or to a tiny offset
+        a, ref = pairs[0]
+        offset = draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10 ** draw(st.integers(1, 80)))
+        shift = offset - ref.value()
+        pairs[0] = (a + table.rational(shift), ref + RefScalar(table, {0: shift}))
+    return pairs
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+class TestAgainstTheFractionCore:
+    @given(x=scalar_pairs(TABLE), y=scalar_pairs(TABLE), c=nonzero_rationals)
+    def test_arithmetic_and_rendering(self, x, y, c):
+        (a, ra), (b, rb) = x, y
+        assert_same(a, ra)
+        assert_same(a + b, ra + rb)
+        assert_same(a - b, ra - rb)
+        assert_same(-a, -ra)
+        assert_same(a * c, ra * c)
+        assert_same(c * a, ra * c)
+        assert_same(a / c, ra * (1 / c))
+        assert a.value() == ra.value()
+        assert a.ratio_to(b) == ra.ratio_to(rb)
+        assert (a * c).ratio_to(a) == (ra * c).ratio_to(ra)
+
+    @given(x=scalar_pairs(TABLE), y=scalar_pairs(TABLE), c=nonzero_rationals)
+    def test_equality_and_hash_of_equal_values(self, x, y, c):
+        (a, ra), (b, rb) = x, y
+        assert (a == b) == (ra == rb)
+        for left, right in [(a + b - b, a), (a * c / c, a), (a + a, a * 2), (a - a, TABLE.zero()),
+                            (a + b, b + a), ((a * c) * c, a * (c * c))]:
+            assert left == right
+            assert hash(left) == hash(right)
+            assert left.nums == right.nums and left.den == right.den
+
+    @given(pairs=forty_digit_pairs())
+    def test_sign_and_value_over_40_digit_tables(self, pairs):
+        for a, ra in pairs + [(pairs[0][0] - pairs[1][0], pairs[0][1] - pairs[1][1])]:
+            assert a.value() == ra.value()
+            try:
+                expected = ref_sign(ra)
+            except PrecisionExhausted:
+                with pytest.raises(PrecisionExhausted):
+                    sign(a)
+            else:
+                assert sign(a) == expected
+
+    @given(pairs=st.lists(scalar_pairs(TABLE), min_size=1, max_size=6))
+    def test_q_rank(self, pairs):
+        assert q_rank([a for a, _ in pairs]) == ref_q_rank([r for _, r in pairs])
+
+    @given(pairs=forty_digit_pairs(count=5), k=st.integers(0, 4),
+           ks=st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+    def test_q_rank_and_reduce_over_40_digit_tables(self, pairs, k, ks):
+        gens, v = pairs[:k], pairs[k]
+        assert q_rank([a for a, _ in pairs]) == ref_q_rank([r for _, r in pairs])
+        member = sum((a * n for (a, _), n in zip(gens, ks)), v[0].table.zero())
+        for value in (v[0], member, member * Fraction(1, 2), v[0] + member):
+            reduced = Lattice([a for a, _ in gens]).reduce(value)
+            assert_same(reduced, ref_reduce([r for _, r in gens], as_ref(value)))
+
+    def test_a_symbol_declared_after_values_exist(self):
+        table = make_table()
+        def values():
+            return [table.symbol("p", Fraction(3, 7)) - table.rational(2), table.symbol("r", -5),
+                    table.zero()]
+
+        before = values()
+        table.declare("s", "-2.71828182845904523536028747135266249775")
+        after = values()
+        assert before == after
+        assert [hash(a) for a in before] == [hash(a) for a in after]
+        s = table.symbol("s")
+        for a in before:
+            assert_same(a + s, as_ref(a) + as_ref(s))
+            assert sign(a + s) == ref_sign(as_ref(a) + as_ref(s))
+            assert (a + s).value() == as_ref(a + s).value()
+        assert q_rank(before + [s]) == ref_q_rank([as_ref(a) for a in before + [s]]) == 3
+        assert Lattice(before).reduce(s * Fraction(1, 2)) == s * Fraction(1, 2)
+
+
+class TestTableSharedAcrossThreads:
+    def test_declares_never_tear_signs_or_values(self):
+        table = SymbolTable([("p", PI), ("q", SQRT2)])
+        rng = random.Random(11)
+        made = [table.combination([(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), n)
+                                   for n in ("one", "p", "q")]) for _ in range(20)]
+        serial = [(sign(a), a.value()) for a in made]
+        done = threading.Event()
+        wrong = []
+
+        def declare():
+            # each literal has its own number of decimals, so each declare
+            # rescales every literal over a new common denominator
+            for i in range(50):
+                table.declare(f"s{i}", f"{i + 1}.{'7' * (i + 1)}")
+            done.set()
+
+        def read():
+            for _ in range(200_000):
+                answers = [(sign(a), a.value()) for a in made]
+                if answers != serial:
+                    wrong.append(answers)
+                if done.is_set():
+                    return
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(3)]
+            threads.append(threading.Thread(target=declare))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        assert done.is_set() and len(table) == 53
+        assert wrong == []
+
+    def test_concurrent_declares_keep_every_symbol(self):
+        table = SymbolTable()
+        names = [[f"t{k}_{i}" for i in range(150)] for k in range(2)]
+
+        def declare(mine):
+            for i, name in enumerate(mine):
+                table.declare(name, f"{i + 1}.{'3' * (i % 40 + 1)}")
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=declare, args=(mine,)) for mine in names]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        assert len(table) == 301
+        for mine in names:
+            for i, name in enumerate(mine):
+                assert table.symbol(name).value() == Fraction(f"{i + 1}.{'3' * (i % 40 + 1)}")

@@ -337,18 +337,20 @@ class TestDerivedCases:
         assert factorization_witness(model) is not None
 
 
-def kind_c_chain(n):
-    """n + 1 dense pillowcase forms joined in sequence by kind-C surgeries
-    through the noncompact components, tube levels equal at i/(4n+8)."""
+def surgery_chain(kind, n):
+    """n + 1 dense pillowcase forms joined in sequence by surgeries of one kind
+    through the noncompact components; kind C puts both tube levels at
+    i/(4n+8), kind A at i/(4n+8) : (i+1)/(4n+8)."""
     out = ["[symbols]", f"p = {PI}", f"q = {SQRT2}"]
     for i in range(n + 1):
         out += [f"[orbifold Q{i}]", "builtin = pillowcase", f"[form w{i}]", f"on = Q{i}",
                 "dtheta = 1*p", "dphi = 1*q", "basic_override = true"]
+    d = 4 * n + 8
     for i in range(1, n + 1):
-        out += [f"[surgery s{i}]", "kind = C", f"left = {'w0' if i == 1 else f's{i - 1}'}",
+        out += [f"[surgery s{i}]", f"kind = {kind}", f"left = {'w0' if i == 1 else f's{i - 1}'}",
                 f"right = w{i}", "left_region = w0.inf", f"right_region = w{i}.inf",
                 "left_window = 0 : 1", "right_window = 0 : 1",
-                f"tube = {i}/{4 * n + 8} : {i}/{4 * n + 8}"]
+                f"tube = {i}/{d} : {i + (kind == 'A')}/{d}"]
     return "\n".join(out) + "\n"
 
 
@@ -386,8 +388,16 @@ class TestVerdictsDecidedOnce:
         assert len(calls) == 1
 
     def test_one_report_on_a_kind_c_chain_computes_one_hnf(self, monkeypatch):
-        built = build_scenario(parse_scenario(kind_c_chain(8)))
+        built = build_scenario(parse_scenario(surgery_chain("C", 8)))
         calls = _counting(monkeypatch, scalar, "hermite_normal_form")
         report = build_report(built, "surgery")
         assert len(calls) == 1
         assert "transitive: no" in report
+
+    def test_a_kind_a_chain_never_densifies_a_scalar(self, monkeypatch):
+        # ranks and lattices read the integer numerators, not dense vectors
+        calls = _counting(monkeypatch, scalar.SymScalar, "vector")
+        built = build_scenario(parse_scenario(surgery_chain("A", 16)))
+        report = build_report(built, "surgery")
+        assert calls == []
+        assert "transitive: yes" in report
