@@ -17,7 +17,7 @@ from foliage.cli import build_scenario, parse_scenario
 for name, expected in EXAMPLES:
     model = build_scenario(parse_scenario(SCENARIOS[name])).final
     d = model.decomposition
-    print(f"--- {name} ({model.orbifold.kind}-surgery) ---")
+    print(f"--- {name} ({model.spec.kind}-surgery) ---")
     print("zeros:", [(z.zero_id, z.index) for z in model.zeros])
     print("compact leaf families:",
           sum(1 for leaf in model.catalog if leaf.kind == "CompactRegular"))

@@ -32,7 +32,6 @@ from .orbifold import (
 from .forms import (
     BumpTerm,
     ClosedForm,
-    SurgeredForm,
     Zero,
     check_basic,
     g_path_integral,

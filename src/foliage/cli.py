@@ -21,7 +21,7 @@ from .forms import ClosedForm, BumpTerm, invariance_verdict
 from .graph import factorization_witness
 from .leaves import trace_leaf
 from .orbifold import (
-    BUILTIN_PRESENTATIONS,
+    BUILTIN_ACTIONS,
     AffineMap,
     GroupAction,
     OrbifoldPresentation,
@@ -264,7 +264,7 @@ def parse_scenario(text: str) -> Scenario:
                 elements.append((matrix, offset))
             if (builtin is None) == (not elements):
                 raise ScenarioError(f"[{where}] needs either builtin or element lines")
-            if builtin is not None and builtin not in BUILTIN_PRESENTATIONS:
+            if builtin is not None and builtin not in BUILTIN_ACTIONS:
                 raise ScenarioError(f"unknown builtin orbifold {builtin!r}")
             basepoint = None
             bp_text, i = single(items, "basepoint", where=where)
@@ -473,7 +473,7 @@ def build_scenario(s: Scenario) -> BuiltScenario:
     presentations: dict[str, OrbifoldPresentation] = {}
     for o in s.orbifolds:
         if o.builtin:
-            action = BUILTIN_PRESENTATIONS[o.builtin]().action
+            action = BUILTIN_ACTIONS[o.builtin]
         else:
             maps = [AffineMap.identity()]
             for (a, b, c, d), off in o.elements:
@@ -488,7 +488,6 @@ def build_scenario(s: Scenario) -> BuiltScenario:
     forms: dict[str, ClosedForm] = {}
     models: dict[str, FoliationModel] = {}
     for f in s.forms:
-        pres = presentations[f.on]
         bumps = tuple(
             BumpTerm(
                 center=TorusPoint(*b.center),
@@ -499,13 +498,13 @@ def build_scenario(s: Scenario) -> BuiltScenario:
         )
         form = ClosedForm(
             linear=(_expr_value(table, f.dtheta), _expr_value(table, f.dphi)),
-            orbifold=pres,
+            orbifold=presentations[f.on],
             bumps=bumps,
             basic_override=f.basic_override,
             name=f.name,
         )
         forms[f.name] = form
-        models[f.name] = analyze(pres, form, f.name)
+        models[f.name] = analyze(form, f.name)
     for g in s.surgeries:
         spec = SurgerySpec(
             kind=g.kind,
@@ -774,7 +773,7 @@ def run(command: str, built: Optional[BuiltScenario], options: Optional[dict] = 
         artifacts["dot"] = built.final.graph.to_dot()
     if command == "trace":
         form = built.final.form
-        if not isinstance(form, ClosedForm):
+        if form is None:
             raise ScenarioError("trace works on unsurgered forms only")
         seed_decl = options.get("seed") or built.scenario.tracer.seed
         result = trace_leaf(

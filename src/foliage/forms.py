@@ -4,12 +4,12 @@ A form is a*dtheta + b*dphi with coefficients in the symbolic scalar field,
 plus optional exact perturbations d(bump).  Bumps use a fixed even polynomial
 profile so their potentials take rational values at rational points, which
 keeps every path-integral identity exactly testable.  Surgered models carry
-patch records instead; those integrate only through the graph layer.
+no form: their verdicts are read off the leaf graph, its levels and periods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,10 +36,6 @@ class BumpDominatesError(FormError):
     """A bump perturbation overwhelms the linear part, creating stray zeros."""
 
 
-class PatchedFormError(FormError):
-    """Surgered models are combinatorial; direct integration is unavailable."""
-
-
 @dataclass(frozen=True)
 class BumpTerm:
     """Exact term amplitude * d(h(dist to center)), orbit-replicated.
@@ -63,7 +59,7 @@ class Zero:
     """A zero of the form with its normal index and quotient data."""
 
     zero_id: str
-    host: str  # chart or surgery-patch reference
+    side: str  # id of the model side the zero sits on
     index: int
     isotropy_order: int
     level: Optional[sc.SymScalar] = None
@@ -151,7 +147,7 @@ def _potential(form: ClosedForm, copies, point: TorusPoint) -> sc.SymScalar:
 # -- operations ----------------------------------------------------------------
 
 
-def check_basic(form: ClosedForm, presentation: OrbifoldPresentation | None = None) -> bool:
+def check_basic(form: ClosedForm) -> bool:
     """Whether the form honestly descends to the quotient.
 
     Linear part: every group matrix must pull it back to itself.  Bumps are
@@ -161,18 +157,11 @@ def check_basic(form: ClosedForm, presentation: OrbifoldPresentation | None = No
     """
     if form.basic_override:
         return True
-    return invariance_verdict(form, presentation)
+    return invariance_verdict(form)
 
 
-def invariance_verdict(form: ClosedForm, presentation: OrbifoldPresentation | None = None) -> bool:
-    pres = presentation or form.orbifold
-    a, b = form.linear
-    for g in pres.action.elements:
-        if _pullback_linear(g, a, b) != (a, b):
-            return False
-        if form.bumps and not g.is_orthogonal():
-            return False
-    return True
+def invariance_verdict(form: ClosedForm) -> bool:
+    return len(invariant_subgroup(form)) == len(form.orbifold.action)
 
 
 def _pullback_linear(g: AffineMap, a: sc.SymScalar, b: sc.SymScalar):
@@ -211,8 +200,6 @@ def zeros(form: ClosedForm) -> list[Zero]:
 def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
     """Sum of segment line integrals: linear part in closed form over each
     straight piece, bump terms as potential differences at the endpoints."""
-    if isinstance(form, SurgeredForm):
-        raise PatchedFormError("path crosses a surgery patch; use the graph layer")
     a, b = form.linear
     copies = _bump_copies(form)
     total = form.table.zero()
@@ -227,37 +214,16 @@ def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
     return total
 
 
-def periods(
-    form: ClosedForm, presentation: OrbifoldPresentation | None = None
-) -> list[tuple[str, sc.SymScalar]]:
+def periods(form: ClosedForm) -> list[tuple[str, sc.SymScalar]]:
     """Loop integrals over the fundamental generators, in generator order."""
-    pres = presentation or form.orbifold
-    if not check_basic(form, pres):
+    if not check_basic(form):
         raise NotBasicError(
             "form does not descend to the quotient; declare basic_override to proceed"
         )
-    return [(g.gen_id, g_path_integral(form, g.loop)) for g in fundamental_generators(pres)]
+    generators = fundamental_generators(form.orbifold)
+    return [(g.gen_id, g_path_integral(form, g.loop)) for g in generators]
 
 
-def rank_of_class(form: ClosedForm, presentation: OrbifoldPresentation | None = None) -> int:
-    return sc.q_rank([value for _, value in periods(form, presentation)])
+def rank_of_class(form: ClosedForm) -> int:
+    return sc.q_rank([value for _, value in periods(form)])
 
-
-# -- surgered forms -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurgeredForm:
-    """Form on an abstract connected sum: side forms plus patch records.
-
-    The geometry near the tubes is never integrated; levels and the two new
-    index-1 zeros per patch carry all the information the graph layer needs.
-    """
-
-    sides: tuple[ClosedForm, ...]
-    patch_zeros: tuple[Zero, ...]
-    name: str = "surgered form"
-
-    @property
-    def table(self) -> sc.SymbolTable:
-        return self.sides[0].table

@@ -14,13 +14,7 @@ from math import lcm
 from typing import Optional
 
 from . import scalar as sc
-from .forms import (
-    ClosedForm,
-    SurgeredForm,
-    PatchedFormError,
-    invariant_subgroup,
-    zeros as form_layer_zeros,
-)
+from .forms import ClosedForm, invariant_subgroup, zeros as form_layer_zeros
 from .orbifold import OrbifoldPresentation, TorusPoint, orbit
 
 
@@ -131,8 +125,6 @@ def _leaf_circle_quotient_order(form: ClosedForm, keep, m: int, n: int) -> int:
 
 def classify_leaf(form: ClosedForm, presentation: OrbifoldPresentation, x: TorusPoint) -> LeafClass:
     """Classify the leaf through a point of a zero-free (virgin) form."""
-    if isinstance(form, SurgeredForm):
-        raise PatchedFormError("points inside surgered models are classified per region")
     structure = linear_structure(form)
     kind = COMPACT_REGULAR if structure.compact else NONCOMPACT_REGULAR
     return LeafClass(
@@ -282,8 +274,6 @@ def trace_leaf(
     Inconclusive otherwise (including field-degeneracy and drift aborts, and
     forms whose coefficients exceed the float range).
     """
-    if isinstance(form, SurgeredForm):
-        raise PatchedFormError("surgered models are combinatorial; nothing to trace")
     # the one place a form becomes floats: the linear part, and one
     # (center, r^2, amplitude) tuple per orbit copy of each bump
     try:

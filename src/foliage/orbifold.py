@@ -124,7 +124,7 @@ class GroupAction:
             for h in elems:
                 if g.compose(h) not in index:
                     raise OrbifoldError("element set is not closed under composition")
-        self.elements = elems
+        self.elements = tuple(elems)
         self._index = index
 
     def __len__(self) -> int:
@@ -173,27 +173,27 @@ class OrbifoldPresentation:
         ]
 
 
+_IDENTITY = AffineMap.identity()
+
+BUILTIN_ACTIONS = {
+    "torus": GroupAction([_IDENTITY]),
+    "pillowcase": GroupAction([_IDENTITY, AffineMap.of(((-1, 0), (0, -1)), (0, 0))]),
+    "shifted_torus": GroupAction([_IDENTITY, AffineMap.of(((1, 0), (0, 1)), (Fraction(1, 2), 0))]),
+}
+
+
 def torus_presentation() -> OrbifoldPresentation:
-    return OrbifoldPresentation(GroupAction([AffineMap.identity()]), "torus")
+    return OrbifoldPresentation(BUILTIN_ACTIONS["torus"], "torus")
 
 
 def pillowcase_presentation() -> OrbifoldPresentation:
     """Quotient by the half-turn (theta, phi) -> (-theta, -phi)."""
-    flip = AffineMap.of(((-1, 0), (0, -1)), (0, 0))
-    return OrbifoldPresentation(GroupAction([AffineMap.identity(), flip]), "pillowcase")
+    return OrbifoldPresentation(BUILTIN_ACTIONS["pillowcase"], "pillowcase")
 
 
 def shifted_torus_presentation() -> OrbifoldPresentation:
     """Free Z2 quotient by the half shift (theta, phi) -> (theta + 1/2, phi)."""
-    shift = AffineMap.of(((1, 0), (0, 1)), (Fraction(1, 2), 0))
-    return OrbifoldPresentation(GroupAction([AffineMap.identity(), shift]), "shifted_torus")
-
-
-BUILTIN_PRESENTATIONS = {
-    "torus": torus_presentation,
-    "pillowcase": pillowcase_presentation,
-    "shifted_torus": shifted_torus_presentation,
-}
+    return OrbifoldPresentation(BUILTIN_ACTIONS["shifted_torus"], "shifted_torus")
 
 
 # -- orbits and isotropy ------------------------------------------------------

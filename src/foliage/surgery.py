@@ -1,8 +1,8 @@
 """Foliation models and tube surgeries on them.
 
-A model bundles an orbifold presentation, a form, the leaf catalog, the leaf
-graph and the compact/noncompact decomposition.  Tube surgeries join two
-models along disks and act purely on this combinatorial data: each surgery
+A model bundles a form (None once surgered), the leaf catalog, the leaf graph
+and the compact/noncompact decomposition.  Tube surgeries join two models
+along disks and act purely on this combinatorial data: each surgery
 introduces two index-1 zeros whose levels determine the rewiring:
 
   A: levels inside the overlap of the two disk windows, lower < upper; the
@@ -22,14 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import scalar as sc
-from .forms import (
-    ClosedForm,
-    NotBasicError,
-    SurgeredForm,
-    Zero,
-    g_path_integral,
-    invariance_verdict,
-)
+from .forms import ClosedForm, NotBasicError, Zero, g_path_integral, invariance_verdict
 from .graph import (
     MARKER,
     SPECIAL,
@@ -47,7 +40,7 @@ from .leaves import (
     decompose,
     linear_structure,
 )
-from .orbifold import OrbifoldPresentation, fundamental_generators
+from .orbifold import fundamental_generators
 
 
 class ModelError(sc.FoliageError):
@@ -64,8 +57,6 @@ class Side:
 
     side_id: str
     kind: str  # "circle" | "dense" | "tube"
-    form: Optional[ClosedForm]
-    presentation: Optional[OrbifoldPresentation]
     generators: tuple[tuple[str, sc.SymScalar], ...]
     circumference: Optional[sc.SymScalar]  # None for dense and tube sides
     circuit_edges: tuple[int, ...] = ()
@@ -77,48 +68,41 @@ class Side:
         return replace(self, circuit_edges=tuple(edges))
 
 
-@dataclass(frozen=True)
-class ConnectedSumDescriptor:
-    name: str
-    kind: str
-    left: str
-    right: str
-
-
 class FoliationModel:
-    """Immutable bundle of orbifold, form, catalog, graph and decomposition."""
+    """Immutable bundle of form, catalog, graph and decomposition.
+
+    A surgered model has no form (None) but its surgery spec, from which
+    genericize rebuilds it; its verdicts read only the graph, levels and
+    periods.  The constructor takes ownership of its arguments.
+    """
 
     def __init__(
         self,
         name: str,
-        orbifold,
-        form,
+        form: Optional[ClosedForm],
+        table: sc.SymbolTable,
         sides: list[Side],
         graph: FoliationGraph,
         zeros: list[Zero],
-        zero_sites: dict[str, tuple[str, sc.SymScalar]],
         x_inf_gens: dict[str, list[tuple[str, sc.SymScalar]]],
         special_vertices: dict[str, int],
         singular_entries: list[LeafClass],
-        provenance: list[str],
         notes: list[str],
         is_generic: bool,
         spec: Optional["SurgerySpec"] = None,
     ):
         self.name = name
-        self.orbifold = orbifold
         self.form = form
-        self.sides = list(sides)
+        self.table = table
+        self.sides = sides
         self.graph = graph
-        self.zeros = list(zeros)
-        self.zero_sites = dict(zero_sites)
-        self.x_inf_gens = {k: list(v) for k, v in x_inf_gens.items()}
-        self.special_vertices = dict(special_vertices)
-        self.singular_entries = list(singular_entries)
-        self.provenance = list(provenance)
-        self.notes = list(notes)
+        self.zeros = zeros
+        self.x_inf_gens = x_inf_gens
+        self.special_vertices = special_vertices
+        self.singular_entries = singular_entries
+        self.notes = notes
         self.is_generic = is_generic
-        self._spec = spec
+        self.spec = spec
         self.catalog = self._build_catalog()
         self.decomposition: Decomposition = decompose(self)
         graph.validate()
@@ -151,10 +135,6 @@ class FoliationModel:
 
     # -- convenience -------------------------------------------------------
 
-    @property
-    def table(self) -> sc.SymbolTable:
-        return self.form.table
-
     def side(self, side_id: str) -> Side:
         for s in self.sides:
             if s.side_id == side_id:
@@ -174,10 +154,10 @@ class FoliationModel:
 # -- virgin models ---------------------------------------------------------------
 
 
-def analyze(presentation: OrbifoldPresentation, form: ClosedForm, name: str) -> FoliationModel:
-    """Build the model of a zero-free linear (+ bumps) form on one orbifold."""
+def analyze(form: ClosedForm, name: str) -> FoliationModel:
+    """Build the model of a zero-free linear (+ bumps) form on its orbifold."""
     notes = []
-    invariant = invariance_verdict(form, presentation)
+    invariant = invariance_verdict(form)
     if not invariant and not form.basic_override:
         raise NotBasicError(
             f"{name}: form is not invariant under the action and no override is declared"
@@ -189,7 +169,7 @@ def analyze(presentation: OrbifoldPresentation, form: ClosedForm, name: str) -> 
             f"{name}: invariance check FAILED; proceeding under the declared-basic "
             f"override, foliation data computed on the invariant subgroup [{kept}]"
         )
-    generator_list = fundamental_generators(presentation)
+    generator_list = fundamental_generators(form.orbifold)
     gens = tuple((g.gen_id, g_path_integral(form, g.loop)) for g in generator_list)
     kept = set(structure.invariant_elements)
     witness_gens = tuple(g.gen_id for g in generator_list if g.arrow_index in kept)
@@ -206,25 +186,22 @@ def analyze(presentation: OrbifoldPresentation, form: ClosedForm, name: str) -> 
             side=name,
             span=(form.table.zero(), structure.circumference),
         )
-        side = Side(name, "circle", form, presentation, gens, structure.circumference,
-                    (eid,), witness_gens)
+        side = Side(name, "circle", gens, structure.circumference, (eid,), witness_gens)
     else:
         comp = f"{name}.inf"
         specials[comp] = graph.add_vertex(SPECIAL, ref=comp)
         x_inf[comp] = list(gens)
-        side = Side(name, "dense", form, presentation, gens, None, (), witness_gens)
+        side = Side(name, "dense", gens, None, (), witness_gens)
     return FoliationModel(
         name=name,
-        orbifold=presentation,
         form=form,
+        table=form.table,
         sides=[side],
         graph=graph,
         zeros=[],
-        zero_sites={},
         x_inf_gens=x_inf,
         special_vertices=specials,
         singular_entries=[],
-        provenance=[f"analyze({name})"],
         notes=notes,
         is_generic=True,
     )
@@ -278,7 +255,6 @@ class _Workspace:
         self.graph = FoliationGraph()
         self.sides: list[Side] = []
         self.zeros: list[Zero] = []
-        self.zero_sites: dict[str, tuple[str, sc.SymScalar]] = {}
         self.x_inf_gens: dict[str, list] = {}
         self.special_vertices: dict[str, int] = {}
         self.singular_entries: list[LeafClass] = []
@@ -300,7 +276,6 @@ class _Workspace:
                 circuit = tuple(self.edge_map[(role, eid)] for eid in s.circuit_edges)
                 self.sides.append(s.with_circuit(circuit))
             self.zeros.extend(model.zeros)
-            self.zero_sites.update(model.zero_sites)
             for comp, gens in model.x_inf_gens.items():
                 self.x_inf_gens[comp] = list(gens)
             for comp, vid in model.special_vertices.items():
@@ -352,13 +327,10 @@ class _Workspace:
         return comp
 
     def add_tube_side(self) -> None:
-        self.sides.append(Side(self.spec.name, "tube", None, None, (), None, ()))
+        self.sides.append(Side(self.spec.name, "tube", (), None))
 
-    def register_zero(self, zid: str, level: sc.SymScalar, side_id: str) -> Zero:
-        z = Zero(zero_id=zid, host=self.spec.name, index=1, isotropy_order=1, level=level)
-        self.zeros.append(z)
-        self.zero_sites[zid] = (side_id, level)
-        return z
+    def register_zero(self, zid: str, level: sc.SymScalar, side_id: str) -> None:
+        self.zeros.append(Zero(zid, side_id, index=1, isotropy_order=1, level=level))
 
 
 # -- exact level location -----------------------------------------------------------
@@ -413,14 +385,14 @@ def _resolve_site(ws: _Workspace, role: str, model: FoliationModel, region: str)
 
 def _check_level_clear(ws: _Workspace, side: Side, position: sc.SymScalar) -> None:
     """New singular levels must avoid existing ones exactly (mod the circle)."""
-    for zid, (sid, pos) in sorted(ws.zero_sites.items()):
-        if sid != side.side_id or zid.startswith(f"{ws.spec.name}."):
+    for z in sorted(ws.zeros, key=lambda z: z.zero_id):
+        if z.side != side.side_id or z.zero_id.startswith(f"{ws.spec.name}."):
             continue
-        diff = position - pos
+        diff = position - z.level
         if side.circumference is not None:
             diff = _mod_reduce(diff, side.circumference)
         if diff.is_zero():
-            raise ModelError(f"tube level collides with the singular level of zero {zid}")
+            raise ModelError(f"tube level collides with the singular level of zero {z.zero_id}")
 
 
 def _fit_window(ws: _Workspace, site: _Site) -> None:
@@ -481,7 +453,7 @@ def _side_mode(ws: _Workspace, site: _Site, band: sc.SymScalar) -> str:
     if c is None or sc.sign(c - band) > 0:
         return "cut"
     if sc.sign(band - c * 2) > 0:
-        if any(sid == side.side_id for sid, _ in ws.zero_sites.values()):
+        if any(z.side == side.side_id for z in ws.zeros):
             raise UnsupportedSurgery("wrapping disks on already-surgered sides")
         return "wrap"
     raise UnsupportedSurgery(
@@ -505,7 +477,7 @@ def _absorb_side(ws: _Workspace, side_id: str) -> Side:
     return side
 
 
-def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> tuple[list[Zero], bool]:
+def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
     spec = ws.spec
     j_lo = sc.scalar_max(left.window[0], right.window[0])
     j_hi = sc.scalar_min(left.window[1], right.window[1])
@@ -568,9 +540,10 @@ def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> tuple[list[Zero], boo
         noncompact_comps = [(f"rays@{target}", False)]
 
     ws.add_tube_side()
-    zx = ws.register_zero(f"{spec.name}.x", lx, left.side_id)
-    zy = ws.register_zero(f"{spec.name}.y", ly, right.side_id)
-    for zid, level in ((zx.zero_id, lx), (zy.zero_id, ly)):
+    zx, zy = f"{spec.name}.x", f"{spec.name}.y"
+    ws.register_zero(zx, lx, left.side_id)
+    ws.register_zero(zy, ly, right.side_id)
+    for zid, level in ((zx, lx), (zy, ly)):
         comps = [(f"{zid}.{n}", flag) for n, flag in compact_comps + noncompact_comps]
         ws.singular_entries.append(
             LeafClass(
@@ -586,7 +559,7 @@ def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> tuple[list[Zero], boo
     generic = True
     if comp_ref is not None:
         generic = band not in sc.Lattice(identifications + [p for _, p in ws.x_inf_gens[comp_ref]])
-    return [zx, zy], generic
+    return generic
 
 
 # -- kinds B and C (pinched tubes) ----------------------------------------------------
@@ -611,7 +584,7 @@ def _apply_pinch(
     high_level: sc.SymScalar,
     low_zero: str,
     high_zero: str,
-) -> list[Zero]:
+) -> None:
     """Shared rewiring of kind B and of genericized kind C: a chain of new
     compact families between the two pinch levels, one zero at each end."""
     spec = ws.spec
@@ -628,7 +601,6 @@ def _apply_pinch(
         (low_level, high_level),
     )
 
-    zeros = []
     for site, vertex, level, zid, cap in (
         (low_site, v_low, low_level, low_zero, "bottom"),
         (high_site, v_high, high_level, high_zero, "top"),
@@ -642,7 +614,7 @@ def _apply_pinch(
             ws.graph.attach(vertex, ws.special_vertices[site.component], "both")
             comps.append((f"{zid}.rays@{site.component}", False))
             kind, ref = NONCOMPACT_SINGULAR, site.component
-        zeros.append(ws.register_zero(zid, level, site.side_id))
+        ws.register_zero(zid, level, site.side_id)
         ws.singular_entries.append(
             LeafClass(
                 leaf_id=f"{spec.name}.leaf_{zid.rsplit('.', 1)[1]}",
@@ -654,10 +626,9 @@ def _apply_pinch(
             )
         )
     ws.add_tube_side()
-    return zeros
 
 
-def _apply_B(ws: _Workspace, left: _Site, right: _Site) -> tuple[list[Zero], bool]:
+def _apply_B(ws: _Workspace, left: _Site, right: _Site) -> bool:
     spec = ws.spec
     lx, ly = spec.tube_levels  # convention: level of x above level of y
     if sc.sign(lx - ly) <= 0:
@@ -675,11 +646,11 @@ def _apply_B(ws: _Workspace, left: _Site, right: _Site) -> tuple[list[Zero], boo
         and sc.sign(high_site.window[1] - lx) > 0
     ):
         raise ModelError("kind B tube levels must pinch at their own disk windows")
-    zeros = _apply_pinch(ws, low_site, high_site, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
-    return zeros, True
+    _apply_pinch(ws, low_site, high_site, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    return True
 
 
-def _apply_C(ws: _Workspace, left: _Site, right: _Site) -> tuple[list[Zero], bool]:
+def _apply_C(ws: _Workspace, left: _Site, right: _Site) -> bool:
     spec = ws.spec
     j_lo = sc.scalar_max(left.window[0], right.window[0])
     j_hi = sc.scalar_min(left.window[1], right.window[1])
@@ -704,67 +675,40 @@ def _apply_C(ws: _Workspace, left: _Site, right: _Site) -> tuple[list[Zero], boo
             ws.graph.attach(vZ, ws.special_vertices[site.component], "both")
             comps.append((f"{spec.name}.rays@{site.component}", False))
             refs.append(site.component)
-    zx = ws.register_zero(f"{spec.name}.x", lx, left.side_id)
-    zy = ws.register_zero(f"{spec.name}.y", ly, right.side_id)
+    zx, zy = f"{spec.name}.x", f"{spec.name}.y"
+    ws.register_zero(zx, lx, left.side_id)
+    ws.register_zero(zy, ly, right.side_id)
     ws.add_tube_side()
     ws.singular_entries.append(
         LeafClass(
             leaf_id=f"{spec.name}.leaf_xy",
             kind=NONCOMPACT_SINGULAR if refs else COMPACT_SINGULAR,
-            zeros=(zx.zero_id, zy.zero_id),
+            zeros=(zx, zy),
             components=tuple(comps),
             representative=f"singular leaf at level {lx.render()}",
             component_ref=sorted(refs)[0] if refs else None,
         )
     )
-    return [zx, zy], False  # two zeros on one leaf: never generic
+    return False  # two zeros on one leaf: never generic
 
 
 # -- public operations -----------------------------------------------------------------
 
 
-def _surgered_form(spec: SurgerySpec, new_zeros: list[Zero]) -> SurgeredForm:
-    def flat(form):
-        return list(form.sides) if isinstance(form, SurgeredForm) else [form]
-
-    inherited: list[Zero] = []
-    for m in (spec.left, spec.right):
-        if isinstance(m.form, SurgeredForm):
-            inherited.extend(m.form.patch_zeros)
-    return SurgeredForm(
-        sides=tuple(flat(spec.left.form) + flat(spec.right.form)),
-        patch_zeros=tuple(inherited + list(new_zeros)),
-        name=spec.name,
-    )
-
-
-def _finalize(ws: _Workspace, is_generic: bool, new_zeros: list[Zero]) -> FoliationModel:
-    spec = ws.spec
-    descriptor = ConnectedSumDescriptor(spec.name, spec.kind, spec.left.name, spec.right.name)
-    provenance = (
-        spec.left.provenance
-        + spec.right.provenance
-        + [
-            f"connected_sum({spec.name}: kind {spec.kind}, "
-            f"{spec.left.name} # {spec.right.name}, tube "
-            f"({spec.tube_levels[0].render()}, {spec.tube_levels[1].render()}))"
-        ]
-    )
+def _finalize(ws: _Workspace, is_generic: bool) -> FoliationModel:
     return FoliationModel(
-        name=spec.name,
-        orbifold=descriptor,
-        form=_surgered_form(spec, new_zeros),
+        name=ws.spec.name,
+        form=None,
+        table=ws.table,
         sides=ws.sides,
         graph=ws.graph,
         zeros=ws.zeros,
-        zero_sites=ws.zero_sites,
         x_inf_gens=ws.x_inf_gens,
         special_vertices=ws.special_vertices,
         singular_entries=ws.singular_entries,
-        provenance=provenance,
         notes=ws.notes,
         is_generic=is_generic,
-        spec=spec,
+        spec=ws.spec,
     )
 
 
@@ -776,7 +720,7 @@ def connected_sum(spec: SurgerySpec) -> FoliationModel:
     left = _resolve_site(ws, "left", spec.left, spec.left_region)
     right = _resolve_site(ws, "right", spec.right, spec.right_region)
     apply = {"A": _apply_A, "B": _apply_B, "C": _apply_C}[spec.kind]
-    new_zeros, generic = apply(ws, left, right)
+    generic = apply(ws, left, right)
     generic = generic and spec.left.is_generic and spec.right.is_generic
     if spec.kind == "A" and not (is_transitive(spec.left) and is_transitive(spec.right)):
         # no general preservation rule covers this case; only the graph decides
@@ -784,7 +728,7 @@ def connected_sum(spec: SurgerySpec) -> FoliationModel:
             f"{spec.name}: kind-A join with a nontransitive input; the transitivity "
             "verdict is derived from the graph alone"
         )
-    return _finalize(ws, generic, new_zeros)
+    return _finalize(ws, generic)
 
 
 def genericize(model: FoliationModel) -> FoliationModel:
@@ -793,8 +737,8 @@ def genericize(model: FoliationModel) -> FoliationModel:
     two levels differ by a period-lattice element (exact membership test)."""
     if model.is_generic:
         return model
-    if model._spec is None:
-        raise ModelError("cannot genericize a model without its surgery provenance")
+    if model.spec is None:
+        raise ModelError("cannot genericize a model without its surgery spec")
     lattice = sc.Lattice(model.generator_periods())
     zero_ids = sorted(z.zero_id for z in model.zeros)
     base = {zid: level for zid, level in model.singular_levels()}
@@ -825,9 +769,9 @@ def _levels_admissible(levels: list[sc.SymScalar], lattice: sc.Lattice) -> bool:
 
 
 def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> FoliationModel:
-    if model._spec is None:
+    if model.spec is None:
         return model
-    spec = model._spec
+    spec = model.spec
     left = _rebuild_with_shifts(spec.left, shifts)
     right = _rebuild_with_shifts(spec.right, shifts)
     table = model.table
@@ -848,10 +792,10 @@ def _rebuild_c_as_pinch(spec: SurgerySpec, left, right, levels) -> FoliationMode
     rsite = _resolve_site(ws, "right", right, spec.right_region)
     lx, ly = levels  # x sits at the left junction, y at the right
     if sc.sign(ly - lx) > 0:
-        zeros = _apply_pinch(ws, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
+        _apply_pinch(ws, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
     else:
-        zeros = _apply_pinch(ws, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
-    return _finalize(ws, True, zeros)
+        _apply_pinch(ws, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    return _finalize(ws, True)
 
 
 @dataclass(frozen=True)

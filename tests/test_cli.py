@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import subprocess
@@ -183,6 +184,43 @@ class TestEntryPoint:
         for command in ("periods", "surgery"):
             assert main([command, str(path)]) == 0, capsys.readouterr().err
         assert (tmp_path / "graph.dot").exists()
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace: dict = {}
+        results = []
+        for statement in ast.parse(block).body:
+            if isinstance(statement, ast.Expr):
+                expression = ast.Expression(statement.value)
+                results.append(eval(compile(expression, "README", "eval"), namespace))
+            else:
+                exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
+        # the values the block's comments state, in order
+        assert results == [2, "NoncompactRegular", True, "IntrinsicallyHarmonic", None]
+
+    def test_trace_on_surgered_model_exit_two(self, capsys):
+        assert main(["trace", "pillowcase-ex2"]) == 2
+        assert "trace works on unsurgered forms only" in capsys.readouterr().err
+
+    def test_wrapping_an_already_surgered_side_exit_two(self, tmp_path, capsys):
+        # s1 puts zero s1.x on side w1; s2 then wraps disks (tube band 23/8,
+        # over twice the unit circumference) around that side
+        tori = "".join(
+            f"[orbifold T{i}]\nbuiltin = torus\n\n"
+            f"[form w{i}]\non = T{i}\ndtheta = 1\ndphi = 0\n\n"
+            for i in (1, 2, 3)
+        )
+        path = tmp_path / "wrap.scn"
+        path.write_text(
+            "[symbols]\n\n" + tori
+            + "[surgery s1]\nkind = C\nleft = w1\nright = w2\n"
+            "left_window = 1/8 : 3/8\nright_window = 1/8 : 3/8\ntube = 1/4 : 1/4\n\n"
+            "[surgery s2]\nkind = A\nleft = s1\nright = w3\nleft_region = w1.f0:1\n"
+            "left_window = -1/8 : 3\nright_window = -1/8 : 3\ntube = 0 : 23/8\n"
+        )
+        assert main(["surgery", str(path)]) == 2
+        assert "wrapping disks on already-surgered sides" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["abc", "1/8", "1/0,1"])
     def test_malformed_seed_exit_two(self, seed, capsys):

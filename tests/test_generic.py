@@ -18,7 +18,7 @@ class TestModelLevel:
 
     def test_zero_free_models_come_back_unchanged(self, table):
         T = torus_presentation()
-        model = analyze(T, ClosedForm((table.symbol("p"), table.symbol("q")), T), "w")
+        model = analyze(ClosedForm((table.symbol("p"), table.symbol("q")), T), "w")
         assert genericize(model) is model
 
     def test_kind_c_companion_gets_admissible_shifts(self):
@@ -37,10 +37,10 @@ class TestModelLevel:
     def test_model_without_provenance_raises(self):
         m = build_catalog_model("pillowcase-ex2")
         orphan = FoliationModel(
-            m.name, m.orbifold, m.form, m.sides, m.graph, m.zeros, m.zero_sites,
-            m.x_inf_gens, m.special_vertices, m.singular_entries, m.provenance,
-            m.notes, m.is_generic,
+            m.name, m.form, m.table, m.sides, m.graph, m.zeros, m.x_inf_gens,
+            m.special_vertices, m.singular_entries, m.notes, m.is_generic,
         )
+        assert not orphan.is_generic and orphan.spec is None
         with pytest.raises(ModelError):
             genericize(orphan)
 

@@ -83,8 +83,8 @@ class TestEdgeWeight:
         from foliage.surgery import SurgerySpec, analyze, connected_sum
 
         T1, T2 = torus_presentation(), torus_presentation()
-        m1 = analyze(T1, ClosedForm((table.rational(1), table.zero()), T1), "m1")
-        m2 = analyze(T2, ClosedForm((table.rational(2), table.rational(3)), T2), "m2")
+        m1 = analyze(ClosedForm((table.rational(1), table.zero()), T1), "m1")
+        m2 = analyze(ClosedForm((table.rational(2), table.rational(3)), T2), "m2")
         r = lambda v: table.rational(Fraction(v))
         model = connected_sum(
             SurgerySpec(

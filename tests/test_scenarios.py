@@ -122,7 +122,7 @@ class TestDerivedVerdictNote:
 
         def torus_model(a, b, name):
             pres = torus_presentation()
-            return analyze(pres, ClosedForm((table.rational(a), table.rational(b)), pres), name)
+            return analyze(ClosedForm((table.rational(a), table.rational(b)), pres), name)
 
         r = lambda v: table.rational(Fraction(v))
         nontransitive = connected_sum(SurgerySpec(

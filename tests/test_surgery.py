@@ -33,7 +33,7 @@ def torus_model(table, a, b, name):
         lin = (table.symbol(a), table.symbol(b))
     else:
         lin = (table.rational(a), table.rational(b))
-    return analyze(pres, ClosedForm(lin, pres, name=name), name)
+    return analyze(ClosedForm(lin, pres, name=name), name)
 
 
 def pillowcase_dense(table, name):
@@ -41,7 +41,7 @@ def pillowcase_dense(table, name):
     form = ClosedForm(
         (table.symbol("p"), table.symbol("q")), pres, basic_override=True, name=name
     )
-    return analyze(pres, form, name)
+    return analyze(form, name)
 
 
 class TestCatalogVerdicts:
@@ -184,7 +184,7 @@ class TestSurgeryInvariants:
         for name, scale in (("pillowcase-ex1", Fraction(7, 3)),
                             ("pillowcase-ex3", Fraction(2, 5))):
             model = build_catalog_model(name)
-            spec = model._spec
+            spec = model.spec
             scaled = connected_sum(SurgerySpec(
                 spec.kind,
                 _rescaled_virgin(spec.left, scale),
@@ -198,13 +198,12 @@ class TestSurgeryInvariants:
 
     def test_zero_free_rescaling(self, table):
         model = torus_model(table, "p", "q", "v")
-        pres = model.orbifold
-        scaled = analyze(pres, model.form.rescaled(Fraction(7, 3)), "v7")
+        scaled = analyze(model.form.rescaled(Fraction(7, 3)), "v7")
         assert is_transitive(scaled) == is_transitive(model) is True
 
 
 def _rescaled_virgin(model, scale):
-    return analyze(model.orbifold, model.form.rescaled(scale), model.name)
+    return analyze(model.form.rescaled(scale), model.name)
 
 
 class TestValidation:
