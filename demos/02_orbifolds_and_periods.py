@@ -14,7 +14,6 @@ from foliage import (
     ClosedForm,
     SymbolTable,
     TorusPoint,
-    fundamental_generators,
     isotropy_order,
     orbit,
     periods,
@@ -34,8 +33,9 @@ for pt in [(0, 0), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(1
     x = TorusPoint(*pt)
     print(f"point {pt}: orbit size {len(orbit(x, Q))}, isotropy {isotropy_order(x, Q)}")
 
-# generating loops: the two torus cycles plus one per group element
-print("generators:", [g.gen_id for g in fundamental_generators(Q)])
+# generating loops: the two torus cycles plus one per group element, built
+# once with the presentation
+print("generators:", [g.gen_id for g in Q.generators])
 
 # periods of p*dtheta + q*dphi on the plain torus
 T = torus_presentation()

@@ -20,7 +20,7 @@ seed = TorusPoint(Fraction(1, 8), Fraction(1, 8))
 # a rational slope: the leaf is a (3,-2) circle of length sqrt(13)
 w = ClosedForm((table.rational(2), table.rational(3)), T)
 print("classifier:", classify_leaf(w, T, seed).kind)
-result = trace_leaf(w, T, seed, step=0.01, collect_polyline=True)
+result = trace_leaf(w, seed, step=0.01, collect_polyline=True)
 print(f"tracer: {result.verdict}, period {result.period_length:.9f}, "
       f"return error {result.return_error:.2e}")
 
@@ -31,7 +31,7 @@ print("wrote closed_leaf.svg")
 # an irrational slope: the leaf equidistributes
 w_dense = ClosedForm((table.rational(1), table.symbol("q")), T)
 print("classifier:", classify_leaf(w_dense, T, seed).kind)
-result = trace_leaf(w_dense, T, seed, step=0.02, collect_polyline=True)
+result = trace_leaf(w_dense, seed, step=0.02, collect_polyline=True)
 print(f"tracer: {result.verdict}, coverage {result.coverage:.4f} "
       f"on the 0.05 grid after {result.steps} steps")
 

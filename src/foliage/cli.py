@@ -21,7 +21,8 @@ from .forms import ClosedForm, BumpTerm, invariance_verdict
 from .graph import factorization_witness
 from .leaves import trace_leaf
 from .orbifold import (
-    BUILTIN_ACTIONS,
+    BUILTIN_ORBIFOLDS,
+    DEFAULT_BASEPOINT,
     AffineMap,
     GroupAction,
     OrbifoldPresentation,
@@ -264,7 +265,7 @@ def parse_scenario(text: str) -> Scenario:
                 elements.append((matrix, offset))
             if (builtin is None) == (not elements):
                 raise ScenarioError(f"[{where}] needs either builtin or element lines")
-            if builtin is not None and builtin not in BUILTIN_ACTIONS:
+            if builtin is not None and builtin not in BUILTIN_ORBIFOLDS:
                 raise ScenarioError(f"unknown builtin orbifold {builtin!r}")
             basepoint = None
             bp_text, i = single(items, "basepoint", where=where)
@@ -473,7 +474,11 @@ def build_scenario(s: Scenario) -> BuiltScenario:
     presentations: dict[str, OrbifoldPresentation] = {}
     for o in s.orbifolds:
         if o.builtin:
-            action = BUILTIN_ACTIONS[o.builtin]
+            builtin = BUILTIN_ORBIFOLDS[o.builtin]
+            if o.basepoint is None:
+                presentations[o.name] = builtin
+                continue
+            action = builtin.action
         else:
             maps = [AffineMap.identity()]
             for (a, b, c, d), off in o.elements:
@@ -481,10 +486,7 @@ def build_scenario(s: Scenario) -> BuiltScenario:
                 if not m.is_identity():
                     maps.append(m)
             action = GroupAction(maps)
-        if o.basepoint is not None:
-            presentations[o.name] = OrbifoldPresentation(action, o.name, o.basepoint)
-        else:
-            presentations[o.name] = OrbifoldPresentation(action, o.name)
+        presentations[o.name] = OrbifoldPresentation(action, o.basepoint or DEFAULT_BASEPOINT)
     forms: dict[str, ClosedForm] = {}
     models: dict[str, FoliationModel] = {}
     for f in s.forms:
@@ -501,7 +503,6 @@ def build_scenario(s: Scenario) -> BuiltScenario:
             orbifold=presentations[f.on],
             bumps=bumps,
             basic_override=f.basic_override,
-            name=f.name,
         )
         forms[f.name] = form
         models[f.name] = analyze(form, f.name)
@@ -778,7 +779,6 @@ def run(command: str, built: Optional[BuiltScenario], options: Optional[dict] = 
         seed_decl = options.get("seed") or built.scenario.tracer.seed
         result = trace_leaf(
             form,
-            form.orbifold,
             TorusPoint(*seed_decl),
             step=float(options.get("step") or built.scenario.tracer.step),
             max_steps=int(options.get("steps") or built.scenario.tracer.max_steps),

@@ -19,7 +19,6 @@ from .orbifold import (
     GPath,
     OrbifoldPresentation,
     TorusPoint,
-    fundamental_generators,
     orbit,
 )
 
@@ -71,7 +70,6 @@ class ClosedForm:
     orbifold: OrbifoldPresentation
     bumps: tuple[BumpTerm, ...] = ()
     basic_override: bool = False
-    name: str = "form"
 
     def __post_init__(self):
         a, b = self.linear
@@ -220,8 +218,7 @@ def periods(form: ClosedForm) -> list[tuple[str, sc.SymScalar]]:
         raise NotBasicError(
             "form does not descend to the quotient; declare basic_override to proceed"
         )
-    generators = fundamental_generators(form.orbifold)
-    return [(g.gen_id, g_path_integral(form, g.loop)) for g in generators]
+    return [(g.gen_id, g_path_integral(form, g.loop)) for g in form.orbifold.generators]
 
 
 def rank_of_class(form: ClosedForm) -> int:

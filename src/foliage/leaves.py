@@ -255,7 +255,6 @@ class TraceResult:
 
 def trace_leaf(
     form: ClosedForm,
-    presentation: OrbifoldPresentation,
     seed: TorusPoint,
     step: float = 0.01,
     max_steps: int = 1_000_000,
@@ -327,7 +326,7 @@ def trace_leaf(
     if v0 is None:
         return TraceResult("Inconclusive", reason="field degenerate at seed", steps=0)
 
-    targets = _closure_targets(form, presentation, sx, sy, v0)
+    targets = _closure_targets(form, sx, sy, v0)
     ncells = max(2, round(1.0 / grid_eps))
     visited = [[False] * ncells for _ in range(ncells)]
     visited[int(sx * ncells) % ncells][int(sy * ncells) % ncells] = True
@@ -413,12 +412,12 @@ def _bump_sums(bumps, x: float, y: float) -> tuple[float, float, float]:
     return potential, gx, gy
 
 
-def _closure_targets(form, presentation, sx, sy, v0):
+def _closure_targets(form, sx, sy, v0):
     """Seed translates under the form-preserving subgroup, with the pushed
     leaf direction at each; returning to any of them closes the quotient leaf."""
     targets = []
     for i in invariant_subgroup(form):
-        g = presentation.action.elements[i]
+        g = form.orbifold.action.elements[i]
         (m00, m01), (m10, m11) = g.matrix
         tx = (m00 * sx + m01 * sy + float(g.offset[0])) % 1.0
         ty = (m10 * sx + m11 * sy + float(g.offset[1])) % 1.0

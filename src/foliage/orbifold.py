@@ -10,7 +10,7 @@ checkable in exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -142,9 +142,15 @@ DEFAULT_BASEPOINT = (Fraction(1, 8), Fraction(1, 8))
 
 @dataclass(frozen=True)
 class OrbifoldPresentation:
+    """A group action, a basepoint of trivial isotropy and the loop generators
+    there, built once (each loop points back here, so eq and repr skip them)."""
+
     action: GroupAction
-    name: str = "orbifold"
     basepoint: tuple[Fraction, Fraction] = DEFAULT_BASEPOINT
+    generators: tuple["Generator", ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", fundamental_generators(self))
 
     def singular_points_on_grid(self, denominator: int = 24) -> list[TorusPoint]:
         """Grid points (i/d, j/d) with nontrivial isotropy (display aid), i-major.
@@ -171,29 +177,6 @@ class OrbifoldPresentation:
             if any(all((p * i + q * j + r) % scale == 0 for p, q, r in rows)
                    for rows, scale in tests)
         ]
-
-
-_IDENTITY = AffineMap.identity()
-
-BUILTIN_ACTIONS = {
-    "torus": GroupAction([_IDENTITY]),
-    "pillowcase": GroupAction([_IDENTITY, AffineMap.of(((-1, 0), (0, -1)), (0, 0))]),
-    "shifted_torus": GroupAction([_IDENTITY, AffineMap.of(((1, 0), (0, 1)), (Fraction(1, 2), 0))]),
-}
-
-
-def torus_presentation() -> OrbifoldPresentation:
-    return OrbifoldPresentation(BUILTIN_ACTIONS["torus"], "torus")
-
-
-def pillowcase_presentation() -> OrbifoldPresentation:
-    """Quotient by the half-turn (theta, phi) -> (-theta, -phi)."""
-    return OrbifoldPresentation(BUILTIN_ACTIONS["pillowcase"], "pillowcase")
-
-
-def shifted_torus_presentation() -> OrbifoldPresentation:
-    """Free Z2 quotient by the half shift (theta, phi) -> (theta + 1/2, phi)."""
-    return OrbifoldPresentation(BUILTIN_ACTIONS["shifted_torus"], "shifted_torus")
 
 
 # -- orbits and isotropy ------------------------------------------------------
@@ -285,19 +268,16 @@ class Generator:
     arrow_index: int  # 0 for the two torus loops
 
 
-def fundamental_generators(
-    presentation: OrbifoldPresentation, basepoint: CoverPoint | None = None
-) -> list[Generator]:
+def fundamental_generators(presentation: OrbifoldPresentation) -> tuple[Generator, ...]:
     """Loop generators: the two torus cycles plus one loop per group element.
 
     For each non-identity k the loop is a straight cover path from the
     basepoint to the nearest lift of k(basepoint), closed by the arrow k^-1.
     Together with the torus cycles these generate the quotient's fundamental
-    group through the translation/deck short exact sequence.
+    group through the translation/deck short exact sequence.  A presentation
+    calls this once, when it is built.
     """
-    if basepoint is None:
-        basepoint = presentation.basepoint
-    x0 = (_mod1(Fraction(basepoint[0])), _mod1(Fraction(basepoint[1])))
+    x0 = tuple(_mod1(Fraction(c)) for c in presentation.basepoint)
     if isotropy_order(TorusPoint(*x0), presentation) != 1:
         raise OrbifoldError("basepoint must have trivial isotropy")
     gens = [
@@ -315,7 +295,7 @@ def fundamental_generators(
             [presentation.action.inverse_index(i)],
         )
         gens.append(Generator(f"k{i}", loop, i))
-    return gens
+    return tuple(gens)
 
 
 def _nearest_lift(coord: Fraction, anchor: Fraction) -> Fraction:
@@ -324,3 +304,30 @@ def _nearest_lift(coord: Fraction, anchor: Fraction) -> Fraction:
     if d > Fraction(1, 2):
         d -= 1
     return anchor + d
+
+
+# -- built-in orbifolds: shared immutable presentations, built at import -------
+
+_IDENTITY = AffineMap.identity()
+_HALF_TURN = AffineMap.of(((-1, 0), (0, -1)), (0, 0))
+_HALF_SHIFT = AffineMap.of(((1, 0), (0, 1)), (Fraction(1, 2), 0))
+
+BUILTIN_ORBIFOLDS = {
+    "torus": OrbifoldPresentation(GroupAction([_IDENTITY])),
+    "pillowcase": OrbifoldPresentation(GroupAction([_IDENTITY, _HALF_TURN])),
+    "shifted_torus": OrbifoldPresentation(GroupAction([_IDENTITY, _HALF_SHIFT])),
+}
+
+
+def torus_presentation() -> OrbifoldPresentation:
+    return BUILTIN_ORBIFOLDS["torus"]
+
+
+def pillowcase_presentation() -> OrbifoldPresentation:
+    """Quotient by the half-turn (theta, phi) -> (-theta, -phi)."""
+    return BUILTIN_ORBIFOLDS["pillowcase"]
+
+
+def shifted_torus_presentation() -> OrbifoldPresentation:
+    """Free Z2 quotient by the half shift (theta, phi) -> (theta + 1/2, phi)."""
+    return BUILTIN_ORBIFOLDS["shifted_torus"]

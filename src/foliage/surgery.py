@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import scalar as sc
-from .forms import ClosedForm, NotBasicError, Zero, g_path_integral, invariance_verdict
+from .forms import ClosedForm, NotBasicError, Zero, g_path_integral
 from .graph import (
     MARKER,
     SPECIAL,
@@ -40,7 +40,6 @@ from .leaves import (
     decompose,
     linear_structure,
 )
-from .orbifold import fundamental_generators
 
 
 class ModelError(sc.FoliageError):
@@ -157,22 +156,21 @@ class FoliationModel:
 def analyze(form: ClosedForm, name: str) -> FoliationModel:
     """Build the model of a zero-free linear (+ bumps) form on its orbifold."""
     notes = []
-    invariant = invariance_verdict(form)
-    if not invariant and not form.basic_override:
-        raise NotBasicError(
-            f"{name}: form is not invariant under the action and no override is declared"
-        )
     structure = linear_structure(form)
-    if not invariant:
+    if structure.reduced:
+        if not form.basic_override:
+            raise NotBasicError(
+                f"{name}: form is not invariant under the action and no override is declared"
+            )
         kept = ",".join(str(i) for i in structure.invariant_elements)
         notes.append(
             f"{name}: invariance check FAILED; proceeding under the declared-basic "
             f"override, foliation data computed on the invariant subgroup [{kept}]"
         )
-    generator_list = fundamental_generators(form.orbifold)
-    gens = tuple((g.gen_id, g_path_integral(form, g.loop)) for g in generator_list)
+    generators = form.orbifold.generators
+    gens = tuple((g.gen_id, g_path_integral(form, g.loop)) for g in generators)
     kept = set(structure.invariant_elements)
-    witness_gens = tuple(g.gen_id for g in generator_list if g.arrow_index in kept)
+    witness_gens = tuple(g.gen_id for g in generators if g.arrow_index in kept)
     graph = FoliationGraph()
     x_inf: dict[str, list] = {}
     specials: dict[str, int] = {}
@@ -288,11 +286,7 @@ class _Workspace:
         if spec.name in names:
             raise ModelError(f"surgery name {spec.name!r} collides with an existing side")
 
-    def side(self, side_id: str) -> Side:
-        for s in self.sides:
-            if s.side_id == side_id:
-                return s
-        raise ModelError(f"unknown side {side_id!r}")
+    side = FoliationModel.side  # the same lookup, over the workspace's sides
 
     def replace_side(self, side: Side) -> None:
         self.sides = [side if s.side_id == side.side_id else s for s in self.sides]
@@ -331,6 +325,18 @@ class _Workspace:
 
     def register_zero(self, zid: str, level: sc.SymScalar, side_id: str) -> None:
         self.zeros.append(Zero(zid, side_id, index=1, isotropy_order=1, level=level))
+
+    def add_singular_leaf(self, suffix: str, kind: str, zeros, comps, level, ref) -> None:
+        self.singular_entries.append(
+            LeafClass(
+                leaf_id=f"{self.spec.name}.leaf_{suffix}",
+                kind=kind,
+                zeros=tuple(zeros),
+                components=tuple(comps),
+                representative=f"singular leaf at level {level.render()}",
+                component_ref=ref,
+            )
+        )
 
 
 # -- exact level location -----------------------------------------------------------
@@ -477,12 +483,17 @@ def _absorb_side(ws: _Workspace, side_id: str) -> Side:
     return side
 
 
-def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
-    spec = ws.spec
+def _overlap(spec: SurgerySpec, left: _Site, right: _Site):
     j_lo = sc.scalar_max(left.window[0], right.window[0])
     j_hi = sc.scalar_min(left.window[1], right.window[1])
     if sc.sign(j_hi - j_lo) <= 0:
-        raise ModelError("kind A needs overlapping disk windows")
+        raise ModelError(f"kind {spec.kind} needs overlapping disk windows")
+    return j_lo, j_hi
+
+
+def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
+    spec = ws.spec
+    j_lo, j_hi = _overlap(spec, left, right)
     lx, ly = spec.tube_levels
     if not (sc.sign(lx - j_lo) > 0 and sc.sign(ly - lx) > 0 and sc.sign(j_hi - ly) > 0):
         raise ModelError("kind A needs tube levels strictly inside the window overlap")
@@ -545,16 +556,7 @@ def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
     ws.register_zero(zy, ly, right.side_id)
     for zid, level in ((zx, lx), (zy, ly)):
         comps = [(f"{zid}.{n}", flag) for n, flag in compact_comps + noncompact_comps]
-        ws.singular_entries.append(
-            LeafClass(
-                leaf_id=f"{spec.name}.leaf_{zid.rsplit('.', 1)[1]}",
-                kind=leaf_kind,
-                zeros=(zid,),
-                components=tuple(comps),
-                representative=f"singular leaf at level {level.render()}",
-                component_ref=comp_ref,
-            )
-        )
+        ws.add_singular_leaf(zid.rsplit(".", 1)[1], leaf_kind, (zid,), comps, level, comp_ref)
 
     generic = True
     if comp_ref is not None:
@@ -615,16 +617,7 @@ def _apply_pinch(
             comps.append((f"{zid}.rays@{site.component}", False))
             kind, ref = NONCOMPACT_SINGULAR, site.component
         ws.register_zero(zid, level, site.side_id)
-        ws.singular_entries.append(
-            LeafClass(
-                leaf_id=f"{spec.name}.leaf_{zid.rsplit('.', 1)[1]}",
-                kind=kind,
-                zeros=(zid,),
-                components=tuple(comps),
-                representative=f"singular leaf at level {level.render()}",
-                component_ref=ref,
-            )
-        )
+        ws.add_singular_leaf(zid.rsplit(".", 1)[1], kind, (zid,), comps, level, ref)
     ws.add_tube_side()
 
 
@@ -652,10 +645,7 @@ def _apply_B(ws: _Workspace, left: _Site, right: _Site) -> bool:
 
 def _apply_C(ws: _Workspace, left: _Site, right: _Site) -> bool:
     spec = ws.spec
-    j_lo = sc.scalar_max(left.window[0], right.window[0])
-    j_hi = sc.scalar_min(left.window[1], right.window[1])
-    if sc.sign(j_hi - j_lo) <= 0:
-        raise ModelError("kind C needs overlapping disk windows")
+    j_lo, j_hi = _overlap(spec, left, right)
     lx, ly = spec.tube_levels
     if not (lx - ly).is_zero():
         raise ModelError("kind C needs both tube levels equal")
@@ -679,16 +669,8 @@ def _apply_C(ws: _Workspace, left: _Site, right: _Site) -> bool:
     ws.register_zero(zx, lx, left.side_id)
     ws.register_zero(zy, ly, right.side_id)
     ws.add_tube_side()
-    ws.singular_entries.append(
-        LeafClass(
-            leaf_id=f"{spec.name}.leaf_xy",
-            kind=NONCOMPACT_SINGULAR if refs else COMPACT_SINGULAR,
-            zeros=(zx, zy),
-            components=tuple(comps),
-            representative=f"singular leaf at level {lx.render()}",
-            component_ref=sorted(refs)[0] if refs else None,
-        )
-    )
+    kind = NONCOMPACT_SINGULAR if refs else COMPACT_SINGULAR
+    ws.add_singular_leaf("xy", kind, (zx, zy), comps, lx, sorted(refs)[0] if refs else None)
     return False  # two zeros on one leaf: never generic
 
 

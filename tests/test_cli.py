@@ -222,6 +222,18 @@ class TestEntryPoint:
         assert main(["surgery", str(path)]) == 2
         assert "wrapping disks on already-surgered sides" in capsys.readouterr().err
 
+    def test_unused_orbifold_with_a_singular_basepoint_exit_two(self, tmp_path, capsys):
+        # x -> -x + (1/4, 1/4) fixes the default basepoint (1/8, 1/8); the
+        # orbifold is checked when it is built, whether or not a form uses it
+        path = tmp_path / "isotropic.scn"
+        path.write_text(
+            "[symbols]\n\n[orbifold T]\nbuiltin = torus\n\n"
+            "[orbifold X]\nelement = -1 0 0 -1 ; 1/4 1/4\n\n"
+            "[form w]\non = T\ndtheta = 1\ndphi = 2\n"
+        )
+        assert main(["periods", str(path)]) == 2
+        assert "basepoint must have trivial isotropy" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["abc", "1/8", "1/0,1"])
     def test_malformed_seed_exit_two(self, seed, capsys):
         with pytest.raises(SystemExit) as exc:

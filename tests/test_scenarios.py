@@ -49,10 +49,7 @@ class TestCustomAction:
         built = build_scenario(parse_scenario(CUSTOM_ACTION))
         pres = built.presentations["H"]
         assert pres.basepoint == (Fraction(1, 16), Fraction(1, 16))
-        from foliage.orbifold import fundamental_generators
-
-        gens = fundamental_generators(pres)
-        assert gens[0].loop.start == TorusPoint(Fraction(1, 16), Fraction(1, 16))
+        assert pres.generators[0].loop.start == TorusPoint(Fraction(1, 16), Fraction(1, 16))
 
     def test_round_trip_keeps_custom_sections(self):
         s = parse_scenario(CUSTOM_ACTION)
@@ -71,7 +68,7 @@ class TestBumpScenario:
         built = build_scenario(parse_scenario(BUMPED))
         form = built.forms["w"]
         result = trace_leaf(
-            form, form.orbifold, TorusPoint(Fraction(1, 8), Fraction(1, 8)),
+            form, TorusPoint(Fraction(1, 8), Fraction(1, 8)),
             step=0.02, max_steps=100_000,
         )
         assert result.verdict == "Inconclusive"
@@ -81,7 +78,7 @@ class TestBumpScenario:
         built = build_scenario(parse_scenario(BUMPED))
         form = built.forms["w"]
         result = trace_leaf(
-            form, form.orbifold, TorusPoint(Fraction(1, 8), Fraction(1, 8)),
+            form, TorusPoint(Fraction(1, 8), Fraction(1, 8)),
             step=0.005, max_steps=400_000,
         )
         assert result.verdict == "DenseEvidence"

@@ -33,14 +33,12 @@ def torus_model(table, a, b, name):
         lin = (table.symbol(a), table.symbol(b))
     else:
         lin = (table.rational(a), table.rational(b))
-    return analyze(ClosedForm(lin, pres, name=name), name)
+    return analyze(ClosedForm(lin, pres), name)
 
 
 def pillowcase_dense(table, name):
     pres = pillowcase_presentation()
-    form = ClosedForm(
-        (table.symbol("p"), table.symbol("q")), pres, basic_override=True, name=name
-    )
+    form = ClosedForm((table.symbol("p"), table.symbol("q")), pres, basic_override=True)
     return analyze(form, name)
 
 

@@ -30,21 +30,21 @@ def rational_form(table, p, q):
 class TestClosedTraces:
     def test_two_three_slope(self, table):
         form = rational_form(table, 2, 3)
-        result = trace_leaf(form, T, SEED, step=0.01)
+        result = trace_leaf(form, SEED, step=0.01)
         assert result.verdict == "Closed"
         assert result.return_error < 1e-9
         assert abs(result.period_length - sqrt(13)) < 1e-6
 
     def test_vertical_circle(self, table):
         form = rational_form(table, 1, 0)
-        result = trace_leaf(form, T, SEED, step=0.01)
+        result = trace_leaf(form, SEED, step=0.01)
         assert result.verdict == "Closed"
         assert abs(result.period_length - 1.0) < 1e-6
 
     def test_group_identification_shortens_the_leaf(self, table):
         # horizontal circles on the half-shift quotient close at length 1/2
         form = ClosedForm((table.zero(), table.rational(1)), S)
-        result = trace_leaf(form, S, SEED, step=0.01)
+        result = trace_leaf(form, SEED, step=0.01)
         assert result.verdict == "Closed"
         assert abs(result.period_length - 0.5) < 1e-6
 
@@ -55,7 +55,7 @@ class TestClosedTraces:
             amplitude=table.rational(Fraction(1, 200)),
         )
         form = rational_form(table, 2, 3).with_bumps([bump])
-        result = trace_leaf(form, T, SEED, step=0.002, return_tol=1e-6)
+        result = trace_leaf(form, SEED, step=0.002, return_tol=1e-6)
         assert result.verdict == "Closed"
         assert result.return_error < 1e-6
 
@@ -63,13 +63,13 @@ class TestClosedTraces:
 class TestDenseTraces:
     def test_irrational_slope_covers_the_grid(self, table):
         form = ClosedForm((table.rational(1), table.symbol("q")), T)
-        result = trace_leaf(form, T, SEED, step=0.02, max_steps=1_000_000)
+        result = trace_leaf(form, SEED, step=0.02, max_steps=1_000_000)
         assert result.verdict == "DenseEvidence"
         assert result.coverage >= 0.99
 
     def test_degenerate_field_is_inconclusive(self, table):
         form = ClosedForm((table.zero(), table.zero()), T)
-        result = trace_leaf(form, T, SEED)
+        result = trace_leaf(form, SEED)
         assert result.verdict == "Inconclusive"
 
 
@@ -84,13 +84,13 @@ class TestDichotomy:
     def test_rank_one_all_seeds_close(self, table):
         form = rational_form(table, 2, 3)
         for seed in self.SEEDS:
-            result = trace_leaf(form, T, seed, step=0.01, return_tol=1e-6)
+            result = trace_leaf(form, seed, step=0.01, return_tol=1e-6)
             assert result.verdict == "Closed", seed
 
     def test_rank_two_all_seeds_dense(self, table):
         form = ClosedForm((table.symbol("p"), table.symbol("q")), T)
         for seed in self.SEEDS:
-            result = trace_leaf(form, T, seed, step=0.02, max_steps=1_000_000)
+            result = trace_leaf(form, seed, step=0.02, max_steps=1_000_000)
             assert result.verdict == "DenseEvidence", seed
 
 
@@ -113,7 +113,7 @@ class TestOracleAgreement:
     def test_rational_slopes_close(self, table, p, q):
         form = rational_form(table, p, q)
         assert classify_leaf(form, T, SEED).kind == "CompactRegular"
-        result = trace_leaf(form, T, SEED, step=0.01, return_tol=1e-6)
+        result = trace_leaf(form, SEED, step=0.01, return_tol=1e-6)
         assert result.verdict == "Closed"
         assert result.return_error < 1e-6
 
@@ -122,7 +122,7 @@ class TestOracleAgreement:
         table = SymbolTable([("q", SQRT2), ("r", SQRT3), ("g", "1.61803398874989484820458683436563811772")])
         form = ClosedForm((table.symbol(a), table.symbol(b)), T)
         assert classify_leaf(form, T, SEED).kind == "NoncompactRegular"
-        result = trace_leaf(form, T, SEED, step=0.02, max_steps=1_000_000)
+        result = trace_leaf(form, SEED, step=0.02, max_steps=1_000_000)
         assert result.verdict == "DenseEvidence"
         assert result.coverage >= 0.99
 
@@ -148,7 +148,7 @@ class TestCompiledField:
         center = (Fraction(5, 8), Fraction(5, 8))
         form = rational_form(table, 2, 3).with_bumps([self.bump(table, center)])
         seed = TorusPoint(Fraction(29, 400), 0)
-        result = trace_leaf(form, T, seed, step=0.002, return_tol=1e-6, collect_polyline=True)
+        result = trace_leaf(form, seed, step=0.002, return_tol=1e-6, collect_polyline=True)
         assert (result.verdict, result.steps) == ("Closed", 1802)
         assert result.period_length.hex() == "0x1.cd8420521fbccp+1"
         self.assert_crosses_support(result, center)
@@ -159,7 +159,7 @@ class TestCompiledField:
             (table.rational(1), table.rational(2)), Q, bumps=(self.bump(table, center),)
         )
         seed = TorusPoint(Fraction(1, 100), 0)
-        result = trace_leaf(form, Q, seed, step=0.002, return_tol=1e-6, collect_polyline=True)
+        result = trace_leaf(form, seed, step=0.002, return_tol=1e-6, collect_polyline=True)
         assert (result.verdict, result.steps) == ("Closed", 1117)
         assert result.period_length.hex() == "0x1.1e3f0ced0c62dp+1"
         self.assert_crosses_support(result, center)
@@ -177,7 +177,7 @@ class TestCompiledField:
         ]
         form = ClosedForm((table.rational(2), table.rational(3)), Q, bumps=tuple(bumps))
         monkeypatch.setattr(leaves, "orbit", counting_orbit)
-        result = trace_leaf(form, Q, SEED, step=0.01, max_steps=500)
+        result = trace_leaf(form, SEED, step=0.01, max_steps=500)
         assert result.steps > 100
         assert calls == [b.center for b in bumps]
 
@@ -195,7 +195,7 @@ class TestCompiledField:
             (table.rational(1), table.rational(2)), Q, bumps=(self.bump(table, center),)
         )
         monkeypatch.setattr(leaves, "_bump_sums", counting_bump_sums)
-        result = trace_leaf(form, Q, TorusPoint(Fraction(1, 100), 0), step=0.002, return_tol=1e-6)
+        result = trace_leaf(form, TorusPoint(Fraction(1, 100), 0), step=0.002, return_tol=1e-6)
         assert (result.verdict, result.steps) == ("Closed", 1117)
         assert len(calls) <= 4 * result.steps + 16
 

@@ -7,10 +7,13 @@ cone points, so a changed byte anywhere on that path fails here.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
-from foliage import forms, surgery
+from foliage import forms, orbifold
 from foliage.cli import build_report, build_scenario, main, parse_scenario
 
 PLAIN_TORUS = """[symbols]
@@ -125,24 +128,51 @@ def test_trace_bytes_are_pinned(name, text, report_sha, svg_sha, tmp_path, capsy
     assert sha256(svg.read_text(encoding="utf-8")) == svg_sha
 
 
+def count_calls(monkeypatch, calls: list, module, name: str) -> None:
+    """Append `name` to `calls` whenever the function runs, through every
+    foliage module that holds it."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for held in [m for n, m in sys.modules.items() if n.split(".")[0] == "foliage"]:
+        for attr, value in list(vars(held).items()):
+            if value is original:
+                monkeypatch.setattr(held, attr, wrapper)
+
+
 def test_report_integrates_no_path(monkeypatch):
     # analyze integrated every generator while building; the periods
     # section reads those values instead of integrating again
     built = build_scenario(parse_scenario(BUMPED_PILLOWCASE))
     calls = []
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module in (forms, surgery):
-        counting(module, "fundamental_generators")
-        counting(module, "g_path_integral")
+    count_calls(monkeypatch, calls, orbifold, "fundamental_generators")
+    count_calls(monkeypatch, calls, forms, "g_path_integral")
     report = build_report(built, "periods")
     assert "w: a = 1, b = 2, k1 = -3/4; rank 1" in report
     assert calls == []
+
+
+def bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_chain_build_reuses_loops_and_decides_invariance_once(monkeypatch):
+    # the benchmark's kind-C chain at n = 8: nine forms on built-in
+    # pillowcases, whose loops were built at import
+    workloads = bench_workloads(monkeypatch)
+    text = workloads.chain_text("C", 8, workloads.sqrt_literal(2), workloads.sqrt_literal(3))
+    calls = []
+    count_calls(monkeypatch, calls, orbifold, "fundamental_generators")
+    count_calls(monkeypatch, calls, forms, "invariant_subgroup")
+    built = build_scenario(parse_scenario(text))
+    assert len(built.forms) == 9
+    assert calls.count("fundamental_generators") == 0
+    assert calls.count("invariant_subgroup") == 9
