@@ -685,10 +685,6 @@ def build_report(built: BuiltScenario, command: str) -> str:
 def render_svg(polyline, presentation) -> str:
     """A 512x512 picture of the unit square: traced leaf and cone points."""
     size = 512
-
-    def pt(x: float, y: float) -> str:
-        return f"{x * size:.2f},{(1.0 - y) * size:.2f}"
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -705,7 +701,7 @@ def render_svg(polyline, presentation) -> str:
         for run in runs:
             if len(run) < 2:
                 continue
-            points = " ".join(pt(x, y) for x, y in run)
+            points = " ".join([f"{x * size:.2f},{(1.0 - y) * size:.2f}" for x, y in run])
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="#1f6feb" stroke-width="1"/>'
             )

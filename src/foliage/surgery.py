@@ -64,7 +64,8 @@ class Side:
     witness_gens: tuple[str, ...] = ()
 
     def with_circuit(self, edges) -> "Side":
-        return replace(self, circuit_edges=tuple(edges))
+        edges = tuple(edges)
+        return self if edges == self.circuit_edges else replace(self, circuit_edges=edges)
 
 
 class FoliationModel:
@@ -300,17 +301,15 @@ class _Workspace:
         gens.extend(extra_gens)
         self.x_inf_gens[target] = gens
         keep_vid = self.special_vertices[target]
-        rename = {c: target for c in comps}
-        for c in sorted(set(comps)):
-            if c == target:
-                continue
+        absorbed = set(comps) - {target}
+        for c in sorted(absorbed):
             dead = self.special_vertices.pop(c)
             for i, a in enumerate(self.graph.attachments):
                 if a.special_vertex == dead:
                     self.graph.attachments[i] = replace(a, special_vertex=keep_vid)
             self.graph.remove_vertex(dead)
         self.singular_entries = [
-            replace(leaf, component_ref=rename.get(leaf.component_ref, leaf.component_ref))
+            replace(leaf, component_ref=target) if leaf.component_ref in absorbed else leaf
             for leaf in self.singular_entries
         ]
         return target

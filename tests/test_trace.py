@@ -1,12 +1,16 @@
 from fractions import Fraction
-from math import gcd, sqrt
+from math import cos, gcd, sin, sqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from foliage import leaves
-from foliage.forms import BumpTerm, ClosedForm, bump_potential
-from foliage.leaves import _bump_sums, classify_leaf, trace_leaf
+from foliage.forms import BumpTerm, ClosedForm, FormError, bump_potential
+from foliage.leaves import TraceResult, _bump_sums, classify_leaf, trace_leaf
 from foliage.orbifold import (
+    AffineMap,
+    GroupAction,
+    OrbifoldPresentation,
     TorusPoint,
     orbit,
     pillowcase_presentation,
@@ -15,7 +19,7 @@ from foliage.orbifold import (
 )
 from foliage.scalar import SymbolTable
 
-from conftest import SQRT2, SQRT3
+from conftest import PI, SQRT2, SQRT3
 
 T = torus_presentation()
 S = shifted_torus_presentation()
@@ -182,8 +186,10 @@ class TestCompiledField:
         assert calls == [b.center for b in bumps]
 
     def test_four_field_evaluations_per_step(self, table, monkeypatch):
-        # _try_close evaluates the field only once a closure target is within
-        # capture, so the RK4 stages make nearly all of the calls
+        # this leaf crosses its support: steps that cannot reach it add the
+        # constant increment without a field call, steps that can run the
+        # four RK4 stages, and _try_close evaluates the field only once a
+        # closure target is within capture
         calls = []
 
         def counting_bump_sums(bumps, x, y):
@@ -230,3 +236,189 @@ class TestCompiledField:
         dy = (_bump_sums(compiled, float(x), float(y) + h)[0]
               - _bump_sums(compiled, float(x), float(y) - h)[0]) / (2 * h)
         assert abs(gx - dx) < 1e-6 and abs(gy - dy) < 1e-6
+
+
+def reference_trace(form, seed, step=0.01, max_steps=1_000_000, return_tol=1e-9,
+                    grid_eps=0.05, coverage_threshold=0.99, drift_tol=1e-6,
+                    collect_polyline=False):
+    """The tracer before it stepped straight off the bump supports: four
+    field evaluations on every step and a closure test after each one."""
+    a_num, b_num = float(form.linear[0]), float(form.linear[1])
+    bumps = [
+        (float(copy.theta), float(copy.phi), float(term.radius) ** 2, float(term.amplitude))
+        for term in form.bumps
+        for copy in orbit(term.center, form.orbifold)
+    ]
+
+    def field(x, y):
+        wx = a_num + 0.0
+        wy = b_num + 0.0
+        if bumps:
+            _, gx, gy = _bump_sums(bumps, x % 1.0, y % 1.0)
+            wx += gx
+            wy += gy
+        norm = (wx * wx + wy * wy) ** 0.5
+        if norm < 1e-8:
+            return None
+        return wy / norm, -wx / norm
+
+    def rk4(px, py, h):
+        k1 = field(px, py)
+        if k1 is None:
+            return None
+        k2 = field(px + 0.5 * h * k1[0], py + 0.5 * h * k1[1])
+        if k2 is None:
+            return None
+        k3 = field(px + 0.5 * h * k2[0], py + 0.5 * h * k2[1])
+        if k3 is None:
+            return None
+        k4 = field(px + h * k3[0], py + h * k3[1])
+        if k4 is None:
+            return None
+        return (
+            px + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            py + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+        )
+
+    def level(px, py):
+        value = a_num * px + b_num * py
+        if bumps:
+            value += _bump_sums(bumps, px % 1.0, py % 1.0)[0]
+        return value
+
+    sx, sy = float(seed.theta), float(seed.phi)
+    v0 = field(sx, sy)
+    if v0 is None:
+        return TraceResult("Inconclusive", reason="field degenerate at seed", steps=0)
+    targets = leaves._closure_targets(form, sx, sy, v0)
+    ncells = max(2, round(1.0 / grid_eps))
+    visited = [[False] * ncells for _ in range(ncells)]
+    visited[int(sx * ncells) % ncells][int(sy * ncells) % ncells] = True
+    marked = 1
+    total_cells = ncells * ncells
+    polyline = [(sx % 1.0, sy % 1.0)] if collect_polyline else None
+    stride = 1
+    px, py = sx, sy
+    level0 = level(px, py)
+    arc = 0.0
+    capture = 1.5 * step
+    for n in range(1, max_steps + 1):
+        nxt = rk4(px, py, step)
+        if nxt is None:
+            return TraceResult("Inconclusive", reason="field degenerate along trace", steps=n)
+        px, py = nxt
+        arc += step
+        if collect_polyline and n % stride == 0:
+            polyline.append((px % 1.0, py % 1.0))
+            if len(polyline) > 200_000:
+                del polyline[::2]
+                stride *= 2
+        cx, cy = int((px % 1.0) * ncells) % ncells, int((py % 1.0) * ncells) % ncells
+        if not visited[cx][cy]:
+            visited[cx][cy] = True
+            marked += 1
+        if arc > 3.0 * step:
+            hit = leaves._try_close(field, rk4, px, py, targets, capture, return_tol)
+            if hit is not None:
+                err, extra = hit
+                if abs(level(px, py) - level0) > drift_tol:
+                    return TraceResult("Inconclusive", reason="level drift exceeds tolerance", steps=n)
+                return TraceResult("Closed", return_error=err, period_length=arc + extra,
+                                   steps=n, polyline=polyline)
+        if n % 1024 == 0:
+            if abs(level(px, py) - level0) > drift_tol:
+                return TraceResult("Inconclusive", reason="level drift exceeds tolerance", steps=n)
+            if marked / total_cells >= coverage_threshold:
+                return TraceResult("DenseEvidence", coverage=marked / total_cells, steps=n,
+                                   polyline=polyline)
+    if marked / total_cells >= coverage_threshold:
+        return TraceResult("DenseEvidence", coverage=marked / total_cells, steps=max_steps,
+                           polyline=polyline)
+    return TraceResult("Inconclusive", reason="step budget exhausted",
+                       coverage=marked / total_cells, steps=max_steps, polyline=polyline)
+
+
+R4 = OrbifoldPresentation(GroupAction([
+    AffineMap.identity(),
+    AffineMap.of(((0, -1), (1, 0)), (0, 0)),
+    AffineMap.of(((-1, 0), (0, -1)), (0, 0)),
+    AffineMap.of(((0, 1), (-1, 0)), (0, 0)),
+]))
+GRID = st.integers(0, 63).map(lambda i: Fraction(i, 64))
+
+
+@st.composite
+def bumped_leaves(draw):
+    """A bumped form on one of four orbifolds, and a seed that lands inside,
+    at the edge of or away from the first support, so that many leaves cross
+    one; irrational slopes make the dense leaves."""
+    table = SymbolTable([("p", PI), ("q", SQRT2)])
+    orbifold = draw(st.sampled_from([T, S, Q, R4]))
+    if draw(st.booleans()):
+        linear = (table.symbol("p"), table.symbol("q"))
+    else:
+        m, n = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (2, -3), (4, 1)]))
+        linear = (table.rational(m), table.rational(n))
+    radius = Fraction(1, draw(st.sampled_from([16, 32, 64])))
+    bumps = tuple(
+        BumpTerm(TorusPoint(draw(GRID), draw(GRID)), radius,
+                 table.rational(Fraction(draw(st.sampled_from([1, -1])),
+                                         draw(st.sampled_from([200, 1000, 40000])))))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    try:
+        form = ClosedForm(linear, orbifold, bumps=bumps)
+    except FormError:
+        assume(False)
+    offset = draw(st.floats(0.0, 3.0)) * float(radius)
+    angle = draw(st.floats(0.0, 6.3))
+    x = (float(bumps[0].center.theta) + offset * cos(angle)) % 1.0
+    y = (float(bumps[0].center.phi) + offset * sin(angle)) % 1.0
+    seed = TorusPoint(Fraction(x).limit_denominator(10**6), Fraction(y).limit_denominator(10**6))
+    return form, seed, draw(st.sampled_from([0.002, 0.005, 0.01, 0.02]))
+
+
+class TestStraightSteps:
+    """Steps that cannot reach a support add one constant increment, and the
+    closure test runs only near a target; neither may change a byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bumped_leaves())
+    def test_matches_the_all_rk4_tracer(self, case):
+        form, seed, step = case
+        args = dict(step=step, max_steps=3000, return_tol=1e-6, collect_polyline=True)
+        fast, slow = trace_leaf(form, seed, **args), reference_trace(form, seed, **args)
+        assert (fast.verdict, fast.steps, fast.reason) == (slow.verdict, slow.steps, slow.reason)
+        for got, want in [(fast.period_length, slow.period_length),
+                          (fast.return_error, slow.return_error), (fast.coverage, slow.coverage)]:
+            assert (got is None and want is None) or got.hex() == want.hex()
+        assert fast.polyline == slow.polyline
+
+    def count(self, monkeypatch, name):
+        calls = []
+        original = getattr(leaves, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(leaves, name, counting)
+        return calls
+
+    def test_a_leaf_clear_of_its_support_rarely_evaluates_it(self, table, monkeypatch):
+        bump_sums = self.count(monkeypatch, "_bump_sums")
+        closures = self.count(monkeypatch, "_try_close")
+        bump = BumpTerm(TorusPoint(Fraction(5, 8), Fraction(5, 8)), Fraction(1, 16),
+                        table.rational(Fraction(1, 200)))
+        form = rational_form(table, 2, 3).with_bumps([bump])
+        result = trace_leaf(form, SEED, step=0.002, return_tol=1e-6)
+        assert (result.verdict, result.steps) == ("Closed", 1802)
+        assert len(bump_sums) <= result.steps / 10
+        assert len(closures) <= result.steps / 10
+
+    def test_a_dense_leaf_tests_closure_only_near_its_seed(self, table, monkeypatch):
+        closures = self.count(monkeypatch, "_try_close")
+        form = ClosedForm((table.rational(1), table.symbol("q")), T)
+        result = trace_leaf(form, SEED, step=0.01)
+        assert result.verdict == "DenseEvidence"
+        assert len(closures) <= result.steps / 10

@@ -1,11 +1,14 @@
 """Byte pins of `foliage trace` and the exact work a report may repeat.
 
 The sha256 digests were taken from the report (stdout) and the SVG of
-`foliage trace` before the trace path stopped redoing exact geometry; the
-bumped leaves cross their supports and the custom order-4 orbifold draws
-cone points, so a changed byte anywhere on that path fails here.
+`foliage trace` before the trace path stopped redoing exact geometry (the
+dense and coarse-step pins: before the tracer stepped straight off the bump
+supports); the bumped leaves cross their supports and the custom order-4
+orbifold draws cone points, so a changed byte anywhere on that path fails
+here.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import sys
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from foliage import forms, orbifold
+from foliage import forms, orbifold, surgery
 from foliage.cli import build_report, build_scenario, main, parse_scenario
 
 PLAIN_TORUS = """[symbols]
@@ -84,6 +87,42 @@ seed = 13/50, 0
 step = 0.002
 """
 
+DENSE_TORUS = """[symbols]
+p = 1.41421356237309504880168872420969807857
+q = 1.73205080756887729352744634150587236694
+
+[orbifold T]
+builtin = torus
+
+[form w]
+on = T
+dtheta = 1*p
+dphi = 1*q
+
+[tracer]
+seed = 1/8, 1/8
+step = 0.005
+"""
+
+# the step exceeds the bump's radius, so near the support the clearance
+# count is negative and the leaf steps across the support in one or two RK4
+# steps, and closes only after many turns
+COARSE_STEP_CROSSING = """[symbols]
+
+[orbifold T]
+builtin = torus
+
+[form w]
+on = T
+dtheta = 2
+dphi = 3
+bump = center 1/4 25/64 radius 1/64 amplitude 1/40000
+
+[tracer]
+seed = 1/8, 1/8
+step = 0.02
+"""
+
 PINS = [
     (
         "plain-torus",
@@ -109,7 +148,20 @@ PINS = [
         "7251d1b2340be15fdefacd96c51db8958d84018f63dfd1cbc8daf5a69b89d47f",
         "4234e8e38959597cefdfed3192b829522a4e7e73e7660166d397b58b8763f2b8",
     ),
+    (
+        "dense-torus",
+        DENSE_TORUS,
+        "0708055648b72be267d01c0924ce7ca254e9a3fd0b4047f2285ae50e1f7f3023",
+        "260798dd639ca06602d1df722505a3ccec3c0e26e9caf08c9cc5dd8c502affa1",
+    ),
+    (
+        "coarse-step-crossing",
+        COARSE_STEP_CROSSING,
+        "e8322b519d955a90d47a62fca763e45d733a45323f816ae426d6cd0dceddabd7",
+        "ad5fb6152e00746923aeb5cf90593ff5bc280661e61f97c8d40ffa145071e3cc",
+    ),
 ]
+VERDICTS = {"dense-torus": "DenseEvidence"}  # every other pinned leaf closes
 
 
 def sha256(text: str) -> str:
@@ -123,7 +175,7 @@ def test_trace_bytes_are_pinned(name, text, report_sha, svg_sha, tmp_path, capsy
     svg = tmp_path / f"{name}.svg"
     assert main(["trace", str(scenario), "--svg", str(svg)]) == 0
     report = capsys.readouterr().out
-    assert "trace verdict: Closed" in report
+    assert f"trace verdict: {VERDICTS.get(name, 'Closed')}" in report
     assert sha256(report) == report_sha
     assert sha256(svg.read_text(encoding="utf-8")) == svg_sha
 
@@ -176,3 +228,21 @@ def test_chain_build_reuses_loops_and_decides_invariance_once(monkeypatch):
     assert len(built.forms) == 9
     assert calls.count("fundamental_generators") == 0
     assert calls.count("invariant_subgroup") == 9
+
+
+def test_chain_build_copies_no_record_unchanged(monkeypatch):
+    # the benchmark's kind-C chain at n = 8: a side whose circuit stays the
+    # same, or a leaf whose component survives a merge, is kept, not copied
+    workloads = bench_workloads(monkeypatch)
+    text = workloads.chain_text("C", 8, workloads.sqrt_literal(2), workloads.sqrt_literal(3))
+    copies = []
+
+    def recording_replace(record, **changes):
+        copies.append((record, dataclasses.replace(record, **changes)))
+        return copies[-1][1]
+
+    monkeypatch.setattr(surgery, "replace", recording_replace)
+    built = build_scenario(parse_scenario(text))
+    assert "transitive: no" in build_report(built, "transitivity")
+    assert copies
+    assert [old for old, new in copies if new == old] == []
