@@ -690,21 +690,20 @@ def render_svg(polyline, presentation) -> str:
         f'viewBox="0 0 {size} {size}">',
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="white" stroke="black"/>',
     ]
-    if polyline:
-        runs: list[list[tuple[float, float]]] = [[]]
-        prev = None
-        for x, y in polyline:
-            if prev is not None and (abs(x - prev[0]) > 0.5 or abs(y - prev[1]) > 0.5):
-                runs.append([])
-            runs[-1].append((x, y))
-            prev = (x, y)
-        for run in runs:
-            if len(run) < 2:
-                continue
-            points = " ".join([f"{x * size:.2f},{(1.0 - y) * size:.2f}" for x, y in run])
-            parts.append(
-                f'<polyline points="{points}" fill="none" stroke="#1f6feb" stroke-width="1"/>'
-            )
+    polyline = polyline or []  # an inconclusive trace may carry none
+    # a leaf that wraps around the square starts a new run of the polyline
+    cuts = [
+        i
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(polyline, polyline[1:]), 1)
+        if abs(x1 - x0) > 0.5 or abs(y1 - y0) > 0.5
+    ]
+    for lo, hi in zip([0, *cuts], [*cuts, len(polyline)]):
+        if hi - lo < 2:
+            continue
+        points = " ".join(["%.2f,%.2f" % (x * size, (1.0 - y) * size) for x, y in polyline[lo:hi]])
+        parts.append(
+            f'<polyline points="{points}" fill="none" stroke="#1f6feb" stroke-width="1"/>'
+        )
     if presentation is not None:
         for p in presentation.singular_points_on_grid(denominator=8):
             x, y = float(p.theta), float(p.phi)

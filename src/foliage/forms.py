@@ -196,19 +196,33 @@ def zeros(form: ClosedForm) -> list[Zero]:
 
 
 def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
-    """Sum of segment line integrals: linear part in closed form over each
-    straight piece, bump terms as potential differences at the endpoints."""
+    """Line integral along a path: the linear part over the total cover
+    displacement, plus the bump potential's differences, which telescope.
+
+    The potential is Z^2-periodic and invariant under every isometric element
+    of the form's own orbifold, so it cancels across such arrows and over a
+    closed path.  Only the arrows it does not cancel across, and the two ends
+    of an open path, are evaluated.
+    """
     a, b = form.linear
-    copies = _bump_copies(form)
-    total = form.table.zero()
-    for seg in path.segments:
-        d_theta = seg[-1][0] - seg[0][0]
-        d_phi = seg[-1][1] - seg[0][1]
-        total = total + a * d_theta + b * d_phi
-        if copies:
-            end = _potential(form, copies, TorusPoint(seg[-1][0], seg[-1][1]))
-            start = _potential(form, copies, TorusPoint(seg[0][0], seg[0][1]))
-            total = total + end - start
+    segs = path.segments
+    total = a * sum(s[-1][0] - s[0][0] for s in segs) + b * sum(s[-1][1] - s[0][1] for s in segs)
+    if not form.bumps:
+        return total
+    elements = form.orbifold.action.elements
+    on_form = path.presentation is form.orbifold
+    jumps = [
+        (seg[-1], nxt[0])
+        for seg, nxt, g in zip(segs, segs[1:], path.arrows)
+        if not (on_form and elements[g].is_orthogonal())
+    ]
+    if not path.is_loop():
+        jumps.append((segs[-1][-1], segs[0][0]))
+    if jumps:
+        copies = _bump_copies(form)
+        for end, start in jumps:
+            total = total + _potential(form, copies, TorusPoint(*end))
+            total = total - _potential(form, copies, TorusPoint(*start))
     return total
 
 

@@ -243,7 +243,9 @@ class GPath:
         return _reduce(self.segments[-1][-1])
 
     def is_loop(self) -> bool:
-        return self.start == self.end
+        """Whether the path ends where it starts: its cover displacement is integral."""
+        (x0, y0), (x1, y1) = self.segments[0][0], self.segments[-1][-1]
+        return (x1 - x0).denominator == 1 and (y1 - y0).denominator == 1
 
     def reverse(self) -> "GPath":
         action = self.presentation.action

@@ -67,6 +67,24 @@ def close_up(rng, pres, start, n_segments):
     return GPath.of(pres, segments, path.arrows)
 
 
+def cyclic_presentation(matrix, offset=(0, 0)):
+    """The cyclic group one affine map generates, as a presentation, listed
+    by powers of the generator."""
+    from foliage.orbifold import AffineMap, GroupAction, OrbifoldPresentation
+
+    g = AffineMap.of(matrix, offset)
+    elements = [AffineMap.identity()]
+    while (h := g.compose(elements[-1])) != elements[0]:
+        elements.append(h)
+    return OrbifoldPresentation(GroupAction(elements))
+
+
+# the order-6 rotations of the hexagonal lattice, generated by the element
+# line `0 -1 1 1`; of its six elements only the identity and the half-turn
+# are isometries of the square torus
+HEXAGONAL_MATRIX = ((0, -1), (1, 1))
+
+
 def random_connected_digraphs(rng, count, table=None):
     from foliage.graph import digraph_from_arcs
     from foliage.scalar import SymbolTable

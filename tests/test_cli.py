@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from foliage import cli
 from foliage.catalog import SCENARIOS
@@ -17,6 +17,7 @@ from foliage.cli import (
     build_scenario,
     main,
     parse_scenario,
+    render_svg,
     run,
     run_examples,
     serialize_scenario,
@@ -113,6 +114,62 @@ class TestCommands:
         assert "declared-basic override active" in report
         assert "criterion: transitivity" in report
         assert "== decomposition ==" in report
+
+
+def reference_polylines(polyline, size=512):
+    """Reference for the `<polyline>` elements of `render_svg`: split the
+    points into runs point by point, then format each coordinate alone."""
+    parts = []
+    if polyline:
+        runs = [[]]
+        prev = None
+        for x, y in polyline:
+            if prev is not None and (abs(x - prev[0]) > 0.5 or abs(y - prev[1]) > 0.5):
+                runs.append([])
+            runs[-1].append((x, y))
+            prev = (x, y)
+        for run in runs:
+            if len(run) < 2:
+                continue
+            points = " ".join([f"{x * size:.2f},{(1.0 - y) * size:.2f}" for x, y in run])
+            parts.append(
+                f'<polyline points="{points}" fill="none" stroke="#1f6feb" stroke-width="1"/>'
+            )
+    return parts
+
+
+unit_floats = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def torus_walks(draw):
+    """Points of a walk on the unit square taken mod 1, so it wraps in one or
+    both coordinates, with jumps that leave runs of a single point."""
+    x, y = draw(unit_floats), draw(unit_floats)
+    points = []
+    for _ in range(draw(st.integers(0, 40))):
+        points.append((x, y))
+        if draw(st.integers(0, 5)) == 0:
+            x, y = draw(unit_floats), draw(unit_floats)
+        else:
+            x = (x + draw(st.floats(-0.2, 0.2))) % 1.0
+            y = (y + draw(st.floats(-0.2, 0.2))) % 1.0
+    return points
+
+
+class TestRenderSvg:
+    @given(polyline=torus_walks())
+    @example(polyline=[])
+    @example(polyline=[(0.25, 0.75)])
+    @example(polyline=[(0.95, 0.5), (0.05, 0.52), (0.1, 0.54)])  # wraps in theta
+    @example(polyline=[(0.5, 0.02), (0.52, 0.97), (0.7, 0.1)])  # wraps in phi, one-point runs
+    @example(polyline=[(0.98, 0.99), (0.01, 0.02), (0.03, 0.04)])  # wraps in both
+    def test_polylines_match_the_point_by_point_reference(self, polyline):
+        lines = render_svg(polyline, None).splitlines()
+        assert lines[2:-1] == reference_polylines(polyline)
+
+    def test_a_trace_without_a_polyline_draws_none(self):
+        assert render_svg(None, None) == render_svg([], None)
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from foliage.forms import (
     BumpDominatesError,
@@ -10,6 +10,8 @@ from foliage.forms import (
     ClosedForm,
     FormError,
     NotBasicError,
+    _bump_copies,
+    _potential,
     _torus_dist2,
     bump_potential,
     check_basic,
@@ -25,14 +27,25 @@ from foliage.orbifold import (
     concat,
     fundamental_generators,
     pillowcase_presentation,
+    shifted_torus_presentation,
     torus_presentation,
 )
 from foliage.scalar import SymbolTable, q_rank
 
-from conftest import PI, SQRT2, close_up, random_gpath, random_rational
+from conftest import (
+    HEXAGONAL_MATRIX,
+    PI,
+    SQRT2,
+    close_up,
+    cyclic_presentation,
+    random_gpath,
+    random_rational,
+)
 
 T = torus_presentation()
 Q = pillowcase_presentation()
+S = shifted_torus_presentation()
+H = cyclic_presentation(HEXAGONAL_MATRIX)
 
 
 def make_table():
@@ -166,6 +179,68 @@ class TestPathIntegral:
         assert g_path_integral(form, roundtrip).is_zero()
 
 
+
+
+def reference_path_integral(form, path):
+    """Differential oracle for `g_path_integral`: the per-segment sum, with
+    the bump potential evaluated at both ends of every segment."""
+    a, b = form.linear
+    copies = _bump_copies(form)
+    total = form.table.zero()
+    for seg in path.segments:
+        d_theta = seg[-1][0] - seg[0][0]
+        d_phi = seg[-1][1] - seg[0][1]
+        total = total + a * d_theta + b * d_phi
+        if copies:
+            end = _potential(form, copies, TorusPoint(seg[-1][0], seg[-1][1]))
+            start = _potential(form, copies, TorusPoint(seg[0][0], seg[0][1]))
+            total = total + end - start
+    return total
+
+
+class TestTelescopedPathIntegral:
+    """Bump potentials telescope across isometric arrows and over loops; the
+    per-segment sum is the reference.  The hexagonal action has arrows that
+    are not isometries.  On a pillowcase path, the arrow 1 of a shifted-torus
+    form is the half-turn, not the form's half shift, so it keeps its term."""
+
+    CASES = [(T, T), (Q, Q), (S, S), (H, H), (S, Q)]  # (form's orbifold, path's)
+    IDS = ["torus", "pillowcase", "shifted_torus", "hexagonal", "shifted-form-pillowcase-path"]
+
+    @staticmethod
+    def bumped_form(rng, form_pres, path):
+        """p dtheta + q dphi with bumps centred just off the path's ends and
+        junctions, so the potentials there are nonzero and differ across a
+        non-isometric arrow; a bump whose orbit copies would overlap is left out."""
+        table = SymbolTable([("p", PI), ("q", SQRT2)])
+        form = ClosedForm((table.symbol("p"), table.symbol("q")), form_pres, basic_override=True)
+        corners = [path.segments[0][0]] + [seg[-1] for seg in path.segments]
+        for x, y in rng.sample(corners, min(3, len(corners))):
+            radius = rng.choice([Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)])
+            nudge = (rng.choice([-1, 1]) * radius / rng.randint(2, 5), radius / rng.randint(2, 5))
+            bump = BumpTerm(
+                TorusPoint(x + nudge[0], y + nudge[1]),
+                radius,
+                table.rational(Fraction(rng.randint(1, 9), rng.choice([200, 400, 1000]))),
+            )
+            try:
+                form = form.with_bumps([bump])
+            except FormError:
+                continue
+        return form
+
+    @pytest.mark.parametrize("form_pres, path_pres", CASES, ids=IDS)
+    @settings(deadline=None)
+    @given(rng=st.randoms(use_true_random=False), loop=st.booleans())
+    def test_equals_the_per_segment_sum(self, form_pres, path_pres, rng, loop):
+        start = (random_rational(rng), random_rational(rng))
+        n_segments = rng.randint(1, 3)
+        if loop:
+            path = close_up(rng, path_pres, start, n_segments)
+        else:
+            path, _ = random_gpath(rng, path_pres, start, n_segments)
+        form = self.bumped_form(rng, form_pres, path)
+        assert g_path_integral(form, path) == reference_path_integral(form, path)
 
 
 class TestPeriodHomomorphism:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from foliage.orbifold import (
     AffineMap,
@@ -18,9 +19,18 @@ from foliage.orbifold import (
     torus_presentation,
 )
 
+from conftest import (
+    HEXAGONAL_MATRIX,
+    close_up,
+    cyclic_presentation,
+    random_gpath,
+    random_rational,
+)
+
 Q = pillowcase_presentation()
 T = torus_presentation()
 S = shifted_torus_presentation()
+H = cyclic_presentation(HEXAGONAL_MATRIX)
 
 
 class TestPoints:
@@ -94,15 +104,6 @@ class TestOrbits:
         assert total == n * n
 
 
-def cyclic_presentation(matrix, offset=(0, 0)):
-    """The cyclic group one affine map generates, as a presentation."""
-    g = AffineMap.of(matrix, offset)
-    elements = [AffineMap.identity()]
-    while (h := g.compose(elements[-1])) != elements[0]:
-        elements.append(h)
-    return OrbifoldPresentation(GroupAction(elements))
-
-
 class TestSingularGrid:
     """singular_points_on_grid decides fixed points by an integer test; the
     isotropy_order scan over the same grid is its reference."""
@@ -170,6 +171,18 @@ class TestPaths:
         b = GPath.of(T, [[(Fraction(1, 4), 0), (1, 0)]])
         with pytest.raises(OrbifoldError):
             concat(a, b)
+
+    @pytest.mark.parametrize(
+        "pres", [T, Q, S, H], ids=["torus", "pillowcase", "shifted_torus", "hexagonal"]
+    )
+    @given(rng=st.randoms(use_true_random=False), close=st.booleans())
+    def test_is_loop_agrees_with_the_reduced_ends(self, pres, rng, close):
+        start = (random_rational(rng), random_rational(rng))
+        if close:
+            path = close_up(rng, pres, start, rng.randint(1, 3))
+        else:
+            path, _ = random_gpath(rng, pres, start, rng.randint(1, 3))
+        assert path.is_loop() == (path.start == path.end)
 
     def test_reverse_inverts_arrows(self):
         gens = fundamental_generators(Q)

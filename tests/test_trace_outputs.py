@@ -5,7 +5,8 @@ The sha256 digests were taken from the report (stdout) and the SVG of
 dense and coarse-step pins: before the tracer stepped straight off the bump
 supports); the bumped leaves cross their supports and the custom order-4
 orbifold draws cone points, so a changed byte anywhere on that path fails
-here.
+here.  The hexagonal pins, of the `periods` and `transitivity` reports, were
+taken before the bump potentials began to telescope along loops.
 """
 
 import dataclasses
@@ -205,6 +206,52 @@ def test_report_integrates_no_path(monkeypatch):
     report = build_report(built, "periods")
     assert "w: a = 1, b = 2, k1 = -3/4; rank 1" in report
     assert calls == []
+
+
+def test_bumps_on_isometric_orbifolds_evaluate_no_potential(monkeypatch):
+    # a bump term is exact and invariant under Z^2 and the orbifold's
+    # isometries, so on the pillowcase and the shifted torus it drops out of
+    # every period without being evaluated
+    calls = []
+    count_calls(monkeypatch, calls, forms, "_potential")
+    for text in (BUMPED_PILLOWCASE, TWO_BUMP_SHIFTED_TORUS):
+        build_scenario(parse_scenario(text))
+    assert calls == []
+
+
+# the order-6 hexagonal action: M^1, M^2, M^4 and M^5 are not isometries of
+# the square torus, so the bump next to the basepoint enters k2 and k5
+HEXAGONAL_BUMPED = """[symbols]
+
+[orbifold H]
+element = 0 -1 1 1 ; 0 0
+element = -1 -1 1 0 ; 0 0
+element = -1 0 0 -1 ; 0 0
+element = 0 1 -1 -1 ; 0 0
+element = 1 1 -1 0 ; 0 0
+
+[form w]
+on = H
+dtheta = 1
+dphi = 2
+basic_override = true
+bump = center 17/128 1/8 radius 1/64 amplitude 1/400
+"""
+
+HEXAGONAL_PINS = {
+    "periods": "2d0d1cd6b26896e98ce7923555c84b53ae399bcd6cc035de459c561369145187",
+    "transitivity": "679bea79ad69b87f4a19ff5f91cf330d4de3edcf106ab87a6e7432bddca033d9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HEXAGONAL_PINS))
+def test_bump_periods_on_a_non_isometric_action_are_pinned(command, tmp_path, capsys):
+    scenario = tmp_path / "hexagonal.scn"
+    scenario.write_text(HEXAGONAL_BUMPED)
+    assert main([command, str(scenario)]) == 0
+    report = capsys.readouterr().out
+    assert "k2 = -7693/20480" in report and "k5 = -7693/20480" in report
+    assert sha256(report) == HEXAGONAL_PINS[command]
 
 
 def bench_workloads(monkeypatch):
