@@ -846,8 +846,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.scenario in builtin_catalog.SCENARIOS:
                 text = builtin_catalog.SCENARIOS[args.scenario]
             else:
-                with open(args.scenario, encoding="utf-8") as fh:
-                    text = fh.read()
+                try:
+                    with open(args.scenario, encoding="utf-8") as fh:
+                        text = fh.read()
+                except UnicodeDecodeError as err:
+                    raise ScenarioError(
+                        f"{args.scenario}: not UTF-8 text (byte {err.start}: {err.reason})"
+                    ) from None
             built = build_scenario(parse_scenario(text))
         options = {}
         if args.seed:

@@ -89,11 +89,47 @@ class FoliationGraph:
         return e.eid
 
     def attach(self, zero_vertex: int, special_vertex: int, mode: str = "both") -> None:
+        self._check_attachment(zero_vertex, special_vertex)
+        self.attachments.append(Attachment(zero_vertex, special_vertex, mode))
+
+    def _check_attachment(self, zero_vertex: int, special_vertex: int) -> None:
         if self.vertices[zero_vertex].kind not in (ZERO, TERMINAL):
             raise GraphError("attachments start at zero vertices")
         if self.vertices[special_vertex].kind != SPECIAL:
             raise GraphError("attachments end at special vertices")
-        self.attachments.append(Attachment(zero_vertex, special_vertex, mode))
+
+    def absorb(self, other: "FoliationGraph") -> tuple[dict[int, int], dict[int, int]]:
+        """Copy another graph in, renumbered in sorted-id order after this
+        graph's items; returns the vertex and the edge id maps.
+
+        Records whose ids do not move are shared, not rebuilt.  Attachment
+        kinds are checked as attach() checks them; edge weights are not
+        re-signed here, since validate() checks every edge of a model graph.
+        """
+        vmap: dict[int, int] = {}
+        for vid in sorted(other.vertices):
+            v = other.vertices[vid]
+            new = vmap[vid] = self._next_vid
+            self.vertices[new] = v if new == vid else Vertex(new, v.kind, v.ref)
+            self._next_vid += 1
+        emap: dict[int, int] = {}
+        for eid in sorted(other.edges):
+            e = other.edges[eid]
+            new = emap[eid] = self._next_eid
+            src, dst = vmap.get(e.src), vmap.get(e.dst)
+            if src is None or dst is None:
+                raise GraphError("edge endpoints must exist")
+            if (new, src, dst) != (eid, e.src, e.dst):
+                e = Edge(new, src, dst, e.weight, e.family, e.side, e.span)
+            self.edges[new] = e
+            self._next_eid += 1
+        for a in other.attachments:
+            zv, sv = vmap[a.zero_vertex], vmap[a.special_vertex]
+            self._check_attachment(zv, sv)
+            if (zv, sv) != (a.zero_vertex, a.special_vertex):
+                a = Attachment(zv, sv, a.mode)
+            self.attachments.append(a)
+        return vmap, emap
 
     def remove_edge(self, eid: int) -> Edge:
         return self.edges.pop(eid)

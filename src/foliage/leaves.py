@@ -10,6 +10,7 @@ independent oracle for the exact classifier (and draws pictures).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
@@ -34,7 +35,6 @@ class LeafClass:
     kind: str
     zeros: tuple[str, ...] = ()
     components: tuple[tuple[str, bool], ...] = ()  # (component id, compact?)
-    representative: object = None  # TorusPoint or a patch locus string
     family: Optional[str] = None  # graph edge / special vertex the class maps to
     component_ref: Optional[str] = None  # hosting noncompact component, if any
 
@@ -50,11 +50,33 @@ class LeafClass:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """The checked split of a catalog.  The restricted ranks are computed on
+    first read from the stored periods and kept; the computation is pure, so
+    a decomposition shared between threads reads the same ranks in each.
+    The flags are derived from the kept ranks at each read."""
+
     x_c: frozenset[str]
     x_inf_components: tuple[tuple[str, frozenset[str]], ...]
     boundary: tuple[tuple[str, str], ...]  # (leaf id, compact component id)
-    restricted_ranks: tuple[tuple[str, Optional[int]], ...]
-    flags: tuple[str, ...] = ()
+    # the generator periods of each noncompact component, sorted by id
+    component_periods: tuple[tuple[str, tuple[sc.SymScalar, ...]], ...]
+
+    @cached_property
+    def restricted_ranks(self) -> tuple[tuple[str, Optional[int]], ...]:
+        return tuple(
+            (cid, sc.q_rank(periods) if periods else None)
+            for cid, periods in self.component_periods
+        )
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        flags = []
+        for cid, rank in self.restricted_ranks:
+            if rank is None:
+                flags.append(f"component {cid}: no generator loops survive; rank unavailable")
+            elif rank <= 1:
+                flags.append(f"component {cid}: restricted rank {rank} is not > 1")
+        return tuple(flags)
 
 
 # -- the linear layer -----------------------------------------------------------
@@ -130,7 +152,6 @@ def classify_leaf(form: ClosedForm, presentation: OrbifoldPresentation, x: Torus
     return LeafClass(
         leaf_id=f"leaf({x.theta},{x.phi})",
         kind=kind,
-        representative=x,
         family="e0" if structure.compact else "s0",
     )
 
@@ -171,19 +192,6 @@ def decompose(model) -> Decomposition:
         if compact
     )
 
-    flags = []
-    ranks = []
-    for cid in sorted(comp_sets):
-        gens = model.x_inf_gens[cid]
-        if not gens:
-            flags.append(f"component {cid}: no generator loops survive; rank unavailable")
-            ranks.append((cid, None))
-            continue
-        rank = sc.q_rank([p for _, p in gens])
-        ranks.append((cid, rank))
-        if rank <= 1:
-            flags.append(f"component {cid}: restricted rank {rank} is not > 1")
-
     covered = set(x_c)
     for s in comp_sets.values():
         if covered & s:
@@ -196,8 +204,9 @@ def decompose(model) -> Decomposition:
         x_c=x_c,
         x_inf_components=tuple((cid, frozenset(comp_sets[cid])) for cid in sorted(comp_sets)),
         boundary=boundary,
-        restricted_ranks=tuple(ranks),
-        flags=tuple(flags),
+        component_periods=tuple(
+            (cid, tuple(p for _, p in model.x_inf_gens[cid])) for cid in sorted(comp_sets)
+        ),
     )
 
 

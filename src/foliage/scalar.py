@@ -328,11 +328,12 @@ class Lattice:
     """The Z-lattice spanned by scalars of one table, kept as one HNF.
 
     Denominators are cleared once, at construction; every later question is a
-    reduction against the same Hermite normal form.
+    reduction against the same Hermite normal form.  Repeated generators span
+    nothing new, so they are dropped before the reduction.
     """
 
     def __init__(self, generators: Iterable[SymScalar]):
-        gens = [g for g in generators if not g.is_zero()]
+        gens = [g for g in dict.fromkeys(generators) if not g.is_zero()]
         for g in gens[1:]:
             gens[0]._check(g)
         self.table = gens[0].table if gens else None

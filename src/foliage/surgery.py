@@ -112,23 +112,11 @@ class FoliationModel:
     def _build_catalog(self) -> list[LeafClass]:
         entries = []
         for eid in sorted(self.graph.edges):
-            e = self.graph.edges[eid]
-            rep = None
-            if e.span is not None:
-                rep = f"levels ({e.span[0].render()}, {e.span[1].render()}) on {e.side}"
-            entries.append(
-                LeafClass(leaf_id=e.family, kind=COMPACT_REGULAR, representative=rep,
-                          family=e.family)
-            )
+            family = self.graph.edges[eid].family
+            entries.append(LeafClass(leaf_id=family, kind=COMPACT_REGULAR, family=family))
         for comp in sorted(self.x_inf_gens):
             entries.append(
-                LeafClass(
-                    leaf_id=comp,
-                    kind=NONCOMPACT_REGULAR,
-                    representative=f"noncompact component {comp}",
-                    family=comp,
-                    component_ref=comp,
-                )
+                LeafClass(leaf_id=comp, kind=NONCOMPACT_REGULAR, family=comp, component_ref=comp)
             )
         entries.extend(self.singular_entries)
         return entries
@@ -260,20 +248,10 @@ class _Workspace:
         self.notes: list[str] = []
         self.edge_map: dict[tuple[str, int], int] = {}
         for role, model in (("left", left), ("right", right)):
-            vmap: dict[int, int] = {}
-            for vid in sorted(model.graph.vertices):
-                v = model.graph.vertices[vid]
-                vmap[vid] = self.graph.add_vertex(v.kind, v.ref)
-            for eid in sorted(model.graph.edges):
-                e = model.graph.edges[eid]
-                self.edge_map[(role, eid)] = self.graph.add_edge(
-                    vmap[e.src], vmap[e.dst], e.weight, e.family, e.side, e.span
-                )
-            for a in model.graph.attachments:
-                self.graph.attach(vmap[a.zero_vertex], vmap[a.special_vertex], a.mode)
+            vmap, emap = self.graph.absorb(model.graph)
+            self.edge_map.update(((role, eid), new) for eid, new in emap.items())
             for s in model.sides:
-                circuit = tuple(self.edge_map[(role, eid)] for eid in s.circuit_edges)
-                self.sides.append(s.with_circuit(circuit))
+                self.sides.append(s.with_circuit(emap[eid] for eid in s.circuit_edges))
             self.zeros.extend(model.zeros)
             for comp, gens in model.x_inf_gens.items():
                 self.x_inf_gens[comp] = list(gens)
@@ -325,14 +303,13 @@ class _Workspace:
     def register_zero(self, zid: str, level: sc.SymScalar, side_id: str) -> None:
         self.zeros.append(Zero(zid, side_id, index=1, isotropy_order=1, level=level))
 
-    def add_singular_leaf(self, suffix: str, kind: str, zeros, comps, level, ref) -> None:
+    def add_singular_leaf(self, suffix: str, kind: str, zeros, comps, ref) -> None:
         self.singular_entries.append(
             LeafClass(
                 leaf_id=f"{self.spec.name}.leaf_{suffix}",
                 kind=kind,
                 zeros=tuple(zeros),
                 components=tuple(comps),
-                representative=f"singular leaf at level {level.render()}",
                 component_ref=ref,
             )
         )
@@ -553,9 +530,9 @@ def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
     zx, zy = f"{spec.name}.x", f"{spec.name}.y"
     ws.register_zero(zx, lx, left.side_id)
     ws.register_zero(zy, ly, right.side_id)
-    for zid, level in ((zx, lx), (zy, ly)):
+    for zid in (zx, zy):
         comps = [(f"{zid}.{n}", flag) for n, flag in compact_comps + noncompact_comps]
-        ws.add_singular_leaf(zid.rsplit(".", 1)[1], leaf_kind, (zid,), comps, level, comp_ref)
+        ws.add_singular_leaf(zid.rsplit(".", 1)[1], leaf_kind, (zid,), comps, comp_ref)
 
     generic = True
     if comp_ref is not None:
@@ -616,7 +593,7 @@ def _apply_pinch(
             comps.append((f"{zid}.rays@{site.component}", False))
             kind, ref = NONCOMPACT_SINGULAR, site.component
         ws.register_zero(zid, level, site.side_id)
-        ws.add_singular_leaf(zid.rsplit(".", 1)[1], kind, (zid,), comps, level, ref)
+        ws.add_singular_leaf(zid.rsplit(".", 1)[1], kind, (zid,), comps, ref)
     ws.add_tube_side()
 
 
@@ -669,7 +646,7 @@ def _apply_C(ws: _Workspace, left: _Site, right: _Site) -> bool:
     ws.register_zero(zy, ly, right.side_id)
     ws.add_tube_side()
     kind = NONCOMPACT_SINGULAR if refs else COMPACT_SINGULAR
-    ws.add_singular_leaf("xy", kind, (zx, zy), comps, lx, sorted(refs)[0] if refs else None)
+    ws.add_singular_leaf("xy", kind, (zx, zy), comps, sorted(refs)[0] if refs else None)
     return False  # two zeros on one leaf: never generic
 
 
@@ -750,12 +727,27 @@ def _levels_admissible(levels: list[sc.SymScalar], lattice: sc.Lattice) -> bool:
 
 
 def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> FoliationModel:
-    if model.spec is None:
-        return model
-    spec = model.spec
-    left = _rebuild_with_shifts(spec.left, shifts)
-    right = _rebuild_with_shifts(spec.right, shifts)
-    table = model.table
+    """Rebuild the surgery tree under model with shifted tube levels, inputs
+    before their join and left before right.  The walk keeps its own stack,
+    so a chain of any length rebuilds without recursing."""
+    rebuilt: list[FoliationModel] = []
+    todo: list[tuple[FoliationModel, bool]] = [(model, False)]
+    while todo:
+        node, inputs_done = todo.pop()
+        if node.spec is None:
+            rebuilt.append(node)
+        elif not inputs_done:
+            todo += [(node, True), (node.spec.right, False), (node.spec.left, False)]
+        else:
+            right = rebuilt.pop()
+            left = rebuilt.pop()
+            rebuilt.append(_rejoin(node.spec, left, right, shifts))
+    return rebuilt.pop()
+
+
+def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction]) -> FoliationModel:
+    """One join of the tree, redone over its rebuilt inputs at shifted levels."""
+    table = left.table
     sx = table.rational(shifts.get(f"{spec.name}.x", Fraction(0)))
     sy = table.rational(shifts.get(f"{spec.name}.y", Fraction(0)))
     new_levels = (spec.tube_levels[0] + sx, spec.tube_levels[1] + sy)

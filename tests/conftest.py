@@ -67,6 +67,29 @@ def close_up(rng, pres, start, n_segments):
     return GPath.of(pres, segments, path.arrows)
 
 
+def surgery_chain(kind, n):
+    """n + 1 dense pillowcase forms joined in sequence by surgeries of one kind
+    through the noncompact components; kind C puts both tube levels at
+    i/(4n+8), kind A at i/(4n+8) : (i+1)/(4n+8), and kind B pinches at
+    1/2 + i/(4n+8) in the left window [1/2, 1] and at i/(4n+8) in the right
+    window [0, 1/2]."""
+    out = ["[symbols]", f"p = {PI}", f"q = {SQRT2}"]
+    for i in range(n + 1):
+        out += [f"[orbifold Q{i}]", "builtin = pillowcase", f"[form w{i}]", f"on = Q{i}",
+                "dtheta = 1*p", "dphi = 1*q", "basic_override = true"]
+    d = 4 * n + 8
+    for i in range(1, n + 1):
+        out += [f"[surgery s{i}]", f"kind = {kind}", f"left = {'w0' if i == 1 else f's{i - 1}'}",
+                f"right = w{i}", "left_region = w0.inf", f"right_region = w{i}.inf"]
+        if kind == "B":
+            out += ["left_window = 1/2 : 1", "right_window = 0 : 1/2",
+                    f"tube = {i + d // 2}/{d} : {i}/{d}"]
+        else:
+            out += ["left_window = 0 : 1", "right_window = 0 : 1",
+                    f"tube = {i}/{d} : {i + (kind == 'A')}/{d}"]
+    return "\n".join(out) + "\n"
+
+
 def cyclic_presentation(matrix, offset=(0, 0)):
     """The cyclic group one affine map generates, as a presentation, listed
     by powers of the generator."""

@@ -386,6 +386,14 @@ class TestEntryPoint:
     def test_missing_file_exit_two(self):
         assert main(["periods", "/nonexistent/path.scn"]) == 2
 
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.scn"
+        path.write_bytes(b"\xff\xfe\x00garbage\x80")
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and "not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_dot_file_written(self, tmp_path, capsys):
         out = tmp_path / "g.dot"
         assert main(["graph", "pillowcase-ex1", "--dot", str(out)]) == 0

@@ -321,6 +321,16 @@ class TestLatticeReduction:
         if shape == "member":
             assert value in Lattice(gens)
 
+    @given(case=lattice_cases(), data=st.data())
+    def test_repeated_and_shuffled_generators_reduce_alike(self, case, data):
+        gens, v, ks = case
+        repeats = data.draw(st.lists(st.integers(1, 3), min_size=len(gens), max_size=len(gens)))
+        repeated = [g for g, k in zip(gens, repeats) for _ in range(k)]
+        shuffled = data.draw(st.permutations(repeated))
+        distinct, padded = Lattice(gens), Lattice(shuffled)
+        for value in [v, v + _combination(gens, ks, v.table), *gens]:
+            assert padded.reduce(value) == distinct.reduce(value)
+
     def test_generators_from_two_tables_are_rejected(self):
         with pytest.raises(sc.MixedTableError):
             Lattice([TABLE.symbol("p"), make_table().symbol("p")])

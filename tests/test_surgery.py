@@ -1,3 +1,8 @@
+import hashlib
+import inspect
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +11,7 @@ from foliage import scalar, surgery
 from foliage.catalog import SCENARIOS
 from foliage.cli import build_report, build_scenario, parse_scenario
 from foliage.forms import ClosedForm
-from foliage.graph import factorization_witness
+from foliage.graph import FoliationGraph, factorization_witness
 from foliage.orbifold import pillowcase_presentation, torus_presentation
 from foliage.surgery import (
     ModelError,
@@ -20,7 +25,7 @@ from foliage.surgery import (
     verdicts,
 )
 
-from conftest import PI, SQRT2, build_catalog_model
+from conftest import PI, SQRT2, build_catalog_model, surgery_chain
 
 
 def r(table, value):
@@ -334,23 +339,6 @@ class TestDerivedCases:
         assert factorization_witness(model) is not None
 
 
-def surgery_chain(kind, n):
-    """n + 1 dense pillowcase forms joined in sequence by surgeries of one kind
-    through the noncompact components; kind C puts both tube levels at
-    i/(4n+8), kind A at i/(4n+8) : (i+1)/(4n+8)."""
-    out = ["[symbols]", f"p = {PI}", f"q = {SQRT2}"]
-    for i in range(n + 1):
-        out += [f"[orbifold Q{i}]", "builtin = pillowcase", f"[form w{i}]", f"on = Q{i}",
-                "dtheta = 1*p", "dphi = 1*q", "basic_override = true"]
-    d = 4 * n + 8
-    for i in range(1, n + 1):
-        out += [f"[surgery s{i}]", f"kind = {kind}", f"left = {'w0' if i == 1 else f's{i - 1}'}",
-                f"right = w{i}", "left_region = w0.inf", f"right_region = w{i}.inf",
-                "left_window = 0 : 1", "right_window = 0 : 1",
-                f"tube = {i}/{d} : {i + (kind == 'A')}/{d}"]
-    return "\n".join(out) + "\n"
-
-
 def _counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -398,3 +386,219 @@ class TestVerdictsDecidedOnce:
         report = build_report(built, "surgery")
         assert calls == []
         assert "transitive: yes" in report
+
+
+def reference_copy(spec):
+    """The per-item copy a join made before FoliationGraph.absorb: every
+    vertex, edge and attachment of both inputs re-added one call at a time,
+    in sorted-id order.  Kept as the oracle of the bulk copy."""
+    graph = FoliationGraph()
+    edge_map, specials, sides = {}, {}, []
+    for role, model in (("left", spec.left), ("right", spec.right)):
+        vmap = {}
+        for vid in sorted(model.graph.vertices):
+            v = model.graph.vertices[vid]
+            vmap[vid] = graph.add_vertex(v.kind, v.ref)
+        for eid in sorted(model.graph.edges):
+            e = model.graph.edges[eid]
+            edge_map[(role, eid)] = graph.add_edge(
+                vmap[e.src], vmap[e.dst], e.weight, e.family, e.side, e.span
+            )
+        for a in model.graph.attachments:
+            graph.attach(vmap[a.zero_vertex], vmap[a.special_vertex], a.mode)
+        for side in model.sides:
+            sides.append(side.with_circuit(edge_map[(role, eid)] for eid in side.circuit_edges))
+        for comp, vid in model.special_vertices.items():
+            specials[comp] = vmap[vid]
+    return graph, edge_map, specials, sides
+
+
+def _checking_joins(monkeypatch):
+    """Check every join's copy of its inputs against reference_copy; returns
+    the list of left inputs seen, which fills as joins run."""
+    lefts = []
+
+    class CheckedWorkspace(surgery._Workspace):
+        def __init__(self, spec):
+            super().__init__(spec)
+            graph, edge_map, specials, sides = reference_copy(spec)
+            assert list(self.graph.vertices.items()) == list(graph.vertices.items())
+            assert list(self.graph.edges.items()) == list(graph.edges.items())
+            assert self.graph.attachments == graph.attachments
+            assert (self.graph._next_vid, self.graph._next_eid) == (graph._next_vid, graph._next_eid)
+            assert self.edge_map == edge_map
+            assert self.special_vertices == specials
+            assert self.sides == sides
+            lefts.append(spec.left)
+
+    monkeypatch.setattr(surgery, "_Workspace", CheckedWorkspace)
+    return lefts
+
+
+def _has_gaps(ids):
+    return sorted(ids) != list(range(len(ids)))
+
+
+MIXED_COMPACT_CHAIN = "[symbols]\n\n[orbifold T]\nbuiltin = torus\n" + "".join(
+    f"\n[form w{i}]\non = T\ndtheta = 1\ndphi = 0\n" for i in range(5)
+) + "".join(
+    f"\n[surgery s{i}]\nkind = {kind}\nleft = {left}\nright = w{i}\nleft_region = {region}\n"
+    f"right_region = w{i}.f0\nleft_window = {lw}\nright_window = {rw}\ntube = {tube}\n"
+    for i, kind, left, region, lw, rw, tube in [
+        (1, "C", "w0", "w0.f0", "1/8 : 3/8", "1/8 : 3/8", "1/4 : 1/4"),
+        (2, "C", "s1", "w1.f0:1", "3/8 : 5/8", "3/8 : 5/8", "1/2 : 1/2"),
+        (3, "B", "s2", "w2.f0:1", "5/8 : 3/4", "1/8 : 1/4", "11/16 : 3/16"),
+        (4, "A", "s3", "w3.f0:1", "1/4 : 1/2", "1/4 : 1/2", "5/16 : 7/16"),
+    ]
+)
+
+
+class TestBulkCopy:
+    """A join copies its inputs as the per-item loop did, id for id."""
+
+    @pytest.mark.parametrize("kind", ["A", "B", "C"])
+    def test_chain_joins_match_the_per_item_copy(self, monkeypatch, kind):
+        lefts = _checking_joins(monkeypatch)
+        built = build_scenario(parse_scenario(surgery_chain(kind, 6)))
+        build_report(built, "surgery")
+        assert len(lefts) >= 6
+        if kind == "A":
+            # each kind-A join merges a noncompact component: vertex ids gap
+            assert any(_has_gaps(m.graph.vertices) for m in lefts)
+
+    def test_catalog_joins_match_the_per_item_copy(self, monkeypatch):
+        lefts = _checking_joins(monkeypatch)
+        for name in sorted(SCENARIOS):
+            build_report(build_scenario(parse_scenario(SCENARIOS[name])), "surgery")
+        assert len(lefts) >= 4
+
+    def test_left_models_after_cut_edges_match_the_per_item_copy(self, monkeypatch):
+        lefts = _checking_joins(monkeypatch)
+        built = build_scenario(parse_scenario(MIXED_COMPACT_CHAIN))
+        report = build_report(built, "surgery")
+        assert any(_has_gaps(m.graph.edges) for m in lefts)
+        # captured with the per-item copy
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "79303165423888c4f4690f57befaa16c6e6af248f65b97f741c39268794151fc"
+        )
+
+    def test_records_whose_ids_stay_are_shared(self):
+        model = build_scenario(parse_scenario(surgery_chain("C", 2))).final
+        graph = FoliationGraph()
+        vmap, emap = graph.absorb(model.graph)
+        assert vmap == {v: v for v in model.graph.vertices}
+        assert all(graph.vertices[v] is model.graph.vertices[v] for v in vmap)
+        assert all(a is b for a, b in zip(graph.attachments, model.graph.attachments))
+        # a second copy moves every id, so every record is rebuilt
+        vmap, emap = graph.absorb(model.graph)
+        assert all(graph.vertices[new] is not model.graph.vertices[old]
+                   for old, new in vmap.items())
+
+    def test_absorb_keeps_the_attachment_kind_checks(self):
+        graph = FoliationGraph()
+        z = graph.add_vertex("Zero")
+        s = graph.add_vertex("Special")
+        graph.attach(z, s)
+        # a forged attachment that starts at the special vertex
+        graph.attachments[0] = replace(graph.attachments[0], zero_vertex=s)
+        with pytest.raises(scalar.FoliageError, match="attachments start at zero vertices"):
+            FoliationGraph().absorb(graph)
+
+    # sha256 of the surgery and graph reports and of the DOT, captured
+    # with the per-item copy
+    PINS = {
+        ("C", "surgery"): "853c48e77e215db576768830edff96563c7df2a747969a92b0fa406bd5e51833",
+        ("C", "graph"): "4a39246cd48b6e4702e3bf40072fe519fb8bbf89500cf374d725a567eb5ec26f",
+        ("C", "dot"): "f2d17f79e2e276e889f7f77e8a5a0ce4655aa370cca658baee7187c87f030ae4",
+        ("A", "surgery"): "c108ba16b22b32fe238b35296f186e58e0f0307ed98fe2862f34b0b14c8acdda",
+        ("A", "graph"): "18113db42663a136f7ce69b41250f8498fb30d9a7f304ddf716ce524a5ad1445",
+        ("A", "dot"): "80ee89b8509c722d39aa8e03a047e8dacb4a908ad74d1fb7f03b53340737b570",
+    }
+
+    @pytest.mark.parametrize("kind", ["C", "A"])
+    def test_chain_outputs_are_pinned(self, kind):
+        built = build_scenario(parse_scenario(surgery_chain(kind, 16)))
+        outputs = {
+            "surgery": build_report(built, "surgery"),
+            "graph": build_report(built, "graph"),
+            "dot": built.final.graph.to_dot(),
+        }
+        for what, text in outputs.items():
+            assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[(kind, what)], what
+
+
+class TestJoinCost:
+    """A join does only the work its inputs need; every check still runs."""
+
+    def test_building_a_kind_c_chain_ranks_each_form_once(self, monkeypatch):
+        calls = _counting(monkeypatch, scalar, "q_rank")
+        build_scenario(parse_scenario(surgery_chain("C", 8)))
+        assert len(calls) == 9
+
+    def test_a_kind_a_chain_reduces_only_distinct_periods(self, monkeypatch):
+        calls = _counting(monkeypatch, scalar, "hermite_normal_form")
+        built = build_scenario(parse_scenario(surgery_chain("A", 16)))
+        assert "transitive: yes" in build_report(built, "surgery")
+        assert calls and max(len(rows) for (rows,) in calls) == 3
+
+    def test_every_model_built_is_decomposed_once(self, monkeypatch):
+        decomposed = _counting(monkeypatch, surgery, "decompose")
+        constructed = []
+        real_init = surgery.FoliationModel.__init__
+
+        def counted_init(self, *args, **kwargs):
+            constructed.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(surgery.FoliationModel, "__init__", counted_init)
+        n = 8
+        built = build_scenario(parse_scenario(surgery_chain("C", n)))
+        build_report(built, "surgery")
+        # n + 1 forms, n joins and n rejoins of the genericized companion
+        assert len(constructed) == 3 * n + 1
+        assert [m for (m,) in decomposed] == constructed
+
+    def test_decomposition_checks_reach_intermediate_models(self, monkeypatch):
+        # a catalog fault planted in the first join's output stops the chain
+        real = surgery._finalize
+
+        def faulty(ws, is_generic):
+            if ws.spec.name == "s1":
+                ws.singular_entries.append(ws.singular_entries[0])
+            return real(ws, is_generic)
+
+        monkeypatch.setattr(surgery, "_finalize", faulty)
+        with pytest.raises(scalar.FoliageError, match="duplicate leaf ids"):
+            build_scenario(parse_scenario(surgery_chain("C", 4)))
+
+    def test_ranks_read_from_threads_agree(self):
+        model = build_scenario(parse_scenario(surgery_chain("C", 8))).final
+        d = model.decomposition
+        assert "restricted_ranks" not in vars(d)  # not read yet
+
+        def read(_):
+            return d.restricted_ranks, d.flags
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(read, range(4)))
+        finally:
+            sys.setswitchinterval(saved)
+        assert answers == [answers[0]] * 4
+        ranks, flags = answers[0]
+        assert ranks == tuple((cid, 2) for cid, _ in d.x_inf_components)
+        assert flags == ()
+
+
+class TestLongChains:
+    def test_a_long_kind_c_chain_reports_without_recursing(self):
+        text = surgery_chain("C", 150)
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            report = build_report(build_scenario(parse_scenario(text)), "transitivity")
+        finally:
+            sys.setrecursionlimit(saved)
+        assert "transitive: no" in report
