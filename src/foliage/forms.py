@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from . import scalar as sc
@@ -65,7 +67,24 @@ class Zero:
 
 
 @dataclass(frozen=True)
+class LinearStructure:
+    """Exact shape of the foliation of a zero-free linear (+ bump) form."""
+
+    rank: int
+    compact: bool
+    direction: Optional[tuple[int, int]]  # primitive leaf direction on the cover
+    content: Optional[sc.SymScalar]  # positive transverse period of the cover circle
+    quotient_order: int  # collapsing of the leaf circle by the invariant subgroup
+    circumference: Optional[sc.SymScalar]  # content / quotient_order
+    invariant_elements: tuple[int, ...]
+    reduced: bool  # some group elements do not preserve the form
+
+
+@dataclass(frozen=True)
 class ClosedForm:
+    """A closed 1-form on an orbifold; its invariant elements and structure
+    are computed on first read and then kept."""
+
     linear: tuple[sc.SymScalar, sc.SymScalar]
     orbifold: OrbifoldPresentation
     bumps: tuple[BumpTerm, ...] = ()
@@ -92,6 +111,47 @@ class ClosedForm:
             self,
             linear=(a * c, b * c),
             bumps=tuple(replace(t, amplitude=t.amplitude * c) for t in self.bumps),
+        )
+
+    @cached_property
+    def invariant_elements(self) -> tuple[int, ...]:
+        """Indices of the group elements whose pullback preserves the form."""
+        return tuple(invariant_subgroup(self))
+
+    @cached_property
+    def structure(self) -> LinearStructure:
+        """Rank, compactness and leaf circle of the foliation; raises what
+        `zeros` raises."""
+        zeros(self)
+        a, b = self.linear
+        keep = self.invariant_elements
+        reduced = not invariance_verdict(self)
+        rank = sc.q_rank([a, b])
+        if rank >= 2:
+            return LinearStructure(rank, False, None, None, 1, None, keep, reduced)
+        # (a, b) = (m*t, n*t) with m, n coprime integers and t symbolic
+        if a.is_zero():
+            content, (m, n) = b, (0, 1)
+        else:
+            r = b.ratio_to(a)  # rank 1: b is a rational multiple of a
+            content, (m, n) = a / r.denominator, (r.denominator, r.numerator)
+        if sc.sign(content) < 0:
+            content, (m, n) = -content, (-m, -n)
+        # each invariant element rotates the leaf circle by the level of its
+        # offset (its linear part fixes the level functional); the rotations
+        # form a cyclic group whose order is the lcm of their denominators
+        elements = self.orbifold.action.elements
+        order = lcm(*((m * elements[i].offset[0] + n * elements[i].offset[1]).denominator
+                      for i in keep))
+        return LinearStructure(
+            rank=1,
+            compact=True,
+            direction=(n, -m),
+            content=content,
+            quotient_order=order,
+            circumference=content / order,
+            invariant_elements=keep,
+            reduced=reduced,
         )
 
 
@@ -153,13 +213,11 @@ def check_basic(form: ClosedForm) -> bool:
     acts by (integer) isometries.  A declared override makes the verdict true
     and is recorded separately by reports.
     """
-    if form.basic_override:
-        return True
-    return invariance_verdict(form)
+    return form.basic_override or invariance_verdict(form)
 
 
 def invariance_verdict(form: ClosedForm) -> bool:
-    return len(invariant_subgroup(form)) == len(form.orbifold.action)
+    return len(form.invariant_elements) == len(form.orbifold.action)
 
 
 def _pullback_linear(g: AffineMap, a: sc.SymScalar, b: sc.SymScalar):
@@ -168,7 +226,8 @@ def _pullback_linear(g: AffineMap, a: sc.SymScalar, b: sc.SymScalar):
 
 
 def invariant_subgroup(form: ClosedForm) -> list[int]:
-    """Indices of group elements whose pullback preserves the form exactly."""
+    """Indices of group elements whose pullback preserves the form exactly
+    (callers read it once kept, as `ClosedForm.invariant_elements`)."""
     a, b = form.linear
     keep = []
     for i, g in enumerate(form.orbifold.action.elements):
@@ -179,7 +238,8 @@ def invariant_subgroup(form: ClosedForm) -> list[int]:
 
 def zeros(form: ClosedForm) -> list[Zero]:
     """The linear + bump layer is zero-free under the nondominance condition
-    |amplitude| * sup|h'| < |(a, b)|, decided exactly in squared form."""
+    |amplitude| * sup|h'| < |(a, b)|, decided exactly in squared form.  Only
+    `ClosedForm.structure` calls it, once per form, before deciding anything."""
     a, b = form.linear
     if a.is_zero() and b.is_zero():
         raise FormError("the zero form has no foliation")
@@ -189,7 +249,7 @@ def zeros(form: ClosedForm) -> list[Zero]:
         # whose square is 64 * 6^6 / 7^7 / R^2
         if term.amplitude.value() ** 2 * Fraction(64 * 6**6, 7**7) >= term.radius**2 * norm2:
             raise BumpDominatesError(
-                f"bump at {term.center} dominates the linear part; "
+                f"bump at center {term.center.theta} {term.center.phi} dominates the linear part; "
                 "the perturbation regime is violated"
             )
     return []
@@ -205,10 +265,11 @@ def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
     of an open path, are evaluated.
     """
     a, b = form.linear
-    segs = path.segments
-    total = a * sum(s[-1][0] - s[0][0] for s in segs) + b * sum(s[-1][1] - s[0][1] for s in segs)
+    dx, dy = path.displacement
+    total = a * dx + b * dy
     if not form.bumps:
         return total
+    segs = path.segments
     elements = form.orbifold.action.elements
     on_form = path.presentation is form.orbifold
     jumps = [

@@ -1,21 +1,21 @@
 """Leaf classification, the compact/noncompact decomposition, and a tracer.
 
-The linear layer is decided exactly: leaves of a*dtheta + b*dphi close up
-iff (a, b) is Q-dependent, and the leaf space of a compact layer is a circle
-whose total transverse measure is computed in the symbolic field.  The
-numeric tracer integrates the kernel direction field and serves as an
-independent oracle for the exact classifier (and draws pictures).
+The linear layer is decided exactly, once per form (`ClosedForm.structure`):
+leaves of a*dtheta + b*dphi close up iff (a, b) is Q-dependent, and the leaf
+space of a compact layer is a circle whose total transverse measure is
+computed in the symbolic field.  The numeric tracer integrates the kernel
+direction field and serves as an independent oracle for the exact
+classifier (and draws pictures).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from typing import Optional
 
 from . import scalar as sc
-from .forms import ClosedForm, invariant_subgroup, zeros as form_layer_zeros
+from .forms import ClosedForm, LinearStructure
 from .orbifold import OrbifoldPresentation, TorusPoint, orbit
 
 
@@ -82,72 +82,14 @@ class Decomposition:
 # -- the linear layer -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearStructure:
-    """Exact shape of the foliation of a zero-free linear (+ bump) form."""
-
-    rank: int
-    compact: bool
-    direction: Optional[tuple[int, int]]  # primitive leaf direction on the cover
-    content: Optional[sc.SymScalar]  # positive transverse period of the cover circle
-    quotient_order: int  # collapsing of the leaf circle by the invariant subgroup
-    circumference: Optional[sc.SymScalar]  # content / quotient_order
-    invariant_elements: tuple[int, ...]
-    reduced: bool  # some group elements do not preserve the form
-
-
 def linear_structure(form: ClosedForm) -> LinearStructure:
-    form_layer_zeros(form)  # rejects the zero form and enforces nondominance
-    a, b = form.linear
-    keep = tuple(invariant_subgroup(form))
-    reduced = len(keep) < len(form.orbifold.action.elements)
-    rank = sc.q_rank([a, b])
-    if rank >= 2:
-        return LinearStructure(rank, False, None, None, 1, None, keep, reduced)
-    content, (m, n) = _content_and_multipliers(a, b)
-    if sc.sign(content) < 0:
-        content, (m, n) = -content, (-m, -n)
-    order = _leaf_circle_quotient_order(form, keep, m, n)
-    return LinearStructure(
-        rank=1,
-        compact=True,
-        direction=(n, -m),
-        content=content,
-        quotient_order=order,
-        circumference=content / order,
-        invariant_elements=keep,
-        reduced=reduced,
-    )
-
-
-def _content_and_multipliers(a: sc.SymScalar, b: sc.SymScalar):
-    """Write (a, b) = (m*t, n*t) with m, n coprime integers and t symbolic."""
-    if a.is_zero():
-        return b, (0, 1)
-    if b.is_zero():
-        return a, (1, 0)
-    r = b.ratio_to(a)
-    if r is None:
-        raise LeafError("coefficients are Q-independent; no rational direction")
-    return a / r.denominator, (r.denominator, r.numerator)
-
-
-def _leaf_circle_quotient_order(form: ClosedForm, keep, m: int, n: int) -> int:
-    """Order of the rotation subgroup the invariant elements induce on the
-    leaf circle.  Linear parts contribute nothing (their pullback fixes the
-    level functional), so only the translation offsets matter."""
-    order = 1
-    for i in keep:
-        g = form.orbifold.action.elements[i]
-        shift = m * g.offset[0] + n * g.offset[1]
-        frac = shift - (shift.numerator // shift.denominator)
-        order = lcm(order, frac.denominator)
-    return order
+    """The form's structure, decided once and kept (`ClosedForm.structure`)."""
+    return form.structure
 
 
 def classify_leaf(form: ClosedForm, presentation: OrbifoldPresentation, x: TorusPoint) -> LeafClass:
     """Classify the leaf through a point of a zero-free (virgin) form."""
-    structure = linear_structure(form)
+    structure = form.structure
     kind = COMPACT_REGULAR if structure.compact else NONCOMPACT_REGULAR
     return LeafClass(
         leaf_id=f"leaf({x.theta},{x.phi})",
@@ -464,7 +406,7 @@ def _closure_targets(form, sx, sy, v0):
     """Seed translates under the form-preserving subgroup, with the pushed
     leaf direction at each; returning to any of them closes the quotient leaf."""
     targets = []
-    for i in invariant_subgroup(form):
+    for i in form.invariant_elements:
         g = form.orbifold.action.elements[i]
         (m00, m01), (m10, m11) = g.matrix
         tx = (m00 * sx + m01 * sy + float(g.offset[0])) % 1.0

@@ -212,11 +212,19 @@ class GPath:
     ``segments[k]`` is a waypoint list in the universal cover; ``arrows[k]``
     is the group element index carrying the end of segment k to the start of
     segment k+1.  Junction compatibility is exact and checked on creation.
+    ``displacement`` is the segments' summed cover displacement, kept from
+    creation.
     """
 
     presentation: OrbifoldPresentation
     segments: tuple[tuple[CoverPoint, ...], ...]
     arrows: tuple[int, ...]
+    displacement: CoverPoint = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        segs = self.segments
+        object.__setattr__(self, "displacement", (sum(s[-1][0] - s[0][0] for s in segs),
+                                                  sum(s[-1][1] - s[0][1] for s in segs)))
 
     @staticmethod
     def of(presentation, segments: Sequence[Sequence], arrows: Sequence[int] = ()) -> "GPath":

@@ -183,13 +183,16 @@ class SymScalar:
         return tuple(self.coefficient(i) for i in range(len(self.table)))
 
     def ratio_to(self, other: "SymScalar") -> Fraction | None:
-        """The rational r with self == r*other, or None if no such r exists."""
+        """The rational r with self == r*other, or None if no such r exists,
+        decided on the trimmed integer rows by cross-multiplying."""
         self._check(other)
-        if other.is_zero():
+        if other.is_zero() or len(self.nums) != len(other.nums):
             return Fraction(0) if self.is_zero() else None
-        i0 = next(i for i, x in enumerate(other.nums) if x)
-        r = self.coefficient(i0) / other.coefficient(i0)
-        return r if self == other * r else None
+        i0 = next(i for i, y in enumerate(other.nums) if y)
+        s0, o0 = self.nums[i0], other.nums[i0]
+        if any(x * o0 != s0 * y for x, y in zip(self.nums, other.nums)):
+            return None
+        return Fraction(s0 * other.den, self.den * o0)
 
     # -- rendering ----------------------------------------------------------
 

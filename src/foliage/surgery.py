@@ -38,7 +38,6 @@ from .leaves import (
     Decomposition,
     LeafClass,
     decompose,
-    linear_structure,
 )
 
 
@@ -145,7 +144,7 @@ class FoliationModel:
 def analyze(form: ClosedForm, name: str) -> FoliationModel:
     """Build the model of a zero-free linear (+ bumps) form on its orbifold."""
     notes = []
-    structure = linear_structure(form)
+    structure = form.structure
     if structure.reduced:
         if not form.basic_override:
             raise NotBasicError(

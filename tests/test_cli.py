@@ -394,6 +394,18 @@ class TestEntryPoint:
         assert err.startswith("scenario error: ") and "not UTF-8" in err
         assert "Traceback" not in err
 
+    def test_dominating_bump_exit_two_names_the_centre_as_written(self, tmp_path, capsys):
+        path = tmp_path / "dominating.scn"
+        path.write_text(
+            "[symbols]\n\n[orbifold T]\nbuiltin = torus\n\n"
+            "[form w]\non = T\ndtheta = 1\ndphi = 0\n"
+            "bump = center 0 3/8 radius 1/8 amplitude 100\n"
+        )
+        assert main(["periods", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: bump at center 0 3/8 dominates the linear part")
+        assert "Fraction(" not in err and "Traceback" not in err
+
     def test_dot_file_written(self, tmp_path, capsys):
         out = tmp_path / "g.dot"
         assert main(["graph", "pillowcase-ex1", "--dot", str(out)]) == 0

@@ -1,4 +1,8 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,7 +34,9 @@ from foliage.orbifold import (
     shifted_torus_presentation,
     torus_presentation,
 )
+from foliage.leaves import classify_leaf, linear_structure
 from foliage.scalar import SymbolTable, q_rank
+from foliage.surgery import analyze
 
 from conftest import (
     HEXAGONAL_MATRIX,
@@ -342,3 +348,53 @@ class TestRank:
         form = ClosedForm((table.symbol("p"), table.symbol("q")), Q, basic_override=True)
         vals = [v for _, v in periods(form)]
         assert q_rank(vals) == 2
+
+
+class TestKeptStructure:
+    """A form decides its invariant elements and its structure on first read
+    and keeps them; only the structure enforces nondominance."""
+
+    def test_threads_racing_on_the_first_read_get_equal_records(self, table):
+        p = table.symbol("p")
+        form = ClosedForm((p * 2, p * 3), Q, bumps=(small_bump(table),), basic_override=True)
+        start = threading.Barrier(4)
+
+        def first_read(_):
+            start.wait(timeout=30)
+            return form.structure, form.invariant_elements
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                records = list(pool.map(first_read, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(saved)
+        fresh = replace(form)
+        assert records == [(fresh.structure, fresh.invariant_elements)] * 4
+        assert records[0][0].reduced and records[0][1] == (0,)
+
+    @staticmethod
+    def structure_reads(form):
+        """Every entry point that decides the structure, each read twice
+        (a structure that raised is not kept)."""
+        reads = [lambda: form.structure, lambda: linear_structure(form),
+                 lambda: classify_leaf(form, form.orbifold, TorusPoint(0, 0)),
+                 lambda: analyze(form, "w")]
+        return reads * 2
+
+    def test_a_dominating_bump_raises_from_the_structure_only(self, table):
+        big = small_bump(table, amplitude=10)
+        form = ClosedForm((table.rational(1), table.zero()), T, bumps=(big,))
+        assert check_basic(form) is True and invariance_verdict(form) is True
+        assert periods(form) == [("a", table.rational(1)), ("b", table.zero())]
+        for read in self.structure_reads(form):
+            with pytest.raises(BumpDominatesError, match=r"^bump at center 1/4 1/8 dominates"):
+                read()
+
+    def test_the_zero_form_raises_from_the_structure_only(self, table):
+        form = ClosedForm((table.zero(), table.zero()), Q)
+        assert check_basic(form) is True and form.invariant_elements == (0, 1)
+        for read in self.structure_reads(form):
+            with pytest.raises(FormError, match="the zero form has no foliation"):
+                read()

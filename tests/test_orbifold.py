@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foliage.orbifold import (
+    BUILTIN_ORBIFOLDS,
     AffineMap,
     GPath,
     GroupAction,
@@ -190,3 +191,35 @@ class TestPaths:
         rev = k1.loop.reverse()
         assert rev.is_loop()
         assert len(rev.arrows) == len(k1.loop.arrows)
+
+
+def step_sum(path):
+    """The cover displacement summed step by step over every waypoint pair."""
+    steps = [(q[0] - p[0], q[1] - p[1]) for seg in path.segments for p, q in zip(seg, seg[1:])]
+    return (sum(dx for dx, _ in steps), sum(dy for _, dy in steps))
+
+
+class TestDisplacement:
+    PRESENTATIONS = [*BUILTIN_ORBIFOLDS.values(), H]
+    IDS = [*BUILTIN_ORBIFOLDS, "hexagonal"]
+
+    @pytest.mark.parametrize("pres", PRESENTATIONS, ids=IDS)
+    def test_every_generator_loop_keeps_its_step_sum(self, pres):
+        assert len(pres.generators) == len(pres.action) + 1
+        for g in pres.generators:
+            assert g.loop.displacement == step_sum(g.loop)
+
+    @pytest.mark.parametrize("pres", PRESENTATIONS, ids=IDS)
+    @given(rng=st.randoms(use_true_random=False), close=st.booleans())
+    def test_reversed_and_concatenated_paths_keep_their_step_sums(self, pres, rng, close):
+        start = (random_rational(rng), random_rational(rng))
+        if close:
+            path = close_up(rng, pres, start, rng.randint(1, 3))
+        else:
+            path, _ = random_gpath(rng, pres, start, rng.randint(1, 3))
+        rev = path.reverse()
+        dx, dy = path.displacement
+        assert path.displacement == step_sum(path)
+        assert rev.displacement == step_sum(rev) == (-dx, -dy)
+        for joined in (concat(path, rev), concat(rev, path)):
+            assert joined.displacement == step_sum(joined) == (0, 0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from foliage import scalar as sc
 from foliage.scalar import (
@@ -536,6 +536,50 @@ class TestAgainstTheFractionCore:
             assert (a + s).value() == as_ref(a + s).value()
         assert q_rank(before + [s]) == ref_q_rank([as_ref(a) for a in before + [s]]) == 3
         assert Lattice(before).reduce(s * Fraction(1, 2)) == s * Fraction(1, 2)
+
+
+def fraction_ratio_to(a, b):
+    """The Fraction definition of `ratio_to` from before it cross-multiplied
+    integer rows: divide at b's first nonzero coefficient, then check."""
+    if b.is_zero():
+        return Fraction(0) if a.is_zero() else None
+    i0 = next(i for i, x in enumerate(b.nums) if x)
+    r = a.coefficient(i0) / b.coefficient(i0)
+    return r if a == b * r else None
+
+
+@st.composite
+def ratio_pairs(draw):
+    """(a, b) over TABLE with signed numerators, rows of 0 to 4 entries and
+    their own denominators; a is drawn free, or as b times a rational (zero
+    included), or as b times a rational plus one perturbed coefficient."""
+    rows = st.lists(st.integers(-30, 30), max_size=len(TABLE))
+    b = sc.SymScalar(TABLE, draw(rows), draw(st.integers(1, 36)))
+    how = draw(st.sampled_from(["free", "multiple", "perturbed"]))
+    if how == "free":
+        return sc.SymScalar(TABLE, draw(rows), draw(st.integers(1, 36))), b
+    a = b * draw(rationals)
+    if how == "perturbed":
+        a = a + TABLE.symbol(draw(st.sampled_from(["one", "p", "q", "r"])), draw(rationals))
+    return a, b
+
+
+class TestRatioAgainstTheFractionDefinition:
+    @given(pair=ratio_pairs())
+    @example(pair=(TABLE.zero(), TABLE.zero()))
+    @example(pair=(TABLE.zero(), TABLE.symbol("q", Fraction(-3, 4))))
+    @example(pair=(TABLE.symbol("p", Fraction(2, 3)), TABLE.zero()))
+    @example(pair=(TABLE.rational(2), TABLE.rational(2) + TABLE.symbol("r", 5)))
+    @example(pair=(TABLE.rational(2) + TABLE.symbol("r", 5), TABLE.rational(2)))
+    @example(pair=(TABLE.symbol("q", Fraction(-5, 6)) + TABLE.rational(Fraction(1, 4)),
+                   TABLE.symbol("q", Fraction(10, 9)) - TABLE.rational(Fraction(1, 3))))
+    def test_integer_ratio_equals_the_fraction_ratio(self, pair):
+        a, b = pair
+        r = a.ratio_to(b)
+        assert r == fraction_ratio_to(a, b)
+        assert type(r) in (Fraction, type(None))
+        if r is not None:
+            assert a == b * r
 
 
 class TestTableSharedAcrossThreads:

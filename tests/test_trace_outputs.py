@@ -6,7 +6,9 @@ dense and coarse-step pins: before the tracer stepped straight off the bump
 supports); the bumped leaves cross their supports and the custom order-4
 orbifold draws cone points, so a changed byte anywhere on that path fails
 here.  The hexagonal pins, of the `periods` and `transitivity` reports, were
-taken before the bump potentials began to telescope along loops.
+taken before the bump potentials began to telescope along loops.  The first
+round of each bench workload is replayed against the digests captured with
+the benchmark, so a changed report byte fails here as well as in the bench.
 """
 
 import dataclasses
@@ -17,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from foliage import forms, orbifold, surgery
-from foliage.cli import build_report, build_scenario, main, parse_scenario
+from foliage import catalog, forms, orbifold, surgery
+from foliage.cli import build_report, build_scenario, main, parse_scenario, run
 
 PLAIN_TORUS = """[symbols]
 
@@ -254,9 +256,10 @@ def test_bump_periods_on_a_non_isometric_action_are_pinned(command, tmp_path, ca
     assert sha256(report) == HEXAGONAL_PINS[command]
 
 
-def bench_workloads(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def bench_module(monkeypatch, name: str):
+    """bench/<name>.py, loaded for this test only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
@@ -266,7 +269,7 @@ def bench_workloads(monkeypatch):
 def test_chain_build_reuses_loops_and_decides_invariance_once(monkeypatch):
     # the benchmark's kind-C chain at n = 8: nine forms on built-in
     # pillowcases, whose loops were built at import
-    workloads = bench_workloads(monkeypatch)
+    workloads = bench_module(monkeypatch, "workloads")
     text = workloads.chain_text("C", 8, workloads.sqrt_literal(2), workloads.sqrt_literal(3))
     calls = []
     count_calls(monkeypatch, calls, orbifold, "fundamental_generators")
@@ -275,12 +278,56 @@ def test_chain_build_reuses_loops_and_decides_invariance_once(monkeypatch):
     assert len(built.forms) == 9
     assert calls.count("fundamental_generators") == 0
     assert calls.count("invariant_subgroup") == 9
+    # the report's basicness section reads the verdicts the build decided
+    assert "transitive: no" in build_report(built, "surgery")
+    assert calls.count("invariant_subgroup") == 9
+
+
+BUMPED_TORUS = """[symbols]
+
+[orbifold T]
+builtin = torus
+
+[form w]
+on = T
+dtheta = 1
+dphi = 2
+bump = center 1/4 3/8 radius 1/16 amplitude 1/200
+
+[tracer]
+seed = 1/100, 0
+step = 0.002
+"""
+
+ZERO_FREE_CATALOG = sorted(
+    name for name, text in catalog.SCENARIOS.items() if not parse_scenario(text).surgeries
+)
+
+
+def test_a_trace_op_decides_invariance_once(monkeypatch):
+    # analyze, the basicness section and the tracer's closure targets all
+    # read the invariant elements the form kept
+    calls = []
+    count_calls(monkeypatch, calls, forms, "invariant_subgroup")
+    built = build_scenario(parse_scenario(BUMPED_TORUS))
+    report, _, code = run("trace", built, {})
+    assert code == 0 and "trace verdict: Closed" in report
+    assert calls == ["invariant_subgroup"]
+
+
+@pytest.mark.parametrize("name", ZERO_FREE_CATALOG)
+def test_a_periods_report_decides_invariance_once_per_form(monkeypatch, name):
+    calls = []
+    count_calls(monkeypatch, calls, forms, "invariant_subgroup")
+    built = build_scenario(parse_scenario(catalog.SCENARIOS[name]))
+    build_report(built, "periods")
+    assert len(calls) == len(built.forms) == 1
 
 
 def test_chain_build_copies_no_record_unchanged(monkeypatch):
     # the benchmark's kind-C chain at n = 8: a side whose circuit stays the
     # same, or a leaf whose component survives a merge, is kept, not copied
-    workloads = bench_workloads(monkeypatch)
+    workloads = bench_module(monkeypatch, "workloads")
     text = workloads.chain_text("C", 8, workloads.sqrt_literal(2), workloads.sqrt_literal(3))
     copies = []
 
@@ -293,3 +340,22 @@ def test_chain_build_copies_no_record_unchanged(monkeypatch):
     assert "transitive: no" in build_report(built, "transitivity")
     assert copies
     assert [old for old, new in copies if new == old] == []
+
+
+@pytest.mark.parametrize("workload", ["catalog", "chains", "trace"])
+def test_the_first_bench_round_matches_its_digests(monkeypatch, workload):
+    # each operation as bench/run.py executes it, checked by bench/checks.py
+    # against the digests captured with the benchmark
+    workloads = bench_module(monkeypatch, "workloads")
+    checks = bench_module(monkeypatch, "checks")
+    digests = checks.load_digests()[workload]
+    ops = workloads.first_round(workload, workloads.DEFAULT_SEED)
+    assert len(ops) == len(digests)
+    for op in ops:
+        built = build_scenario(parse_scenario(op.text))
+        if op.command == "trace":
+            report, artifacts, code = run("trace", built, {})
+            outcome = checks.Outcome(report, artifacts.get("svg", ""), code, built)
+        else:
+            outcome = checks.Outcome(build_report(built, op.command), built=built)
+        assert checks.check(op, outcome, digests[op.index]) == [], (op.round, op.index)
