@@ -58,7 +58,7 @@ class ScenarioError(FoliageError):
 
 # -- declaration data ---------------------------------------------------------------
 
-Expr = tuple[tuple[str, Fraction], ...]  # ((symbol name, coefficient), ...) sorted
+Expr = tuple[tuple[str, int | Fraction], ...]  # ((symbol name, coefficient), ...) sorted
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,26 @@ class Scenario:
 # -- parsing ----------------------------------------------------------------------
 
 
-def _parse_rational(text: str, line: int) -> Fraction:
+def _parse_rational(text: str, line: int) -> int | Fraction:
+    """The rational a scenario writes.  ASCII ``-?digits(/digits)?`` is read
+    with int; any other text goes through Fraction, which decides what else is
+    accepted (decimals, exponents, ``+``, underscores, other digits)."""
+    word = text.strip()
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+        if word.isascii():
+            num, slash, den = word.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+                if not slash:
+                    return int(num)
+                if den.strip("0"):
+                    return Fraction(int(num), int(den))
+        return Fraction(word)
+    except (ValueError, ZeroDivisionError):  # int() refuses over-long digit strings too
         raise ScenarioError(f"bad rational {text!r}", line) from None
 
 
 def _parse_expr(text: str, names: set[str], line: int) -> Expr:
-    coeffs: dict[str, Fraction] = {}
+    coeffs: dict[str, int | Fraction] = {}
     for raw in text.split("+"):
         term = raw.strip()
         if not term:
@@ -145,10 +156,10 @@ def _parse_expr(text: str, names: set[str], line: int) -> Expr:
         elif term.replace("-", "").replace("/", "").replace(".", "").isdigit():
             name, coef = "one", _parse_rational(term, line)
         else:
-            name, coef = term, Fraction(1)
+            name, coef = term, 1
         if name != "one" and name not in names:
             raise ScenarioError(f"unresolved symbol {name!r}", line)
-        coeffs[name] = coeffs.get(name, Fraction(0)) + coef
+        coeffs[name] = coeffs[name] + coef if name in coeffs else coef
     return tuple(sorted((n, c) for n, c in coeffs.items() if c))
 
 

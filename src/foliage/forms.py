@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import scalar as sc
@@ -113,12 +113,12 @@ class ClosedForm:
             bumps=tuple(replace(t, amplitude=t.amplitude * c) for t in self.bumps),
         )
 
-    @cached_property
+    @sc.memo
     def invariant_elements(self) -> tuple[int, ...]:
         """Indices of the group elements whose pullback preserves the form."""
         return tuple(invariant_subgroup(self))
 
-    @cached_property
+    @sc.memo
     def structure(self) -> LinearStructure:
         """Rank, compactness and leaf circle of the foliation; raises what
         `zeros` raises."""
@@ -141,8 +141,12 @@ class ClosedForm:
         # offset (its linear part fixes the level functional); the rotations
         # form a cyclic group whose order is the lcm of their denominators
         elements = self.orbifold.action.elements
-        order = lcm(*((m * elements[i].offset[0] + n * elements[i].offset[1]).denominator
-                      for i in keep))
+        order = 1
+        for i in keep:
+            x, y = elements[i].offset
+            den = x.denominator * y.denominator  # of the level m*x + n*y
+            order = lcm(order, den // gcd(m * x.numerator * y.denominator
+                                          + n * y.numerator * x.denominator, den))
         return LinearStructure(
             rank=1,
             compact=True,
@@ -220,9 +224,17 @@ def invariance_verdict(form: ClosedForm) -> bool:
     return len(form.invariant_elements) == len(form.orbifold.action)
 
 
-def _pullback_linear(g: AffineMap, a: sc.SymScalar, b: sc.SymScalar):
+def _pulls_back_to_itself(g: AffineMap, a: sc.SymScalar, b: sc.SymScalar) -> bool:
+    """Whether g's matrix pulls a*dtheta + b*dphi back to itself, that is
+    (m00 - 1)*a + m10*b = 0 = m01*a + (m11 - 1)*b, tested column by column
+    on the integer rows over the common denominator a.den*b.den."""
     (m00, m01), (m10, m11) = g.matrix
-    return (a * m00 + b * m10, a * m01 + b * m11)
+    ka, kb = b.den, a.den
+    for x, y in zip_longest(a.nums, b.nums, fillvalue=0):
+        x, y = x * ka, y * kb
+        if (m00 - 1) * x + m10 * y or m01 * x + (m11 - 1) * y:
+            return False
+    return True
 
 
 def invariant_subgroup(form: ClosedForm) -> list[int]:
@@ -231,7 +243,7 @@ def invariant_subgroup(form: ClosedForm) -> list[int]:
     a, b = form.linear
     keep = []
     for i, g in enumerate(form.orbifold.action.elements):
-        if _pullback_linear(g, a, b) == (a, b) and (not form.bumps or g.is_orthogonal()):
+        if _pulls_back_to_itself(g, a, b) and (not form.bumps or g.is_orthogonal()):
             keep.append(i)
     return keep
 
@@ -243,11 +255,19 @@ def zeros(form: ClosedForm) -> list[Zero]:
     a, b = form.linear
     if a.is_zero() and b.is_zero():
         raise FormError("the zero form has no foliation")
-    norm2 = a.value() ** 2 + b.value() ** 2
+    if not form.bumps:
+        return []
+    (na, da), (nb, db) = a._dot(), b._dot()
+    # |(a, b)|^2 = norm_num / norm_den
+    norm_num, norm_den = (na * db) ** 2 + (nb * da) ** 2, (da * db) ** 2
     for term in form.bumps:
         # sup of |h'| for h(r) = (1 - (r/R)^2)^4 is (8/R) * (6/7)^3 / sqrt(7),
-        # whose square is 64 * 6^6 / 7^7 / R^2
-        if term.amplitude.value() ** 2 * Fraction(64 * 6**6, 7**7) >= term.radius**2 * norm2:
+        # whose square is 64 * 6^6 / 7^7 / R^2; the test amplitude^2 * that
+        # >= |(a, b)|^2 runs on integers, every denominator cleared
+        n, d = term.amplitude._dot()
+        r = term.radius
+        if (n * n * 64 * 6**6 * r.denominator**2 * norm_den
+                >= d * d * 7**7 * r.numerator**2 * norm_num):
             raise BumpDominatesError(
                 f"bump at center {term.center.theta} {term.center.phi} dominates the linear part; "
                 "the perturbation regime is violated"

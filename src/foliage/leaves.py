@@ -11,7 +11,6 @@ classifier (and draws pictures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from . import scalar as sc
@@ -61,7 +60,7 @@ class Decomposition:
     # the generator periods of each noncompact component, sorted by id
     component_periods: tuple[tuple[str, tuple[sc.SymScalar, ...]], ...]
 
-    @cached_property
+    @sc.memo
     def restricted_ranks(self) -> tuple[tuple[str, Optional[int]], ...]:
         return tuple(
             (cid, sc.q_rank(periods) if periods else None)

@@ -6,9 +6,16 @@ lattice membership are decided coefficient-wise, so they are exact under that
 declaration.  A value is one positive integer denominator over a tuple of
 integer numerators by table position, in lowest terms and without trailing
 zeros: the form is unique, even across later declarations, and ranks and
-lattices work on the integer rows.  Each symbol carries a decimal embedding,
-read as the exact rational it writes; the table keeps those literals as
-integers over one common denominator, so a sign is that of an integer sum.
+lattices work on the integer rows.  Operations stay on those rows: a result
+that is canonical by construction (a negation, a sum over the denominator 1,
+a zero or identity operand) is built without a trim or a gcd, a multiple by
+a whole number with one gcd of two integers, and text is formatted from the
+row.  A `Fraction`
+appears only where one comes in or goes out: a declared literal, a rational
+coefficient a caller writes, and `coefficient`/`value`/`ratio_to` results.
+Each symbol carries a decimal embedding, read as the exact rational it
+writes; the table keeps those literals as integers over one common
+denominator, so a sign is that of an integer sum.
 
 Values are immutable and freely shareable across threads; no operation reads
 or writes module state.  Declarations are serialised by the table's lock, and
@@ -46,6 +53,26 @@ class PrecisionExhausted(ScalarError):
     an ill-conditioned symbol table (e.g. a declared-independent symbol whose
     embedding is a rational combination of the others' embeddings).
     """
+
+
+class memo:
+    """A method read as an attribute, computed on first read and kept in the
+    instance's ``__dict__``, where later reads find it without calling back.
+    No lock: a pure computation that two threads race on gives equal values,
+    and a first read that raises keeps nothing."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -99,7 +126,7 @@ class SymbolTable:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "SymScalar":
-        return SymScalar(self, ())
+        return _canonical(self, (), 1)
 
     def rational(self, value) -> "SymScalar":
         c = Fraction(value)
@@ -110,11 +137,18 @@ class SymbolTable:
         return SymScalar(self, (0,) * self.index_of(name) + (c.numerator,), c.denominator)
 
     def combination(self, terms: Iterable[tuple[object, str]]) -> "SymScalar":
-        """Build sum of coeff*symbol terms, e.g. [(Fraction(3,2),'one'),(1,'p')]."""
-        out = self.zero()
+        """Build sum of coeff*symbol terms, e.g. [(Fraction(3,2),'one'),(1,'p')],
+        as one integer row over the lcm of the coefficients' denominators."""
+        found, den = [], 1
         for coeff, name in terms:
-            out = out + self.symbol(name, coeff)
-        return out
+            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+            found.append((self.index_of(name), c.numerator, c.denominator))
+            if c.denominator != 1:
+                den = lcm(den, c.denominator)
+        row = [0] * (max(i for i, _, _ in found) + 1 if found else 0)
+        for i, n, d in found:
+            row[i] += n * (den // d)
+        return SymScalar(self, row, den)
 
 
 class SymScalar:
@@ -123,12 +157,10 @@ class SymScalar:
     __slots__ = ("table", "nums", "den")
 
     def __init__(self, table: SymbolTable, nums: Sequence[int], den: int = 1):
-        n = len(nums)
-        while n and not nums[n - 1]:
-            n -= 1
-        g = gcd(den, *nums[:n])
+        nums = _trimmed(nums)
+        g = gcd(den, *nums)
         self.table = table
-        self.nums = tuple(x // g for x in nums[:n]) if g != 1 else tuple(nums[:n])
+        self.nums = tuple([x // g for x in nums]) if g != 1 else nums
         self.den = den // g
 
     # -- ring-ish operations ------------------------------------------------
@@ -138,25 +170,56 @@ class SymScalar:
             raise MixedTableError("operands belong to different symbol tables")
 
     def __add__(self, other: "SymScalar") -> "SymScalar":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "SymScalar") -> "SymScalar":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "SymScalar", s: int) -> "SymScalar":
+        """self + s*other for s = 1 or -1, on the rows."""
         self._check(other)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if s == 1 else -other
+        if self.den == 1 == other.den:  # a sum of integer rows is canonical once trimmed
+            return _canonical(self.table, _trimmed(
+                [x + s * y for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]), 1)
         g = gcd(self.den, other.den)
-        ka, kb = other.den // g, self.den // g
+        ka, kb = other.den // g, s * (self.den // g)
         nums = [x * ka + y * kb for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]
         return SymScalar(self.table, nums, self.den * ka)
 
     def __neg__(self) -> "SymScalar":
-        return SymScalar(self.table, [-x for x in self.nums], self.den)
-
-    def __sub__(self, other: "SymScalar") -> "SymScalar":
-        return self + (-other)
+        return _canonical(self.table, tuple([-x for x in self.nums]), self.den)
 
     def __mul__(self, rational) -> "SymScalar":
         c = rational if isinstance(rational, (int, Fraction)) else Fraction(rational)
-        return SymScalar(self.table, [c.numerator * x for x in self.nums], c.denominator * self.den)
+        n, d = c.numerator, c.denominator
+        if d != 1:
+            return SymScalar(self.table, [n * x for x in self.nums], d * self.den)
+        if n == 1 or not self.nums:
+            return self
+        if not n:
+            return _canonical(self.table, (), 1)
+        # gcd(den, nums) = 1, so only n's common factor with den cancels
+        g = gcd(n, self.den)
+        if g != 1:
+            n //= g
+        return _canonical(self.table, tuple([n * x for x in self.nums]), self.den // g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, rational) -> "SymScalar":
+        if type(rational) is int and rational:
+            if not self.nums:
+                return self
+            # gcd(den, nums) = 1, so only the divisor's common factor with the
+            # numerators cancels; its sign moves onto them
+            g = gcd(rational, *self.nums)
+            k = -g if rational < 0 else g
+            return _canonical(self.table, tuple([x // k for x in self.nums]),
+                              self.den * (rational // k))
         return self * (Fraction(1) / Fraction(rational))
 
     def __eq__(self, other) -> bool:
@@ -198,10 +261,11 @@ class SymScalar:
 
     def render(self) -> str:
         """Canonical text: rational part first, then + c*name terms in table order."""
-        parts = [str(self.rational_part())]
-        for i in range(1, len(self.nums)):
-            if self.nums[i]:
-                parts.append(f"+ {self.coefficient(i)}*{self.table.symbols[i].name}")
+        nums, den, symbols = self.nums, self.den, self.table.symbols
+        parts = [_ratio_text(nums[0], den) if nums else "0"]
+        for i in range(1, len(nums)):
+            if nums[i]:
+                parts.append(f"+ {_ratio_text(nums[i], den)}*{symbols[i].name}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -220,6 +284,28 @@ class SymScalar:
         return float(self.value())
 
 
+def _canonical(table: SymbolTable, nums: tuple[int, ...], den: int) -> SymScalar:
+    """A scalar from a row the caller knows is canonical: a tuple without
+    trailing zeros, den > 0 and gcd(den, *nums) == 1."""
+    out = object.__new__(SymScalar)
+    out.table, out.nums, out.den = table, nums, den
+    return out
+
+
+def _trimmed(nums: Sequence[int]) -> tuple[int, ...]:
+    """The row as a tuple without its trailing zeros."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    return tuple(nums[:n]) if n != len(nums) else tuple(nums)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, with one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 # -- module operations -------------------------------------------------------
 
 
@@ -230,7 +316,8 @@ def is_rational(a: SymScalar) -> bool:
 
 def q_rank(vals: Sequence[SymScalar]) -> int:
     """Dimension of the Q-span of the values, by fraction-free (Bareiss)
-    elimination on their integer numerator rows."""
+    elimination on their integer numerator rows; up to two nonzero rows are
+    decided directly."""
     if not vals:
         raise ScalarError("q_rank needs a nonempty list")
     table = vals[0].table
@@ -238,7 +325,14 @@ def q_rank(vals: Sequence[SymScalar]) -> int:
         if v.table is not table:
             raise MixedTableError("q_rank inputs span several symbol tables")
     rows = [v.nums for v in vals if v.nums]
-    ncols = max(map(len, rows), default=0)
+    if len(rows) < 2:
+        return len(rows)
+    if len(rows) == 2:
+        # trimmed rows end in a nonzero entry, so two rows are dependent
+        # exactly when they have one length and cross-multiply by those ends
+        x, y = rows
+        return 1 if len(x) == len(y) and all(u * y[-1] == v * x[-1] for u, v in zip(x, y)) else 2
+    ncols = max(map(len, rows))
     rows = [list(r) + [0] * (ncols - len(r)) for r in rows]
     rank, prev = 0, 1
     for col in range(ncols):

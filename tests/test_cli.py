@@ -4,6 +4,7 @@ import io
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,39 @@ dphi = 0
         for name, text in sorted(SCENARIOS.items()):
             s = parse_scenario(text)
             assert parse_scenario(serialize_scenario(s)) == s, name
+
+
+def assert_parses_as_fraction(text):
+    """`_parse_rational` equals Fraction(text.strip()) wherever that succeeds,
+    and raises the same `bad rational` error wherever it fails."""
+    try:
+        want = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ScenarioError) as err:
+            cli._parse_rational(text, 7)
+        assert str(err.value) == f"line 7: bad rational {text!r}"
+        assert err.value.line == 7
+    else:
+        got = cli._parse_rational(text, 7)
+        assert got == want and type(got) in (int, Fraction)
+
+
+class TestRationalParity:
+    @pytest.mark.parametrize("text", [
+        "3/0", "0/0", "-0", "007", "+5", "1_0", "1e3", " 2 / 3", "\u0663",
+        "  -7/14\t", "\n5\n", "-3/007", "12/-4", "1/2/3", "--5", "-", "/", "",
+        "0.25", "-0/5", "3/00", "1/", "/2", "\u0663/4",
+    ])
+    def test_named_texts(self, text):
+        assert_parses_as_fraction(text)
+
+    def test_digit_strings_beyond_the_int_limit(self):
+        for text in ("1" * 5000, "1/" + "7" * 5000):
+            assert_parses_as_fraction(text)
+
+    @given(text=st.text(alphabet="0123456789-+/_. e\t\u0663\u00b2", max_size=8))
+    def test_any_short_text(self, text):
+        assert_parses_as_fraction(text)
 
 
 class TestCommands:
@@ -214,6 +248,19 @@ class TestEntryPoint:
         bad = tmp_path / "bad.scn"
         bad.write_text("this is not a scenario\n")
         assert main(["periods", str(bad)]) == 2
+
+    def test_bad_rational_exit_two_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad_rational.scn"
+        path.write_text(
+            "[symbols]\n"
+            "q = 1.41421356237309504880168872420969807857\n\n"
+            "[orbifold T]\nbuiltin = torus\n\n"
+            "[form w]\non = T\ndtheta = 1*q\ndphi = 3/0*q\n"
+        )
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 10: bad rational '3/0'" in err
+        assert "Traceback" not in err
 
     def test_bare_dependent_flag_exit_two(self, tmp_path, capsys):
         # the flag names no relation, so honouring it is impossible and

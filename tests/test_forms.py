@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foliage.forms import (
     BumpDominatesError,
@@ -348,6 +348,48 @@ class TestRank:
         form = ClosedForm((table.symbol("p"), table.symbol("q")), Q, basic_override=True)
         vals = [v for _, v in periods(form)]
         assert q_rank(vals) == 2
+
+
+NONDOMINANCE_TABLE = SymbolTable([("p", PI), ("q", SQRT2)])
+
+
+def fraction_dominates(form):
+    """The nondominance test as it was decided on Fractions, before `zeros`
+    cleared every denominator: amplitude^2 * 64*6^6/7^7 >= radius^2 * |(a, b)|^2."""
+    a, b = form.linear
+    norm2 = a.value() ** 2 + b.value() ** 2
+    return any(t.amplitude.value() ** 2 * Fraction(64 * 6**6, 7**7) >= t.radius**2 * norm2
+               for t in form.bumps)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+
+
+class TestNondominance:
+    @given(linear=st.tuples(small_fractions, small_fractions, small_fractions),
+           amplitude=st.tuples(st.fractions(min_value=-1, max_value=1, max_denominator=500),
+                               st.fractions(min_value=-1, max_value=1, max_denominator=500)),
+           radius=st.sampled_from([Fraction(1, 32), Fraction(1, 8), Fraction(3, 7)]))
+    # a = 1, b = 0, radius 1/32: the bound sits between 0.016411 and 0.016412
+    @example(linear=(Fraction(1), Fraction(0), Fraction(0)),
+             amplitude=(Fraction(16411, 10**6), Fraction(0)), radius=Fraction(1, 32))
+    @example(linear=(Fraction(1), Fraction(0), Fraction(0)),
+             amplitude=(Fraction(-16412, 10**6), Fraction(0)), radius=Fraction(1, 32))
+    def test_the_integer_test_matches_the_fraction_test(self, linear, amplitude, radius):
+        t = NONDOMINANCE_TABLE
+        a = t.combination([(linear[0], "one"), (linear[1], "p")])
+        b = t.combination([(linear[2], "q")])
+        bump = BumpTerm(TorusPoint(Fraction(1, 4), Fraction(1, 8)), radius,
+                        t.combination([(amplitude[0], "one"), (amplitude[1], "p")]))
+        form = ClosedForm((a, b), T, bumps=(bump,))
+        if a.is_zero() and b.is_zero():
+            with pytest.raises(FormError, match="the zero form"):
+                zeros(form)
+        elif fraction_dominates(form):
+            with pytest.raises(BumpDominatesError):
+                zeros(form)
+        else:
+            assert zeros(form) == []
 
 
 class TestKeptStructure:

@@ -4,7 +4,7 @@ import subprocess
 import threading
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -580,6 +580,150 @@ class TestRatioAgainstTheFractionDefinition:
         assert type(r) in (Fraction, type(None))
         if r is not None:
             assert a == b * r
+
+    @given(pair=ratio_pairs())
+    @example(pair=(TABLE.symbol("q", 3), TABLE.symbol("q", -3) + TABLE.rational(1)))
+    def test_two_rows_are_dependent_when_proportional(self, pair):
+        a, b = pair
+        rank = q_rank([a, b])
+        # a third nonzero row inside the span sends the pair through elimination
+        assert rank == q_rank([a, b, a * 2 + b * 3])
+        assert (rank <= 1) == (b.is_zero() or a.ratio_to(b) is not None)
+
+
+# -- the Fraction definitions the integer rows must reproduce -----------------
+#
+# Each oracle works coefficient by coefficient on Fractions, as the operations
+# were defined before they stayed on integer rows, and returns the canonical
+# (nums, den) pair: over the lcm of reduced denominators that pair is unique.
+
+
+def canonical_row(coeffs):
+    """(nums, den) of a dense Fraction coefficient list."""
+    den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    nums = [int(c * den) for c in coeffs]
+    while nums and not nums[-1]:
+        nums.pop()
+    return tuple(nums), den
+
+
+def dense(a):
+    return [a.coefficient(i) for i in range(len(TABLE))]
+
+
+def fraction_add(a, b):
+    return canonical_row([x + y for x, y in zip(dense(a), dense(b))])
+
+
+def fraction_sub(a, b):
+    return canonical_row([x - y for x, y in zip(dense(a), dense(b))])
+
+
+def fraction_mul(a, c):
+    return canonical_row([Fraction(c) * x for x in dense(a)])
+
+
+def fraction_render(a):
+    parts = [str(a.rational_part())]
+    for i in range(1, len(a.nums)):
+        if a.nums[i]:
+            parts.append(f"+ {a.coefficient(i)}*{a.table.symbols[i].name}")
+    return " ".join(parts)
+
+
+def fraction_combination(table, terms):
+    """Term by term: each coefficient added into its slot as a Fraction."""
+    coeffs = [Fraction(0)] * len(table)
+    for coeff, name in terms:
+        coeffs[table.index_of(name)] += Fraction(coeff)
+    return canonical_row(coeffs)
+
+
+def assert_canonical(v):
+    assert type(v.nums) is tuple and all(type(x) is int for x in v.nums)
+    assert type(v.den) is int and v.den > 0
+    assert not v.nums or v.nums[-1] != 0
+    assert gcd(v.den, *v.nums) == 1
+
+
+# zero slots often, integers (denominator 1) often, signed mixed denominators
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+row_values = st.lists(coefficients, max_size=len(TABLE)).map(
+    lambda cs: sc.SymScalar(TABLE, *canonical_row(cs)))
+# int, Fraction (whole ones included) and str multipliers, zero included
+multipliers = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=9),
+    st.integers(-12, 12).map(Fraction),
+    st.fractions(min_value=-12, max_value=12, max_denominator=9).map(str),
+)
+
+
+class TestArithmeticAgainstTheFractionDefinition:
+    @given(a=row_values, b=row_values)
+    @example(a=TABLE.zero(), b=TABLE.zero())
+    @example(a=TABLE.zero(), b=TABLE.symbol("q", Fraction(-3, 4)))
+    @example(a=TABLE.symbol("r", 2), b=TABLE.symbol("r", -2))
+    @example(a=TABLE.symbol("p", Fraction(1, 6)), b=TABLE.symbol("p", Fraction(5, 6)))
+    def test_sum_and_difference(self, a, b):
+        for got, want in ((a + b, fraction_add(a, b)), (a - b, fraction_sub(a, b)),
+                          (b - a, fraction_sub(b, a))):
+            assert (got.nums, got.den) == want
+            assert_canonical(got)
+
+    @given(a=row_values)
+    def test_negation(self, a):
+        assert ((-a).nums, (-a).den) == fraction_mul(a, -1)
+        assert_canonical(-a)
+
+    @given(a=row_values, c=multipliers)
+    @example(a=TABLE.symbol("p", Fraction(1, 6)), c=4)
+    @example(a=TABLE.symbol("p", Fraction(1, 6)), c=-6)
+    @example(a=TABLE.zero(), c=5)
+    @example(a=TABLE.rational(3), c=0)
+    def test_multiple(self, a, c):
+        for got in (a * c, c * a):
+            assert (got.nums, got.den) == fraction_mul(a, c)
+            assert_canonical(got)
+
+    @given(a=row_values, c=multipliers)
+    @example(a=TABLE.symbol("q", Fraction(4, 3)), c=-6)
+    @example(a=TABLE.zero(), c=-2)
+    def test_quotient(self, a, c):
+        if Fraction(c) == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / c
+            return
+        got = a / c
+        assert (got.nums, got.den) == fraction_mul(a, 1 / Fraction(c))
+        assert_canonical(got)
+
+    @given(a=row_values)
+    @example(a=TABLE.zero())
+    @example(a=TABLE.symbol("r", Fraction(-7, 3)))
+    def test_render(self, a):
+        assert a.render() == fraction_render(a)
+
+    @given(terms=st.lists(st.tuples(st.one_of(multipliers, coefficients),
+                                    st.sampled_from(["one", "p", "q", "r"])), max_size=6))
+    @example(terms=[])
+    @example(terms=[(1, "p"), (-1, "p")])
+    @example(terms=[(Fraction(1, 2), "q"), ("-1/2", "q"), (3, "one")])
+    def test_combination(self, terms):
+        got = TABLE.combination(terms)
+        assert (got.nums, got.den) == fraction_combination(TABLE, terms)
+        assert_canonical(got)
+
+    def test_combination_checks_each_term_in_order(self):
+        with pytest.raises(ValueError) as err:
+            TABLE.combination([("x", "p"), (1, "nope")])
+        assert type(err.value) is ValueError  # the bad coefficient, not the name
+        with pytest.raises(sc.ScalarError):
+            TABLE.combination([(1, "nope"), ("x", "p")])
 
 
 class TestTableSharedAcrossThreads:
