@@ -161,19 +161,14 @@ class FoliationGraph:
     def underlying_connected(self) -> bool:
         if not self.vertices:
             return False
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for s, d in self.arcs():
-            adj[s].add(d)
-            adj[d].add(s)
-        seen = set()
-        stack = [next(iter(self.vertices))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v] - seen)
-        return seen == set(self.vertices)
+        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for e in self.edges.values():
+            adj[e.src].append(e.dst)
+            adj[e.dst].append(e.src)
+        for a in self.attachments:
+            adj[a.zero_vertex].append(a.special_vertex)
+            adj[a.special_vertex].append(a.zero_vertex)
+        return _reaches_all(adj, next(iter(adj)))
 
     def validate(self) -> None:
         for e in self.edges.values():
@@ -223,27 +218,39 @@ def _reachable(succ: dict[int, set[int]], start: int) -> set[int]:
     return seen
 
 
+def _reaches_all(adj: dict[int, list[int]], start: int) -> bool:
+    """Whether a walk along adj from start meets every key of adj."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
 def is_calabi(graph: FoliationGraph) -> bool:
     """Every ordered vertex pair is joined by a positively oriented walk.
 
     Special vertices need no care beyond being traversable nodes: their
     attachments already encode that a saddle bordering a noncompact component
-    can be passed in either sense inside it.
+    can be passed in either sense inside it.  A graph that one vertex reaches
+    entirely is connected, so connectivity is decided only when a reach fails.
     """
     if not graph.vertices:
         raise GraphError("empty graph")
-    if not graph.underlying_connected():
-        raise GraphError("graph must be connected")
-    succ = _successors(graph)
-    verts = set(graph.vertices)
-    v0 = next(iter(sorted(verts)))
-    if not (_reachable(succ, v0) | {v0}) >= verts:
+    succ: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    pred: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    for s, d in graph.arcs():
+        succ[s].append(d)
+        pred[d].append(s)
+    v0 = min(graph.vertices)
+    if not _reaches_all(succ, v0):
+        if not graph.underlying_connected():
+            raise GraphError("graph must be connected")
         return False
-    pred: dict[int, set[int]] = {v: set() for v in verts}
-    for s, targets in succ.items():
-        for d in targets:
-            pred[d].add(s)
-    return (_reachable(pred, v0) | {v0}) >= verts
+    return _reaches_all(pred, v0)
 
 
 def calabi_equiv_bruteforce(graph: FoliationGraph) -> tuple[bool, bool]:

@@ -73,6 +73,8 @@ class FoliationModel:
     A surgered model has no form (None) but its surgery spec, from which
     genericize rebuilds it; its verdicts read only the graph, levels and
     periods.  The constructor takes ownership of its arguments.
+    carried_transitive is set on a kind-A join that is transitive by the
+    lemma of _join; False means only that the verdict is not carried.
     """
 
     def __init__(
@@ -89,6 +91,8 @@ class FoliationModel:
         notes: list[str],
         is_generic: bool,
         spec: Optional["SurgerySpec"] = None,
+        x_inf_periods: Optional[dict[str, tuple[sc.SymScalar, ...]]] = None,
+        carried_transitive: bool = False,
     ):
         self.name = name
         self.form = form
@@ -102,6 +106,11 @@ class FoliationModel:
         self.notes = notes
         self.is_generic = is_generic
         self.spec = spec
+        # the distinct periods of each component, in first-seen order
+        self.x_inf_periods = x_inf_periods if x_inf_periods is not None else {
+            comp: _distinct_periods(gens) for comp, gens in x_inf_gens.items()
+        }
+        self.carried_transitive = carried_transitive
         self.catalog = self._build_catalog()
         self.decomposition: Decomposition = decompose(self)
         graph.validate()
@@ -136,6 +145,10 @@ class FoliationModel:
 
     def singular_levels(self) -> list[tuple[str, sc.SymScalar]]:
         return [(z.zero_id, z.level) for z in sorted(self.zeros, key=lambda z: z.zero_id)]
+
+
+def _distinct_periods(gens, start=()) -> tuple[sc.SymScalar, ...]:
+    return tuple(dict.fromkeys([*start, *(p for _, p in gens)]))
 
 
 # -- virgin models ---------------------------------------------------------------
@@ -228,7 +241,11 @@ class _Site:
 
 
 class _Workspace:
-    """Mutable merge of the two input models while a surgery is applied."""
+    """Mutable merge of the two input models while a surgery is applied.
+
+    An input may itself be an unfinished workspace: it offers the same
+    fields as a model, and the copy below never writes to an input.
+    """
 
     def __init__(self, spec: SurgerySpec):
         left, right = spec.left, spec.right
@@ -242,9 +259,12 @@ class _Workspace:
         self.sides: list[Side] = []
         self.zeros: list[Zero] = []
         self.x_inf_gens: dict[str, list] = {}
+        self.x_inf_periods: dict[str, tuple[sc.SymScalar, ...]] = {}
         self.special_vertices: dict[str, int] = {}
         self.singular_entries: list[LeafClass] = []
         self.notes: list[str] = []
+        self.is_generic = False
+        self.carried_transitive = False
         self.edge_map: dict[tuple[str, int], int] = {}
         for role, model in (("left", left), ("right", right)):
             vmap, emap = self.graph.absorb(model.graph)
@@ -254,6 +274,7 @@ class _Workspace:
             self.zeros.extend(model.zeros)
             for comp, gens in model.x_inf_gens.items():
                 self.x_inf_gens[comp] = list(gens)
+            self.x_inf_periods.update(model.x_inf_periods)
             for comp, vid in model.special_vertices.items():
                 self.special_vertices[comp] = vmap[vid]
             self.singular_entries.extend(model.singular_entries)
@@ -266,17 +287,23 @@ class _Workspace:
 
     side = FoliationModel.side  # the same lookup, over the workspace's sides
 
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
     def replace_side(self, side: Side) -> None:
         self.sides = [side if s.side_id == side.side_id else s for s in self.sides]
 
     def merge_components(self, comps: list[str], extra_gens: list) -> str:
         """Fuse noncompact components into one; the smallest id survives."""
         target = sorted(set(comps))[0]
-        gens = []
+        gens, periods = [], []
         for c in sorted(set(comps)):
             gens.extend(self.x_inf_gens.pop(c))
+            periods.extend(self.x_inf_periods.pop(c))
         gens.extend(extra_gens)
         self.x_inf_gens[target] = gens
+        self.x_inf_periods[target] = _distinct_periods(extra_gens, periods)
         keep_vid = self.special_vertices[target]
         absorbed = set(comps) - {target}
         for c in sorted(absorbed):
@@ -293,6 +320,7 @@ class _Workspace:
 
     def new_component(self, comp: str, gens: list) -> str:
         self.x_inf_gens[comp] = list(gens)
+        self.x_inf_periods[comp] = _distinct_periods(gens)
         self.special_vertices[comp] = self.graph.add_vertex(SPECIAL, ref=comp)
         return comp
 
@@ -517,8 +545,11 @@ def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
                     "this regime is not modeled"
                 )
             target = ws.new_component(f"{spec.name}.inf", extra)
-        for mid in mids:
+        for s, mid in zip(cut_sites, mids):
+            # the band goes noncompact: it leaves the graph and its circle
             ws.graph.remove_edge(mid)
+            side = ws.side(s.side_id)
+            ws.replace_side(side.with_circuit(eid for eid in side.circuit_edges if eid != mid))
         sv = ws.special_vertices[target]
         ws.graph.attach(vZx, sv, "both")
         ws.graph.attach(vZy, sv, "both")
@@ -535,7 +566,7 @@ def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
 
     generic = True
     if comp_ref is not None:
-        generic = band not in sc.Lattice(identifications + [p for _, p in ws.x_inf_gens[comp_ref]])
+        generic = band not in sc.Lattice(identifications + list(ws.x_inf_periods[comp_ref]))
     return generic
 
 
@@ -666,26 +697,58 @@ def _finalize(ws: _Workspace, is_generic: bool) -> FoliationModel:
         notes=ws.notes,
         is_generic=is_generic,
         spec=ws.spec,
+        x_inf_periods=ws.x_inf_periods,
+        carried_transitive=ws.carried_transitive,
     )
+
+
+def _input_transitive(model) -> bool:
+    """A kind-A input's verdict: carried when the input is a kind-A join that
+    recorded it, decided otherwise; an unfinished input is finished first."""
+    if model.carried_transitive:
+        return True
+    if isinstance(model, _Workspace):
+        model = _finalize(model, model.is_generic)
+    return is_transitive(model)
+
+
+def _join(spec: SurgerySpec) -> _Workspace:
+    """Apply one surgery, leaving the result unfinished with is_generic set.
+
+    A generic kind-A join of generic inputs with Calabi graphs has a Calabi
+    graph: each cut turns an edge u -> w into u -> Zx, Zy -> w; the removed
+    mid bands come back as the fused edge Zx -> Zy or as two-way attachments
+    of Zx and Zy to one special vertex; merging special vertices contracts;
+    and a wrapped side is always a whole virgin input, replaced by the new
+    component's special vertex.  Generic transitive inputs are such inputs
+    (a zero-free graph has one vertex, a generic model is its own
+    companion), so such a join is transitive, and records it for the joins
+    that take it as an input.
+    """
+    ws = _Workspace(spec)
+    left = _resolve_site(ws, "left", spec.left, spec.left_region)
+    right = _resolve_site(ws, "right", spec.right, spec.right_region)
+    apply = {"A": _apply_A, "B": _apply_B, "C": _apply_C}[spec.kind]
+    generic = apply(ws, left, right)
+    ws.is_generic = generic and spec.left.is_generic and spec.right.is_generic
+    if spec.kind == "A":
+        if _input_transitive(spec.left) and _input_transitive(spec.right):
+            ws.carried_transitive = ws.is_generic
+        else:
+            # no general preservation rule covers this case; only the graph decides
+            ws.notes.append(
+                f"{spec.name}: kind-A join with a nontransitive input; the transitivity "
+                "verdict is derived from the graph alone"
+            )
+    return ws
 
 
 def connected_sum(spec: SurgerySpec) -> FoliationModel:
     """Join two models with a tube; the catalog, graph and decomposition are
     rewired by the kind-specific rules, and everything off the disks survives
     with its families and weights unchanged."""
-    ws = _Workspace(spec)
-    left = _resolve_site(ws, "left", spec.left, spec.left_region)
-    right = _resolve_site(ws, "right", spec.right, spec.right_region)
-    apply = {"A": _apply_A, "B": _apply_B, "C": _apply_C}[spec.kind]
-    generic = apply(ws, left, right)
-    generic = generic and spec.left.is_generic and spec.right.is_generic
-    if spec.kind == "A" and not (is_transitive(spec.left) and is_transitive(spec.right)):
-        # no general preservation rule covers this case; only the graph decides
-        ws.notes.append(
-            f"{spec.name}: kind-A join with a nontransitive input; the transitivity "
-            "verdict is derived from the graph alone"
-        )
-    return _finalize(ws, generic)
+    ws = _join(spec)
+    return _finalize(ws, ws.is_generic)
 
 
 def genericize(model: FoliationModel) -> FoliationModel:
@@ -728,8 +791,10 @@ def _levels_admissible(levels: list[sc.SymScalar], lattice: sc.Lattice) -> bool:
 def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> FoliationModel:
     """Rebuild the surgery tree under model with shifted tube levels, inputs
     before their join and left before right.  The walk keeps its own stack,
-    so a chain of any length rebuilds without recursing."""
-    rebuilt: list[FoliationModel] = []
+    so a chain of any length rebuilds without recursing.  A rebuilt join
+    stays an unfinished workspace, the input of the next; only the rebuilt
+    root becomes a model, whose checks then cover the whole tree."""
+    rebuilt: list = []
     todo: list[tuple[FoliationModel, bool]] = [(model, False)]
     while todo:
         node, inputs_done = todo.pop()
@@ -741,33 +806,35 @@ def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> 
             right = rebuilt.pop()
             left = rebuilt.pop()
             rebuilt.append(_rejoin(node.spec, left, right, shifts))
-    return rebuilt.pop()
+    ws = rebuilt.pop()
+    return _finalize(ws, ws.is_generic)
 
 
-def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction]) -> FoliationModel:
+def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction]) -> _Workspace:
     """One join of the tree, redone over its rebuilt inputs at shifted levels."""
     table = left.table
     sx = table.rational(shifts.get(f"{spec.name}.x", Fraction(0)))
     sy = table.rational(shifts.get(f"{spec.name}.y", Fraction(0)))
-    new_levels = (spec.tube_levels[0] + sx, spec.tube_levels[1] + sy)
-    if spec.kind == "C" and not (new_levels[0] - new_levels[1]).is_zero():
-        return _rebuild_c_as_pinch(spec, left, right, new_levels)
-    return connected_sum(replace(spec, left=left, right=right, tube_levels=new_levels))
+    levels = (spec.tube_levels[0] + sx, spec.tube_levels[1] + sy)
+    spec = replace(spec, left=left, right=right, tube_levels=levels)
+    if spec.kind == "C" and not (levels[0] - levels[1]).is_zero():
+        return _rebuild_c_as_pinch(spec)
+    return _join(spec)
 
 
-def _rebuild_c_as_pinch(spec: SurgerySpec, left, right, levels) -> FoliationModel:
+def _rebuild_c_as_pinch(spec: SurgerySpec) -> _Workspace:
     """A perturbed equal-level tube is a pinched tube: the waist opens into a
     short chain of compact families between the two separated levels."""
-    new_spec = replace(spec, left=left, right=right, tube_levels=levels)
-    ws = _Workspace(new_spec)
-    lsite = _resolve_site(ws, "left", left, spec.left_region)
-    rsite = _resolve_site(ws, "right", right, spec.right_region)
-    lx, ly = levels  # x sits at the left junction, y at the right
+    ws = _Workspace(spec)
+    lsite = _resolve_site(ws, "left", spec.left, spec.left_region)
+    rsite = _resolve_site(ws, "right", spec.right, spec.right_region)
+    lx, ly = spec.tube_levels  # x sits at the left junction, y at the right
     if sc.sign(ly - lx) > 0:
         _apply_pinch(ws, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
     else:
         _apply_pinch(ws, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
-    return _finalize(ws, True)
+    ws.is_generic = True
+    return ws
 
 
 @dataclass(frozen=True)

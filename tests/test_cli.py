@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import foliage
 from foliage import cli
 from foliage.catalog import SCENARIOS
 from foliage.cli import (
@@ -459,9 +461,13 @@ class TestEntryPoint:
         assert out.read_text().startswith("digraph foliation {")
 
     def test_subprocess_console_script(self, tmp_path):
+        # the child finds the package under test, installed or not
+        src = str(Path(foliage.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "foliage.cli", "examples"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "4/4 rows match" in result.stdout

@@ -186,3 +186,108 @@ class TestDot:
         dot = model.graph.to_dot()
         for kind in ("Marker", "Special", "Zero"):
             assert f'kind="{kind}"' in dot
+
+
+def reference_is_calabi(graph):
+    """The Calabi test as it stood before the reach-first order: a set-based
+    connectivity pass over arcs() first, then the forward and backward
+    reaches from the smallest vertex.  Kept as the oracle of is_calabi."""
+    if not graph.vertices:
+        raise GraphError("empty graph")
+    undirected = {v: set() for v in graph.vertices}
+    succ = {v: set() for v in graph.vertices}
+    pred = {v: set() for v in graph.vertices}
+    for s, d in graph.arcs():
+        undirected[s].add(d)
+        undirected[d].add(s)
+        succ[s].add(d)
+        pred[d].add(s)
+
+    def reach(adj, start):
+        seen, stack = set(), [start]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v] - seen)
+        return seen
+
+    verts = set(graph.vertices)
+    v0 = min(verts)
+    if reach(undirected, v0) != verts:
+        raise GraphError("graph must be connected")
+    return reach(succ, v0) == verts and reach(pred, v0) == verts
+
+
+def random_graph_with_attachments(rng):
+    """A random digraph, disconnected or one-vertex ones included, whose
+    vertices are zeros and special vertices joined by edges and by
+    attachments of every mode."""
+    n = rng.randint(1, 9)
+    g = FoliationGraph()
+    for _ in range(n):
+        g.add_vertex(rng.choice([ZERO, ZERO, SPECIAL]))
+    zeros = [v for v, x in g.vertices.items() if x.kind == ZERO]
+    specials = [v for v, x in g.vertices.items() if x.kind == SPECIAL]
+    p = rng.choice([0.05, 0.15, 0.3, 0.5])
+    for s in g.vertices:
+        for d in g.vertices:
+            if rng.random() < p:
+                g.add_edge(s, d, ONE, family=f"e{s}.{d}")
+    for z in zeros:
+        for s in specials:
+            if rng.random() < p:
+                g.attach(z, s, rng.choice(["up", "down", "both"]))
+    return g
+
+
+class TestReachFirst:
+    """is_calabi decides connectivity only when a reach fails, with the
+    reference's answers and errors."""
+
+    @staticmethod
+    def outcome(test, graph):
+        try:
+            return test(graph)
+        except GraphError as err:
+            return ("GraphError", str(err))
+
+    def test_random_digraphs_match_the_reference(self):
+        rng = random.Random(4177)
+        outcomes = set()
+        for _ in range(600):
+            if rng.random() < 0.5:
+                n = rng.randint(1, 8)
+                p = rng.choice([0.1, 0.2, 0.35, 0.6])
+                arcs = [(i, j) for i in range(n) for j in range(n) if rng.random() < p]
+                g = digraph_from_arcs(n, arcs, TABLE)
+            else:
+                g = random_graph_with_attachments(rng)
+            expected = self.outcome(reference_is_calabi, g)
+            assert self.outcome(is_calabi, g) == expected
+            assert g.underlying_connected() == (expected != ("GraphError", "graph must be connected"))
+            outcomes.add((expected, len(g.vertices) == 1))
+        # every branch was taken, one-vertex graphs included
+        assert {o for o, _ in outcomes} >= {True, False, ("GraphError", "graph must be connected")}
+        assert (True, True) in outcomes
+
+    def test_empty_graph_matches_the_reference(self):
+        g = FoliationGraph()
+        assert self.outcome(is_calabi, g) == self.outcome(reference_is_calabi, g)
+        assert not g.underlying_connected()
+
+    def test_a_strongly_connected_graph_skips_the_connectivity_pass(self, monkeypatch):
+        passes = []
+        real = FoliationGraph.underlying_connected
+        monkeypatch.setattr(FoliationGraph, "underlying_connected",
+                            lambda g: passes.append(g) or real(g))
+        assert is_calabi(cycle_graph(5)) is True
+        assert passes == []
+        # reached forward but not backward: still no pass
+        bridged = digraph_from_arcs(4, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)], TABLE)
+        assert is_calabi(bridged) is False
+        assert passes == []
+        # not reached forward: the pass tells "not Calabi" from "disconnected"
+        bridged = digraph_from_arcs(4, [(0, 1), (1, 0), (2, 3), (3, 2), (2, 1)], TABLE)
+        assert is_calabi(bridged) is False
+        assert len(passes) == 1

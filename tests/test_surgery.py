@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -11,7 +12,7 @@ from foliage import scalar, surgery
 from foliage.catalog import SCENARIOS
 from foliage.cli import build_report, build_scenario, parse_scenario
 from foliage.forms import ClosedForm
-from foliage.graph import FoliationGraph, factorization_witness
+from foliage.graph import FoliationGraph, factorization_witness, is_calabi
 from foliage.orbifold import pillowcase_presentation, torus_presentation
 from foliage.surgery import (
     ModelError,
@@ -554,8 +555,9 @@ class TestJoinCost:
         n = 8
         built = build_scenario(parse_scenario(surgery_chain("C", n)))
         build_report(built, "surgery")
-        # n + 1 forms, n joins and n rejoins of the genericized companion
-        assert len(constructed) == 3 * n + 1
+        # n + 1 forms, n joins and one genericized companion, whose rejoins
+        # stay unfinished workspaces
+        assert len(constructed) == 2 * n + 2
         assert [m for (m,) in decomposed] == constructed
 
     def test_decomposition_checks_reach_intermediate_models(self, monkeypatch):
@@ -602,3 +604,352 @@ class TestLongChains:
         finally:
             sys.setrecursionlimit(saved)
         assert "transitive: no" in report
+
+
+def reference_rebuild(model, shifts):
+    """The companion rebuild as it stood before rejoins stayed unfinished:
+    the tree walked with its own stack, inputs before their join and left
+    before right, and every rejoin, the pinched kind-C ones included,
+    finished as a model.  Kept as the oracle of _rebuild_with_shifts."""
+    rebuilt = []
+    todo = [(model, False)]
+    while todo:
+        node, inputs_done = todo.pop()
+        if node.spec is None:
+            rebuilt.append(node)
+        elif not inputs_done:
+            todo += [(node, True), (node.spec.right, False), (node.spec.left, False)]
+        else:
+            right = rebuilt.pop()
+            left = rebuilt.pop()
+            rebuilt.append(_reference_rejoin(node.spec, left, right, shifts))
+    return rebuilt.pop()
+
+
+def _reference_rejoin(spec, left, right, shifts):
+    table = left.table
+    sx = table.rational(shifts.get(f"{spec.name}.x", Fraction(0)))
+    sy = table.rational(shifts.get(f"{spec.name}.y", Fraction(0)))
+    lx, ly = levels = (spec.tube_levels[0] + sx, spec.tube_levels[1] + sy)
+    spec = replace(spec, left=left, right=right, tube_levels=levels)
+    if spec.kind != "C" or (lx - ly).is_zero():
+        return connected_sum(spec)
+    ws = surgery._Workspace(spec)
+    lsite = surgery._resolve_site(ws, "left", left, spec.left_region)
+    rsite = surgery._resolve_site(ws, "right", right, spec.right_region)
+    if scalar.sign(ly - lx) > 0:
+        surgery._apply_pinch(ws, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
+    else:
+        surgery._apply_pinch(ws, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    return surgery._finalize(ws, True)
+
+
+def _items(model):
+    g = model.graph
+    return {
+        "vertices": list(g.vertices.items()),
+        "edges": list(g.edges.items()),
+        "attachments": g.attachments,
+        "next ids": (g._next_vid, g._next_eid),
+        "sides": model.sides,
+        "zeros": model.zeros,
+        "catalog": model.catalog,
+        "notes": model.notes,
+        "is_generic": model.is_generic,
+    }
+
+
+def _outcome(build):
+    try:
+        return _items(build())
+    except ModelError as err:
+        return ("ModelError", str(err))
+
+
+def _first_shifts(model):
+    """The level shifts of genericize's first attempt."""
+    zero_ids = sorted(z.zero_id for z in model.zeros)
+    return {zid: Fraction(j, 7) for j, zid in enumerate(zero_ids)}
+
+
+REBUILD_SOURCES = {
+    **{f"chain-{kind}": surgery_chain(kind, 6) for kind in "ABC"},
+    "mixed-compact-chain": MIXED_COMPACT_CHAIN,
+    **{f"catalog-{name}": SCENARIOS[name] for name in sorted(SCENARIOS)},
+}
+
+
+class TestCompanionRebuild:
+    """Rejoins that stay unfinished workspaces rebuild the companion item for
+    item as rejoins finished as models did."""
+
+    @pytest.mark.parametrize("source", sorted(REBUILD_SOURCES))
+    def test_companion_matches_the_reference(self, monkeypatch, source):
+        built = build_scenario(parse_scenario(REBUILD_SOURCES[source]))
+        for model in built.models.values():
+            if model.spec is None:
+                continue
+            shifts = _first_shifts(model)
+            new = _outcome(lambda: surgery._rebuild_with_shifts(model, shifts))
+            assert new == _outcome(lambda: reference_rebuild(model, shifts)), model.name
+            if model.is_generic:
+                continue
+            companion = _items(genericize(model))
+            with monkeypatch.context() as patched:
+                patched.setattr(surgery, "_rebuild_with_shifts", reference_rebuild)
+                assert companion == _items(genericize(model)), model.name
+
+    def test_a_fault_in_a_rebuilt_join_reaches_the_companion_checks(self, monkeypatch):
+        # the first rejoin plants a duplicate leaf; only the companion is
+        # checked, and it carries the fault
+        model = build_scenario(parse_scenario(surgery_chain("C", 4))).final
+        real = surgery._rebuild_c_as_pinch
+
+        def faulty(spec):
+            ws = real(spec)
+            if spec.name == "s1":
+                ws.singular_entries.append(ws.singular_entries[0])
+            return ws
+
+        monkeypatch.setattr(surgery, "_rebuild_c_as_pinch", faulty)
+        with pytest.raises(scalar.FoliageError, match="duplicate leaf ids"):
+            genericize(model)
+
+
+NONTRANSITIVE_NOTE = "kind-A join with a nontransitive input"
+
+
+def _finished(model):
+    if isinstance(model, surgery.FoliationModel):
+        return model
+    return surgery._finalize(model, model.is_generic)
+
+
+def _capturing_joins(monkeypatch):
+    """Every join applied, finished or not, in the order applied."""
+    joins = []
+    real = surgery._join
+
+    def captured(spec):
+        ws = real(spec)
+        joins.append(ws)
+        return ws
+
+    monkeypatch.setattr(surgery, "_join", captured)
+    return joins
+
+
+def _check_kind_a_joins(joins):
+    """The carried verdict holds wherever it is carried, and the note falls
+    on the joins where deciding both inputs finds a nontransitive one;
+    returns how many kind-A joins there were, how many carried their
+    verdict, were noted, and were not generic.  Every join's distinct
+    periods, which the genericity lattice reads, are those of its components'
+    generator lists."""
+    for ws in joins:
+        assert ws.x_inf_periods == {
+            comp: tuple(dict.fromkeys(p for _, p in gens)) for comp, gens in ws.x_inf_gens.items()
+        }
+    kind_a = [ws for ws in joins if ws.spec.kind == "A"]
+    noted = 0
+    for ws in kind_a:
+        if ws.carried_transitive:
+            assert ws.is_generic
+            assert is_calabi(genericize(_finished(ws)).graph) is True, ws.name
+        left, right = (_finished(m) for m in (ws.spec.left, ws.spec.right))
+        note = any(n.startswith(f"{ws.name}: {NONTRANSITIVE_NOTE}") for n in ws.notes)
+        assert note == (not (is_transitive(left) and is_transitive(right))), ws.name
+        noted += note
+    carried = sum(ws.carried_transitive for ws in kind_a)
+    return len(kind_a), carried, noted, sum(not ws.is_generic for ws in kind_a)
+
+
+def _random_virgin(table, rng, name):
+    shape = rng.choice(["compact", "compact", "dense", "pillowcase"])
+    if shape == "compact":
+        a, b = rng.choice([(1, 0), (2, 3), (0, 1), (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(2, 3))])
+        return torus_model(table, a, b, name)
+    if shape == "dense":
+        return torus_model(table, "p", "q", name)
+    return pillowcase_dense(table, name)
+
+
+def _nontransitive_start(table, prefix):
+    """A kind-B join of two compact tori: nontransitive, not a kind-A join."""
+    return connected_sum(SurgerySpec(
+        "B", torus_model(table, 1, 0, f"{prefix}m1"), torus_model(table, 2, 3, f"{prefix}m2"),
+        left_window=(r(table, "1/8"), r(table, "3/8")),
+        right_window=(r(table, "5/8"), r(table, "7/8")),
+        tube_levels=(r(table, "3/4"), r(table, "1/4")),
+        name=f"{prefix}b",
+    ))
+
+
+def _random_kind_a_spec(table, rng, left, right, name):
+    """A kind-A spec at random regions of both inputs.  The windows sit inside
+    the left region's family, or anywhere on a noncompact one; a long tube
+    wraps a compact virgin side, and a whole-number band then lies in the
+    period lattice, so the join is not generic."""
+    regions = [[e.family for e in m.graph.edges.values()] + sorted(m.x_inf_gens)
+               for m in (left, right)]
+    lreg, rreg = (rng.choice(sorted(rs)) for rs in regions)
+    if rng.random() < 0.3:
+        band = rng.choice([Fraction(5, 2), Fraction(3), Fraction(3)])
+        window = (r(table, 0), r(table, 4))
+        tube = (r(table, Fraction(1, 4)), r(table, Fraction(1, 4) + band))
+    else:
+        lo, hi = Fraction(0), Fraction(1)
+        for e in left.graph.edges.values():
+            if e.family == lreg:
+                lo, hi = e.span[0].value(), e.span[1].value()
+        a, b = sorted(rng.sample(range(1, 16), 2))
+        w_lo, w_hi = lo + (hi - lo) * Fraction(a, 16), lo + (hi - lo) * Fraction(b, 16)
+        x, y = sorted(rng.sample(range(1, 8), 2))
+        window = (r(table, w_lo), r(table, w_hi))
+        tube = tuple(r(table, w_lo + (w_hi - w_lo) * Fraction(k, 8)) for k in (x, y))
+    return SurgerySpec(
+        "A", left, right, left_window=window, right_window=window, tube_levels=tube,
+        left_region=lreg, right_region=rreg, name=name,
+    )
+
+
+# kind-A joins, carried verdicts, notes and nongeneric joins: every A join of
+# the catalog and the A chains carries its verdict; the mixed chain's s4 (built,
+# and rejoined in its companion) takes the nontransitive kind-B s3 as input
+CATALOG_KIND_A_COUNTS = (15, 13, 2, 1)
+
+
+class TestCarriedVerdicts:
+    """A kind-A join carries its transitivity instead of deciding its inputs
+    again, and only where the verdict holds."""
+
+    def test_catalog_chains_and_mixed_joins(self, monkeypatch):
+        joins = _capturing_joins(monkeypatch)
+        texts = [SCENARIOS[name] for name in sorted(SCENARIOS)]
+        texts += [surgery_chain("A", n) for n in (1, 2, 8)] + [MIXED_COMPACT_CHAIN]
+        for text in texts:
+            build_report(build_scenario(parse_scenario(text)), "surgery")
+        kind_a, carried, noted, nongeneric = _check_kind_a_joins(joins)
+        assert (kind_a, carried, noted, nongeneric) == CATALOG_KIND_A_COUNTS
+
+    def test_random_kind_a_joins(self, monkeypatch, table):
+        joins = _capturing_joins(monkeypatch)
+        rng = random.Random(8128)
+        for tree in range(16):
+            if tree % 4 == 3:
+                current = _nontransitive_start(table, f"t{tree}")
+            else:
+                current = _random_virgin(table, rng, f"t{tree}v0")
+            for step in range(1, 6):
+                right = _random_virgin(table, rng, f"t{tree}v{step}")
+                if step > 1 and rng.random() < 0.3:
+                    # a surgered right input: a kind-A join of two virgins
+                    pair = [_random_virgin(table, rng, f"t{tree}u{step}{i}") for i in "ab"]
+                    try:
+                        right = connected_sum(_random_kind_a_spec(table, rng, *pair, f"t{tree}r{step}"))
+                    except ModelError:
+                        pass
+                try:
+                    current = connected_sum(
+                        _random_kind_a_spec(table, rng, current, right, f"t{tree}s{step}")
+                    )
+                except ModelError:
+                    continue
+        kind_a, carried, noted, nongeneric = _check_kind_a_joins(joins)
+        assert kind_a >= 60 and carried >= 40 and noted >= 5 and nongeneric >= 1
+
+    def test_a_nontransitive_kind_b_input_is_noted(self, monkeypatch, table):
+        joins = _capturing_joins(monkeypatch)
+        nontransitive = connected_sum(SurgerySpec(
+            "B", torus_model(table, 1, 0, "m1"), torus_model(table, 2, 3, "m2"),
+            left_window=(r(table, "1/8"), r(table, "3/8")),
+            right_window=(r(table, "5/8"), r(table, "7/8")),
+            tube_levels=(r(table, "3/4"), r(table, "1/4")),
+            name="bsum",
+        ))
+        model = connected_sum(SurgerySpec(
+            "A", nontransitive, pillowcase_dense(table, "pd"),
+            left_window=(r(table, "5/16"), r(table, "11/16")),
+            right_window=(r(table, "5/16"), r(table, "11/16")),
+            tube_levels=(r(table, "3/8"), r(table, "5/8")),
+            left_region="bsum.chain",
+            name="amix",
+        ))
+        assert _check_kind_a_joins(joins) == (1, 0, 1, 0)
+        assert any(NONTRANSITIVE_NOTE in n for n in model.notes)
+        assert not model.carried_transitive
+
+
+# a kind-A join of a compact cut side and a noncompact component, then a join
+# on the cut side's remaining family
+COMPACT_THEN_NONCOMPACT = """[symbols]
+p = 3.14159265358979323846264338327950288420
+q = 1.41421356237309504880168872420969807857
+[orbifold T]
+builtin = torus
+[orbifold Q]
+builtin = pillowcase
+[form w0]
+on = T
+dtheta = 1
+dphi = 0
+[form w1]
+on = Q
+dtheta = 1*p
+dphi = 1*q
+basic_override = true
+[form w2]
+on = T
+dtheta = 1
+dphi = 0
+[surgery s1]
+kind = A
+left = w0
+right = w1
+left_region = w0.f0
+right_region = w1.inf
+left_window = 1/8 : 3/8
+right_window = 1/8 : 3/8
+tube = 3/16 : 5/16
+[surgery s2]
+kind = A
+left = s1
+right = w2
+left_region = w0.f0:2
+right_region = w2.f0
+left_window = 1/2 : 3/4
+right_window = 1/2 : 3/4
+tube = 9/16 : 5/8
+"""
+
+
+class TestNoncompactBand:
+    def test_the_band_leaves_its_side_circle(self):
+        # the band between the tube levels goes noncompact, so it leaves the
+        # side's circle as it leaves the graph, and a later join copies the side
+        built = build_scenario(parse_scenario(COMPACT_THEN_NONCOMPACT))
+        s1 = built.models["s1"]
+        (side,) = [s for s in s1.sides if s.side_id == "w0"]
+        assert side.circuit_edges and set(side.circuit_edges) <= set(s1.graph.edges)
+        assert "transitive: yes" in build_report(built, "transitivity")
+
+
+class TestKindAChainCost:
+    def test_a_kind_a_chain_decides_one_calabi_graph(self, monkeypatch):
+        calabi = _counting(monkeypatch, surgery, "is_calabi")
+        passes = _counting(monkeypatch, FoliationGraph, "underlying_connected")
+        constructed = []
+        real_init = surgery.FoliationModel.__init__
+
+        def counted_init(self, *args, **kwargs):
+            constructed.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(surgery.FoliationModel, "__init__", counted_init)
+        built = build_scenario(parse_scenario(surgery_chain("A", 16)))
+        assert "transitive: yes" in build_report(built, "surgery")
+        # 17 forms and 16 joins, each checked once; the report's Calabi
+        # test reaches every vertex both ways, so it needs no pass
+        assert len(constructed) == 33
+        assert len(passes) == 33
+        assert len(calabi) == 1
