@@ -82,8 +82,8 @@ class LinearStructure:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """A closed 1-form on an orbifold; its invariant elements and structure
-    are computed on first read and then kept."""
+    """A closed 1-form on an orbifold; its bump copies, invariant elements
+    and structure are computed on first read and then kept."""
 
     linear: tuple[sc.SymScalar, sc.SymScalar]
     orbifold: OrbifoldPresentation
@@ -93,7 +93,8 @@ class ClosedForm:
     def __post_init__(self):
         a, b = self.linear
         a._check(b)
-        _validate_bump_supports(self)
+        if self.bumps:
+            _validate_bump_supports(self)
 
     @property
     def table(self) -> sc.SymbolTable:
@@ -111,6 +112,15 @@ class ClosedForm:
             self,
             linear=(a * c, b * c),
             bumps=tuple(replace(t, amplitude=t.amplitude * c) for t in self.bumps),
+        )
+
+    @sc.memo
+    def bump_copies(self) -> tuple[tuple[TorusPoint, BumpTerm], ...]:
+        """Every orbit copy of every bump with its term, bump by bump, each
+        bump's copies in `orbit` order; the supports check, the exact
+        potential and the tracer all read these."""
+        return tuple(
+            (copy, term) for term in self.bumps for copy in orbit(term.center, self.orbifold)
         )
 
     @sc.memo
@@ -170,15 +180,22 @@ def _torus_dist2(x: tuple[Fraction, Fraction], c: TorusPoint) -> Fraction:
 
 
 def _validate_bump_supports(form: ClosedForm) -> None:
-    centers: list[tuple[TorusPoint, Fraction]] = []
-    for t in form.bumps:
-        for copy in sorted(orbit(t.center, form.orbifold), key=lambda p: (p.theta, p.phi)):
-            centers.append((copy, t.radius))
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            (ci, ri), (cj, rj) = centers[i], centers[j]
-            d2 = _torus_dist2((ci.theta, ci.phi), cj)
-            if d2 <= (ri + rj) ** 2:
+    """Every two orbit copies of the bumps must have disjoint supports,
+    d^2 > (r_i + r_j)^2 with d the torus distance of their centres; scaled by
+    the common denominator L of every centre and radius, the test runs on
+    integer rows (x, y, r) with the torus wrap at L."""
+    copies = form.bump_copies
+    scale = lcm(*(v.denominator for copy, term in copies
+                  for v in (copy.theta, copy.phi, term.radius)))
+    rows = [(copy.theta.numerator * (scale // copy.theta.denominator),
+             copy.phi.numerator * (scale // copy.phi.denominator),
+             term.radius.numerator * (scale // term.radius.denominator))
+            for copy, term in copies]
+    for i, (xi, yi, ri) in enumerate(rows):
+        for xj, yj, rj in rows[i + 1:]:
+            u, v = (xi - xj) % scale, (yi - yj) % scale
+            u, v = min(u, scale - u), min(v, scale - v)
+            if u * u + v * v <= (ri + rj) ** 2:
                 raise FormError("bump supports overlap (orbit copies included)")
 
 
@@ -188,12 +205,8 @@ def bump_potential(form: ClosedForm, point: TorusPoint) -> sc.SymScalar:
 
 
 def _bump_copies(form: ClosedForm) -> list[tuple[TorusPoint, Fraction, sc.SymScalar]]:
-    """(center, r^2, amplitude) for every orbit copy of every bump."""
-    return [
-        (copy, term.radius**2, term.amplitude)
-        for term in form.bumps
-        for copy in orbit(term.center, form.orbifold)
-    ]
+    """(center, r^2, amplitude) for every kept orbit copy of every bump."""
+    return [(copy, term.radius**2, term.amplitude) for copy, term in form.bump_copies]
 
 
 def _potential(form: ClosedForm, copies, point: TorusPoint) -> sc.SymScalar:

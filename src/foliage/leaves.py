@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import scalar as sc
 from .forms import ClosedForm, LinearStructure
-from .orbifold import OrbifoldPresentation, TorusPoint, orbit
+from .orbifold import OrbifoldPresentation, TorusPoint
 
 
 class LeafError(sc.FoliageError):
@@ -226,13 +226,12 @@ def trace_leaf(
     forms whose coefficients exceed the float range).
     """
     # the one place a form becomes floats: the linear part, and one
-    # (center, r^2, amplitude) tuple per orbit copy of each bump
+    # (center, r^2, amplitude) tuple per kept orbit copy of each bump
     try:
         a_num, b_num = float(form.linear[0]), float(form.linear[1])
         bumps = [
             (float(copy.theta), float(copy.phi), float(term.radius) ** 2, float(term.amplitude))
-            for term in form.bumps
-            for copy in orbit(term.center, form.orbifold)
+            for copy, term in form.bump_copies
         ]
     except OverflowError:
         return TraceResult("Inconclusive", reason="form overflows the float range")
@@ -279,11 +278,18 @@ def trace_leaf(
         return TraceResult("Inconclusive", reason="field degenerate at seed", steps=0)
 
     targets = _closure_targets(form, sx, sy, v0)
+    # coverage is read only at the checkpoints and at the end, so each step
+    # just keeps its point, and the points since the last checkpoint are
+    # mapped to their cells there: the same cells as marking every step
     ncells = max(2, round(1.0 / grid_eps))
-    visited = [[False] * ncells for _ in range(ncells)]
-    visited[int(sx * ncells) % ncells][int(sy * ncells) % ncells] = True
-    marked = 1
+    cells = {(int(sx * ncells) % ncells, int(sy * ncells) % ncells)}
+    pending = []
     total_cells = ncells * ncells
+
+    def coverage() -> float:
+        cells.update([(int(x * ncells) % ncells, int(y * ncells) % ncells) for x, y in pending])
+        pending.clear()
+        return len(cells) / total_cells
 
     polyline = [(sx % 1.0, sy % 1.0)] if collect_polyline else None
     stride = 1  # doubled with thinning whenever the polyline outgrows its cap
@@ -318,15 +324,13 @@ def trace_leaf(
                 return TraceResult("Inconclusive", reason="field degenerate along trace", steps=n)
             px, py = nxt
         arc += step
+        point = (px % 1.0, py % 1.0)
+        pending.append(point)
         if collect_polyline and n % stride == 0:
-            polyline.append((px % 1.0, py % 1.0))
+            polyline.append(point)
             if len(polyline) > 200_000:
                 del polyline[::2]
                 stride *= 2
-        cx, cy = int((px % 1.0) * ncells) % ncells, int((py % 1.0) * ncells) % ncells
-        if not visited[cx][cy]:
-            visited[cx][cy] = True
-            marked += 1
 
         if quiet > 0:
             quiet -= 1
@@ -350,22 +354,17 @@ def trace_leaf(
         if n % 1024 == 0:
             if abs(level(px, py) - level0) > drift_tol:
                 return TraceResult("Inconclusive", reason="level drift exceeds tolerance", steps=n)
-            if marked / total_cells >= coverage_threshold:
-                return TraceResult(
-                    "DenseEvidence",
-                    coverage=marked / total_cells,
-                    steps=n,
-                    polyline=polyline,
-                )
+            covered = coverage()
+            if covered >= coverage_threshold:
+                return TraceResult("DenseEvidence", coverage=covered, steps=n, polyline=polyline)
 
-    if marked / total_cells >= coverage_threshold:
-        return TraceResult(
-            "DenseEvidence", coverage=marked / total_cells, steps=max_steps, polyline=polyline
-        )
+    covered = coverage()
+    if covered >= coverage_threshold:
+        return TraceResult("DenseEvidence", coverage=covered, steps=max_steps, polyline=polyline)
     return TraceResult(
         "Inconclusive",
         reason="step budget exhausted",
-        coverage=marked / total_cells,
+        coverage=covered,
         steps=max_steps,
         polyline=polyline,
     )

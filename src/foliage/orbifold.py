@@ -143,11 +143,13 @@ DEFAULT_BASEPOINT = (Fraction(1, 8), Fraction(1, 8))
 @dataclass(frozen=True)
 class OrbifoldPresentation:
     """A group action, a basepoint of trivial isotropy and the loop generators
-    there, built once (each loop points back here, so eq and repr skip them)."""
+    there, built once (each loop points back here, so eq and repr skip them),
+    and the cone points of each grid asked for, found once per denominator."""
 
     action: GroupAction
     basepoint: tuple[Fraction, Fraction] = DEFAULT_BASEPOINT
     generators: tuple["Generator", ...] = field(init=False, compare=False, repr=False)
+    _grid_cones: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", fundamental_generators(self))
@@ -155,28 +157,34 @@ class OrbifoldPresentation:
     def singular_points_on_grid(self, denominator: int = 24) -> list[TorusPoint]:
         """Grid points (i/d, j/d) with nontrivial isotropy (display aid), i-major.
 
-        A non-identity element x -> A x + b fixes (i, j)/d iff
-        (A - I)(i, j)/d + b is integral; scaled by L = lcm(d, denominators of
-        b) the test runs on integers.  Fixed points of affine torus maps have
-        small denominators, so a modest grid finds them all for the shipped
-        actions.
-        """
-        d = denominator
-        tests = []  # per element: the rows of L*((A - I)(i, j)/d + b), and L
-        for g in self.action.elements[1:]:
-            (a, b), (c, e) = g.matrix
-            u, v = g.offset
-            scale = lcm(d, u.denominator, v.denominator)
-            k = scale // d
-            rows = ((k * (a - 1), k * b, int(u * scale)), (k * c, k * (e - 1), int(v * scale)))
-            tests.append((rows, scale))
-        return [
-            TorusPoint(Fraction(i, d), Fraction(j, d))
-            for i in range(d)
-            for j in range(d)
-            if any(all((p * i + q * j + r) % scale == 0 for p, q, r in rows)
-                   for rows, scale in tests)
-        ]
+        Found on the first call for a denominator and kept; no lock, as
+        threads racing on that call find equal points."""
+        points = self._grid_cones.get(denominator)
+        if points is None:
+            points = self._grid_cones[denominator] = _grid_cone_points(self, denominator)
+        return list(points)
+
+
+def _grid_cone_points(presentation: OrbifoldPresentation, d: int) -> tuple[TorusPoint, ...]:
+    """A non-identity element x -> A x + b fixes (i, j)/d iff
+    (A - I)(i, j)/d + b is integral; scaled by L = lcm(d, denominators of b)
+    the test runs on integers.  Fixed points of affine torus maps have small
+    denominators, so a modest grid finds them all for the shipped actions."""
+    tests = []  # per element: the rows of L*((A - I)(i, j)/d + b), and L
+    for g in presentation.action.elements[1:]:
+        (a, b), (c, e) = g.matrix
+        u, v = g.offset
+        scale = lcm(d, u.denominator, v.denominator)
+        k = scale // d
+        rows = ((k * (a - 1), k * b, int(u * scale)), (k * c, k * (e - 1), int(v * scale)))
+        tests.append((rows, scale))
+    return tuple(
+        TorusPoint(Fraction(i, d), Fraction(j, d))
+        for i in range(d)
+        for j in range(d)
+        if any(all((p * i + q * j + r) % scale == 0 for p, q, r in rows)
+               for rows, scale in tests)
+    )
 
 
 # -- orbits and isotropy ------------------------------------------------------

@@ -30,6 +30,7 @@ from foliage.orbifold import (
     TorusPoint,
     concat,
     fundamental_generators,
+    orbit,
     pillowcase_presentation,
     shifted_torus_presentation,
     torus_presentation,
@@ -160,6 +161,82 @@ class TestTorusDistance:
     def test_minimal_image_equals_the_nine_shift_minimum(self, x, c):
         center = TorusPoint(*c)
         assert _torus_dist2(x, center) == nine_shift_dist2(x, center)
+
+
+def reference_overlaps(orbifold, bumps) -> bool:
+    """The supports check before it ran on integer rows: the Fraction torus
+    distance of every pair of orbit copies, each bump's copies sorted."""
+    centers = []
+    for t in bumps:
+        for copy in sorted(orbit(t.center, orbifold), key=lambda p: (p.theta, p.phi)):
+            centers.append((copy, t.radius))
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            (ci, ri), (cj, rj) = centers[i], centers[j]
+            if _torus_dist2((ci.theta, ci.phi), cj) <= (ri + rj) ** 2:
+                return True
+    return False
+
+
+@st.composite
+def grid_fractions(draw):
+    """A coordinate k/d of [0, 1) with d <= 64."""
+    d = draw(st.integers(1, 64))
+    return Fraction(draw(st.integers(0, d - 1)), d)
+
+
+RADII = st.fractions(min_value=Fraction(1, 300), max_value=Fraction(1, 4), max_denominator=300)
+# (a, b, c) with a^2 + b^2 = c^2: the unit directions of rational length
+PYTHAGOREAN = [(1, 0, 1), (0, 1, 1), (3, 4, 5), (-4, 3, 5), (5, -12, 13), (-8, -15, 17)]
+
+
+class TestSupportsCheck:
+    """Two orbit copies overlap when d^2 <= (r_i + r_j)^2; the check runs on
+    integer rows over one common denominator, and the Fraction check it
+    replaced is the reference."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(orbifold=st.sampled_from([T, Q, S]),
+           bumps=st.lists(st.tuples(grid_fractions(), grid_fractions(), RADII),
+                          min_size=1, max_size=3))
+    def test_the_integer_check_matches_the_fraction_check(self, orbifold, bumps):
+        table = make_table()
+        terms = tuple(BumpTerm(TorusPoint(x, y), r, table.rational(Fraction(1, 200)))
+                      for x, y, r in bumps)
+        if reference_overlaps(orbifold, terms):
+            with pytest.raises(FormError, match="bump supports overlap"):
+                ClosedForm((table.rational(1), table.zero()), orbifold, bumps=terms)
+        else:
+            form = ClosedForm((table.rational(1), table.zero()), orbifold, bumps=terms)
+            assert form.bumps == terms
+
+    @settings(deadline=None)
+    @given(orbifold=st.sampled_from([T, Q, S]), x=grid_fractions(), y=grid_fractions(),
+           radii=st.tuples(RADII, RADII), direction=st.sampled_from(PYTHAGOREAN))
+    def test_supports_that_touch_overlap(self, orbifold, x, y, radii, direction):
+        # the second centre sits at distance exactly r_1 + r_2 < 1/2 from the
+        # first, so the minimal image is that displacement and d = r_1 + r_2
+        table = make_table()
+        (r1, r2), (a, b, c) = radii, direction
+        reach = (r1 + r2) / c
+        terms = (BumpTerm(TorusPoint(x, y), r1, table.rational(Fraction(1, 200))),
+                 BumpTerm(TorusPoint(x + a * reach, y + b * reach), r2,
+                          table.rational(Fraction(1, 300))))
+        assert reference_overlaps(orbifold, terms)
+        with pytest.raises(FormError, match="bump supports overlap"):
+            ClosedForm((table.rational(1), table.zero()), orbifold, bumps=terms)
+
+    @pytest.mark.parametrize("orbifold, bumps", [
+        (T, [((Fraction(1, 16), 0), Fraction(1, 16)), ((Fraction(15, 16), 0), Fraction(1, 16))]),
+        (Q, [((Fraction(9, 16), Fraction(1, 2)), Fraction(1, 16))]),
+        (S, [((Fraction(1, 8), Fraction(1, 4)), Fraction(1, 4))]),
+    ], ids=["across-the-seam", "own-half-turn-copy", "own-half-shift-copy"])
+    def test_copies_that_touch_overlap(self, table, orbifold, bumps):
+        terms = tuple(BumpTerm(TorusPoint(*c), r, table.rational(Fraction(1, 200)))
+                      for c, r in bumps)
+        assert reference_overlaps(orbifold, terms)
+        with pytest.raises(FormError, match="bump supports overlap"):
+            ClosedForm((table.rational(1), table.zero()), orbifold, bumps=terms)
 
 
 class TestPathIntegral:
@@ -415,6 +492,35 @@ class TestKeptStructure:
         fresh = replace(form)
         assert records == [(fresh.structure, fresh.invariant_elements)] * 4
         assert records[0][0].reduced and records[0][1] == (0,)
+
+    def test_threads_racing_on_the_first_read_get_equal_copies_and_cones(self, table,
+                                                                          monkeypatch):
+        bumps = (small_bump(table), small_bump(table, center=(Fraction(5, 8), Fraction(3, 4))))
+        form = ClosedForm((table.rational(1), table.rational(2)), Q, bumps=bumps,
+                          basic_override=True)
+        # the supports check read the copies at construction: forget them,
+        # and the pillowcase's kept grids, so the threads make the first reads
+        del form.__dict__["bump_copies"]
+        for d in list(Q._grid_cones):
+            monkeypatch.delitem(Q._grid_cones, d)
+        start = threading.Barrier(4)
+
+        def first_read(_):
+            start.wait(timeout=30)
+            return form.bump_copies, Q.singular_points_on_grid(8), Q.singular_points_on_grid()
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                records = list(pool.map(first_read, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(saved)
+        fresh = replace(form)
+        cones = [TorusPoint(Fraction(i, 2), Fraction(j, 2)) for i in (0, 1) for j in (0, 1)]
+        assert records == [(fresh.bump_copies, cones, cones)] * 4
+        assert [copy for copy, _ in fresh.bump_copies] == [
+            copy for term in bumps for copy in orbit(term.center, Q)]
 
     @staticmethod
     def structure_reads(form):

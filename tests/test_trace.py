@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import cos, gcd, sin, sqrt
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from foliage import leaves
+from foliage.cli import build_scenario, parse_scenario, run
 from foliage.forms import BumpTerm, ClosedForm, FormError, bump_potential
 from foliage.leaves import TraceResult, _bump_sums, classify_leaf, trace_leaf
 from foliage.orbifold import (
@@ -169,21 +171,29 @@ class TestCompiledField:
         self.assert_crosses_support(result, center)
 
     def test_orbits_are_compiled_once_per_bump(self, table, monkeypatch):
+        # a form keeps its bump copies: the supports check at construction
+        # and the trace read the same ones, so building the scenario and
+        # tracing it find each bump's orbit once
         calls = []
 
         def counting_orbit(x, presentation):
             calls.append(x)
             return orbit(x, presentation)
 
-        bumps = [
-            self.bump(table, (Fraction(5, 8), Fraction(5, 8))),
-            self.bump(table, (Fraction(1, 4), Fraction(7, 8))),
-        ]
-        form = ClosedForm((table.rational(2), table.rational(3)), Q, bumps=tuple(bumps))
-        monkeypatch.setattr(leaves, "orbit", counting_orbit)
-        result = trace_leaf(form, SEED, step=0.01, max_steps=500)
-        assert result.steps > 100
-        assert calls == [b.center for b in bumps]
+        centers = [(Fraction(5, 8), Fraction(5, 8)), (Fraction(1, 4), Fraction(7, 8))]
+        text = "\n".join([
+            "[orbifold P]", "builtin = pillowcase", "",
+            "[form w]", "on = P", "dtheta = 2", "dphi = 3", "basic_override = true",
+            *(f"bump = center {x} {y} radius {self.BUMP_RADIUS} amplitude 1/200" for x, y in centers),
+            "", "[tracer]", "seed = 1/8, 1/8", "step = 0.01", "max_steps = 500", "",
+        ])
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "foliage"]:
+            if getattr(module, "orbit", None) is orbit:
+                monkeypatch.setattr(module, "orbit", counting_orbit)
+        built = build_scenario(parse_scenario(text))
+        report, artifacts, _ = run("trace", built)
+        assert "trace verdict:" in report and artifacts["svg"]
+        assert calls == [TorusPoint(*c) for c in centers]
 
     def test_four_field_evaluations_per_step(self, table, monkeypatch):
         # this leaf crosses its support: steps that cannot reach it add the
@@ -422,3 +432,48 @@ class TestStraightSteps:
         result = trace_leaf(form, SEED, step=0.01)
         assert result.verdict == "DenseEvidence"
         assert len(closures) <= result.steps / 10
+
+    # coverage is counted at the 1024-step checkpoints and at the end; the
+    # reference marks its grid on every step, so these pin that both count
+    # the same cells, bit for bit
+    TABLE = SymbolTable([("p", PI), ("q", SQRT2), ("r", SQRT3)])
+    GRID_LINE_SEED = TorusPoint(Fraction(3, 20), Fraction(7, 20))
+
+    def assert_same_coverage(self, form, seed, **args):
+        fast, slow = trace_leaf(form, seed, **args), reference_trace(form, seed, **args)
+        assert (fast.verdict, fast.steps, fast.reason) == (slow.verdict, slow.steps, slow.reason)
+        assert (fast.coverage is None and slow.coverage is None) or \
+            fast.coverage.hex() == slow.coverage.hex()
+        return fast
+
+    @pytest.mark.parametrize("orbifold, a, b, step, steps", [
+        (T, "one", "q", 0.02, 2048), (T, "p", "q", 0.02, 2048), (S, "q", "r", 0.05, 1024)])
+    @pytest.mark.parametrize("seed", [SEED, GRID_LINE_SEED], ids=["seed", "grid-line-seed"])
+    def test_dense_leaves_stop_at_the_same_checkpoint(self, orbifold, a, b, step, steps, seed):
+        t = self.TABLE
+        form = ClosedForm((t.symbol(a), t.symbol(b)), orbifold, basic_override=True)
+        result = self.assert_same_coverage(form, seed, step=step)
+        assert (result.verdict, result.steps, result.coverage) == ("DenseEvidence", steps, 1.0)
+
+    @pytest.mark.parametrize("max_steps", [1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("seed", [SEED, GRID_LINE_SEED], ids=["seed", "grid-line-seed"])
+    def test_an_exhausted_budget_counts_the_same_cells(self, max_steps, seed):
+        form = ClosedForm((self.TABLE.symbol("p"), self.TABLE.symbol("q")), T)
+        result = self.assert_same_coverage(form, seed, step=0.002, max_steps=max_steps)
+        assert (result.verdict, result.reason, result.steps) == (
+            "Inconclusive", "step budget exhausted", max_steps)
+        assert 0 < result.coverage < 0.99
+
+    def test_a_budget_ending_between_checkpoints_can_end_dense(self):
+        form = ClosedForm((self.TABLE.rational(1), self.TABLE.symbol("q")), T)
+        result = self.assert_same_coverage(form, SEED, step=0.02, max_steps=2047)
+        assert (result.verdict, result.steps, result.coverage) == ("DenseEvidence", 2047, 1.0)
+
+    @pytest.mark.parametrize("max_steps", [30, 150, 250])
+    def test_a_leaf_along_a_grid_line_counts_the_same_cells(self, table, max_steps):
+        # the horizontal circle through the seed runs on the line phi = 7/20
+        # between two rows of cells; it closes after 200 steps
+        form = ClosedForm((table.zero(), table.rational(1)), T)
+        args = dict(step=0.005, max_steps=max_steps, return_tol=1e-6)
+        result = self.assert_same_coverage(form, self.GRID_LINE_SEED, **args)
+        assert result.verdict == ("Inconclusive" if max_steps < 200 else "Closed")

@@ -315,6 +315,34 @@ def test_a_trace_op_decides_invariance_once(monkeypatch):
     assert calls == ["invariant_subgroup"]
 
 
+def test_trace_ops_on_a_builtin_find_its_cone_markers_once(monkeypatch, tmp_path, capsys):
+    # the built-in pillowcase is shared, and keeps the cone points of the
+    # SVG's grid from the first op that draws them
+    pillowcase = orbifold.BUILTIN_ORBIFOLDS["pillowcase"]
+    monkeypatch.delitem(pillowcase._grid_cones, 8, raising=False)
+    calls = []
+    count_calls(monkeypatch, calls, orbifold, "_grid_cone_points")
+    scenario = tmp_path / "bumped.scn"
+    scenario.write_text(BUMPED_PILLOWCASE)
+    for i in range(2):
+        assert main(["trace", str(scenario), "--svg", str(tmp_path / f"{i}.svg")]) == 0
+    assert calls == ["_grid_cone_points"]
+    assert (tmp_path / "0.svg").read_text() == (tmp_path / "1.svg").read_text()
+
+
+@pytest.mark.parametrize("text, bumps", [(BUMPED_PILLOWCASE, 1), (TWO_BUMP_SHIFTED_TORUS, 2)],
+                         ids=["bumped-pillowcase", "two-bump-shifted-torus"])
+def test_a_trace_op_finds_each_bump_orbit_once(monkeypatch, tmp_path, capsys, text, bumps):
+    # the supports check, the periods and the tracer read the copies the
+    # form kept
+    calls = []
+    count_calls(monkeypatch, calls, orbifold, "orbit")
+    scenario = tmp_path / "bumped.scn"
+    scenario.write_text(text)
+    assert main(["trace", str(scenario)]) == 0
+    assert calls == ["orbit"] * bumps
+
+
 @pytest.mark.parametrize("name", ZERO_FREE_CATALOG)
 def test_a_periods_report_decides_invariance_once_per_form(monkeypatch, name):
     calls = []
