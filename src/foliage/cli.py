@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import scalar as sc
 from . import catalog as builtin_catalog
-from .forms import ClosedForm, BumpTerm, invariance_verdict
+from .forms import ClosedForm, BumpTerm
 from .graph import factorization_witness
 from .leaves import trace_leaf
 from .orbifold import (
@@ -126,20 +126,10 @@ class Scenario:
 
 
 def _parse_rational(text: str, line: int) -> int | Fraction:
-    """The rational a scenario writes.  ASCII ``-?digits(/digits)?`` is read
-    with int; any other text goes through Fraction, which decides what else is
-    accepted (decimals, exponents, ``+``, underscores, other digits)."""
-    word = text.strip()
+    """The rational a scenario writes, read by `scalar.read_rational`."""
     try:
-        if word.isascii():
-            num, slash, den = word.partition("/")
-            if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
-                if not slash:
-                    return int(num)
-                if den.strip("0"):
-                    return Fraction(int(num), int(den))
-        return Fraction(word)
-    except (ValueError, ZeroDivisionError):  # int() refuses over-long digit strings too
+        return sc.read_rational(text)
+    except (ValueError, ZeroDivisionError):
         raise ScenarioError(f"bad rational {text!r}", line) from None
 
 
@@ -591,7 +581,7 @@ def build_report(built: BuiltScenario, command: str) -> str:
     lines.append("== basicness ==")
     for name in sorted(built.forms):
         form = built.forms[name]
-        honest = invariance_verdict(form)
+        honest = form.invariant
         verdict = "invariant" if honest else "NOT invariant"
         note = ""
         if not honest and form.basic_override:
@@ -810,7 +800,7 @@ def _seed_arg(text: str) -> tuple[Fraction, Fraction]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"{text!r} is not 'theta,phi'")
     try:
-        return Fraction(parts[0]), Fraction(parts[1])
+        return sc.read_rational(parts[0]), sc.read_rational(parts[1])
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a pair of rationals") from None
 

@@ -76,7 +76,6 @@ class LinearStructure:
     content: Optional[sc.SymScalar]  # positive transverse period of the cover circle
     quotient_order: int  # collapsing of the leaf circle by the invariant subgroup
     circumference: Optional[sc.SymScalar]  # content / quotient_order
-    invariant_elements: tuple[int, ...]
     reduced: bool  # some group elements do not preserve the form
 
 
@@ -128,17 +127,21 @@ class ClosedForm:
         """Indices of the group elements whose pullback preserves the form."""
         return tuple(invariant_subgroup(self))
 
+    @property
+    def invariant(self) -> bool:
+        """Whether every group element preserves the form."""
+        return len(self.invariant_elements) == len(self.orbifold.action)
+
     @sc.memo
     def structure(self) -> LinearStructure:
         """Rank, compactness and leaf circle of the foliation; raises what
         `zeros` raises."""
         zeros(self)
         a, b = self.linear
-        keep = self.invariant_elements
-        reduced = not invariance_verdict(self)
+        reduced = not self.invariant
         rank = sc.q_rank([a, b])
         if rank >= 2:
-            return LinearStructure(rank, False, None, None, 1, None, keep, reduced)
+            return LinearStructure(rank, False, None, None, 1, None, reduced)
         # (a, b) = (m*t, n*t) with m, n coprime integers and t symbolic
         if a.is_zero():
             content, (m, n) = b, (0, 1)
@@ -152,7 +155,7 @@ class ClosedForm:
         # form a cyclic group whose order is the lcm of their denominators
         elements = self.orbifold.action.elements
         order = 1
-        for i in keep:
+        for i in self.invariant_elements:
             x, y = elements[i].offset
             den = x.denominator * y.denominator  # of the level m*x + n*y
             order = lcm(order, den // gcd(m * x.numerator * y.denominator
@@ -164,7 +167,6 @@ class ClosedForm:
             content=content,
             quotient_order=order,
             circumference=content / order,
-            invariant_elements=keep,
             reduced=reduced,
         )
 
@@ -230,11 +232,7 @@ def check_basic(form: ClosedForm) -> bool:
     acts by (integer) isometries.  A declared override makes the verdict true
     and is recorded separately by reports.
     """
-    return form.basic_override or invariance_verdict(form)
-
-
-def invariance_verdict(form: ClosedForm) -> bool:
-    return len(form.invariant_elements) == len(form.orbifold.action)
+    return form.basic_override or form.invariant
 
 
 def _pulls_back_to_itself(g: AffineMap, a: sc.SymScalar, b: sc.SymScalar) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import scalar as sc
-from .forms import ClosedForm, LinearStructure
+from .forms import ClosedForm
 from .orbifold import OrbifoldPresentation, TorusPoint
 
 
@@ -57,7 +57,7 @@ class Decomposition:
     x_c: frozenset[str]
     x_inf_components: tuple[tuple[str, frozenset[str]], ...]
     boundary: tuple[tuple[str, str], ...]  # (leaf id, compact component id)
-    # the generator periods of each noncompact component, sorted by id
+    # the distinct periods of each noncompact component, sorted by id
     component_periods: tuple[tuple[str, tuple[sc.SymScalar, ...]], ...]
 
     @sc.memo
@@ -79,11 +79,6 @@ class Decomposition:
 
 
 # -- the linear layer -----------------------------------------------------------
-
-
-def linear_structure(form: ClosedForm) -> LinearStructure:
-    """The form's structure, decided once and kept (`ClosedForm.structure`)."""
-    return form.structure
 
 
 def classify_leaf(form: ClosedForm, presentation: OrbifoldPresentation, x: TorusPoint) -> LeafClass:
@@ -117,7 +112,7 @@ def decompose(model) -> Decomposition:
         raise LeafError("duplicate leaf ids in catalog")
 
     x_c = frozenset(l.leaf_id for l in catalog if l.compact)
-    comp_sets: dict[str, set[str]] = {cid: set() for cid in model.x_inf_gens}
+    comp_sets: dict[str, set[str]] = {cid: set() for cid in model.x_inf_periods}
     for leaf in catalog:
         if leaf.compact:
             continue
@@ -145,9 +140,7 @@ def decompose(model) -> Decomposition:
         x_c=x_c,
         x_inf_components=tuple((cid, frozenset(comp_sets[cid])) for cid in sorted(comp_sets)),
         boundary=boundary,
-        component_periods=tuple(
-            (cid, tuple(p for _, p in model.x_inf_gens[cid])) for cid in sorted(comp_sets)
-        ),
+        component_periods=tuple((cid, model.x_inf_periods[cid]) for cid in sorted(comp_sets)),
     )
 
 

@@ -75,6 +75,32 @@ class memo:
         return value
 
 
+# the most digits a literal may expand to: the limit Python puts on the digit
+# strings int() reads, which plain integer literals already meet
+LITERAL_DIGITS = 4300
+
+
+def read_rational(text: str) -> int | Fraction:
+    """The rational a literal writes.  ASCII ``-?digits(/digits)?`` is read
+    with int; any other text goes through Fraction, which decides what else is
+    accepted (decimals, exponents, ``+``, underscores, other digits), once its
+    mantissa's digits plus its exponent's size are at most LITERAL_DIGITS, so
+    no literal expands into a longer integer.  Raises ValueError or
+    ZeroDivisionError on any other text."""
+    word = text.strip()
+    if word.isascii():
+        num, slash, den = word.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+            if not slash:
+                return int(num)
+            if den.strip("0"):
+                return Fraction(int(num), int(den))
+    mantissa, _, exponent = word.lower().partition("e")
+    if sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0)) > LITERAL_DIGITS:
+        raise ValueError(f"{text!r} expands past {LITERAL_DIGITS} digits")
+    return Fraction(word)
+
+
 @dataclass(frozen=True)
 class Symbol:
     name: str
@@ -98,9 +124,12 @@ class SymbolTable:
             if name in self._index:
                 raise ScalarError(f"duplicate symbol {name!r}")
             try:
-                exact = Fraction(value)
+                exact = read_rational(value)
             except (ValueError, ZeroDivisionError):
-                raise ScalarError(f"symbol {name!r}: value {value!r} is not a decimal literal") from None
+                raise ScalarError(
+                    f"symbol {name!r}: value {value!r} is not a decimal literal "
+                    f"of at most {LITERAL_DIGITS} digits"
+                ) from None
             if exact == 0:
                 raise ScalarError(f"symbol {name!r}: numeric value must be nonzero")
             lits, den = self.scaled

@@ -17,7 +17,7 @@ The tube geometry itself is never integrated; levels carry all of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -67,69 +67,56 @@ class Side:
         return self if edges == self.circuit_edges else replace(self, circuit_edges=edges)
 
 
+@dataclass(eq=False, repr=False)
 class FoliationModel:
-    """Immutable bundle of form, catalog, graph and decomposition.
+    """One record of a model: form (None once surgered), sides, leaf graph,
+    zeros and noncompact components, with the catalog and decomposition
+    that `finish` adds.
 
-    A surgered model has no form (None) but its surgery spec, from which
-    genericize rebuilds it; its verdicts read only the graph, levels and
-    periods.  The constructor takes ownership of its arguments.
-    carried_transitive is set on a kind-A join that is transitive by the
-    lemma of _join; False means only that the verdict is not carried.
+    A join fills a new record through the methods below, and `finish` checks
+    it, once; a finished model is not changed again.  A surgered model has
+    its surgery spec, from which genericize rebuilds it; its verdicts read
+    only the graph, levels and periods.  carried_transitive is set on a
+    kind-A join that is transitive by the lemma of _join; False means only
+    that the verdict is not carried.
     """
 
-    def __init__(
-        self,
-        name: str,
-        form: Optional[ClosedForm],
-        table: sc.SymbolTable,
-        sides: list[Side],
-        graph: FoliationGraph,
-        zeros: list[Zero],
-        x_inf_gens: dict[str, list[tuple[str, sc.SymScalar]]],
-        special_vertices: dict[str, int],
-        singular_entries: list[LeafClass],
-        notes: list[str],
-        is_generic: bool,
-        spec: Optional["SurgerySpec"] = None,
-        x_inf_periods: Optional[dict[str, tuple[sc.SymScalar, ...]]] = None,
-        carried_transitive: bool = False,
-    ):
-        self.name = name
-        self.form = form
-        self.table = table
-        self.sides = sides
-        self.graph = graph
-        self.zeros = zeros
-        self.x_inf_gens = x_inf_gens
-        self.special_vertices = special_vertices
-        self.singular_entries = singular_entries
-        self.notes = notes
-        self.is_generic = is_generic
-        self.spec = spec
-        # the distinct periods of each component, in first-seen order
-        self.x_inf_periods = x_inf_periods if x_inf_periods is not None else {
-            comp: _distinct_periods(gens) for comp, gens in x_inf_gens.items()
-        }
-        self.carried_transitive = carried_transitive
-        self.catalog = self._build_catalog()
-        self.decomposition: Decomposition = decompose(self)
-        graph.validate()
-        if graph.vertices and not graph.underlying_connected():
+    name: str = ""
+    form: Optional[ClosedForm] = None
+    table: Optional[sc.SymbolTable] = None
+    sides: list[Side] = field(default_factory=list)
+    graph: FoliationGraph = field(default_factory=FoliationGraph)
+    zeros: list[Zero] = field(default_factory=list)
+    # the distinct periods of each noncompact component, in first-seen order
+    x_inf_periods: dict[str, tuple[sc.SymScalar, ...]] = field(default_factory=dict)
+    special_vertices: dict[str, int] = field(default_factory=dict)
+    singular_entries: list[LeafClass] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    is_generic: bool = False
+    spec: Optional["SurgerySpec"] = None
+    carried_transitive: bool = False
+    catalog: Optional[list[LeafClass]] = field(default=None, init=False)
+    decomposition: Optional[Decomposition] = field(default=None, init=False)
+
+    def finish(self) -> "FoliationModel":
+        """Build the catalog and decomposition and run the model's checks;
+        the one place they run."""
+        self.catalog = [
+            LeafClass(leaf_id=e.family, kind=COMPACT_REGULAR, family=e.family)
+            for _, e in sorted(self.graph.edges.items())
+        ]
+        self.catalog += [
+            LeafClass(leaf_id=comp, kind=NONCOMPACT_REGULAR, family=comp, component_ref=comp)
+            for comp in sorted(self.x_inf_periods)
+        ]
+        self.catalog += self.singular_entries
+        self.decomposition = decompose(self)
+        self.graph.validate()
+        if self.graph.vertices and not self.graph.underlying_connected():
             raise ModelError("model graph is disconnected")
+        return self
 
-    def _build_catalog(self) -> list[LeafClass]:
-        entries = []
-        for eid in sorted(self.graph.edges):
-            family = self.graph.edges[eid].family
-            entries.append(LeafClass(leaf_id=family, kind=COMPACT_REGULAR, family=family))
-        for comp in sorted(self.x_inf_gens):
-            entries.append(
-                LeafClass(leaf_id=comp, kind=NONCOMPACT_REGULAR, family=comp, component_ref=comp)
-            )
-        entries.extend(self.singular_entries)
-        return entries
-
-    # -- convenience -------------------------------------------------------
+    # -- reading -----------------------------------------------------------
 
     def side(self, side_id: str) -> Side:
         for s in self.sides:
@@ -146,9 +133,50 @@ class FoliationModel:
     def singular_levels(self) -> list[tuple[str, sc.SymScalar]]:
         return [(z.zero_id, z.level) for z in sorted(self.zeros, key=lambda z: z.zero_id)]
 
+    # -- filling, by the operation that creates the model ------------------
 
-def _distinct_periods(gens, start=()) -> tuple[sc.SymScalar, ...]:
-    return tuple(dict.fromkeys([*start, *(p for _, p in gens)]))
+    def replace_side(self, side: Side) -> None:
+        self.sides = [side if s.side_id == side.side_id else s for s in self.sides]
+
+    def merge_components(self, comps: list[str], extra_periods: list) -> str:
+        """Fuse noncompact components into one; the smallest id survives."""
+        target, *absorbed = sorted(set(comps))
+        periods = [p for c in [target, *absorbed] for p in self.x_inf_periods.pop(c)]
+        self.x_inf_periods[target] = tuple(dict.fromkeys(periods + extra_periods))
+        keep_vid = self.special_vertices[target]
+        for c in absorbed:
+            dead = self.special_vertices.pop(c)
+            for i, a in enumerate(self.graph.attachments):
+                if a.special_vertex == dead:
+                    self.graph.attachments[i] = replace(a, special_vertex=keep_vid)
+            self.graph.remove_vertex(dead)
+        self.singular_entries = [
+            replace(leaf, component_ref=target) if leaf.component_ref in absorbed else leaf
+            for leaf in self.singular_entries
+        ]
+        return target
+
+    def new_component(self, comp: str, periods) -> str:
+        self.x_inf_periods[comp] = tuple(dict.fromkeys(periods))
+        self.special_vertices[comp] = self.graph.add_vertex(SPECIAL, ref=comp)
+        return comp
+
+    def add_tube_side(self) -> None:
+        self.sides.append(Side(self.name, "tube", (), None))
+
+    def register_zero(self, zid: str, level: sc.SymScalar, side_id: str) -> None:
+        self.zeros.append(Zero(zid, side_id, index=1, isotropy_order=1, level=level))
+
+    def add_singular_leaf(self, suffix: str, kind: str, zeros, comps, ref) -> None:
+        self.singular_entries.append(
+            LeafClass(
+                leaf_id=f"{self.name}.leaf_{suffix}",
+                kind=kind,
+                zeros=tuple(zeros),
+                components=tuple(comps),
+                component_ref=ref,
+            )
+        )
 
 
 # -- virgin models ---------------------------------------------------------------
@@ -163,21 +191,19 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
             raise NotBasicError(
                 f"{name}: form is not invariant under the action and no override is declared"
             )
-        kept = ",".join(str(i) for i in structure.invariant_elements)
+        kept = ",".join(str(i) for i in form.invariant_elements)
         notes.append(
             f"{name}: invariance check FAILED; proceeding under the declared-basic "
             f"override, foliation data computed on the invariant subgroup [{kept}]"
         )
     generators = form.orbifold.generators
     gens = tuple((g.gen_id, g_path_integral(form, g.loop)) for g in generators)
-    kept = set(structure.invariant_elements)
+    kept = set(form.invariant_elements)
     witness_gens = tuple(g.gen_id for g in generators if g.arrow_index in kept)
-    graph = FoliationGraph()
-    x_inf: dict[str, list] = {}
-    specials: dict[str, int] = {}
+    model = FoliationModel(name, form, form.table, notes=notes, is_generic=True)
     if structure.compact:
-        marker = graph.add_vertex(MARKER)
-        eid = graph.add_edge(
+        marker = model.graph.add_vertex(MARKER)
+        eid = model.graph.add_edge(
             marker,
             marker,
             structure.circumference,
@@ -185,25 +211,11 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
             side=name,
             span=(form.table.zero(), structure.circumference),
         )
-        side = Side(name, "circle", gens, structure.circumference, (eid,), witness_gens)
+        model.sides.append(Side(name, "circle", gens, structure.circumference, (eid,), witness_gens))
     else:
-        comp = f"{name}.inf"
-        specials[comp] = graph.add_vertex(SPECIAL, ref=comp)
-        x_inf[comp] = list(gens)
-        side = Side(name, "dense", gens, None, (), witness_gens)
-    return FoliationModel(
-        name=name,
-        form=form,
-        table=form.table,
-        sides=[side],
-        graph=graph,
-        zeros=[],
-        x_inf_gens=x_inf,
-        special_vertices=specials,
-        singular_entries=[],
-        notes=notes,
-        is_generic=True,
-    )
+        model.new_component(f"{name}.inf", (p for _, p in gens))
+        model.sides.append(Side(name, "dense", gens, None, (), witness_gens))
+    return model.finish()
 
 
 # -- surgery specs -----------------------------------------------------------------
@@ -240,106 +252,33 @@ class _Site:
     shift: Optional[sc.SymScalar] = None  # modulus multiple placing levels in the span
 
 
-class _Workspace:
-    """Mutable merge of the two input models while a surgery is applied.
+def _merge(spec: SurgerySpec) -> tuple[FoliationModel, dict[tuple[str, int], int]]:
+    """A new record holding both inputs, and where each input edge went.
 
-    An input may itself be an unfinished workspace: it offers the same
-    fields as a model, and the copy below never writes to an input.
+    An input may itself be unfinished; the copy never writes to an input.
     """
-
-    def __init__(self, spec: SurgerySpec):
-        left, right = spec.left, spec.right
-        if left.table is not right.table:
-            raise ModelError("surgery inputs must share one symbol table")
-        if left.name == right.name:
-            raise ModelError("surgery inputs need distinct model names")
-        self.spec = spec
-        self.table = left.table
-        self.graph = FoliationGraph()
-        self.sides: list[Side] = []
-        self.zeros: list[Zero] = []
-        self.x_inf_gens: dict[str, list] = {}
-        self.x_inf_periods: dict[str, tuple[sc.SymScalar, ...]] = {}
-        self.special_vertices: dict[str, int] = {}
-        self.singular_entries: list[LeafClass] = []
-        self.notes: list[str] = []
-        self.is_generic = False
-        self.carried_transitive = False
-        self.edge_map: dict[tuple[str, int], int] = {}
-        for role, model in (("left", left), ("right", right)):
-            vmap, emap = self.graph.absorb(model.graph)
-            self.edge_map.update(((role, eid), new) for eid, new in emap.items())
-            for s in model.sides:
-                self.sides.append(s.with_circuit(emap[eid] for eid in s.circuit_edges))
-            self.zeros.extend(model.zeros)
-            for comp, gens in model.x_inf_gens.items():
-                self.x_inf_gens[comp] = list(gens)
-            self.x_inf_periods.update(model.x_inf_periods)
-            for comp, vid in model.special_vertices.items():
-                self.special_vertices[comp] = vmap[vid]
-            self.singular_entries.extend(model.singular_entries)
-            self.notes.extend(model.notes)
-        names = [s.side_id for s in self.sides]
-        if len(set(names)) != len(names):
-            raise ModelError("side names collide between the two inputs")
-        if spec.name in names:
-            raise ModelError(f"surgery name {spec.name!r} collides with an existing side")
-
-    side = FoliationModel.side  # the same lookup, over the workspace's sides
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    def replace_side(self, side: Side) -> None:
-        self.sides = [side if s.side_id == side.side_id else s for s in self.sides]
-
-    def merge_components(self, comps: list[str], extra_gens: list) -> str:
-        """Fuse noncompact components into one; the smallest id survives."""
-        target = sorted(set(comps))[0]
-        gens, periods = [], []
-        for c in sorted(set(comps)):
-            gens.extend(self.x_inf_gens.pop(c))
-            periods.extend(self.x_inf_periods.pop(c))
-        gens.extend(extra_gens)
-        self.x_inf_gens[target] = gens
-        self.x_inf_periods[target] = _distinct_periods(extra_gens, periods)
-        keep_vid = self.special_vertices[target]
-        absorbed = set(comps) - {target}
-        for c in sorted(absorbed):
-            dead = self.special_vertices.pop(c)
-            for i, a in enumerate(self.graph.attachments):
-                if a.special_vertex == dead:
-                    self.graph.attachments[i] = replace(a, special_vertex=keep_vid)
-            self.graph.remove_vertex(dead)
-        self.singular_entries = [
-            replace(leaf, component_ref=target) if leaf.component_ref in absorbed else leaf
-            for leaf in self.singular_entries
-        ]
-        return target
-
-    def new_component(self, comp: str, gens: list) -> str:
-        self.x_inf_gens[comp] = list(gens)
-        self.x_inf_periods[comp] = _distinct_periods(gens)
-        self.special_vertices[comp] = self.graph.add_vertex(SPECIAL, ref=comp)
-        return comp
-
-    def add_tube_side(self) -> None:
-        self.sides.append(Side(self.spec.name, "tube", (), None))
-
-    def register_zero(self, zid: str, level: sc.SymScalar, side_id: str) -> None:
-        self.zeros.append(Zero(zid, side_id, index=1, isotropy_order=1, level=level))
-
-    def add_singular_leaf(self, suffix: str, kind: str, zeros, comps, ref) -> None:
-        self.singular_entries.append(
-            LeafClass(
-                leaf_id=f"{self.spec.name}.leaf_{suffix}",
-                kind=kind,
-                zeros=tuple(zeros),
-                components=tuple(comps),
-                component_ref=ref,
-            )
-        )
+    left, right = spec.left, spec.right
+    if left.table is not right.table:
+        raise ModelError("surgery inputs must share one symbol table")
+    if left.name == right.name:
+        raise ModelError("surgery inputs need distinct model names")
+    model = FoliationModel(spec.name, table=left.table, spec=spec)
+    edge_map: dict[tuple[str, int], int] = {}
+    for role, part in (("left", left), ("right", right)):
+        vmap, emap = model.graph.absorb(part.graph)
+        edge_map.update(((role, eid), new) for eid, new in emap.items())
+        model.sides += [s.with_circuit(emap[eid] for eid in s.circuit_edges) for s in part.sides]
+        model.zeros += part.zeros
+        model.x_inf_periods.update(part.x_inf_periods)
+        model.special_vertices.update((c, vmap[vid]) for c, vid in part.special_vertices.items())
+        model.singular_entries += part.singular_entries
+        model.notes += part.notes
+    names = [s.side_id for s in model.sides]
+    if len(set(names)) != len(names):
+        raise ModelError("side names collide between the two inputs")
+    if spec.name in names:
+        raise ModelError(f"surgery name {spec.name!r} collides with an existing side")
+    return model, edge_map
 
 
 # -- exact level location -----------------------------------------------------------
@@ -372,30 +311,31 @@ def _locate_window(window, span, modulus) -> Optional[sc.SymScalar]:
 # -- shared rewiring helpers -----------------------------------------------------------
 
 
-def _resolve_site(ws: _Workspace, role: str, model: FoliationModel, region: str) -> _Site:
-    window = ws.spec.left_window if role == "left" else ws.spec.right_window
+def _resolve_site(model: FoliationModel, edge_map, role: str, source: FoliationModel,
+                  region: str) -> _Site:
+    window = model.spec.left_window if role == "left" else model.spec.right_window
     if sc.sign(window[1] - window[0]) <= 0:
         raise ModelError(f"{role} window is empty")
     if region == "auto":
-        families = sorted(e.family for e in model.graph.edges.values())
-        comps = sorted(model.x_inf_gens)
+        families = sorted(e.family for e in source.graph.edges.values())
+        comps = sorted(source.x_inf_periods)
         if len(families) + len(comps) != 1:
             raise ModelError(f"{role}: region 'auto' needs a single-family model; name the region")
         region = (families + comps)[0]
-    if region in model.x_inf_gens:
+    if region in source.x_inf_periods:
         side_id = region.rsplit(".inf", 1)[0]
         return _Site(role, "special", side_id, window, component=region)
-    for eid in sorted(model.graph.edges):
-        e = model.graph.edges[eid]
+    for eid in sorted(source.graph.edges):
+        e = source.graph.edges[eid]
         if e.family == region:
-            return _Site(role, "edge", e.side, window, edge_id=ws.edge_map[(role, eid)])
+            return _Site(role, "edge", e.side, window, edge_id=edge_map[(role, eid)])
     raise ModelError(f"{role}: region {region!r} not found")
 
 
-def _check_level_clear(ws: _Workspace, side: Side, position: sc.SymScalar) -> None:
+def _check_level_clear(model: FoliationModel, side: Side, position: sc.SymScalar) -> None:
     """New singular levels must avoid existing ones exactly (mod the circle)."""
-    for z in sorted(ws.zeros, key=lambda z: z.zero_id):
-        if z.side != side.side_id or z.zero_id.startswith(f"{ws.spec.name}."):
+    for z in sorted(model.zeros, key=lambda z: z.zero_id):
+        if z.side != side.side_id or z.zero_id.startswith(f"{model.spec.name}."):
             continue
         diff = position - z.level
         if side.circumference is not None:
@@ -404,11 +344,11 @@ def _check_level_clear(ws: _Workspace, side: Side, position: sc.SymScalar) -> No
             raise ModelError(f"tube level collides with the singular level of zero {z.zero_id}")
 
 
-def _fit_window(ws: _Workspace, site: _Site) -> None:
+def _fit_window(model: FoliationModel, site: _Site) -> None:
     if site.kind != "edge":
         return
-    e = ws.graph.edges[site.edge_id]
-    side = ws.side(e.side)
+    e = model.graph.edges[site.edge_id]
+    side = model.side(e.side)
     shift = _locate_window(site.window, e.span, side.circumference)
     if shift is None:
         raise ModelError(
@@ -418,51 +358,51 @@ def _fit_window(ws: _Workspace, site: _Site) -> None:
     site.shift = shift
 
 
-def _cut_edge(ws: _Workspace, site: _Site, cuts: list[tuple[sc.SymScalar, int]]) -> list[int]:
+def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar, int]]) -> list[int]:
     """Split the site's edge at the given ambient levels; returns new edge ids
     ordered from the low end of the span to the high end."""
-    e = ws.graph.edges[site.edge_id]
-    side = ws.side(e.side)
+    e = model.graph.edges[site.edge_id]
+    side = model.side(e.side)
     located = []
     for level, vid in cuts:
         pos = level + site.shift if site.shift is not None else level
         if not (sc.sign(pos - e.span[0]) > 0 and sc.sign(e.span[1] - pos) > 0):
             raise ModelError("cut level falls outside the targeted family")
-        _check_level_clear(ws, side, pos)
+        _check_level_clear(model, side, pos)
         located.append((pos, vid))
-    ws.graph.remove_edge(e.eid)
+    model.graph.remove_edge(e.eid)
     pieces = []
     prev_v, prev_pos = e.src, e.span[0]
     for i, (pos, vid) in enumerate(located):
         pieces.append(
-            ws.graph.add_edge(prev_v, vid, pos - prev_pos, f"{e.family}:{i}", e.side,
+            model.graph.add_edge(prev_v, vid, pos - prev_pos, f"{e.family}:{i}", e.side,
                               (prev_pos, pos))
         )
         prev_v, prev_pos = vid, pos
     pieces.append(
-        ws.graph.add_edge(prev_v, e.dst, e.span[1] - prev_pos,
+        model.graph.add_edge(prev_v, e.dst, e.span[1] - prev_pos,
                           f"{e.family}:{len(located)}", e.side, (prev_pos, e.span[1]))
     )
     if side.circuit_edges:
         circuit = []
         for eid in side.circuit_edges:
             circuit.extend(pieces if eid == e.eid else [eid])
-        ws.replace_side(side.with_circuit(circuit))
+        model.replace_side(side.with_circuit(circuit))
     return pieces
 
 
 # -- kind A ------------------------------------------------------------------------
 
 
-def _side_mode(ws: _Workspace, site: _Site, band: sc.SymScalar) -> str:
+def _side_mode(model: FoliationModel, site: _Site, band: sc.SymScalar) -> str:
     if site.kind == "special":
         return "special"
-    side = ws.side(ws.graph.edges[site.edge_id].side)
+    side = model.side(model.graph.edges[site.edge_id].side)
     c = side.circumference
     if c is None or sc.sign(c - band) > 0:
         return "cut"
     if sc.sign(band - c * 2) > 0:
-        if any(z.side == side.side_id for z in ws.zeros):
+        if any(z.side == side.side_id for z in model.zeros):
             raise UnsupportedSurgery("wrapping disks on already-surgered sides")
         return "wrap"
     raise UnsupportedSurgery(
@@ -470,19 +410,19 @@ def _side_mode(ws: _Workspace, site: _Site, band: sc.SymScalar) -> str:
     )
 
 
-def _absorb_side(ws: _Workspace, side_id: str) -> Side:
+def _absorb_side(model: FoliationModel, side_id: str) -> Side:
     """Remove a wrapped side's compact families; its material goes noncompact."""
-    side = ws.side(side_id)
-    dead = [eid for eid, e in ws.graph.edges.items() if e.side == side_id]
+    side = model.side(side_id)
+    dead = [eid for eid, e in model.graph.edges.items() if e.side == side_id]
     touched = set()
     for eid in dead:
-        e = ws.graph.remove_edge(eid)
+        e = model.graph.remove_edge(eid)
         touched.update((e.src, e.dst))
     for vid in sorted(touched):
-        v = ws.graph.vertices.get(vid)
-        if v is not None and v.kind == MARKER and ws.graph.degree(vid) == 0:
-            ws.graph.remove_vertex(vid)
-    ws.replace_side(side.with_circuit(()))
+        v = model.graph.vertices.get(vid)
+        if v is not None and v.kind == MARKER and model.graph.degree(vid) == 0:
+            model.graph.remove_vertex(vid)
+    model.replace_side(side.with_circuit(()))
     return side
 
 
@@ -494,26 +434,26 @@ def _overlap(spec: SurgerySpec, left: _Site, right: _Site):
     return j_lo, j_hi
 
 
-def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
-    spec = ws.spec
+def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
+    spec = model.spec
     j_lo, j_hi = _overlap(spec, left, right)
     lx, ly = spec.tube_levels
     if not (sc.sign(lx - j_lo) > 0 and sc.sign(ly - lx) > 0 and sc.sign(j_hi - ly) > 0):
         raise ModelError("kind A needs tube levels strictly inside the window overlap")
     band = ly - lx
-    modes = {s.role: _side_mode(ws, s, band) for s in (left, right)}
+    modes = {s.role: _side_mode(model, s, band) for s in (left, right)}
     cut_sites = [s for s in (left, right) if modes[s.role] == "cut"]
     wrap_sites = [s for s in (left, right) if modes[s.role] == "wrap"]
     special_sites = [s for s in (left, right) if modes[s.role] == "special"]
     for s in cut_sites:
-        _fit_window(ws, s)
+        _fit_window(model, s)
 
-    vZx = ws.graph.add_vertex(ZERO, ref=f"{spec.name}.x")
-    vZy = ws.graph.add_vertex(ZERO, ref=f"{spec.name}.y")
+    vZx = model.graph.add_vertex(ZERO, ref=f"{spec.name}.x")
+    vZy = model.graph.add_vertex(ZERO, ref=f"{spec.name}.y")
     mids = []
     compact_comps = []
     for s in cut_sites:
-        low, mid, high = _cut_edge(ws, s, [(lx, vZx), (ly, vZy)])
+        low, mid, high = _cut_edge(model, s, [(lx, vZx), (ly, vZy)])
         mids.append(mid)
         compact_comps.append((f"circle@{s.side_id}", True))
 
@@ -521,62 +461,62 @@ def _apply_A(ws: _Workspace, left: _Site, right: _Site) -> bool:
     if not special_sites and not wrap_sites:
         # both sides stay compact: the two mid bands fuse into one family
         for mid in mids:
-            ws.graph.remove_edge(mid)
-        fused = ws.graph.add_edge(vZx, vZy, band, f"{spec.name}.fused", spec.name, (lx, ly))
+            model.graph.remove_edge(mid)
+        fused = model.graph.add_edge(vZx, vZy, band, f"{spec.name}.fused", spec.name, (lx, ly))
         for s, mid in zip(cut_sites, mids):
-            side = ws.side(s.side_id)
+            side = model.side(s.side_id)
             circuit = [fused if eid == mid else eid for eid in side.circuit_edges]
-            ws.replace_side(side.with_circuit(circuit))
+            model.replace_side(side.with_circuit(circuit))
         leaf_kind, comp_ref = COMPACT_SINGULAR, None
         noncompact_comps: list[tuple[str, bool]] = []
     else:
         extra = []
         for s in wrap_sites:
-            side = _absorb_side(ws, s.side_id)
+            side = _absorb_side(model, s.side_id)
             identifications.append(side.circumference)
-            extra.extend(side.generators)
+            extra.extend(p for _, p in side.generators)
         comps = [s.component for s in special_sites]
         if comps:
-            target = ws.merge_components(comps, extra)
+            target = model.merge_components(comps, extra)
         else:
             if sc.q_rank(identifications) < 2:
                 raise UnsupportedSurgery(
                     "wrapped sides with commensurate circumferences stay compact; "
                     "this regime is not modeled"
                 )
-            target = ws.new_component(f"{spec.name}.inf", extra)
+            target = model.new_component(f"{spec.name}.inf", extra)
         for s, mid in zip(cut_sites, mids):
             # the band goes noncompact: it leaves the graph and its circle
-            ws.graph.remove_edge(mid)
-            side = ws.side(s.side_id)
-            ws.replace_side(side.with_circuit(eid for eid in side.circuit_edges if eid != mid))
-        sv = ws.special_vertices[target]
-        ws.graph.attach(vZx, sv, "both")
-        ws.graph.attach(vZy, sv, "both")
+            model.graph.remove_edge(mid)
+            side = model.side(s.side_id)
+            model.replace_side(side.with_circuit(eid for eid in side.circuit_edges if eid != mid))
+        sv = model.special_vertices[target]
+        model.graph.attach(vZx, sv, "both")
+        model.graph.attach(vZy, sv, "both")
         leaf_kind, comp_ref = NONCOMPACT_SINGULAR, target
         noncompact_comps = [(f"rays@{target}", False)]
 
-    ws.add_tube_side()
+    model.add_tube_side()
     zx, zy = f"{spec.name}.x", f"{spec.name}.y"
-    ws.register_zero(zx, lx, left.side_id)
-    ws.register_zero(zy, ly, right.side_id)
+    model.register_zero(zx, lx, left.side_id)
+    model.register_zero(zy, ly, right.side_id)
     for zid in (zx, zy):
         comps = [(f"{zid}.{n}", flag) for n, flag in compact_comps + noncompact_comps]
-        ws.add_singular_leaf(zid.rsplit(".", 1)[1], leaf_kind, (zid,), comps, comp_ref)
+        model.add_singular_leaf(zid.rsplit(".", 1)[1], leaf_kind, (zid,), comps, comp_ref)
 
     generic = True
     if comp_ref is not None:
-        generic = band not in sc.Lattice(identifications + list(ws.x_inf_periods[comp_ref]))
+        generic = band not in sc.Lattice(identifications + list(model.x_inf_periods[comp_ref]))
     return generic
 
 
 # -- kinds B and C (pinched tubes) ----------------------------------------------------
 
 
-def _forbid_wrapping(ws: _Workspace, site: _Site) -> None:
+def _forbid_wrapping(model: FoliationModel, site: _Site) -> None:
     if site.kind != "edge":
         return
-    side = ws.side(ws.graph.edges[site.edge_id].side)
+    side = model.side(model.graph.edges[site.edge_id].side)
     if side.circumference is None:
         return
     w_len = site.window[1] - site.window[0]
@@ -585,7 +525,7 @@ def _forbid_wrapping(ws: _Workspace, site: _Site) -> None:
 
 
 def _apply_pinch(
-    ws: _Workspace,
+    model: FoliationModel,
     low_site: _Site,
     high_site: _Site,
     low_level: sc.SymScalar,
@@ -595,16 +535,16 @@ def _apply_pinch(
 ) -> None:
     """Shared rewiring of kind B and of genericized kind C: a chain of new
     compact families between the two pinch levels, one zero at each end."""
-    spec = ws.spec
+    spec = model.spec
     if sc.sign(high_level - low_level) <= 0:
         raise ModelError("pinch needs two distinct ordered levels")
     for s in (low_site, high_site):
-        _forbid_wrapping(ws, s)
-        _fit_window(ws, s)
+        _forbid_wrapping(model, s)
+        _fit_window(model, s)
 
-    v_low = ws.graph.add_vertex(ZERO, ref=low_zero)
-    v_high = ws.graph.add_vertex(ZERO, ref=high_zero)
-    ws.graph.add_edge(
+    v_low = model.graph.add_vertex(ZERO, ref=low_zero)
+    v_high = model.graph.add_vertex(ZERO, ref=high_zero)
+    model.graph.add_edge(
         v_low, v_high, high_level - low_level, f"{spec.name}.chain", spec.name,
         (low_level, high_level),
     )
@@ -615,20 +555,20 @@ def _apply_pinch(
     ):
         comps = [(f"{zid}.pinch_{cap}", True)]
         if site.kind == "edge":
-            _cut_edge(ws, site, [(level, vertex)])
+            _cut_edge(model, site, [(level, vertex)])
             comps.append((f"{zid}.circle@{site.side_id}", True))
             kind, ref = COMPACT_SINGULAR, None
         else:
-            ws.graph.attach(vertex, ws.special_vertices[site.component], "both")
+            model.graph.attach(vertex, model.special_vertices[site.component], "both")
             comps.append((f"{zid}.rays@{site.component}", False))
             kind, ref = NONCOMPACT_SINGULAR, site.component
-        ws.register_zero(zid, level, site.side_id)
-        ws.add_singular_leaf(zid.rsplit(".", 1)[1], kind, (zid,), comps, ref)
-    ws.add_tube_side()
+        model.register_zero(zid, level, site.side_id)
+        model.add_singular_leaf(zid.rsplit(".", 1)[1], kind, (zid,), comps, ref)
+    model.add_tube_side()
 
 
-def _apply_B(ws: _Workspace, left: _Site, right: _Site) -> bool:
-    spec = ws.spec
+def _apply_B(model: FoliationModel, left: _Site, right: _Site) -> bool:
+    spec = model.spec
     lx, ly = spec.tube_levels  # convention: level of x above level of y
     if sc.sign(lx - ly) <= 0:
         raise ModelError("kind B needs the first tube level above the second")
@@ -645,12 +585,12 @@ def _apply_B(ws: _Workspace, left: _Site, right: _Site) -> bool:
         and sc.sign(high_site.window[1] - lx) > 0
     ):
         raise ModelError("kind B tube levels must pinch at their own disk windows")
-    _apply_pinch(ws, low_site, high_site, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    _apply_pinch(model, low_site, high_site, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
     return True
 
 
-def _apply_C(ws: _Workspace, left: _Site, right: _Site) -> bool:
-    spec = ws.spec
+def _apply_C(model: FoliationModel, left: _Site, right: _Site) -> bool:
+    spec = model.spec
     j_lo, j_hi = _overlap(spec, left, right)
     lx, ly = spec.tube_levels
     if not (lx - ly).is_zero():
@@ -658,61 +598,42 @@ def _apply_C(ws: _Workspace, left: _Site, right: _Site) -> bool:
     if not (sc.sign(lx - j_lo) > 0 and sc.sign(j_hi - lx) > 0):
         raise ModelError("kind C level must lie strictly inside the window overlap")
 
-    vZ = ws.graph.add_vertex(ZERO, ref=f"{spec.name}.x+{spec.name}.y")
+    vZ = model.graph.add_vertex(ZERO, ref=f"{spec.name}.x+{spec.name}.y")
     comps: list[tuple[str, bool]] = [(f"{spec.name}.waist", True)]
     refs = []
     for site in (left, right):
         if site.kind == "edge":
-            _forbid_wrapping(ws, site)
-            _fit_window(ws, site)
-            _cut_edge(ws, site, [(lx, vZ)])
+            _forbid_wrapping(model, site)
+            _fit_window(model, site)
+            _cut_edge(model, site, [(lx, vZ)])
             comps.append((f"{spec.name}.circle@{site.side_id}", True))
         else:
-            ws.graph.attach(vZ, ws.special_vertices[site.component], "both")
+            model.graph.attach(vZ, model.special_vertices[site.component], "both")
             comps.append((f"{spec.name}.rays@{site.component}", False))
             refs.append(site.component)
     zx, zy = f"{spec.name}.x", f"{spec.name}.y"
-    ws.register_zero(zx, lx, left.side_id)
-    ws.register_zero(zy, ly, right.side_id)
-    ws.add_tube_side()
+    model.register_zero(zx, lx, left.side_id)
+    model.register_zero(zy, ly, right.side_id)
+    model.add_tube_side()
     kind = NONCOMPACT_SINGULAR if refs else COMPACT_SINGULAR
-    ws.add_singular_leaf("xy", kind, (zx, zy), comps, sorted(refs)[0] if refs else None)
+    model.add_singular_leaf("xy", kind, (zx, zy), comps, sorted(refs)[0] if refs else None)
     return False  # two zeros on one leaf: never generic
 
 
 # -- public operations -----------------------------------------------------------------
 
 
-def _finalize(ws: _Workspace, is_generic: bool) -> FoliationModel:
-    return FoliationModel(
-        name=ws.spec.name,
-        form=None,
-        table=ws.table,
-        sides=ws.sides,
-        graph=ws.graph,
-        zeros=ws.zeros,
-        x_inf_gens=ws.x_inf_gens,
-        special_vertices=ws.special_vertices,
-        singular_entries=ws.singular_entries,
-        notes=ws.notes,
-        is_generic=is_generic,
-        spec=ws.spec,
-        x_inf_periods=ws.x_inf_periods,
-        carried_transitive=ws.carried_transitive,
-    )
-
-
-def _input_transitive(model) -> bool:
+def _input_transitive(model: FoliationModel) -> bool:
     """A kind-A input's verdict: carried when the input is a kind-A join that
     recorded it, decided otherwise; an unfinished input is finished first."""
     if model.carried_transitive:
         return True
-    if isinstance(model, _Workspace):
-        model = _finalize(model, model.is_generic)
+    if model.decomposition is None:
+        model.finish()
     return is_transitive(model)
 
 
-def _join(spec: SurgerySpec) -> _Workspace:
+def _join(spec: SurgerySpec) -> FoliationModel:
     """Apply one surgery, leaving the result unfinished with is_generic set.
 
     A generic kind-A join of generic inputs with Calabi graphs has a Calabi
@@ -725,30 +646,29 @@ def _join(spec: SurgerySpec) -> _Workspace:
     companion), so such a join is transitive, and records it for the joins
     that take it as an input.
     """
-    ws = _Workspace(spec)
-    left = _resolve_site(ws, "left", spec.left, spec.left_region)
-    right = _resolve_site(ws, "right", spec.right, spec.right_region)
+    model, edge_map = _merge(spec)
+    left = _resolve_site(model, edge_map, "left", spec.left, spec.left_region)
+    right = _resolve_site(model, edge_map, "right", spec.right, spec.right_region)
     apply = {"A": _apply_A, "B": _apply_B, "C": _apply_C}[spec.kind]
-    generic = apply(ws, left, right)
-    ws.is_generic = generic and spec.left.is_generic and spec.right.is_generic
+    generic = apply(model, left, right)
+    model.is_generic = generic and spec.left.is_generic and spec.right.is_generic
     if spec.kind == "A":
         if _input_transitive(spec.left) and _input_transitive(spec.right):
-            ws.carried_transitive = ws.is_generic
+            model.carried_transitive = model.is_generic
         else:
             # no general preservation rule covers this case; only the graph decides
-            ws.notes.append(
+            model.notes.append(
                 f"{spec.name}: kind-A join with a nontransitive input; the transitivity "
                 "verdict is derived from the graph alone"
             )
-    return ws
+    return model
 
 
 def connected_sum(spec: SurgerySpec) -> FoliationModel:
     """Join two models with a tube; the catalog, graph and decomposition are
     rewired by the kind-specific rules, and everything off the disks survives
     with its families and weights unchanged."""
-    ws = _join(spec)
-    return _finalize(ws, ws.is_generic)
+    return _join(spec).finish()
 
 
 def genericize(model: FoliationModel) -> FoliationModel:
@@ -792,8 +712,8 @@ def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> 
     """Rebuild the surgery tree under model with shifted tube levels, inputs
     before their join and left before right.  The walk keeps its own stack,
     so a chain of any length rebuilds without recursing.  A rebuilt join
-    stays an unfinished workspace, the input of the next; only the rebuilt
-    root becomes a model, whose checks then cover the whole tree."""
+    stays unfinished, the input of the next; only the rebuilt root is
+    finished, and its checks then cover the whole tree."""
     rebuilt: list = []
     todo: list[tuple[FoliationModel, bool]] = [(model, False)]
     while todo:
@@ -806,11 +726,10 @@ def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> 
             right = rebuilt.pop()
             left = rebuilt.pop()
             rebuilt.append(_rejoin(node.spec, left, right, shifts))
-    ws = rebuilt.pop()
-    return _finalize(ws, ws.is_generic)
+    return rebuilt.pop().finish()
 
 
-def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction]) -> _Workspace:
+def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction]) -> FoliationModel:
     """One join of the tree, redone over its rebuilt inputs at shifted levels."""
     table = left.table
     sx = table.rational(shifts.get(f"{spec.name}.x", Fraction(0)))
@@ -822,19 +741,19 @@ def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction]) -> _Wor
     return _join(spec)
 
 
-def _rebuild_c_as_pinch(spec: SurgerySpec) -> _Workspace:
+def _rebuild_c_as_pinch(spec: SurgerySpec) -> FoliationModel:
     """A perturbed equal-level tube is a pinched tube: the waist opens into a
     short chain of compact families between the two separated levels."""
-    ws = _Workspace(spec)
-    lsite = _resolve_site(ws, "left", spec.left, spec.left_region)
-    rsite = _resolve_site(ws, "right", spec.right, spec.right_region)
+    model, edge_map = _merge(spec)
+    lsite = _resolve_site(model, edge_map, "left", spec.left, spec.left_region)
+    rsite = _resolve_site(model, edge_map, "right", spec.right, spec.right_region)
     lx, ly = spec.tube_levels  # x sits at the left junction, y at the right
     if sc.sign(ly - lx) > 0:
-        _apply_pinch(ws, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
+        _apply_pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
     else:
-        _apply_pinch(ws, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
-    ws.is_generic = True
-    return ws
+        _apply_pinch(model, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    model.is_generic = True
+    return model
 
 
 @dataclass(frozen=True)

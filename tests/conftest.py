@@ -123,3 +123,115 @@ def random_connected_digraphs(rng, count, table=None):
             continue
         made += 1
         yield g
+
+
+# the linear parts a random tree draws, (dtheta, dphi) as scenario text
+TREE_FORMS = [
+    ("1", "0"), ("0", "1"), ("2", "3"), ("1/2", "0"), ("1/3", "2/3"),
+    ("1*p", "0"), ("1*p", "2*p"), ("1*p", "1*q"), ("1", "1*q"),
+]
+TREE_BUMPS = [
+    ((Fraction(1, 4), Fraction(1, 8)), Fraction(1, 16), "1/200"),
+    ((Fraction(1, 8), Fraction(3, 8)), Fraction(1, 32), "1/1000*p"),
+]
+
+
+def _tree_value(table, text):
+    coef, _, name = text.rpartition("*")
+    return table.symbol(name, Fraction(coef)) if coef else table.rational(Fraction(text))
+
+
+def _tree_window(rng, span, low=0, high=16):
+    """Two grid levels in a region's span, drawn from the sixteenths
+    low..high of it; a noncompact component spans [0, 1]."""
+    lo, hi = (float(v) for v in span) if span else (0.0, 1.0)
+    a, b = sorted(rng.sample(range(low + 1, high), 2))
+    return tuple(Fraction(round((lo + (hi - lo) * k / 16) * 64), 64) for k in (a, b))
+
+
+def _tree_join(rng, kind, left, right):
+    """One join's regions, windows and tube levels, drawn from the families
+    and components of its inputs as built."""
+    (lreg, lspan), (rreg, rspan) = (
+        rng.choice([(e.family, e.span) for _, e in sorted(m.graph.edges.items())]
+                   + [(cid, None) for cid, _ in m.decomposition.x_inf_components])
+        for m in (left, right)
+    )
+    lw = rw = _tree_window(rng, lspan)
+    if kind == "A" and rng.random() < 0.2:
+        # a long tube, wrapping a compact side
+        lw = rw = (Fraction(0), Fraction(4))
+        tube = (Fraction(1, 4), Fraction(1, 4) + rng.choice([Fraction(5, 2), Fraction(3)]))
+    elif kind in "AC":
+        x, y = sorted(rng.sample(range(1, 8), 2))
+        tube = tuple(lw[0] + (lw[1] - lw[0]) * Fraction(k, 8) for k in (x, y if kind == "A" else x))
+    else:
+        # kind B: one window low in its span, the other high, a level in each
+        if rng.random() < 0.5:
+            lw, rw = _tree_window(rng, lspan, 0, 8), _tree_window(rng, rspan, 8, 16)
+        else:
+            lw, rw = _tree_window(rng, lspan, 8, 16), _tree_window(rng, rspan, 0, 8)
+        low, high = sorted([lw, rw])
+        tube = (high[0] + (high[1] - high[0]) / 2, low[0] + (low[1] - low[0]) / 2)
+    return lreg, rreg, lw, rw, tube
+
+
+def surgery_trees(seed, count):
+    """Seeded random surgery trees as scenario texts: 2-5 forms on the three
+    built-in orbifolds, with rational or symbolic coefficients and some
+    bumps, joined two at a time by kind A, B or C surgeries until one model
+    is left.  Each join is drawn from its inputs as built so far; a draw the
+    join refuses is drawn again up to three times and then kept, and the
+    tree ends there, so that some trees exit 2."""
+    from foliage.orbifold import BUILTIN_ORBIFOLDS, TorusPoint
+    from foliage.forms import BumpTerm, ClosedForm
+    from foliage.scalar import FoliageError
+    from foliage.surgery import SurgerySpec, analyze, connected_sum
+
+    rng = random.Random(seed)
+    orbifolds = {"T": "torus", "S": "shifted_torus", "Q": "pillowcase"}
+    for _ in range(count):
+        table = SymbolTable([("p", PI), ("q", SQRT2)])
+        out = ["[symbols]", f"p = {PI}", f"q = {SQRT2}"]
+        for o, builtin in orbifolds.items():
+            out += [f"[orbifold {o}]", f"builtin = {builtin}"]
+        models = {}
+        for i in range(rng.randint(2, 5)):
+            on = rng.choice(sorted(orbifolds))
+            dtheta, dphi = rng.choice(TREE_FORMS)
+            bumps = [rng.choice(TREE_BUMPS)] if rng.random() < 0.3 else []
+            out += [f"[form w{i}]", f"on = {on}", f"dtheta = {dtheta}", f"dphi = {dphi}"]
+            out += ["basic_override = true"] * (on == "Q")
+            out += [f"bump = center {c[0]} {c[1]} radius {r} amplitude {a}" for c, r, a in bumps]
+            form = ClosedForm(
+                (_tree_value(table, dtheta), _tree_value(table, dphi)),
+                BUILTIN_ORBIFOLDS[orbifolds[on]],
+                tuple(BumpTerm(TorusPoint(*c), r, _tree_value(table, a)) for c, r, a in bumps),
+                basic_override=on == "Q",
+            )
+            models[f"w{i}"] = analyze(form, f"w{i}")
+        pool = list(models)
+        for k in range(1, len(pool)):
+            left, right = rng.sample(pool, 2)
+            for attempt in range(4):
+                kind = rng.choice("ABC")
+                lreg, rreg, lw, rw, tube = _tree_join(rng, kind, models[left], models[right])
+                spec = SurgerySpec(
+                    kind, models[left], models[right],
+                    tuple(table.rational(v) for v in lw), tuple(table.rational(v) for v in rw),
+                    tuple(table.rational(v) for v in tube), lreg, rreg, name=f"s{k}",
+                )
+                try:
+                    joined = connected_sum(spec)
+                    break
+                except FoliageError:
+                    joined = None
+            out += [f"[surgery s{k}]", f"kind = {kind}", f"left = {left}", f"right = {right}",
+                    f"left_region = {lreg}", f"right_region = {rreg}",
+                    f"left_window = {lw[0]} : {lw[1]}", f"right_window = {rw[0]} : {rw[1]}",
+                    f"tube = {tube[0]} : {tube[1]}"]
+            if joined is None:
+                break
+            pool = [name for name in pool if name not in (left, right)] + [f"s{k}"]
+            models[f"s{k}"] = joined
+        yield "\n".join(out) + "\n"

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -79,9 +80,14 @@ dphi = 0
 
 
 def assert_parses_as_fraction(text):
-    """`_parse_rational` equals Fraction(text.strip()) wherever that succeeds,
-    and raises the same `bad rational` error wherever it fails."""
+    """`_parse_rational` equals Fraction(text.strip()) wherever that succeeds
+    within the literal bound, and raises the same `bad rational` error
+    wherever it fails.  The bound: the mantissa's digits plus the exponent's
+    size are at most 4,300, so Fraction never expands a longer integer."""
     try:
+        mantissa, _, exponent = text.strip().lower().partition("e")
+        if sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0)) > 4300:
+            raise ValueError("past the literal bound")
         want = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ScenarioError) as err:
@@ -264,6 +270,28 @@ class TestEntryPoint:
         assert "line 10: bad rational '3/0'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("symbol, dphi, code", [
+        ("1e9999999", "1*p", 2), ("1e-9999999", "1*p", 2), ("3/2", "1e4300*p", 2),
+        ("3/2", "1e9999999*p", 2), ("3/2", "1e4299*p", 0), ("1e4299", "1*p", 0),
+    ])
+    def test_literals_are_bounded_by_their_digits(self, tmp_path, capsys, symbol, dphi, code):
+        # |exponent| plus the mantissa's digits may be 4,300: the longest
+        # integer a literal expands into still prints
+        path = tmp_path / "long.scn"
+        path.write_text(
+            f"[symbols]\np = {symbol}\n\n[orbifold T]\nbuiltin = torus\n\n"
+            f"[form w]\non = T\ndtheta = 1\ndphi = {dphi}\n"
+        )
+        start = time.perf_counter()
+        assert main(["periods", str(path)]) == code
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code == 2:
+            assert "4300 digits" in err if dphi == "1*p" else "line 10: bad rational" in err
+        else:
+            assert "w: a = 1, b = " in out and "; rank 2" in out
+
     def test_bare_dependent_flag_exit_two(self, tmp_path, capsys):
         # the flag names no relation, so honouring it is impossible and
         # ignoring it would treat r as a new constant: rank 2, not compact
@@ -340,7 +368,7 @@ class TestEntryPoint:
         assert main(["periods", str(path)]) == 2
         assert "basepoint must have trivial isotropy" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["abc", "1/8", "1/0,1"])
+    @pytest.mark.parametrize("seed", ["abc", "1/8", "1/0,1", "1e9999999,0"])
     def test_malformed_seed_exit_two(self, seed, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trace", "torus-dense", "--seed", seed])

@@ -20,7 +20,6 @@ from foliage.forms import (
     bump_potential,
     check_basic,
     g_path_integral,
-    invariance_verdict,
     periods,
     rank_of_class,
     zeros,
@@ -35,7 +34,7 @@ from foliage.orbifold import (
     shifted_torus_presentation,
     torus_presentation,
 )
-from foliage.leaves import classify_leaf, linear_structure
+from foliage.leaves import classify_leaf
 from foliage.scalar import SymbolTable, q_rank
 from foliage.surgery import analyze
 
@@ -77,13 +76,13 @@ class TestCheckBasic:
 
     def test_pillowcase_dtheta_is_anti_invariant(self, table):
         form = ClosedForm((table.rational(1), table.rational(0)), Q)
-        assert invariance_verdict(form) is False
+        assert form.invariant is False
         assert check_basic(form) is False
 
     def test_override_recorded_but_passes(self, table):
         form = ClosedForm((table.rational(1), table.rational(0)), Q, basic_override=True)
         assert check_basic(form) is True
-        assert invariance_verdict(form) is False  # the honest verdict stays visible
+        assert form.invariant is False  # the honest verdict stays visible
 
     def test_zero_linear_part_is_invariant(self, table):
         form = ClosedForm((table.zero(), table.zero()), Q)
@@ -526,7 +525,7 @@ class TestKeptStructure:
     def structure_reads(form):
         """Every entry point that decides the structure, each read twice
         (a structure that raised is not kept)."""
-        reads = [lambda: form.structure, lambda: linear_structure(form),
+        reads = [lambda: form.structure,
                  lambda: classify_leaf(form, form.orbifold, TorusPoint(0, 0)),
                  lambda: analyze(form, "w")]
         return reads * 2
@@ -534,7 +533,7 @@ class TestKeptStructure:
     def test_a_dominating_bump_raises_from_the_structure_only(self, table):
         big = small_bump(table, amplitude=10)
         form = ClosedForm((table.rational(1), table.zero()), T, bumps=(big,))
-        assert check_basic(form) is True and invariance_verdict(form) is True
+        assert check_basic(form) is True and form.invariant is True
         assert periods(form) == [("a", table.rational(1)), ("b", table.zero())]
         for read in self.structure_reads(form):
             with pytest.raises(BumpDominatesError, match=r"^bump at center 1/4 1/8 dominates"):

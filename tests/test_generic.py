@@ -37,9 +37,9 @@ class TestModelLevel:
     def test_model_without_provenance_raises(self):
         m = build_catalog_model("pillowcase-ex2")
         orphan = FoliationModel(
-            m.name, m.form, m.table, m.sides, m.graph, m.zeros, m.x_inf_gens,
+            m.name, m.form, m.table, m.sides, m.graph, m.zeros, m.x_inf_periods,
             m.special_vertices, m.singular_entries, m.notes, m.is_generic,
-        )
+        ).finish()
         assert not orphan.is_generic and orphan.spec is None
         with pytest.raises(ModelError):
             genericize(orphan)

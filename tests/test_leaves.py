@@ -11,7 +11,6 @@ from foliage.leaves import (
     LeafError,
     classify_leaf,
     count_local_components,
-    linear_structure,
     singular_components,
 )
 from foliage.orbifold import (
@@ -39,7 +38,7 @@ class TestClassify:
         form = ClosedForm((table.rational(2), table.rational(3)), T)
         leaf = classify_leaf(form, T, X0)
         assert leaf.kind == COMPACT_REGULAR
-        assert linear_structure(form).direction == (3, -2)
+        assert form.structure.direction == (3, -2)
 
     def test_symbolic_but_dependent_coefficients(self, table):
         p = table.symbol("p")
@@ -50,37 +49,37 @@ class TestClassify:
 class TestLinearStructure:
     def test_circumference_of_torus_circle(self, table):
         form = ClosedForm((table.rational(2), table.rational(3)), T)
-        s = linear_structure(form)
+        s = form.structure
         assert s.compact and s.circumference == table.rational(1)
 
     def test_symbolic_content(self, table):
         a = table.symbol("p")
         form = ClosedForm((a * 2, a * 3), T)
-        s = linear_structure(form)
+        s = form.structure
         assert s.circumference == table.symbol("p")
 
     def test_shifted_torus_halves_the_circle(self, table):
         form = ClosedForm((table.rational(1), table.zero()), S)
-        s = linear_structure(form)
+        s = form.structure
         assert s.quotient_order == 2
         assert s.circumference == table.rational(Fraction(1, 2))
 
     def test_shift_along_leaves_does_not_collapse(self, table):
         form = ClosedForm((table.zero(), table.rational(1)), S)  # leaves theta-circles
-        s = linear_structure(form)
+        s = form.structure
         assert s.quotient_order == 1
         assert s.circumference == table.rational(1)
 
     def test_override_reduction_on_pillowcase(self, table):
         form = ClosedForm((table.rational(1), table.zero()), Q, basic_override=True)
-        s = linear_structure(form)
-        assert s.invariant_elements == (0,)
+        s = form.structure
+        assert form.invariant_elements == (0,)
         assert s.reduced
         assert s.circumference == table.rational(1)
 
     def test_negative_orientation_normalized(self, table):
         form = ClosedForm((table.rational(-2), table.rational(-3)), T)
-        s = linear_structure(form)
+        s = form.structure
         assert s.circumference == table.rational(1)
 
 

@@ -419,20 +419,22 @@ def _checking_joins(monkeypatch):
     the list of left inputs seen, which fills as joins run."""
     lefts = []
 
-    class CheckedWorkspace(surgery._Workspace):
-        def __init__(self, spec):
-            super().__init__(spec)
-            graph, edge_map, specials, sides = reference_copy(spec)
-            assert list(self.graph.vertices.items()) == list(graph.vertices.items())
-            assert list(self.graph.edges.items()) == list(graph.edges.items())
-            assert self.graph.attachments == graph.attachments
-            assert (self.graph._next_vid, self.graph._next_eid) == (graph._next_vid, graph._next_eid)
-            assert self.edge_map == edge_map
-            assert self.special_vertices == specials
-            assert self.sides == sides
-            lefts.append(spec.left)
+    real = surgery._merge
 
-    monkeypatch.setattr(surgery, "_Workspace", CheckedWorkspace)
+    def checked(spec):
+        model, edge_map = real(spec)
+        graph, ref_edge_map, specials, sides = reference_copy(spec)
+        assert list(model.graph.vertices.items()) == list(graph.vertices.items())
+        assert list(model.graph.edges.items()) == list(graph.edges.items())
+        assert model.graph.attachments == graph.attachments
+        assert (model.graph._next_vid, model.graph._next_eid) == (graph._next_vid, graph._next_eid)
+        assert edge_map == ref_edge_map
+        assert model.special_vertices == specials
+        assert model.sides == sides
+        lefts.append(spec.left)
+        return model, edge_map
+
+    monkeypatch.setattr(surgery, "_merge", checked)
     return lefts
 
 
@@ -544,32 +546,32 @@ class TestJoinCost:
 
     def test_every_model_built_is_decomposed_once(self, monkeypatch):
         decomposed = _counting(monkeypatch, surgery, "decompose")
-        constructed = []
-        real_init = surgery.FoliationModel.__init__
+        finished = []
+        real_finish = surgery.FoliationModel.finish
 
-        def counted_init(self, *args, **kwargs):
-            constructed.append(self)
-            real_init(self, *args, **kwargs)
+        def counted_finish(self):
+            finished.append(self)
+            return real_finish(self)
 
-        monkeypatch.setattr(surgery.FoliationModel, "__init__", counted_init)
+        monkeypatch.setattr(surgery.FoliationModel, "finish", counted_finish)
         n = 8
         built = build_scenario(parse_scenario(surgery_chain("C", n)))
         build_report(built, "surgery")
         # n + 1 forms, n joins and one genericized companion, whose rejoins
-        # stay unfinished workspaces
-        assert len(constructed) == 2 * n + 2
-        assert [m for (m,) in decomposed] == constructed
+        # stay unfinished
+        assert len(finished) == 2 * n + 2
+        assert [m for (m,) in decomposed] == finished
 
     def test_decomposition_checks_reach_intermediate_models(self, monkeypatch):
         # a catalog fault planted in the first join's output stops the chain
-        real = surgery._finalize
+        real = surgery.FoliationModel.finish
 
-        def faulty(ws, is_generic):
-            if ws.spec.name == "s1":
-                ws.singular_entries.append(ws.singular_entries[0])
-            return real(ws, is_generic)
+        def faulty(model):
+            if model.name == "s1":
+                model.singular_entries.append(model.singular_entries[0])
+            return real(model)
 
-        monkeypatch.setattr(surgery, "_finalize", faulty)
+        monkeypatch.setattr(surgery.FoliationModel, "finish", faulty)
         with pytest.raises(scalar.FoliageError, match="duplicate leaf ids"):
             build_scenario(parse_scenario(surgery_chain("C", 4)))
 
@@ -634,14 +636,15 @@ def _reference_rejoin(spec, left, right, shifts):
     spec = replace(spec, left=left, right=right, tube_levels=levels)
     if spec.kind != "C" or (lx - ly).is_zero():
         return connected_sum(spec)
-    ws = surgery._Workspace(spec)
-    lsite = surgery._resolve_site(ws, "left", left, spec.left_region)
-    rsite = surgery._resolve_site(ws, "right", right, spec.right_region)
+    model, edge_map = surgery._merge(spec)
+    lsite = surgery._resolve_site(model, edge_map, "left", left, spec.left_region)
+    rsite = surgery._resolve_site(model, edge_map, "right", right, spec.right_region)
     if scalar.sign(ly - lx) > 0:
-        surgery._apply_pinch(ws, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
+        surgery._apply_pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
     else:
-        surgery._apply_pinch(ws, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
-    return surgery._finalize(ws, True)
+        surgery._apply_pinch(model, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    model.is_generic = True
+    return model.finish()
 
 
 def _items(model):
@@ -680,8 +683,8 @@ REBUILD_SOURCES = {
 
 
 class TestCompanionRebuild:
-    """Rejoins that stay unfinished workspaces rebuild the companion item for
-    item as rejoins finished as models did."""
+    """Rejoins that stay unfinished rebuild the companion item for item as
+    rejoins that were each finished did."""
 
     @pytest.mark.parametrize("source", sorted(REBUILD_SOURCES))
     def test_companion_matches_the_reference(self, monkeypatch, source):
@@ -720,9 +723,7 @@ NONTRANSITIVE_NOTE = "kind-A join with a nontransitive input"
 
 
 def _finished(model):
-    if isinstance(model, surgery.FoliationModel):
-        return model
-    return surgery._finalize(model, model.is_generic)
+    return model if model.decomposition is not None else model.finish()
 
 
 def _capturing_joins(monkeypatch):
@@ -743,13 +744,7 @@ def _check_kind_a_joins(joins):
     """The carried verdict holds wherever it is carried, and the note falls
     on the joins where deciding both inputs finds a nontransitive one;
     returns how many kind-A joins there were, how many carried their
-    verdict, were noted, and were not generic.  Every join's distinct
-    periods, which the genericity lattice reads, are those of its components'
-    generator lists."""
-    for ws in joins:
-        assert ws.x_inf_periods == {
-            comp: tuple(dict.fromkeys(p for _, p in gens)) for comp, gens in ws.x_inf_gens.items()
-        }
+    verdict, were noted, and were not generic."""
     kind_a = [ws for ws in joins if ws.spec.kind == "A"]
     noted = 0
     for ws in kind_a:
@@ -790,7 +785,7 @@ def _random_kind_a_spec(table, rng, left, right, name):
     the left region's family, or anywhere on a noncompact one; a long tube
     wraps a compact virgin side, and a whole-number band then lies in the
     period lattice, so the join is not generic."""
-    regions = [[e.family for e in m.graph.edges.values()] + sorted(m.x_inf_gens)
+    regions = [[e.family for e in m.graph.edges.values()] + sorted(m.x_inf_periods)
                for m in (left, right)]
     lreg, rreg = (rng.choice(sorted(rs)) for rs in regions)
     if rng.random() < 0.3:
