@@ -37,7 +37,6 @@ from .forms import (
     g_path_integral,
     periods,
     rank_of_class,
-    zeros,
 )
 from .leaves import (
     Decomposition,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -68,6 +68,12 @@ class OrbifoldDecl:
     elements: tuple[tuple[tuple[int, int, int, int], tuple[Fraction, Fraction]], ...] = ()
     basepoint: Optional[tuple[Fraction, Fraction]] = None
 
+    def __post_init__(self):
+        if (self.builtin is None) == (not self.elements):
+            raise ScenarioError(f"[orbifold {self.name}] needs either builtin or element lines")
+        if self.builtin is not None and self.builtin not in BUILTIN_ORBIFOLDS:
+            raise ScenarioError(f"unknown builtin orbifold {self.builtin!r}")
+
 
 @dataclass(frozen=True)
 class BumpDecl:
@@ -114,7 +120,7 @@ class OutputDecl:
 
 @dataclass(frozen=True)
 class Scenario:
-    symbols: tuple[tuple[str, str, bool], ...] = ()  # (name, literal, independent=True)
+    symbols: tuple[tuple[str, str, int | Fraction], ...] = ()  # (name, literal, its value)
     orbifolds: tuple[OrbifoldDecl, ...] = ()
     forms: tuple[FormDecl, ...] = ()
     surgeries: tuple[SurgeryDecl, ...] = ()
@@ -122,7 +128,7 @@ class Scenario:
     output: OutputDecl = OutputDecl()
 
 
-# -- parsing ----------------------------------------------------------------------
+# -- values ---------------------------------------------------------------------------
 
 
 def _parse_rational(text: str, line: int) -> int | Fraction:
@@ -133,7 +139,35 @@ def _parse_rational(text: str, line: int) -> int | Fraction:
         raise ScenarioError(f"bad rational {text!r}", line) from None
 
 
-def _parse_expr(text: str, names: set[str], line: int) -> Expr:
+def render_expr(expr: Expr) -> str:
+    return " + ".join(str(c) if name == "one" else f"{c}*{name}" for name, c in expr) or "0"
+
+
+def _step_arg(text: str) -> float:
+    try:
+        step = float(text)
+    except ValueError:
+        step = math.nan
+    if not (math.isfinite(step) and step > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return step
+
+
+def _steps_arg(text: str) -> int:
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return steps
+
+
+# each reader takes (key, text, line, symbol names) and returns the field's value
+
+
+def _expr(key: str, text: str, line: int, names: set[str]) -> Expr:
+    """An expression ``c0 + c1*name + ...`` over the declared symbols."""
     coeffs: dict[str, int | Fraction] = {}
     for raw in text.split("+"):
         term = raw.strip()
@@ -153,42 +187,139 @@ def _parse_expr(text: str, names: set[str], line: int) -> Expr:
     return tuple(sorted((n, c) for n, c in coeffs.items() if c))
 
 
-def _parse_pair(text: str, names: set[str], line: int, sep: str = ":") -> tuple[Expr, Expr]:
-    parts = text.split(sep)
+def _text(key, text, line, names):
+    return text
+
+
+def _levels(key, text, line, names):
+    parts = text.split(":")
     if len(parts) != 2:
-        raise ScenarioError(f"expected '<lo> {sep} <hi>', got {text!r}", line)
-    return _parse_expr(parts[0], names, line), _parse_expr(parts[1], names, line)
+        raise ScenarioError(f"expected '<lo> : <hi>', got {text!r}", line)
+    return _expr(key, parts[0], line, names), _expr(key, parts[1], line, names)
 
 
-# the section kinds and the keys each allows; [symbols] keys are the symbol names
-SECTION_KEYS = {
-    "symbols": None,
-    "orbifold": ("builtin", "element", "basepoint"),
-    "form": ("on", "dtheta", "dphi", "basic_override", "bump"),
-    "surgery": ("kind", "left", "right", "left_window", "right_window", "tube",
-                "left_region", "right_region"),
-    "tracer": ("seed", "step", "max_steps"),
-    "output": ("dot", "svg"),
+def _point(key, text, line, names):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ScenarioError(f"{key} needs 'theta, phi'", line)
+    return _parse_rational(parts[0], line), _parse_rational(parts[1], line)
+
+
+def _boolean(key, text, line, names):
+    if text.lower() not in ("true", "false"):
+        raise ScenarioError(f"{key} must be true or false, got {text!r}", line)
+    return text.lower() == "true"
+
+
+def _element(key, text, line, names):
+    mat_text, _, off_text = text.partition(";")
+    mat = mat_text.split()
+    off = off_text.split()
+    if len(mat) != 4 or len(off) != 2:
+        raise ScenarioError("element needs 'a b c d ; e f'", line)
+    try:
+        matrix = tuple(int(x) for x in mat)
+    except ValueError:
+        raise ScenarioError("matrix entries must be integers", line) from None
+    return matrix, (_parse_rational(off[0], line), _parse_rational(off[1], line))
+
+
+def _bump(key, text, line, names):
+    words = text.split()
+    if len(words) < 7 or words[0] != "center" or words[3] != "radius" or words[5] != "amplitude":
+        raise ScenarioError("bump needs 'center <th> <ph> radius <r> amplitude <expr>'", line)
+    return BumpDecl(
+        center=(_parse_rational(words[1], line), _parse_rational(words[2], line)),
+        radius=_parse_rational(words[4], line),
+        amplitude=_expr(key, " ".join(words[6:]), line, names),
+    )
+
+
+def _as_flag(convert):
+    """A reader that checks its value as the matching command-line flag does."""
+
+    def read(key, text, line, names):
+        try:
+            return convert(text)
+        except argparse.ArgumentTypeError as err:
+            raise ScenarioError(f"{key}: {err}", line) from None
+
+    return read
+
+
+def _write_point(point) -> str:
+    return f"{point[0]}, {point[1]}"
+
+
+def _write_levels(pair) -> str:
+    return f"{render_expr(pair[0])} : {render_expr(pair[1])}"
+
+
+def _write_bump(b: BumpDecl) -> str:
+    return (f"center {b.center[0]} {b.center[1]} radius {b.radius} "
+            f"amplitude {render_expr(b.amplitude)}")
+
+
+# -- the scenario format ------------------------------------------------------------
+
+
+def _row(target: str, decl, **keys):
+    """A section kind: the `Scenario` field its declarations go to, their
+    type, whether the header names one, and per key (field, reader, writer,
+    default, required, repeats): no default makes a key required, and a `()`
+    default lets it repeat; both are decided here, once, not per parse."""
+    defaults = {f.name: f.default for f in fields(decl)}
+    return target, decl, "name" in defaults, {
+        key: (field, read, write, defaults[field], defaults[field] is MISSING,
+              defaults[field] == ()) for key, (field, read, write) in keys.items()
+    }
+
+
+# [symbols] is read apart, because its keys are the symbol names
+FORMAT = {
+    "orbifold": _row(
+        "orbifolds", OrbifoldDecl,
+        builtin=("builtin", _text, str),
+        element=("elements", _element, lambda e: "{} {} {} {} ; {} {}".format(*e[0], *e[1])),
+        basepoint=("basepoint", _point, _write_point),
+    ),
+    "form": _row(
+        "forms", FormDecl,
+        on=("on", _text, str),
+        dtheta=("dtheta", _expr, render_expr),
+        dphi=("dphi", _expr, render_expr),
+        basic_override=("basic_override", _boolean, lambda b: str(b).lower()),
+        bump=("bumps", _bump, _write_bump),
+    ),
+    "surgery": _row(
+        "surgeries", SurgeryDecl,
+        kind=("kind", _text, str),
+        left=("left", _text, str),
+        right=("right", _text, str),
+        left_window=("left_window", _levels, _write_levels),
+        right_window=("right_window", _levels, _write_levels),
+        tube=("tube", _levels, _write_levels),
+        left_region=("left_region", _text, str),
+        right_region=("right_region", _text, str),
+    ),
+    "tracer": _row(
+        "tracer", TracerDecl,
+        seed=("seed", _point, _write_point),
+        step=("step", _as_flag(_step_arg), str),
+        max_steps=("max_steps", _as_flag(_steps_arg), str),
+    ),
+    "output": _row(
+        "output", OutputDecl,
+        dot=("dot", _text, str),
+        svg=("svg", _text, str),
+    ),
 }
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario; every reference must resolve."""
-    symbols: list[tuple[str, str, bool]] = []
-    orbifolds: list[OrbifoldDecl] = []
-    forms: list[FormDecl] = []
-    surgeries: list[SurgeryDecl] = []
-    tracer = TracerDecl()
-    output = OutputDecl()
-
-    section: Optional[tuple[str, str]] = None
-    body: dict[str, list[tuple[str, int]]] = {}
-    sections: list[tuple[tuple[str, str], dict]] = []
-
-    def flush():
-        if section is not None:
-            sections.append((section, body.copy()))
-
+    sections: list[tuple[str, str, dict[str, list[tuple[str, int]]]]] = []
+    body = allowed = None  # the current section's key lines and the keys it allows
     lines = text.splitlines()
     if not any(line.strip() for line in lines):
         raise ScenarioError("empty scenario", 1)
@@ -197,44 +328,37 @@ def parse_scenario(text: str) -> Scenario:
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            flush()
             parts = line[1:-1].split()
             if len(parts) not in (1, 2):
                 raise ScenarioError(f"bad section header {line!r}", i)
             kind = parts[0]
-            if kind not in SECTION_KEYS:
+            if kind == "symbols":
+                allowed = None
+            elif kind not in FORMAT:
                 raise ScenarioError(f"unknown section {kind!r}", i)
-            if kind in ("orbifold", "form", "surgery") and len(parts) != 2:
-                raise ScenarioError(f"section {kind!r} needs a name", i)
-            if kind in ("tracer", "output") and any(k == kind for (k, _), _ in sections):
-                raise ScenarioError(f"repeated section [{kind}]", i)
-            section = (kind, parts[1] if len(parts) == 2 else "")
+            else:
+                _, _, named, allowed = FORMAT[kind]
+                if named and len(parts) != 2:
+                    raise ScenarioError(f"section {kind!r} needs a name", i)
+                if not named and any(k == kind for k, _, _ in sections):
+                    raise ScenarioError(f"repeated section [{kind}]", i)
             body = {}
+            sections.append((kind, parts[1] if len(parts) == 2 else "", body))
             continue
         if "=" not in line:
             raise ScenarioError(f"expected 'key = value', got {line!r}", i)
-        if section is None:
+        if body is None:
             raise ScenarioError("key outside any [section]", i)
         key, _, value = line.partition("=")
         key = key.strip()
-        allowed = SECTION_KEYS[section[0]]
         if allowed is not None and key not in allowed:
-            raise ScenarioError(f"unknown key {key!r} in [{section[0]}]", i)
+            raise ScenarioError(f"unknown key {key!r} in [{kind}]", i)
         body.setdefault(key, []).append((value.strip(), i))
-    flush()
 
-    def single(items: dict, key: str, default=None, required=False, where="?"):
-        if key not in items:
-            if required:
-                raise ScenarioError(f"[{where}] is missing key {key!r}")
-            return default, None
-        if len(items[key]) != 1:
-            raise ScenarioError(f"[{where}] repeats key {key!r}", items[key][1][1])
-        return items[key][0]
-
+    symbols: list[tuple[str, str, int | Fraction]] = []
     names: set[str] = set()
-    for (kind, name), items in sections:
-        where = f"{kind} {name}".strip()
+    found: dict[str, object] = {target: () for target, _, named, _ in FORMAT.values() if named}
+    for kind, name, items in sections:
         if kind == "symbols":
             for sym, entries in items.items():
                 for value, i in entries:
@@ -247,124 +371,33 @@ def parse_scenario(text: str) -> Scenario:
                         raise ScenarioError(f"bad symbol flag {parts[1]!r}", i)
                     if sym in names or sym == "one":
                         raise ScenarioError(f"duplicate symbol {sym!r}", i)
+                    try:
+                        exact = sc.read_symbol(sym, parts[0])
+                    except sc.ScalarError as err:
+                        raise ScenarioError(str(err), i) from None
                     names.add(sym)
-                    symbols.append((sym, parts[0], True))
-        elif kind == "orbifold":
-            builtin, _ = single(items, "builtin", where=where)
-            elements = []
-            for value, i in items.get("element", []):
-                mat_text, _, off_text = value.partition(";")
-                mat = mat_text.split()
-                off = off_text.split()
-                if len(mat) != 4 or len(off) != 2:
-                    raise ScenarioError("element needs 'a b c d ; e f'", i)
-                try:
-                    matrix = tuple(int(x) for x in mat)
-                except ValueError:
-                    raise ScenarioError("matrix entries must be integers", i) from None
-                offset = (_parse_rational(off[0], i), _parse_rational(off[1], i))
-                elements.append((matrix, offset))
-            if (builtin is None) == (not elements):
-                raise ScenarioError(f"[{where}] needs either builtin or element lines")
-            if builtin is not None and builtin not in BUILTIN_ORBIFOLDS:
-                raise ScenarioError(f"unknown builtin orbifold {builtin!r}")
-            basepoint = None
-            bp_text, i = single(items, "basepoint", where=where)
-            if bp_text is not None:
-                parts = bp_text.split(",")
-                if len(parts) != 2:
-                    raise ScenarioError("basepoint needs 'theta, phi'", i)
-                basepoint = (_parse_rational(parts[0], i), _parse_rational(parts[1], i))
-            orbifolds.append(OrbifoldDecl(name, builtin, tuple(elements), basepoint))
-        elif kind == "form":
-            on, _ = single(items, "on", required=True, where=where)
-            dtheta_text, i1 = single(items, "dtheta", required=True, where=where)
-            dphi_text, i2 = single(items, "dphi", required=True, where=where)
-            override_text, i4 = single(items, "basic_override", default="false", where=where)
-            if override_text.lower() not in ("true", "false"):
-                raise ScenarioError(
-                    f"basic_override must be true or false, got {override_text!r}", i4)
-            bumps = []
-            for value, i in items.get("bump", []):
-                words = value.split()
-                if len(words) < 7 or words[0] != "center" or words[3] != "radius" or words[5] != "amplitude":
-                    raise ScenarioError(
-                        "bump needs 'center <th> <ph> radius <r> amplitude <expr>'", i
-                    )
-                bumps.append(
-                    BumpDecl(
-                        center=(_parse_rational(words[1], i), _parse_rational(words[2], i)),
-                        radius=_parse_rational(words[4], i),
-                        amplitude=_parse_expr(" ".join(words[6:]), names, i),
-                    )
-                )
-            forms.append(
-                FormDecl(
-                    name=name,
-                    on=on,
-                    dtheta=_parse_expr(dtheta_text, names, i1),
-                    dphi=_parse_expr(dphi_text, names, i2),
-                    basic_override=override_text.lower() == "true",
-                    bumps=tuple(bumps),
-                )
-            )
-        elif kind == "surgery":
-            kind_text, _ = single(items, "kind", required=True, where=where)
-            left, _ = single(items, "left", required=True, where=where)
-            right, _ = single(items, "right", required=True, where=where)
-            lw, i1 = single(items, "left_window", required=True, where=where)
-            rw, i2 = single(items, "right_window", required=True, where=where)
-            tube, i3 = single(items, "tube", required=True, where=where)
-            lregion, _ = single(items, "left_region", default="auto", where=where)
-            rregion, _ = single(items, "right_region", default="auto", where=where)
-            surgeries.append(
-                SurgeryDecl(
-                    name=name,
-                    kind=kind_text,
-                    left=left,
-                    right=right,
-                    left_window=_parse_pair(lw, names, i1),
-                    right_window=_parse_pair(rw, names, i2),
-                    tube=_parse_pair(tube, names, i3),
-                    left_region=lregion,
-                    right_region=rregion,
-                )
-            )
-        elif kind == "tracer":
-            seed_text, i = single(items, "seed", default="1/8, 1/8", where=where)
-            step_text, i1 = single(items, "step", default="0.005", where=where)
-            steps_text, i2 = single(items, "max_steps", default="1000000", where=where)
-            parts = seed_text.split(",")
-            if len(parts) != 2:
-                raise ScenarioError("seed needs 'theta, phi'", i)
-            tracer = TracerDecl(
-                seed=(_parse_rational(parts[0], i), _parse_rational(parts[1], i)),
-                step=_tracer_value(_step_arg, "step", step_text, i1),
-                max_steps=_tracer_value(_steps_arg, "max_steps", steps_text, i2),
-            )
-        elif kind == "output":
-            dot, _ = single(items, "dot", where=where)
-            svg, _ = single(items, "svg", where=where)
-            output = OutputDecl(dot=dot, svg=svg)
+                    symbols.append((sym, parts[0], exact))
+            continue
+        target, decl, named, keys = FORMAT[kind]
+        values = {"name": name} if named else {}
+        for key, (field, read, _, _, required, repeats) in keys.items():
+            entries = items.get(key)
+            if entries is None:
+                if required:
+                    raise ScenarioError(f"[{kind} {name}".rstrip() + f"] is missing key {key!r}")
+            elif repeats:
+                values[field] = tuple(read(key, value, i, names) for value, i in entries)
+            elif len(entries) != 1:
+                raise ScenarioError(f"[{kind} {name}".rstrip() + f"] repeats key {key!r}",
+                                    entries[1][1])
+            else:
+                value, i = entries[0]
+                values[field] = read(key, value, i, names)
+        found[target] = found[target] + (decl(**values),) if named else decl(**values)
 
-    scenario = Scenario(
-        symbols=tuple(symbols),
-        orbifolds=tuple(orbifolds),
-        forms=tuple(forms),
-        surgeries=tuple(surgeries),
-        tracer=tracer,
-        output=output,
-    )
+    scenario = Scenario(symbols=tuple(symbols), **found)
     _validate_refs(scenario)
     return scenario
-
-
-def _tracer_value(convert, key: str, text: str, line: Optional[int]):
-    """A [tracer] value, checked by the parser of the matching CLI flag."""
-    try:
-        return convert(text)
-    except argparse.ArgumentTypeError as err:
-        raise ScenarioError(f"{key}: {err}", line) from None
 
 
 def _validate_refs(s: Scenario) -> None:
@@ -387,69 +420,20 @@ def _validate_refs(s: Scenario) -> None:
         seen.add(g.name)
 
 
-# -- serialization -------------------------------------------------------------------
-
-
-def render_expr(expr: Expr) -> str:
-    if not expr:
-        return "0"
-    parts = []
-    for name, coef in expr:
-        parts.append(str(coef) if name == "one" else f"{coef}*{name}")
-    return " + ".join(parts)
-
-
 def serialize_scenario(s: Scenario) -> str:
-    out = ["[symbols]"]
-    for name, value, _ in s.symbols:
-        out.append(f"{name} = {value}")
-    for o in s.orbifolds:
-        out.append("")
-        out.append(f"[orbifold {o.name}]")
-        if o.builtin:
-            out.append(f"builtin = {o.builtin}")
-        for (a, b, c, d), (e, f) in o.elements:
-            out.append(f"element = {a} {b} {c} {d} ; {e} {f}")
-        if o.basepoint is not None:
-            out.append(f"basepoint = {o.basepoint[0]}, {o.basepoint[1]}")
-    for fdecl in s.forms:
-        out.append("")
-        out.append(f"[form {fdecl.name}]")
-        out.append(f"on = {fdecl.on}")
-        out.append(f"dtheta = {render_expr(fdecl.dtheta)}")
-        out.append(f"dphi = {render_expr(fdecl.dphi)}")
-        if fdecl.basic_override:
-            out.append("basic_override = true")
-        for bump in fdecl.bumps:
-            out.append(
-                f"bump = center {bump.center[0]} {bump.center[1]} "
-                f"radius {bump.radius} amplitude {render_expr(bump.amplitude)}"
-            )
-    for g in s.surgeries:
-        out.append("")
-        out.append(f"[surgery {g.name}]")
-        out.append(f"kind = {g.kind}")
-        out.append(f"left = {g.left}")
-        out.append(f"right = {g.right}")
-        if g.left_region != "auto":
-            out.append(f"left_region = {g.left_region}")
-        if g.right_region != "auto":
-            out.append(f"right_region = {g.right_region}")
-        out.append(f"left_window = {render_expr(g.left_window[0])} : {render_expr(g.left_window[1])}")
-        out.append(f"right_window = {render_expr(g.right_window[0])} : {render_expr(g.right_window[1])}")
-        out.append(f"tube = {render_expr(g.tube[0])} : {render_expr(g.tube[1])}")
-    out.append("")
-    out.append("[tracer]")
-    out.append(f"seed = {s.tracer.seed[0]}, {s.tracer.seed[1]}")
-    out.append(f"step = {s.tracer.step}")
-    out.append(f"max_steps = {s.tracer.max_steps}")
-    if s.output.dot or s.output.svg:
-        out.append("")
-        out.append("[output]")
-        if s.output.dot:
-            out.append(f"dot = {s.output.dot}")
-        if s.output.svg:
-            out.append(f"svg = {s.output.svg}")
+    """Scenario text that parses back to `s`; keys at their defaults, and
+    sections with nothing else, are left out."""
+    out = ["[symbols]"] + [f"{name} = {literal}" for name, literal, _ in s.symbols]
+    for kind, (target, _, named, keys) in FORMAT.items():
+        for decl in getattr(s, target) if named else (getattr(s, target),):
+            lines = []
+            for key, (field, _, write, default, _, repeats) in keys.items():
+                value = getattr(decl, field)
+                if not repeats:
+                    value = () if value == default else (value,)
+                lines += [f"{key} = {write(item)}" for item in value]
+            if named or lines:
+                out += ["", f"[{kind} {decl.name}]" if named else f"[{kind}]", *lines]
     return "\n".join(out) + "\n"
 
 
@@ -471,7 +455,7 @@ def _expr_value(table: sc.SymbolTable, expr: Expr) -> sc.SymScalar:
 
 
 def build_scenario(s: Scenario) -> BuiltScenario:
-    table = sc.SymbolTable([(n, v) for n, v, _ in s.symbols])
+    table = sc.SymbolTable(s.symbols)
     presentations: dict[str, OrbifoldPresentation] = {}
     for o in s.orbifolds:
         if o.builtin:
@@ -507,20 +491,17 @@ def build_scenario(s: Scenario) -> BuiltScenario:
         )
         forms[f.name] = form
         models[f.name] = analyze(form, f.name)
+    def levels(pair):
+        return _expr_value(table, pair[0]), _expr_value(table, pair[1])
+
     for g in s.surgeries:
         spec = SurgerySpec(
             kind=g.kind,
             left=models[g.left],
             right=models[g.right],
-            left_window=(
-                _expr_value(table, g.left_window[0]),
-                _expr_value(table, g.left_window[1]),
-            ),
-            right_window=(
-                _expr_value(table, g.right_window[0]),
-                _expr_value(table, g.right_window[1]),
-            ),
-            tube_levels=(_expr_value(table, g.tube[0]), _expr_value(table, g.tube[1])),
+            left_window=levels(g.left_window),
+            right_window=levels(g.right_window),
+            tube_levels=levels(g.tube),
             left_region=g.left_region,
             right_region=g.right_region,
             name=g.name,
@@ -595,11 +576,9 @@ def build_report(built: BuiltScenario, command: str) -> str:
     if not model.zeros:
         lines.append("(none)")
     else:
-        for zid, level in model.singular_levels():
-            z = next(z for z in model.zeros if z.zero_id == zid)
-            lines.append(
-                f"{zid}: index {z.index}, isotropy {z.isotropy_order}, level {level.render()}"
-            )
+        for z in sorted(model.zeros, key=lambda z: z.zero_id):
+            lines.append(f"{z.zero_id}: index {z.index}, isotropy {z.isotropy_order}, "
+                         f"level {z.level.render()}")
     lines.append("")
 
     lines.append("== periods ==")
@@ -805,26 +784,6 @@ def _seed_arg(text: str) -> tuple[Fraction, Fraction]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a pair of rationals") from None
 
 
-def _step_arg(text: str) -> float:
-    try:
-        step = float(text)
-    except ValueError:
-        step = math.nan
-    if not (math.isfinite(step) and step > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
-    return step
-
-
-def _steps_arg(text: str) -> int:
-    try:
-        steps = int(text)
-    except ValueError:
-        steps = 0
-    if steps < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return steps
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="foliage",
@@ -855,16 +814,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                         f"{args.scenario}: not UTF-8 text (byte {err.start}: {err.reason})"
                     ) from None
             built = build_scenario(parse_scenario(text))
-        options = {}
-        if args.seed:
-            options["seed"] = args.seed
-        if args.steps:
-            options["steps"] = args.steps
-        if args.step:
-            options["step"] = args.step
-        if args.dot:
-            options["dot"] = args.dot
-        report, artifacts, code = run(args.command, built, options)
+        report, artifacts, code = run(args.command, built, vars(args))
+        for kind, text in artifacts.items():
+            path = getattr(args, kind) or getattr(built.scenario.output, kind)
+            if path:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
     except (FoliageError, OSError) as err:
         if isinstance(err, PrecisionExhausted):
             print(f"numeric failure: {err}", file=sys.stderr)
@@ -873,14 +828,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     print(report, end="")
-    dot_path = args.dot or (built.scenario.output.dot if built else None)
-    if dot_path and "dot" in artifacts:
-        with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(artifacts["dot"])
-    svg_path = args.svg or (built.scenario.output.svg if built else None)
-    if svg_path and "svg" in artifacts:
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(artifacts["svg"])
     return code
 
 

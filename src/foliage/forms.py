@@ -134,10 +134,29 @@ class ClosedForm:
 
     @sc.memo
     def structure(self) -> LinearStructure:
-        """Rank, compactness and leaf circle of the foliation; raises what
-        `zeros` raises."""
-        zeros(self)
+        """Rank, compactness and leaf circle of the foliation.  Raises on the
+        zero form, and when a bump breaks the nondominance condition
+        |amplitude| * sup|h'| < |(a, b)|, under which the linear + bump layer
+        is zero-free; the condition is decided exactly in squared form."""
         a, b = self.linear
+        if a.is_zero() and b.is_zero():
+            raise FormError("the zero form has no foliation")
+        if self.bumps:
+            (na, da), (nb, db) = a._dot(), b._dot()
+            # |(a, b)|^2 = norm_num / norm_den
+            norm_num, norm_den = (na * db) ** 2 + (nb * da) ** 2, (da * db) ** 2
+            for term in self.bumps:
+                # sup of |h'| for h(r) = (1 - (r/R)^2)^4 is (8/R) * (6/7)^3 / sqrt(7),
+                # whose square is 64 * 6^6 / 7^7 / R^2; the test amplitude^2 * that
+                # >= |(a, b)|^2 runs on integers, every denominator cleared
+                n, d = term.amplitude._dot()
+                r = term.radius
+                if (n * n * 64 * 6**6 * r.denominator**2 * norm_den
+                        >= d * d * 7**7 * r.numerator**2 * norm_num):
+                    raise BumpDominatesError(
+                        f"bump at center {term.center.theta} {term.center.phi} dominates "
+                        "the linear part; the perturbation regime is violated"
+                    )
         reduced = not self.invariant
         rank = sc.q_rank([a, b])
         if rank >= 2:
@@ -203,21 +222,13 @@ def _validate_bump_supports(form: ClosedForm) -> None:
 
 def bump_potential(form: ClosedForm, point: TorusPoint) -> sc.SymScalar:
     """Exact value of the summed bump potentials at a torus point."""
-    return _potential(form, _bump_copies(form), point)
-
-
-def _bump_copies(form: ClosedForm) -> list[tuple[TorusPoint, Fraction, sc.SymScalar]]:
-    """(center, r^2, amplitude) for every kept orbit copy of every bump."""
-    return [(copy, term.radius**2, term.amplitude) for copy, term in form.bump_copies]
-
-
-def _potential(form: ClosedForm, copies, point: TorusPoint) -> sc.SymScalar:
     x = (point.theta, point.phi)
     total = form.table.zero()
-    for center, r2, amplitude in copies:
+    for center, term in form.bump_copies:
+        r2 = term.radius**2
         d2 = _torus_dist2(x, center)
         if d2 < r2:
-            total = total + amplitude * (1 - d2 / r2) ** 4
+            total = total + term.amplitude * (1 - d2 / r2) ** 4
     return total
 
 
@@ -259,33 +270,6 @@ def invariant_subgroup(form: ClosedForm) -> list[int]:
     return keep
 
 
-def zeros(form: ClosedForm) -> list[Zero]:
-    """The linear + bump layer is zero-free under the nondominance condition
-    |amplitude| * sup|h'| < |(a, b)|, decided exactly in squared form.  Only
-    `ClosedForm.structure` calls it, once per form, before deciding anything."""
-    a, b = form.linear
-    if a.is_zero() and b.is_zero():
-        raise FormError("the zero form has no foliation")
-    if not form.bumps:
-        return []
-    (na, da), (nb, db) = a._dot(), b._dot()
-    # |(a, b)|^2 = norm_num / norm_den
-    norm_num, norm_den = (na * db) ** 2 + (nb * da) ** 2, (da * db) ** 2
-    for term in form.bumps:
-        # sup of |h'| for h(r) = (1 - (r/R)^2)^4 is (8/R) * (6/7)^3 / sqrt(7),
-        # whose square is 64 * 6^6 / 7^7 / R^2; the test amplitude^2 * that
-        # >= |(a, b)|^2 runs on integers, every denominator cleared
-        n, d = term.amplitude._dot()
-        r = term.radius
-        if (n * n * 64 * 6**6 * r.denominator**2 * norm_den
-                >= d * d * 7**7 * r.numerator**2 * norm_num):
-            raise BumpDominatesError(
-                f"bump at center {term.center.theta} {term.center.phi} dominates the linear part; "
-                "the perturbation regime is violated"
-            )
-    return []
-
-
 def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
     """Line integral along a path: the linear part over the total cover
     displacement, plus the bump potential's differences, which telescope.
@@ -310,11 +294,9 @@ def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
     ]
     if not path.is_loop():
         jumps.append((segs[-1][-1], segs[0][0]))
-    if jumps:
-        copies = _bump_copies(form)
-        for end, start in jumps:
-            total = total + _potential(form, copies, TorusPoint(*end))
-            total = total - _potential(form, copies, TorusPoint(*start))
+    for end, start in jumps:
+        total = total + bump_potential(form, TorusPoint(*end))
+        total = total - bump_potential(form, TorusPoint(*start))
     return total
 
 

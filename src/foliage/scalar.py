@@ -101,6 +101,20 @@ def read_rational(text: str) -> int | Fraction:
     return Fraction(word)
 
 
+def read_symbol(name: str, value: str) -> int | Fraction:
+    """The nonzero rational a symbol's literal writes; ScalarError otherwise."""
+    try:
+        exact = read_rational(value)
+    except (ValueError, ZeroDivisionError):
+        raise ScalarError(
+            f"symbol {name!r}: value {value!r} is not a decimal literal "
+            f"of at most {LITERAL_DIGITS} digits"
+        ) from None
+    if exact == 0:
+        raise ScalarError(f"symbol {name!r}: numeric value must be nonzero")
+    return exact
+
+
 @dataclass(frozen=True)
 class Symbol:
     name: str
@@ -110,28 +124,22 @@ class Symbol:
 class SymbolTable:
     """Ordered basis of named real constants; index 0 is always "one" = 1."""
 
-    def __init__(self, symbols: Iterable[tuple[str, str]] = ()):
+    def __init__(self, symbols: Iterable[tuple] = ()):
         self.symbols: list[Symbol] = [Symbol("one", "1")]
         # (literals as integers over D, D), replaced whole by each declare
         self.scaled: tuple[tuple[int, ...], int] = ((1,), 1)
         self._index: dict[str, int] = {"one": 0}
         self._declaring = Lock()
-        for name, value in symbols:
-            self.declare(name, value)
+        for symbol in symbols:
+            self.declare(*symbol)
 
-    def declare(self, name: str, value: str) -> int:
+    def declare(self, name: str, value: str, exact: int | Fraction | None = None) -> int:
+        """Append a symbol; `exact` is its literal's value, if already read."""
         with self._declaring:  # a read-modify-write of the whole table
             if name in self._index:
                 raise ScalarError(f"duplicate symbol {name!r}")
-            try:
-                exact = read_rational(value)
-            except (ValueError, ZeroDivisionError):
-                raise ScalarError(
-                    f"symbol {name!r}: value {value!r} is not a decimal literal "
-                    f"of at most {LITERAL_DIGITS} digits"
-                ) from None
-            if exact == 0:
-                raise ScalarError(f"symbol {name!r}: numeric value must be nonzero")
+            if exact is None:
+                exact = read_symbol(name, value)
             lits, den = self.scaled
             common = lcm(den, exact.denominator)
             self.symbols.append(Symbol(name, value))

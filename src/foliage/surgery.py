@@ -95,6 +95,8 @@ class FoliationModel:
     is_generic: bool = False
     spec: Optional["SurgerySpec"] = None
     carried_transitive: bool = False
+    # each noncompact component id a merge absorbed, and the id it merged into
+    merged_into: dict[str, str] = field(default_factory=dict)
     catalog: Optional[list[LeafClass]] = field(default=None, init=False)
     decomposition: Optional[Decomposition] = field(default=None, init=False)
 
@@ -141,6 +143,7 @@ class FoliationModel:
     def merge_components(self, comps: list[str], extra_periods: list) -> str:
         """Fuse noncompact components into one; the smallest id survives."""
         target, *absorbed = sorted(set(comps))
+        self.merged_into.update(dict.fromkeys(absorbed, target))
         periods = [p for c in [target, *absorbed] for p in self.x_inf_periods.pop(c)]
         self.x_inf_periods[target] = tuple(dict.fromkeys(periods + extra_periods))
         keep_vid = self.special_vertices[target]
@@ -270,6 +273,7 @@ def _merge(spec: SurgerySpec) -> tuple[FoliationModel, dict[tuple[str, int], int
         model.sides += [s.with_circuit(emap[eid] for eid in s.circuit_edges) for s in part.sides]
         model.zeros += part.zeros
         model.x_inf_periods.update(part.x_inf_periods)
+        model.merged_into.update(part.merged_into)
         model.special_vertices.update((c, vmap[vid]) for c, vid in part.special_vertices.items())
         model.singular_entries += part.singular_entries
         model.notes += part.notes
@@ -322,9 +326,12 @@ def _resolve_site(model: FoliationModel, edge_map, role: str, source: FoliationM
         if len(families) + len(comps) != 1:
             raise ModelError(f"{role}: region 'auto' needs a single-family model; name the region")
         region = (families + comps)[0]
-    if region in source.x_inf_periods:
+    component = region
+    while component in source.merged_into:  # merged, perhaps more than once
+        component = source.merged_into[component]
+    if component in source.x_inf_periods:
         side_id = region.rsplit(".inf", 1)[0]
-        return _Site(role, "special", side_id, window, component=region)
+        return _Site(role, "special", side_id, window, component=component)
     for eid in sorted(source.graph.edges):
         e = source.graph.edges[eid]
         if e.family == region:
@@ -383,11 +390,11 @@ def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar,
         model.graph.add_edge(prev_v, e.dst, e.span[1] - prev_pos,
                           f"{e.family}:{len(located)}", e.side, (prev_pos, e.span[1]))
     )
-    if side.circuit_edges:
-        circuit = []
-        for eid in side.circuit_edges:
-            circuit.extend(pieces if eid == e.eid else [eid])
-        model.replace_side(side.with_circuit(circuit))
+    # a kind-A fused edge lies on the circuits of both sides it joined
+    for s in model.sides:
+        if e.eid in s.circuit_edges:
+            model.replace_side(s.with_circuit(
+                p for eid in s.circuit_edges for p in (pieces if eid == e.eid else (eid,))))
     return pieces
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import foliage
-from foliage import cli
+from foliage import cli, scalar
 from foliage.catalog import SCENARIOS
 from foliage.cli import (
     ScenarioError,
@@ -27,7 +27,56 @@ from foliage.cli import (
     serialize_scenario,
 )
 
+from conftest import surgery_trees
+
 EX1 = SCENARIOS["pillowcase-ex1"]
+
+# a scenario that sets every key the format has
+EVERY_KEY = """[symbols]
+p = 3.14159
+q = 3/2 independent
+
+[orbifold T]
+builtin = torus
+basepoint = 1/16, 1/8
+
+[orbifold H]
+element = 1 0 0 1 ; 1/2 0
+element = 1 0 0 1 ; 0 1/2
+element = 1 0 0 1 ; 1/2 1/2
+
+[form w0]
+on = T
+dtheta = 1*p + 1/2
+dphi = 2*q
+basic_override = true
+bump = center 1/4 1/8 radius 1/32 amplitude 1/100*p
+bump = center 3/4 5/8 radius 1/16 amplitude -1/200
+
+[form w1]
+on = H
+dtheta = 1
+dphi = 0
+
+[surgery s1]
+kind = A
+left = w0
+right = w1
+left_region = w0.inf
+right_region = w1.f0
+left_window = 1/8 : 3/8
+right_window = 1/8 : 3/8
+tube = 3/16 : 5/16
+
+[tracer]
+seed = 1/3, -2/7
+step = 0.01
+max_steps = 5000
+
+[output]
+dot = leaf.dot
+svg = leaf.svg
+"""
 
 
 class TestParsing:
@@ -74,9 +123,48 @@ dphi = 0
             build_scenario(parse_scenario(text))
 
     def test_round_trip_is_identity(self):
-        for name, text in sorted(SCENARIOS.items()):
+        texts = dict(sorted(SCENARIOS.items()))
+        texts.update((f"tree {i}", text) for i, text in enumerate(surgery_trees(1, 100)))
+        texts["every key"] = EVERY_KEY
+        for name, text in texts.items():
             s = parse_scenario(text)
             assert parse_scenario(serialize_scenario(s)) == s, name
+
+    def test_every_key_is_written(self):
+        keys = {key for _, _, _, row in cli.FORMAT.values() for key in row}
+        assert len(keys) == 21
+        written = serialize_scenario(parse_scenario(EVERY_KEY))
+        assert {line.partition(" = ")[0] for line in written.splitlines()} >= keys
+
+    def test_symbols_carry_the_values_their_literals_write(self, monkeypatch):
+        reads = []
+        real = scalar.read_symbol
+        monkeypatch.setattr(scalar, "read_symbol", lambda *a: reads.append(a) or real(*a))
+        s = parse_scenario(EVERY_KEY)
+        assert [(name, value) for name, _, value in s.symbols] == [
+            ("p", Fraction(314159, 100000)), ("q", Fraction(3, 2))]
+        build_report(build_scenario(s), "periods")
+        assert reads == [("p", "3.14159"), ("q", "3/2")]  # read once, while parsing
+
+    @settings(max_examples=200, deadline=None)
+    @given(literal=st.builds(
+        "{}{}e{}".format, st.integers(-99, 999), st.sampled_from(["", ".5", ".07"]),
+        st.integers(-999_999, 999_999),
+    ).filter(lambda text: len(text) <= 12))
+    @example(literal="1e4299")
+    @example(literal="1e4300")
+    @example(literal="0e9999999")
+    def test_any_short_symbol_literal_is_read_in_bounded_time(self, literal):
+        text = f"[symbols]\np = {literal}\n[orbifold T]\nbuiltin = torus\n" \
+               "[form w]\non = T\ndtheta = 1\ndphi = 1*p\n"
+        start = time.perf_counter()
+        try:
+            value = parse_scenario(text).symbols[0][2]
+        except ScenarioError as err:
+            assert str(err).startswith("line 2: symbol 'p': ")
+        else:
+            assert value != 0
+        assert time.perf_counter() - start < 0.05
 
 
 def assert_parses_as_fraction(text):
@@ -292,6 +380,25 @@ class TestEntryPoint:
         else:
             assert "w: a = 1, b = " in out and "; rank 2" in out
 
+    @pytest.mark.parametrize("literal, message", [
+        ("abc", "value 'abc' is not a decimal literal of at most 4300 digits"),
+        ("1e9999999", "4300 digits"),
+        ("0.0", "numeric value must be nonzero"),
+        ("-0/7", "numeric value must be nonzero"),
+    ])
+    def test_bad_symbol_literal_exit_two_with_its_line(self, literal, message, tmp_path, capsys):
+        path = tmp_path / "bad_symbol.scn"
+        path.write_text(
+            f"[symbols]\nq = 3/2\np = {literal}\n\n[orbifold T]\nbuiltin = torus\n\n"
+            "[form w]\non = T\ndtheta = 1*q\ndphi = 1*p\n"
+        )
+        start = time.perf_counter()
+        assert main(["periods", str(path)]) == 2
+        assert time.perf_counter() - start < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: line 3: symbol 'p': ") and message in err
+        assert "Traceback" not in err
+
     def test_bare_dependent_flag_exit_two(self, tmp_path, capsys):
         # the flag names no relation, so honouring it is impossible and
         # ignoring it would treat r as a new constant: rank 2, not compact
@@ -487,6 +594,13 @@ class TestEntryPoint:
         out = tmp_path / "g.dot"
         assert main(["graph", "pillowcase-ex1", "--dot", str(out)]) == 0
         assert out.read_text().startswith("digraph foliation {")
+
+    def test_unwritable_output_path_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "g.dot"
+        assert main(["graph", "pillowcase-ex1", "--dot", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and str(path) in err
+        assert "Traceback" not in err
 
     def test_subprocess_console_script(self, tmp_path):
         # the child finds the package under test, installed or not

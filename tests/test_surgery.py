@@ -27,6 +27,7 @@ from foliage.surgery import (
 )
 
 from conftest import PI, SQRT2, build_catalog_model, surgery_chain
+import test_scenarios
 
 
 def r(table, value):
@@ -948,3 +949,137 @@ class TestKindAChainCost:
         assert len(constructed) == 33
         assert len(passes) == 33
         assert len(calabi) == 1
+
+
+# s1's kind-A fused edge lies on the circuits of both sides it joined, w4 and
+# w0; the kind-B join s2 then cuts it
+FUSED_THEN_CUT = """[symbols]
+p = 3.14159265358979323846264338327950288420
+[orbifold T]
+builtin = torus
+[orbifold Q]
+builtin = pillowcase
+[form w0]
+on = T
+dtheta = 2
+dphi = 3
+[form w1]
+on = T
+dtheta = 1*p
+dphi = 2*p
+[form w4]
+on = Q
+dtheta = 0
+dphi = 1
+basic_override = true
+[surgery s1]
+kind = A
+left = w4
+right = w0
+left_region = w4.f0
+right_region = w0.f0
+left_window = 7/16 : 9/16
+right_window = 7/16 : 9/16
+tube = 15/32 : 33/64
+[surgery s2]
+kind = B
+left = w1
+right = s1
+left_region = w1.f0
+right_region = s1.fused
+left_window = 11/8 : 2
+right_window = 15/32 : 31/64
+tube = 27/16 : 61/128
+"""
+
+
+class TestFusedEdgeCut:
+    def test_cutting_a_fused_edge_rewrites_both_circuits(self):
+        built = build_scenario(parse_scenario(FUSED_THEN_CUT))
+        fused = next(e.eid for e in built.models["s1"].graph.edges.values()
+                     if e.family == "s1.fused")
+        assert [s.side_id for s in built.models["s1"].sides if fused in s.circuit_edges] == [
+            "w4", "w0"]
+        final = built.final
+        for side in final.sides:
+            assert set(side.circuit_edges) <= set(final.graph.edges)
+        report = build_report(built, "surgery")
+        assert report.count("[ok]") == 6 and "MISMATCH" not in report
+
+
+# s1 merges m3.inf into m2.inf, and s2 merges m2.inf into m1.inf: the merge
+# keeps the smallest id
+MERGED_TWICE = """[symbols]
+p = 3.14159265358979323846264338327950288420
+q = 1.41421356237309504880168872420969807857
+[orbifold T]
+builtin = torus
+[form m1]
+on = T
+dtheta = 1*p
+dphi = 1*q
+[form m2]
+on = T
+dtheta = 1*q
+dphi = 1*p
+[form m3]
+on = T
+dtheta = 1
+dphi = 1*q
+[form w]
+on = T
+dtheta = 2
+dphi = 3
+[surgery s1]
+kind = A
+left = m2
+right = m3
+left_region = m2.inf
+right_region = m3.inf
+left_window = 0 : 4
+right_window = 0 : 4
+tube = 1/4 : 13/4
+[surgery s2]
+kind = A
+left = s1
+right = m1
+left_region = m2.inf
+right_region = m1.inf
+left_window = 0 : 4
+right_window = 0 : 4
+tube = 1/2 : 7/2
+[surgery s3]
+kind = C
+left = w
+right = s2
+left_region = w.f0
+right_region = m1.inf
+left_window = 5/16 : 7/16
+right_window = 5/16 : 7/16
+tube = 11/32 : 11/32
+"""
+
+
+class TestMergedComponentNames:
+    @staticmethod
+    def _built(region):
+        text = MERGED_TWICE.replace("right_region = m1.inf\nleft_window = 5/16",
+                                    f"right_region = {region}\nleft_window = 5/16")
+        return build_scenario(parse_scenario(text))
+
+    def test_absorbed_ids_name_the_component_they_merged_into(self):
+        survivor = self._built("m1.inf")
+        assert survivor.models["s2"].merged_into == {"m3.inf": "m2.inf", "m2.inf": "m1.inf"}
+        assert sorted(survivor.final.x_inf_periods) == ["m1.inf"]
+        verdict_lines = test_scenarios.TestDeclarationInvariance._verdict_lines
+        lines = verdict_lines(survivor.scenario)
+        for region in ("m2.inf", "m3.inf"):
+            built = self._built(region)
+            assert verdict_lines(built.scenario) == lines
+            # the zero's side still comes from the name as written
+            assert built.final.zeros[-1].side == region.split(".")[0]
+
+    def test_a_merge_leaves_its_inputs_unchanged(self):
+        built = self._built("m1.inf")
+        assert built.models["s1"].merged_into == {"m3.inf": "m2.inf"}
+        assert built.models["m1"].merged_into == {}

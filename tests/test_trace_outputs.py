@@ -215,7 +215,7 @@ def test_bumps_on_isometric_orbifolds_evaluate_no_potential(monkeypatch):
     # isometries, so on the pillowcase and the shifted torus it drops out of
     # every period without being evaluated
     calls = []
-    count_calls(monkeypatch, calls, forms, "_potential")
+    count_calls(monkeypatch, calls, forms, "bump_potential")
     for text in (BUMPED_PILLOWCASE, TWO_BUMP_SHIFTED_TORUS):
         build_scenario(parse_scenario(text))
     assert calls == []

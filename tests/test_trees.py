@@ -1,12 +1,16 @@
 """Random surgery trees: every command answers, and every output is pinned."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+import test_scenarios
 from foliage import cli, surgery
 from foliage.cli import COMMANDS, build_report, build_scenario, parse_scenario, run
+from foliage.graph import calabi_equiv_bruteforce, is_calabi
 from foliage.scalar import FoliageError, PrecisionExhausted
+from foliage.surgery import verdicts
 
 from conftest import surgery_chain, surgery_trees
 
@@ -14,7 +18,7 @@ TREE_COMMANDS = [c for c in COMMANDS if c != "examples"]
 
 # sha256 over every command's exit code, report or error line, and DOT, for
 # the trees of surgery_trees(1, 100)
-TREES_PIN = "c4bf89cb81e48ee120942cdbc49445ac8cf1f7ba85b4e4b2481016fee7912963"
+TREES_PIN = "06de2ddf41c8b2d12a639b91db9568e9ec124fe23ee26e7d784e984ffddc2bf8"
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +86,32 @@ def test_every_model_returned_is_finished_once(monkeypatch, trees):
     assert all(model.decomposition is not None for model in returned)
     assert decomposed == finished
     assert len(set(map(id, finished))) == len(finished)
+
+
+def test_permuted_symbols_and_renamed_models_keep_the_verdicts(trees):
+    helpers = test_scenarios.TestDeclarationInvariance
+    checked = 0
+    for text in trees:
+        s = parse_scenario(text)
+        try:
+            expected = helpers._verdict_lines(s)
+        except FoliageError:
+            continue
+        for variant in (replace(s, symbols=s.symbols[::-1]), helpers._renamed(s)):
+            assert helpers._verdict_lines(variant) == expected
+        checked += 1
+    assert checked == 87
+
+
+def test_is_calabi_agrees_with_the_brute_force_on_the_companions(trees):
+    checked = 0
+    for text in trees:
+        try:
+            graph = verdicts(build_scenario(parse_scenario(text)).final).companion.graph
+        except FoliageError:
+            continue
+        if len(graph.vertices) <= 12:
+            cond1, cond2 = calabi_equiv_bruteforce(graph)
+            assert cond1 == cond2 == is_calabi(graph)
+            checked += 1
+    assert checked == 74
