@@ -183,7 +183,13 @@ def _expr(key: str, text: str, line: int, names: set[str]) -> Expr:
             name, coef = term, 1
         if name != "one" and name not in names:
             raise ScenarioError(f"unresolved symbol {name!r}", line)
-        coeffs[name] = coeffs[name] + coef if name in coeffs else coef
+        if name in coeffs:
+            coef = coeffs[name] + coef
+            # a sum of accepted literals can outgrow what a report may write
+            if max(abs(coef.numerator), coef.denominator) >= 10**sc.LITERAL_DIGITS:
+                raise ScenarioError(
+                    f"coefficient of {name!r} expands past {sc.LITERAL_DIGITS} digits", line)
+        coeffs[name] = coef
     return tuple(sorted((n, c) for n, c in coeffs.items() if c))
 
 
@@ -333,7 +339,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"bad section header {line!r}", i)
             kind = parts[0]
             if kind == "symbols":
-                allowed = None
+                named, allowed = False, None
             elif kind not in FORMAT:
                 raise ScenarioError(f"unknown section {kind!r}", i)
             else:
@@ -342,6 +348,8 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioError(f"section {kind!r} needs a name", i)
                 if not named and any(k == kind for k, _, _ in sections):
                     raise ScenarioError(f"repeated section [{kind}]", i)
+            if not named and len(parts) == 2:
+                raise ScenarioError(f"section {kind!r} takes no name", i)
             body = {}
             sections.append((kind, parts[1] if len(parts) == 2 else "", body))
             continue

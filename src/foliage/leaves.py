@@ -11,6 +11,7 @@ classifier (and draws pictures).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Optional
 
 from . import scalar as sc
@@ -212,7 +213,8 @@ def trace_leaf(
     Fourth-order fixed-step integration; boundary crossings wrap mod 1 and
     closure is tested against every form-preserving translate of the seed.
     A step that cannot reach a bump support adds the RK4 increment of the
-    constant field there, byte for byte what the four stages would give.
+    constant field there, byte for byte what the four stages would give, and
+    a straight run of such steps is taken in one pass.
     Verdicts: Closed when the trace returns within tolerance with matching
     direction, DenseEvidence when grid coverage passes the threshold,
     Inconclusive otherwise (including field-degeneracy and drift aborts, and
@@ -273,14 +275,16 @@ def trace_leaf(
     targets = _closure_targets(form, sx, sy, v0)
     # coverage is read only at the checkpoints and at the end, so each step
     # just keeps its point, and the points since the last checkpoint are
-    # mapped to their cells there: the same cells as marking every step
+    # mapped to their cells there: the same cells as marking every step; a
+    # cell (i, j) is kept as the one int i * ncells + j
     ncells = max(2, round(1.0 / grid_eps))
-    cells = {(int(sx * ncells) % ncells, int(sy * ncells) % ncells)}
+    cells = {int(sx * ncells) % ncells * ncells + int(sy * ncells) % ncells}
     pending = []
     total_cells = ncells * ncells
 
     def coverage() -> float:
-        cells.update([(int(x * ncells) % ncells, int(y * ncells) % ncells) for x, y in pending])
+        cells.update([int(x * ncells) % ncells * ncells + int(y * ncells) % ncells
+                      for x, y in pending])
         pending.clear()
         return len(cells) / total_cells
 
@@ -304,9 +308,30 @@ def trace_leaf(
     captures = [(tx, ty, capture) for tx, ty, _ in targets]
     free = quiet = 0  # steps left that cannot reach a support / a closure target
 
-    for n in range(1, max_steps + 1):
+    n = 0
+    while n < max_steps:
+        n += 1
         if free <= 0 and c is not None:
             free = _free_steps(supports, px, py, reach)
+        # a straight run: the coming k steps reach no support, meet no closure
+        # target, pass no checkpoint and thin no polyline, so they are taken
+        # in one pass, with the same float additions as one step at a time
+        k = int(min(free, quiet, -n % 1024, max_steps - n + 1))
+        if collect_polyline:
+            k = min(k, 200_000 - len(polyline)) if stride == 1 else 0
+        if k > 1:
+            xs = list(accumulate(repeat(ix, k - 1), initial=px + ix))
+            ys = list(accumulate(repeat(iy, k - 1), initial=py + iy))
+            px, py = xs[-1], ys[-1]
+            *_, arc = accumulate(repeat(step, k), initial=arc)
+            points = [(x % 1.0, y % 1.0) for x, y in zip(xs, ys)]
+            pending += points
+            if collect_polyline:
+                polyline += points
+            free -= k
+            quiet -= k
+            n += k - 1
+            continue
         if free > 0:
             free -= 1
             px += ix

@@ -190,12 +190,41 @@ def _grid_cone_points(presentation: OrbifoldPresentation, d: int) -> tuple[Torus
 # -- orbits and isotropy ------------------------------------------------------
 
 
+def _images(x: TorusPoint, presentation: OrbifoldPresentation) -> tuple[list[tuple[int, int]], int]:
+    """The image of x under each group element, in element order, as numerator
+    pairs in [0, L) over one common denominator L, and L."""
+    t, f = x.theta, x.phi
+    elements = presentation.action.elements
+    scale = lcm(t.denominator, f.denominator, *[o.denominator for g in elements for o in g.offset])
+    u0, v0 = t.numerator * (scale // t.denominator), f.numerator * (scale // f.denominator)
+    images = []
+    for g in elements:
+        (a, b), (c, d) = g.matrix
+        u, v = g.offset
+        images.append(((a * u0 + b * v0 + u.numerator * (scale // u.denominator)) % scale,
+                       (c * u0 + d * v0 + v.numerator * (scale // v.denominator)) % scale))
+    return images, scale
+
+
+def _reduced_point(theta: Fraction, phi: Fraction) -> TorusPoint:
+    """A TorusPoint of coordinates already in [0, 1), built without reducing
+    them again."""
+    point = object.__new__(TorusPoint)
+    object.__setattr__(point, "theta", theta)
+    object.__setattr__(point, "phi", phi)
+    return point
+
+
 def orbit(x: TorusPoint, presentation: OrbifoldPresentation) -> set[TorusPoint]:
-    return {g.apply(x) for g in presentation.action.elements}
+    """The images of x, inserted in element order, so the set iterates as
+    {g.apply(x) for g in elements} does."""
+    images, scale = _images(x, presentation)
+    return {_reduced_point(Fraction(p, scale), Fraction(q, scale)) for p, q in images}
 
 
 def isotropy_order(x: TorusPoint, presentation: OrbifoldPresentation) -> int:
-    return sum(1 for g in presentation.action.elements if g.apply(x) == x)
+    images, _ = _images(x, presentation)
+    return images.count(images[0])  # element 0 is the identity
 
 
 # -- paths through the quotient ----------------------------------------------

@@ -380,6 +380,30 @@ class TestEntryPoint:
         else:
             assert "w: a = 1, b = " in out and "; rank 2" in out
 
+    @pytest.mark.parametrize("dphi, code", [
+        ("9e4299*p + 9e4299*p", 2), ("1e-4299*p + 1/11*p", 2), ("-9e4299*p + 1 + -9e4299*p", 2),
+        ("4e4299*p + 5e4299*p", None), ("1e-4299*p + 1/7*p", None),
+    ])
+    @pytest.mark.parametrize("command", ["periods", "surgery", "trace"])
+    def test_summed_coefficients_are_bounded_by_their_digits(self, tmp_path, capsys, command,
+                                                             dphi, code):
+        # every literal is accepted, and the refused sums need 4,301 digits
+        # in their numerator or their denominator, which no report may write
+        path = tmp_path / "sum.scn"
+        path.write_text(
+            "[symbols]\np = 3/2\n\n[orbifold T]\nbuiltin = torus\n\n"
+            f"[form w]\non = T\ndtheta = 1\ndphi = {dphi}\n"
+        )
+        got = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code == 2:
+            assert got == 2
+            assert "line 10: coefficient of 'p' expands past 4300 digits" in err
+        else:
+            # a trace may end Inconclusive (exit 3): 9e4299 overflows a float
+            assert got in (0, 3) and "== periods ==" in out
+
     @pytest.mark.parametrize("literal, message", [
         ("abc", "value 'abc' is not a decimal literal of at most 4300 digits"),
         ("1e9999999", "4300 digits"),
@@ -553,6 +577,20 @@ class TestEntryPoint:
         assert main(["periods", str(path)]) == 2
         err = capsys.readouterr().err
         assert "repeated section" in err and "line " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section", [
+        "[symbols extra]\nr = 3/2", "[tracer fast]\nstep = 0.01", "[output pics]\ndot = g.dot",
+    ], ids=["symbols", "tracer", "output"])
+    def test_name_on_an_unnamed_section_exit_two(self, section, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        text = self.TORUS + f"\n{section}\n"
+        path.write_text(text)
+        assert main(["periods", str(path)]) == 2
+        err = capsys.readouterr().err
+        lineno = text.splitlines().index(section.splitlines()[0]) + 1
+        kind = section[1:].split()[0]
+        assert f"line {lineno}: section {kind!r} takes no name" in err
         assert "Traceback" not in err
 
     def test_graph_error_in_a_report_exit_two(self, monkeypatch, capsys):

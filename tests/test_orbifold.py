@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from foliage.orbifold import (
     BUILTIN_ORBIFOLDS,
@@ -103,6 +103,38 @@ class TestOrbits:
             seen |= o
             total += len(o)
         assert total == n * n
+
+
+def reference_orbit(x, presentation):
+    return {g.apply(x) for g in presentation.action.elements}
+
+
+R4 = cyclic_presentation(((0, -1), (1, 0)))
+GLIDE = cyclic_presentation(((1, 0), (0, -1)), (Fraction(1, 2), 0))
+THIRDS = cyclic_presentation(((1, 0), (0, 1)), (Fraction(1, 3), Fraction(2, 3)))
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+
+
+class TestOrbitOracle:
+    """orbit works on integer numerators; the orbit of g.apply images is its
+    reference, down to the set's iteration order, which fixes the order bump
+    copies are summed in."""
+
+    PRESENTATIONS = [*BUILTIN_ORBIFOLDS.values(), R4, H, GLIDE, THIRDS]
+
+    @given(theta=RATIONALS, phi=RATIONALS)
+    @example(theta=Fraction(1, 2), phi=Fraction(1, 2))  # fixed by the half-turn
+    @example(theta=Fraction(-1, 3), phi=Fraction(5, 3))
+    def test_same_points_in_the_same_order(self, theta, phi):
+        x = TorusPoint(theta, phi)
+        for presentation in self.PRESENTATIONS:
+            got, want = orbit(x, presentation), reference_orbit(x, presentation)
+            assert got == want and list(got) == list(want)
+            for p in got:
+                assert type(p) is TorusPoint and TorusPoint(p.theta, p.phi) == p
+                assert type(p.theta) is Fraction and 0 <= p.theta < 1 and 0 <= p.phi < 1
+            assert isotropy_order(x, presentation) == sum(
+                1 for g in presentation.action.elements if g.apply(x) == x)
 
 
 class TestSingularGrid:

@@ -392,17 +392,62 @@ class TestStraightSteps:
     """Steps that cannot reach a support add one constant increment, and the
     closure test runs only near a target; neither may change a byte."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(case=bumped_leaves())
-    def test_matches_the_all_rk4_tracer(self, case):
-        form, seed, step = case
-        args = dict(step=step, max_steps=3000, return_tol=1e-6, collect_polyline=True)
+    @staticmethod
+    def assert_same_trace(form, seed, **args):
         fast, slow = trace_leaf(form, seed, **args), reference_trace(form, seed, **args)
         assert (fast.verdict, fast.steps, fast.reason) == (slow.verdict, slow.steps, slow.reason)
         for got, want in [(fast.period_length, slow.period_length),
                           (fast.return_error, slow.return_error), (fast.coverage, slow.coverage)]:
             assert (got is None and want is None) or got.hex() == want.hex()
         assert fast.polyline == slow.polyline
+        return fast
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bumped_leaves())
+    def test_matches_the_all_rk4_tracer(self, case):
+        form, seed, step = case
+        self.assert_same_trace(form, seed, step=step, max_steps=3000, return_tol=1e-6,
+                               collect_polyline=True)
+
+    # straight runs stop short of every 1024th step, of the step budget and of
+    # the polyline cap; these leaves put those limits inside a run
+    def plain_and_bumped(self, table):
+        plain = rational_form(table, 2, 3)
+        bump = BumpTerm(TorusPoint(Fraction(5, 8), Fraction(5, 8)), Fraction(1, 16),
+                        table.rational(Fraction(1, 200)))
+        return {"plain": plain, "bumped": plain.with_bumps([bump])}
+
+    @pytest.mark.parametrize("drift_tol, verdict, steps", [
+        (1e-6, "Closed", 1802), (0.0, "Inconclusive", 1024)])
+    @pytest.mark.parametrize("kind", ["plain", "bumped"])
+    def test_runs_straddle_the_checkpoints(self, table, kind, drift_tol, verdict, steps):
+        # the leaf closes after 1802 steps, so a run meets step 1024, whose
+        # drift check a zero tolerance fails
+        form = self.plain_and_bumped(table)[kind]
+        result = self.assert_same_trace(form, SEED, step=0.002, return_tol=1e-6,
+                                        drift_tol=drift_tol, collect_polyline=True)
+        assert (result.verdict, result.steps) == (verdict, steps)
+
+    @pytest.mark.parametrize("collect_polyline", [True, False], ids=["polyline", "no-polyline"])
+    @pytest.mark.parametrize("kind", ["plain", "bumped"])
+    @pytest.mark.parametrize("max_steps", [1023, 1024, 1025])
+    def test_runs_stop_at_the_step_budget(self, table, kind, max_steps, collect_polyline):
+        form = self.plain_and_bumped(table)[kind]
+        result = self.assert_same_trace(form, SEED, step=0.002, max_steps=max_steps,
+                                        return_tol=1e-6, collect_polyline=collect_polyline)
+        assert (result.verdict, result.reason, result.steps) == (
+            "Inconclusive", "step budget exhausted", max_steps)
+        assert (result.polyline is not None) == collect_polyline
+
+    def test_runs_stop_at_the_polyline_cap(self, table):
+        # a dense leaf that may not end dense: its polyline passes 200,000
+        # points at step 200,000 and is thinned to 100,000, and the steps
+        # after that keep every second point
+        form = ClosedForm((table.rational(1), table.symbol("q")), T)
+        result = self.assert_same_trace(form, SEED, step=0.02, max_steps=200_500,
+                                        coverage_threshold=2.0, collect_polyline=True)
+        assert result.steps == 200_500
+        assert len(result.polyline) == 100_000 + 500 // 2
 
     def count(self, monkeypatch, name):
         calls = []
@@ -439,34 +484,27 @@ class TestStraightSteps:
     TABLE = SymbolTable([("p", PI), ("q", SQRT2), ("r", SQRT3)])
     GRID_LINE_SEED = TorusPoint(Fraction(3, 20), Fraction(7, 20))
 
-    def assert_same_coverage(self, form, seed, **args):
-        fast, slow = trace_leaf(form, seed, **args), reference_trace(form, seed, **args)
-        assert (fast.verdict, fast.steps, fast.reason) == (slow.verdict, slow.steps, slow.reason)
-        assert (fast.coverage is None and slow.coverage is None) or \
-            fast.coverage.hex() == slow.coverage.hex()
-        return fast
-
     @pytest.mark.parametrize("orbifold, a, b, step, steps", [
         (T, "one", "q", 0.02, 2048), (T, "p", "q", 0.02, 2048), (S, "q", "r", 0.05, 1024)])
     @pytest.mark.parametrize("seed", [SEED, GRID_LINE_SEED], ids=["seed", "grid-line-seed"])
     def test_dense_leaves_stop_at_the_same_checkpoint(self, orbifold, a, b, step, steps, seed):
         t = self.TABLE
         form = ClosedForm((t.symbol(a), t.symbol(b)), orbifold, basic_override=True)
-        result = self.assert_same_coverage(form, seed, step=step)
+        result = self.assert_same_trace(form, seed, step=step)
         assert (result.verdict, result.steps, result.coverage) == ("DenseEvidence", steps, 1.0)
 
     @pytest.mark.parametrize("max_steps", [1023, 1024, 1025, 2500])
     @pytest.mark.parametrize("seed", [SEED, GRID_LINE_SEED], ids=["seed", "grid-line-seed"])
     def test_an_exhausted_budget_counts_the_same_cells(self, max_steps, seed):
         form = ClosedForm((self.TABLE.symbol("p"), self.TABLE.symbol("q")), T)
-        result = self.assert_same_coverage(form, seed, step=0.002, max_steps=max_steps)
+        result = self.assert_same_trace(form, seed, step=0.002, max_steps=max_steps)
         assert (result.verdict, result.reason, result.steps) == (
             "Inconclusive", "step budget exhausted", max_steps)
         assert 0 < result.coverage < 0.99
 
     def test_a_budget_ending_between_checkpoints_can_end_dense(self):
         form = ClosedForm((self.TABLE.rational(1), self.TABLE.symbol("q")), T)
-        result = self.assert_same_coverage(form, SEED, step=0.02, max_steps=2047)
+        result = self.assert_same_trace(form, SEED, step=0.02, max_steps=2047)
         assert (result.verdict, result.steps, result.coverage) == ("DenseEvidence", 2047, 1.0)
 
     @pytest.mark.parametrize("max_steps", [30, 150, 250])
@@ -475,5 +513,5 @@ class TestStraightSteps:
         # between two rows of cells; it closes after 200 steps
         form = ClosedForm((table.zero(), table.rational(1)), T)
         args = dict(step=0.005, max_steps=max_steps, return_tol=1e-6)
-        result = self.assert_same_coverage(form, self.GRID_LINE_SEED, **args)
+        result = self.assert_same_trace(form, self.GRID_LINE_SEED, **args)
         assert result.verdict == ("Inconclusive" if max_steps < 200 else "Closed")
