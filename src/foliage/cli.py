@@ -34,6 +34,7 @@ from .surgery import (
     SurgerySpec,
     analyze,
     connected_sum,
+    intermediate_sum,
     verdicts,
 )
 
@@ -502,6 +503,14 @@ def build_scenario(s: Scenario) -> BuiltScenario:
     def levels(pair):
         return _expr_value(table, pair[0]), _expr_value(table, pair[1])
 
+    # a join output that exactly one later join reads, and that is not the
+    # final model, is consumed: that join takes it over or copies it, and it
+    # is never finished nor kept in models
+    reads: dict[str, int] = {}
+    for g in s.surgeries:
+        for name in (g.left, g.right):
+            reads[name] = reads.get(name, 0) + 1
+    consumed = {g.name for g in s.surgeries[:-1] if reads.get(g.name) == 1}
     for g in s.surgeries:
         spec = SurgerySpec(
             kind=g.kind,
@@ -514,7 +523,12 @@ def build_scenario(s: Scenario) -> BuiltScenario:
             right_region=g.right_region,
             name=g.name,
         )
-        models[g.name] = connected_sum(spec)
+        for name in consumed.intersection((g.left, g.right)):
+            del models[name]
+        if g.name in consumed:
+            models[g.name] = intermediate_sum(spec, take_left=g.left in consumed)
+        else:
+            models[g.name] = connected_sum(spec)
     if s.surgeries:
         final = models[s.surgeries[-1].name]
     elif len(s.forms) == 1:

@@ -66,6 +66,10 @@ class FoliationGraph:
         self.vertices: dict[int, Vertex] = {}
         self.edges: dict[int, Edge] = {}
         self.attachments: list[Attachment] = []
+        # the edge ids of each family, ascending, and the positions in
+        # attachments of each special vertex's attachments
+        self._family_edges: dict[str, list[int]] = {}
+        self._attached_at: dict[int, list[int]] = {}
         self._next_vid = 0
         self._next_eid = 0
 
@@ -84,13 +88,21 @@ class FoliationGraph:
         if sc.sign(weight) <= 0:
             raise GraphError(f"edge weights must be strictly positive (family {family})")
         e = Edge(self._next_eid, src, dst, weight, family, side, span)
-        self.edges[e.eid] = e
-        self._next_eid += 1
+        self._put_edge(e)
         return e.eid
+
+    def _put_edge(self, e: Edge) -> None:
+        self.edges[e.eid] = e
+        self._family_edges.setdefault(e.family, []).append(e.eid)
+        self._next_eid += 1
 
     def attach(self, zero_vertex: int, special_vertex: int, mode: str = "both") -> None:
         self._check_attachment(zero_vertex, special_vertex)
-        self.attachments.append(Attachment(zero_vertex, special_vertex, mode))
+        self._add_attachment(Attachment(zero_vertex, special_vertex, mode))
+
+    def _add_attachment(self, a: Attachment) -> None:
+        self._attached_at.setdefault(a.special_vertex, []).append(len(self.attachments))
+        self.attachments.append(a)
 
     def _check_attachment(self, zero_vertex: int, special_vertex: int) -> None:
         if self.vertices[zero_vertex].kind not in (ZERO, TERMINAL):
@@ -121,18 +133,32 @@ class FoliationGraph:
                 raise GraphError("edge endpoints must exist")
             if (new, src, dst) != (eid, e.src, e.dst):
                 e = Edge(new, src, dst, e.weight, e.family, e.side, e.span)
-            self.edges[new] = e
-            self._next_eid += 1
+            self._put_edge(e)
         for a in other.attachments:
             zv, sv = vmap[a.zero_vertex], vmap[a.special_vertex]
             self._check_attachment(zv, sv)
             if (zv, sv) != (a.zero_vertex, a.special_vertex):
                 a = Attachment(zv, sv, a.mode)
-            self.attachments.append(a)
+            self._add_attachment(a)
         return vmap, emap
 
     def remove_edge(self, eid: int) -> Edge:
-        return self.edges.pop(eid)
+        e = self.edges.pop(eid)
+        same = self._family_edges[e.family]
+        same.remove(eid)
+        if not same:
+            del self._family_edges[e.family]
+        return e
+
+    def merge_special(self, dead: int, keep: int) -> None:
+        """Move the attachments of special vertex dead onto keep, each in its
+        place in the list, and remove dead; touches only dead's attachments."""
+        moved = self._attached_at.pop(dead, [])
+        for i in moved:
+            a = self.attachments[i]
+            self.attachments[i] = Attachment(a.zero_vertex, keep, a.mode)
+        self._attached_at.setdefault(keep, []).extend(moved)
+        self.remove_vertex(dead)
 
     def remove_vertex(self, vid: int) -> None:
         if any(e.src == vid or e.dst == vid for e in self.edges.values()):
@@ -140,6 +166,11 @@ class FoliationGraph:
         del self.vertices[vid]
 
     # -- queries -----------------------------------------------------------
+
+    def family_edge(self, family: str) -> Optional[int]:
+        """The least edge id of a family, or None."""
+        same = self._family_edges.get(family)
+        return same[0] if same else None
 
     def arcs(self) -> list[tuple[int, int]]:
         """Directed reachability arcs: edges plus attachment passages."""

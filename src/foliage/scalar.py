@@ -78,6 +78,8 @@ class memo:
 # the most digits a literal may expand to: the limit Python puts on the digit
 # strings int() reads, which plain integer literals already meet
 LITERAL_DIGITS = 4300
+# the least integer past LITERAL_DIGITS digits
+_TOO_LONG = 10**LITERAL_DIGITS
 
 
 def read_rational(text: str) -> int | Fraction:
@@ -318,7 +320,10 @@ class SymScalar:
         return Fraction(*self._dot())
 
     def __float__(self) -> float:
-        return float(self.value())
+        # integer true division is correctly rounded, so this is the float
+        # of value() without building the Fraction
+        n, d = self._dot()
+        return n / d
 
 
 def _canonical(table: SymbolTable, nums: tuple[int, ...], den: int) -> SymScalar:
@@ -335,6 +340,15 @@ def _trimmed(nums: Sequence[int]) -> tuple[int, ...]:
     while n and not nums[n - 1]:
         n -= 1
     return tuple(nums[:n]) if n != len(nums) else tuple(nums)
+
+
+def renders(a: SymScalar) -> bool:
+    """Whether render() can write a: every coefficient's numerator and
+    denominator in lowest terms has at most LITERAL_DIGITS digits, the most
+    that str() of an int writes."""
+    if a.den < _TOO_LONG and max(map(abs, a.nums), default=0) < _TOO_LONG:
+        return True
+    return all(max(abs(n), a.den) // gcd(n, a.den) < _TOO_LONG for n in a.nums)
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -405,6 +419,14 @@ def sign(a: SymScalar) -> int:
             "the symbol table's numeric embedding is ill-conditioned"
         )
     return 1 if total > 0 else -1
+
+
+def floor_quotient(a: SymScalar, b: SymScalar) -> int:
+    """floor(a / b) of the exact embeddings, from their integer dot products
+    as Fraction's // computes it from the two values; ZeroDivisionError when
+    b embeds to exactly 0."""
+    (an, ad), (bn, bd) = a._dot(), b._dot()
+    return (an * bd) // (ad * bn)
 
 
 def compare(a: SymScalar, b: SymScalar) -> int:

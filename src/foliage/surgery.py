@@ -74,11 +74,13 @@ class FoliationModel:
     that `finish` adds.
 
     A join fills a new record through the methods below, and `finish` checks
-    it, once; a finished model is not changed again.  A surgered model has
-    its surgery spec, from which genericize rebuilds it; its verdicts read
-    only the graph, levels and periods.  carried_transitive is set on a
-    kind-A join that is transitive by the lemma of _join; False means only
-    that the verdict is not carried.
+    it, once; a finished model is not changed again.  A join output that
+    exactly one later join reads is never finished: that join takes it over
+    (`taken_over`) or copies it, and the checks of the model kept at the end
+    cover it.  A surgered model has its surgery spec, from which genericize
+    rebuilds it; its verdicts read only the graph, levels and periods.
+    carried_transitive is set on a kind-A join that is transitive by the
+    lemma of _join; False means only that the verdict is not carried.
     """
 
     name: str = ""
@@ -100,9 +102,22 @@ class FoliationModel:
     catalog: Optional[list[LeafClass]] = field(default=None, init=False)
     decomposition: Optional[Decomposition] = field(default=None, init=False)
 
+    def __post_init__(self):
+        self._side_at = {s.side_id: i for i, s in enumerate(self.sides)}
+        self._zeros_on: dict[str, list[Zero]] = {}
+        for z in self.zeros:
+            self._zeros_on.setdefault(z.side, []).append(z)
+
     def finish(self) -> "FoliationModel":
         """Build the catalog and decomposition and run the model's checks;
-        the one place they run."""
+        the one place they run.  Singular leaves name the component their
+        own merged into, if a merge absorbed it since they were added."""
+        if self.merged_into:
+            self.singular_entries = [
+                leaf if leaf.component_ref not in self.merged_into
+                else replace(leaf, component_ref=self.component_of(leaf.component_ref))
+                for leaf in self.singular_entries
+            ]
         self.catalog = [
             LeafClass(leaf_id=e.family, kind=COMPACT_REGULAR, family=e.family)
             for _, e in sorted(self.graph.edges.items())
@@ -121,10 +136,23 @@ class FoliationModel:
     # -- reading -----------------------------------------------------------
 
     def side(self, side_id: str) -> Side:
-        for s in self.sides:
-            if s.side_id == side_id:
-                return s
-        raise ModelError(f"unknown side {side_id!r}")
+        at = self._side_at.get(side_id)
+        if at is None:
+            raise ModelError(f"unknown side {side_id!r}")
+        return self.sides[at]
+
+    def has_side(self, side_id: str) -> bool:
+        return side_id in self._side_at
+
+    def zeros_on(self, side_id: str) -> list[Zero]:
+        return self._zeros_on.get(side_id, [])
+
+    def component_of(self, comp: str) -> str:
+        """The noncompact component that comp is now part of, through every
+        merge since (perhaps more than one)."""
+        while comp in self.merged_into:
+            comp = self.merged_into[comp]
+        return comp
 
     def generator_periods(self) -> list[sc.SymScalar]:
         return [p for s in self.sides for _, p in s.generators]
@@ -137,26 +165,51 @@ class FoliationModel:
 
     # -- filling, by the operation that creates the model ------------------
 
+    def absorb(self, part: "FoliationModel") -> dict[int, int]:
+        """Copy another model in after this one's items, its graph renumbered
+        in sorted-id order; returns where each of its edges went.  The part
+        is not written to."""
+        vmap, emap = self.graph.absorb(part.graph)
+        for s in part.sides:
+            self.add_side(s.with_circuit(emap[eid] for eid in s.circuit_edges))
+        for z in part.zeros:
+            self.add_zero(z)
+        self.x_inf_periods.update(part.x_inf_periods)
+        self.merged_into.update(part.merged_into)
+        self.special_vertices.update((c, vmap[vid]) for c, vid in part.special_vertices.items())
+        self.singular_entries += part.singular_entries
+        self.notes += part.notes
+        return emap
+
+    def taken_over(self, spec: "SurgerySpec") -> "FoliationModel":
+        """A new record for spec's join holding this model's graph, sides,
+        zeros and maps as they are, ids unmoved.  This model is left a husk
+        that keeps only _HUSK, so any other read of it fails."""
+        state = vars(self)
+        model = FoliationModel(spec.name, table=self.table, spec=spec)
+        vars(model).update((key, state[key]) for key in _ADOPTED)
+        husk = {key: state[key] for key in _HUSK}
+        state.clear()
+        state.update(husk)
+        return model
+
+    def add_side(self, side: Side) -> None:
+        self._side_at[side.side_id] = len(self.sides)
+        self.sides.append(side)
+
     def replace_side(self, side: Side) -> None:
-        self.sides = [side if s.side_id == side.side_id else s for s in self.sides]
+        self.sides[self._side_at[side.side_id]] = side
 
     def merge_components(self, comps: list[str], extra_periods: list) -> str:
-        """Fuse noncompact components into one; the smallest id survives."""
+        """Fuse noncompact components into one; the smallest id survives.
+        Singular leaves keep naming an absorbed id until `finish`."""
         target, *absorbed = sorted(set(comps))
         self.merged_into.update(dict.fromkeys(absorbed, target))
         periods = [p for c in [target, *absorbed] for p in self.x_inf_periods.pop(c)]
         self.x_inf_periods[target] = tuple(dict.fromkeys(periods + extra_periods))
         keep_vid = self.special_vertices[target]
         for c in absorbed:
-            dead = self.special_vertices.pop(c)
-            for i, a in enumerate(self.graph.attachments):
-                if a.special_vertex == dead:
-                    self.graph.attachments[i] = replace(a, special_vertex=keep_vid)
-            self.graph.remove_vertex(dead)
-        self.singular_entries = [
-            replace(leaf, component_ref=target) if leaf.component_ref in absorbed else leaf
-            for leaf in self.singular_entries
-        ]
+            self.graph.merge_special(self.special_vertices.pop(c), keep_vid)
         return target
 
     def new_component(self, comp: str, periods) -> str:
@@ -165,10 +218,14 @@ class FoliationModel:
         return comp
 
     def add_tube_side(self) -> None:
-        self.sides.append(Side(self.name, "tube", (), None))
+        self.add_side(Side(self.name, "tube", (), None))
+
+    def add_zero(self, zero: Zero) -> None:
+        self.zeros.append(zero)
+        self._zeros_on.setdefault(zero.side, []).append(zero)
 
     def register_zero(self, zid: str, level: sc.SymScalar, side_id: str) -> None:
-        self.zeros.append(Zero(zid, side_id, index=1, isotropy_order=1, level=level))
+        self.add_zero(Zero(zid, side_id, index=1, isotropy_order=1, level=level))
 
     def add_singular_leaf(self, suffix: str, kind: str, zeros, comps, ref) -> None:
         self.singular_entries.append(
@@ -180,6 +237,13 @@ class FoliationModel:
                 component_ref=ref,
             )
         )
+
+
+# what a join takes over from its left input, and what the input keeps: enough
+# for genericize to walk its surgery tree
+_ADOPTED = ("sides", "_side_at", "graph", "zeros", "_zeros_on", "x_inf_periods",
+            "special_vertices", "singular_entries", "notes", "merged_into")
+_HUSK = ("name", "table", "spec", "is_generic", "carried_transitive")
 
 
 # -- virgin models ---------------------------------------------------------------
@@ -201,6 +265,14 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
         )
     generators = form.orbifold.generators
     gens = tuple((g.gen_id, g_path_integral(form, g.loop)) for g in generators)
+    # a report writes every period and the circumference, so each must render
+    for gen_id, period in gens:
+        if not sc.renders(period):
+            raise ModelError(f"{name}: the period of loop {gen_id} expands past "
+                             f"{sc.LITERAL_DIGITS} digits")
+    if structure.compact and not sc.renders(structure.circumference):
+        raise ModelError(f"{name}: the leaf circle's circumference expands past "
+                         f"{sc.LITERAL_DIGITS} digits")
     kept = set(form.invariant_elements)
     witness_gens = tuple(g.gen_id for g in generators if g.arrow_index in kept)
     model = FoliationModel(name, form, form.table, notes=notes, is_generic=True)
@@ -214,10 +286,10 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
             side=name,
             span=(form.table.zero(), structure.circumference),
         )
-        model.sides.append(Side(name, "circle", gens, structure.circumference, (eid,), witness_gens))
+        model.add_side(Side(name, "circle", gens, structure.circumference, (eid,), witness_gens))
     else:
         model.new_component(f"{name}.inf", (p for _, p in gens))
-        model.sides.append(Side(name, "dense", gens, None, (), witness_gens))
+        model.add_side(Side(name, "dense", gens, None, (), witness_gens))
     return model.finish()
 
 
@@ -255,34 +327,42 @@ class _Site:
     shift: Optional[sc.SymScalar] = None  # modulus multiple placing levels in the span
 
 
-def _merge(spec: SurgerySpec) -> tuple[FoliationModel, dict[tuple[str, int], int]]:
-    """A new record holding both inputs, and where each input edge went.
-
-    An input may itself be unfinished; the copy never writes to an input.
-    """
+def _sites(spec: SurgerySpec) -> tuple[_Site, _Site]:
+    """Check that the inputs can be joined, and resolve both disk sites on
+    the inputs as given, in their own edge ids."""
     left, right = spec.left, spec.right
     if left.table is not right.table:
         raise ModelError("surgery inputs must share one symbol table")
     if left.name == right.name:
         raise ModelError("surgery inputs need distinct model names")
-    model = FoliationModel(spec.name, table=left.table, spec=spec)
-    edge_map: dict[tuple[str, int], int] = {}
-    for role, part in (("left", left), ("right", right)):
-        vmap, emap = model.graph.absorb(part.graph)
-        edge_map.update(((role, eid), new) for eid, new in emap.items())
-        model.sides += [s.with_circuit(emap[eid] for eid in s.circuit_edges) for s in part.sides]
-        model.zeros += part.zeros
-        model.x_inf_periods.update(part.x_inf_periods)
-        model.merged_into.update(part.merged_into)
-        model.special_vertices.update((c, vmap[vid]) for c, vid in part.special_vertices.items())
-        model.singular_entries += part.singular_entries
-        model.notes += part.notes
-    names = [s.side_id for s in model.sides]
-    if len(set(names)) != len(names):
+    if any(left.has_side(s.side_id) for s in right.sides):
         raise ModelError("side names collide between the two inputs")
-    if spec.name in names:
+    if left.has_side(spec.name) or right.has_side(spec.name):
         raise ModelError(f"surgery name {spec.name!r} collides with an existing side")
-    return model, edge_map
+    return (_resolve_site("left", left, spec.left_region, spec.left_window),
+            _resolve_site("right", right, spec.right_region, spec.right_window))
+
+
+def _merge(spec: SurgerySpec, own_left: bool, sites: tuple[_Site, _Site]) -> FoliationModel:
+    """A new record holding both inputs, with each disk site moved onto its
+    edge ids.
+
+    With own_left the record takes over the left input, ids unmoved, and
+    leaves it a husk (FoliationModel.taken_over); only the right is copied.
+    Otherwise both are copied, renumbered in sorted-id order, and neither
+    input is written to.  An input may itself be unfinished.
+    """
+    if own_left:
+        model = spec.left.taken_over(spec)
+        maps = [None]
+    else:
+        model = FoliationModel(spec.name, table=spec.left.table, spec=spec)
+        maps = [model.absorb(spec.left)]
+    maps.append(model.absorb(spec.right))
+    for site, emap in zip(sites, maps):
+        if site.edge_id is not None and emap is not None:
+            site.edge_id = emap[site.edge_id]
+    return model
 
 
 # -- exact level location -----------------------------------------------------------
@@ -290,7 +370,7 @@ def _merge(spec: SurgerySpec) -> tuple[FoliationModel, dict[tuple[str, int], int
 
 def _mod_reduce(x: sc.SymScalar, modulus: sc.SymScalar) -> sc.SymScalar:
     """Representative of x mod modulus in [0, modulus), exactly verified."""
-    r = x - modulus * (x.value() // modulus.value())
+    r = x - modulus * sc.floor_quotient(x, modulus)
     if sc.sign(r) >= 0 and sc.sign(modulus - r) > 0:
         return r
     raise ModelError("could not reduce a level mod the side circumference")
@@ -306,7 +386,7 @@ def _locate_window(window, span, modulus) -> Optional[sc.SymScalar]:
     s_lo, s_hi = span
     shift = lo.table.zero()
     if modulus is not None:
-        shift = modulus * -((lo.value() - s_lo.value()) // modulus.value())
+        shift = modulus * -sc.floor_quotient(lo - s_lo, modulus)
     if sc.sign(lo + shift - s_lo) >= 0 and sc.sign(s_hi - (hi + shift)) >= 0:
         return shift
     return None
@@ -315,34 +395,28 @@ def _locate_window(window, span, modulus) -> Optional[sc.SymScalar]:
 # -- shared rewiring helpers -----------------------------------------------------------
 
 
-def _resolve_site(model: FoliationModel, edge_map, role: str, source: FoliationModel,
-                  region: str) -> _Site:
-    window = model.spec.left_window if role == "left" else model.spec.right_window
+def _resolve_site(role: str, source: FoliationModel, region: str, window) -> _Site:
     if sc.sign(window[1] - window[0]) <= 0:
         raise ModelError(f"{role} window is empty")
     if region == "auto":
-        families = sorted(e.family for e in source.graph.edges.values())
-        comps = sorted(source.x_inf_periods)
-        if len(families) + len(comps) != 1:
+        edges = source.graph.edges
+        if len(edges) + len(source.x_inf_periods) != 1:
             raise ModelError(f"{role}: region 'auto' needs a single-family model; name the region")
-        region = (families + comps)[0]
-    component = region
-    while component in source.merged_into:  # merged, perhaps more than once
-        component = source.merged_into[component]
+        region = next(iter([e.family for e in edges.values()] or source.x_inf_periods))
+    component = source.component_of(region)
     if component in source.x_inf_periods:
         side_id = region.rsplit(".inf", 1)[0]
         return _Site(role, "special", side_id, window, component=component)
-    for eid in sorted(source.graph.edges):
-        e = source.graph.edges[eid]
-        if e.family == region:
-            return _Site(role, "edge", e.side, window, edge_id=edge_map[(role, eid)])
-    raise ModelError(f"{role}: region {region!r} not found")
+    eid = source.graph.family_edge(region)
+    if eid is None:
+        raise ModelError(f"{role}: region {region!r} not found")
+    return _Site(role, "edge", source.graph.edges[eid].side, window, edge_id=eid)
 
 
 def _check_level_clear(model: FoliationModel, side: Side, position: sc.SymScalar) -> None:
     """New singular levels must avoid existing ones exactly (mod the circle)."""
-    for z in sorted(model.zeros, key=lambda z: z.zero_id):
-        if z.side != side.side_id or z.zero_id.startswith(f"{model.spec.name}."):
+    for z in sorted(model.zeros_on(side.side_id), key=lambda z: z.zero_id):
+        if z.zero_id.startswith(f"{model.spec.name}."):
             continue
         diff = position - z.level
         if side.circumference is not None:
@@ -390,8 +464,10 @@ def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar,
         model.graph.add_edge(prev_v, e.dst, e.span[1] - prev_pos,
                           f"{e.family}:{len(located)}", e.side, (prev_pos, e.span[1]))
     )
-    # a kind-A fused edge lies on the circuits of both sides it joined
-    for s in model.sides:
+    # an edge lies on its own side's circle, if any; a kind-A fused edge,
+    # whose side is the tube's, lies on the circles of both sides it joined
+    owner = model.side(e.side)
+    for s in [owner] if owner.kind == "circle" else model.sides:
         if e.eid in s.circuit_edges:
             model.replace_side(s.with_circuit(
                 p for eid in s.circuit_edges for p in (pieces if eid == e.eid else (eid,))))
@@ -409,7 +485,7 @@ def _side_mode(model: FoliationModel, site: _Site, band: sc.SymScalar) -> str:
     if c is None or sc.sign(c - band) > 0:
         return "cut"
     if sc.sign(band - c * 2) > 0:
-        if any(z.side == side.side_id for z in model.zeros):
+        if model.zeros_on(side.side_id):
             raise UnsupportedSurgery("wrapping disks on already-surgered sides")
         return "wrap"
     raise UnsupportedSurgery(
@@ -640,8 +716,10 @@ def _input_transitive(model: FoliationModel) -> bool:
     return is_transitive(model)
 
 
-def _join(spec: SurgerySpec) -> FoliationModel:
-    """Apply one surgery, leaving the result unfinished with is_generic set.
+def _join(spec: SurgerySpec, own_left: bool = False) -> FoliationModel:
+    """Apply one surgery, leaving the result unfinished with is_generic set;
+    with own_left the result takes over spec.left (see _merge), so what the
+    join reads of its left it reads first.
 
     A generic kind-A join of generic inputs with Calabi graphs has a Calabi
     graph: each cut turns an edge u -> w into u -> Zx, Zy -> w; the removed
@@ -653,14 +731,15 @@ def _join(spec: SurgerySpec) -> FoliationModel:
     companion), so such a join is transitive, and records it for the joins
     that take it as an input.
     """
-    model, edge_map = _merge(spec)
-    left = _resolve_site(model, edge_map, "left", spec.left, spec.left_region)
-    right = _resolve_site(model, edge_map, "right", spec.right, spec.right_region)
+    sites = _sites(spec)
+    left_generic = spec.left.is_generic
+    left_transitive = spec.kind == "A" and _input_transitive(spec.left)
+    model = _merge(spec, own_left, sites)
     apply = {"A": _apply_A, "B": _apply_B, "C": _apply_C}[spec.kind]
-    generic = apply(model, left, right)
-    model.is_generic = generic and spec.left.is_generic and spec.right.is_generic
+    generic = apply(model, *sites)
+    model.is_generic = generic and left_generic and spec.right.is_generic
     if spec.kind == "A":
-        if _input_transitive(spec.left) and _input_transitive(spec.right):
+        if left_transitive and _input_transitive(spec.right):
             model.carried_transitive = model.is_generic
         else:
             # no general preservation rule covers this case; only the graph decides
@@ -674,8 +753,16 @@ def _join(spec: SurgerySpec) -> FoliationModel:
 def connected_sum(spec: SurgerySpec) -> FoliationModel:
     """Join two models with a tube; the catalog, graph and decomposition are
     rewired by the kind-specific rules, and everything off the disks survives
-    with its families and weights unchanged."""
+    with its families and weights unchanged.  The inputs are not written to."""
     return _join(spec).finish()
+
+
+def intermediate_sum(spec: SurgerySpec, take_left: bool) -> FoliationModel:
+    """A join whose result exactly one later join reads, left unfinished for
+    that join: the checks run on the model kept at the end, which contains
+    it.  With take_left, spec.left is such a result, which no caller holds,
+    and this join takes it over (FoliationModel.taken_over)."""
+    return _join(spec, take_left)
 
 
 def genericize(model: FoliationModel) -> FoliationModel:
@@ -718,8 +805,10 @@ def _levels_admissible(levels: list[sc.SymScalar], lattice: sc.Lattice) -> bool:
 def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> FoliationModel:
     """Rebuild the surgery tree under model with shifted tube levels, inputs
     before their join and left before right.  The walk keeps its own stack,
-    so a chain of any length rebuilds without recursing.  A rebuilt join
-    stays unfinished, the input of the next; only the rebuilt root is
+    so a chain of any length rebuilds without recursing, and it reads only
+    each join's spec.  A rebuilt join stays unfinished and is read by one
+    rejoin only, which takes it over when it is that rejoin's left; the root
+    copies its left, as a kept join does.  Only the rebuilt root is
     finished, and its checks then cover the whole tree."""
     rebuilt: list = []
     todo: list[tuple[FoliationModel, bool]] = [(model, False)]
@@ -732,11 +821,13 @@ def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> 
         else:
             right = rebuilt.pop()
             left = rebuilt.pop()
-            rebuilt.append(_rejoin(node.spec, left, right, shifts))
+            own_left = left.spec is not None and node is not model
+            rebuilt.append(_rejoin(node.spec, left, right, shifts, own_left))
     return rebuilt.pop().finish()
 
 
-def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction]) -> FoliationModel:
+def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction],
+            own_left: bool) -> FoliationModel:
     """One join of the tree, redone over its rebuilt inputs at shifted levels."""
     table = left.table
     sx = table.rational(shifts.get(f"{spec.name}.x", Fraction(0)))
@@ -744,16 +835,15 @@ def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction]) -> Foli
     levels = (spec.tube_levels[0] + sx, spec.tube_levels[1] + sy)
     spec = replace(spec, left=left, right=right, tube_levels=levels)
     if spec.kind == "C" and not (levels[0] - levels[1]).is_zero():
-        return _rebuild_c_as_pinch(spec)
-    return _join(spec)
+        return _rebuild_c_as_pinch(spec, own_left)
+    return _join(spec, own_left)
 
 
-def _rebuild_c_as_pinch(spec: SurgerySpec) -> FoliationModel:
+def _rebuild_c_as_pinch(spec: SurgerySpec, own_left: bool) -> FoliationModel:
     """A perturbed equal-level tube is a pinched tube: the waist opens into a
     short chain of compact families between the two separated levels."""
-    model, edge_map = _merge(spec)
-    lsite = _resolve_site(model, edge_map, "left", spec.left, spec.left_region)
-    rsite = _resolve_site(model, edge_map, "right", spec.right, spec.right_region)
+    lsite, rsite = sites = _sites(spec)
+    model = _merge(spec, own_left, sites)
     lx, ly = spec.tube_levels  # x sits at the left junction, y at the right
     if sc.sign(ly - lx) > 0:
         _apply_pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")

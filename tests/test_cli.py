@@ -334,6 +334,26 @@ class TestDeterminism:
             assert d1 == d2
 
 
+def _translations_scenario(order, dtheta, dphi):
+    """A form on the torus quotient by the translations by k/order."""
+    elements = "".join(f"element = 1 0 0 1 ; {k}/{order} 0\n" for k in range(1, order))
+    orbifold = elements if order > 1 else "builtin = torus\n"
+    return (f"[symbols]\np = 3.14159265358979323846264338327950288420\n\n[orbifold O]\n"
+            f"{orbifold}\n[form w]\non = O\ndtheta = {dtheta}\ndphi = {dphi}\n"
+            "basic_override = true\n")
+
+
+# coefficients whose numerator or denominator has about 4,300 digits, written
+# as exponents or as quotients, and small ones
+near_bound_coefficients = st.one_of(
+    st.builds(lambda m, sign, e, name: f"{m}e{sign}{e}*{name}", st.integers(1, 99),
+              st.sampled_from(["", "-"]), st.integers(4290, 4300), st.sampled_from(["p", "one"])),
+    st.builds(lambda n, lead, k, name: f"{n}/{lead}{'0' * k}*{name}", st.integers(1, 99),
+              st.integers(1, 9), st.integers(4290, 4299), st.sampled_from(["p", "one"])),
+    st.sampled_from(["1", "1*p", "0", "1/3*p"]),
+)
+
+
 class TestEntryPoint:
     def test_examples_exit_zero(self, capsys):
         assert main(["examples"]) == 0
@@ -403,6 +423,51 @@ class TestEntryPoint:
         else:
             # a trace may end Inconclusive (exit 3): 9e4299 overflows a float
             assert got in (0, 3) and "== periods ==" in out
+
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "examples"])
+    def test_a_period_past_the_digit_bound_exit_two(self, tmp_path, capsys, command):
+        # the translations by k/11 put 11 * 10^4299 under the period of
+        # dtheta = 1e-4299*p: 4,301 digits, though every literal has 4,300
+        path = tmp_path / "period.scn"
+        path.write_text(_translations_scenario(11, "1e-4299*p", "1"))
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "scenario error: w: the period of loop k1 expands past 4300 digits\n"
+
+    def test_a_circumference_past_the_digit_bound_exit_two(self, tmp_path, capsys):
+        # the periods p/(6*10^4299) and p/(4*10^4299) print, but the leaf
+        # circle they close up is p/(12*10^4299): 4,301 digits
+        zeros = "0" * 4299
+        path = tmp_path / "circle.scn"
+        path.write_text(_translations_scenario(1, f"1/6{zeros}*p", f"1/4{zeros}*p"))
+        assert main(["graph", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "scenario error: w: the leaf circle's circumference expands past 4300 digits\n"
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(order=st.integers(1, 12), dtheta=near_bound_coefficients, dphi=near_bound_coefficients)
+    @example(order=11, dtheta="1e-4299*p", dphi="1")
+    @example(order=11, dtheta="1e-4299*one", dphi="0")
+    @example(order=2, dtheta="1e4300*one", dphi="1*p")
+    @example(order=1, dtheta=f"1/6{'0' * 4299}*p", dphi=f"1/4{'0' * 4299}*p")
+    def test_forms_near_the_digit_bound_never_end_in_a_traceback(
+            self, tmp_path, capsys, order, dtheta, dphi):
+        # coefficients of about 4,300 digits, over translation groups whose
+        # offsets multiply the periods' denominators by their order
+        path = tmp_path / "near.scn"
+        path.write_text(_translations_scenario(order, dtheta, dphi))
+        for command in ("periods", "classify", "graph", "transitivity", "surgery"):
+            code = main([command, str(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 2), (command, err)
+            if code == 2:
+                # a literal past the bound, a period or circumference computed
+                # from bounded ones, or a form with no foliation
+                assert any(word in err for word in ("bad rational", "4300 digits", "zero form")), err
+        assert main(["trace", str(path), "--steps", "50"]) in (0, 2, 3)
+        capsys.readouterr()
 
     @pytest.mark.parametrize("literal, message", [
         ("abc", "value 'abc' is not a decimal literal of at most 4300 digits"),

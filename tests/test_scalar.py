@@ -789,3 +789,68 @@ class TestTableSharedAcrossThreads:
         for mine in names:
             for i, name in enumerate(mine):
                 assert table.symbol(name).value() == Fraction(f"{i + 1}.{'3' * (i % 40 + 1)}")
+
+
+def _float_or_overflow(convert):
+    try:
+        return convert().hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+@st.composite
+def wide_scalars(draw):
+    """Scalars whose embeddings range from subnormal to past the float range:
+    a symbol of any decimal exponent, coefficients of up to 40 digits."""
+    literal = f"{draw(st.integers(1, 10**6))}e{draw(st.integers(-700, 700))}"
+    table = SymbolTable([("s", literal)])
+    wide = st.fractions(max_denominator=10**40).filter(lambda c: abs(c.numerator) < 10**40)
+    return table.rational(draw(wide)) + table.symbol("s", draw(wide))
+
+
+class TestFloatAgainstTheFraction:
+    @given(a=st.one_of(row_values, scalars_over_40_digit_tables(), wide_scalars()))
+    @example(a=TABLE.zero())
+    @example(a=SymbolTable([("s", "1e400")]).symbol("s", -3))
+    @example(a=SymbolTable([("s", "1e-400")]).symbol("s", Fraction(1, 7)))
+    def test_float_is_the_fractions_bit_for_bit(self, a):
+        # both are one correctly rounded integer division, so they agree on
+        # every bit and on where they overflow
+        assert _float_or_overflow(lambda: float(a)) == _float_or_overflow(
+            lambda: float(Fraction(a.value())))
+
+
+class TestFloorQuotient:
+    @given(a=st.one_of(row_values, wide_scalars()), b=row_values)
+    @example(a=TABLE.symbol("p", -7), b=TABLE.symbol("p"))
+    @example(a=TABLE.rational(3), b=TABLE.rational(Fraction(-3, 2)))
+    def test_matches_the_fraction_floor_division(self, a, b):
+        if b.is_zero() or a.table is not b.table:
+            return
+        assert sc.floor_quotient(a, b) == a.value() // b.value()
+
+    def test_a_zero_divisor_raises_as_the_fraction_does(self):
+        with pytest.raises(ZeroDivisionError):
+            sc.floor_quotient(TABLE.rational(1), TABLE.zero())
+
+
+class TestRenders:
+    @pytest.mark.parametrize("terms, ok", [
+        ([(10**4300 - 1, "p")], True),
+        ([(10**4300, "p")], False),
+        ([(-(10**4300 - 1), "p")], True),
+        ([(Fraction(1, 10**4300), "p")], False),
+        ([(Fraction(1, 10**4300 - 1), "p")], True),
+        ([(Fraction(10**4300, 3), "p")], False),
+        # the row is 10^4300 and 1 over 10; each coefficient prints in lowest terms
+        ([(10**4299, "one"), (Fraction(1, 10), "p")], True),
+    ], ids=["4300-digit-num", "4301-digit-num", "negative", "4301-digit-den",
+            "4300-digit-den", "4301-digit-num-over-3", "lowest-terms"])
+    def test_the_bound_is_what_str_of_an_int_writes(self, terms, ok):
+        a = TABLE.combination(terms)
+        assert sc.renders(a) is ok
+        if ok:
+            a.render()
+        else:
+            with pytest.raises(ValueError, match="4300 digits"):
+                a.render()

@@ -60,11 +60,13 @@ def test_every_command_answers_and_the_outputs_are_pinned(trees):
 
 
 def test_every_model_returned_is_finished_once(monkeypatch, trees):
+    # a model returned is finished when it is returned; a join may later
+    # take over one that only it reads, so each is checked as it comes back
     returned, finished, decomposed = [], [], []
     for name in ("analyze", "connected_sum", "genericize"):
         def kept(*args, _real=getattr(surgery, name)):
             model = _real(*args)
-            returned.append(model)
+            returned.append(model.decomposition)
             return model
 
         monkeypatch.setattr(surgery, name, kept)
@@ -81,9 +83,9 @@ def test_every_model_returned_is_finished_once(monkeypatch, trees):
             build_report(built, "surgery")
         except FoliageError:
             continue
-        returned += built.models.values()
+        returned += (model.decomposition for model in built.models.values())
     assert len(returned) > 500
-    assert all(model.decomposition is not None for model in returned)
+    assert all(decomposition is not None for decomposition in returned)
     assert decomposed == finished
     assert len(set(map(id, finished))) == len(finished)
 
@@ -115,3 +117,69 @@ def test_is_calabi_agrees_with_the_brute_force_on_the_companions(trees):
             assert cond1 == cond2 == is_calabi(graph)
             checked += 1
     assert checked == 74
+
+
+def _side(region):
+    return region.split(".")[0]
+
+
+def _circumference(built, region):
+    """The circumference of the circle a region's family lies on, None for a
+    noncompact component, and "tube" for a family on a join's tube side,
+    whose levels are placed as written."""
+    if _side(region) not in built.forms:
+        return None if region.split(".")[1].startswith("inf") else "tube"
+    return built.models[_side(region)].sides[0].circumference
+
+
+def _plus(expr, shift):
+    """An Expr plus a scalar, as the parser would sum their terms."""
+    terms = dict(expr)
+    for i, name in enumerate(sym.name for sym in shift.table.symbols):
+        terms[name] = terms.get(name, 0) + shift.coefficient(i)
+    return tuple(sorted((name, c) for name, c in terms.items() if c))
+
+
+def _level_shifted(s, built, k):
+    """Each surgery whose disks lie on circles, and on no tube side, with its
+    windows and tube levels shifted by k times a common multiple of those
+    circles' circumferences; returns the scenario and how many moved.  A
+    surgery whose own tube families a later disk lies on is not moved: its
+    levels place them, and that disk, as written."""
+    tube_sides = {_side(r) for g in s.surgeries for r in (g.left_region, g.right_region)
+                  if _circumference(built, r) == "tube"}
+    surgeries, moved = [], 0
+    for g in s.surgeries:
+        circles = [_circumference(built, region) for region in (g.left_region, g.right_region)]
+        circles = [c for c in circles if c is not None]
+        if not circles or "tube" in circles or g.name in tube_sides:
+            surgeries.append(g)
+            continue
+        ratio = circles[-1].ratio_to(circles[0])
+        if ratio is None:  # incommensurable circles have no common multiple
+            surgeries.append(g)
+            continue
+        shift = circles[0] * (abs(ratio.numerator) * k)
+        surgeries.append(replace(g, **{key: tuple(_plus(e, shift) for e in getattr(g, key))
+                                       for key in ("left_window", "right_window", "tube")}))
+        moved += 1
+    return replace(s, surgeries=tuple(surgeries)), moved
+
+
+def test_level_shifts_by_whole_circumferences_keep_the_verdicts(trees):
+    helpers = test_scenarios.TestDeclarationInvariance
+    checked = moved = 0
+    for text in trees:
+        s = parse_scenario(text)
+        try:
+            built = build_scenario(s)
+            expected = helpers._verdict_lines(s)
+        except FoliageError:
+            continue
+        for k in (1, 3**20):
+            shifted, count = _level_shifted(s, built, k)
+            assert helpers._verdict_lines(shifted) == expected
+        checked += 1
+        moved += count
+    assert checked == 87
+    assert moved == 128
