@@ -732,7 +732,7 @@ def run_examples() -> tuple[str, int]:
         got = {
             "transitive": decided.transitive,
             "has_compact_leaf": any(l.compact for l in model.catalog),
-            "has_noncompact_leaf": any(not l.compact for l in model.catalog),
+            "has_noncompact_leaf": not model.all_leaves_compact(),
             "compact_singular_components": len(model.decomposition.boundary),
             "harmonic": decided.harmonicity,
         }

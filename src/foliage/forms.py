@@ -158,14 +158,13 @@ class ClosedForm:
                         "the linear part; the perturbation regime is violated"
                     )
         reduced = not self.invariant
-        rank = sc.q_rank([a, b])
-        if rank >= 2:
-            return LinearStructure(rank, False, None, None, 1, None, reduced)
-        # (a, b) = (m*t, n*t) with m, n coprime integers and t symbolic
+        # rank 1 exactly when (a, b) = (m*t, n*t), m and n coprime, t symbolic
         if a.is_zero():
             content, (m, n) = b, (0, 1)
         else:
-            r = b.ratio_to(a)  # rank 1: b is a rational multiple of a
+            r = b.ratio_to(a)
+            if r is None:
+                return LinearStructure(2, False, None, None, 1, None, reduced)
             content, (m, n) = a / r.denominator, (r.denominator, r.numerator)
         if sc.sign(content) < 0:
             content, (m, n) = -content, (-m, -n)

@@ -193,12 +193,9 @@ class FoliationGraph:
         if not self.vertices:
             return False
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for e in self.edges.values():
-            adj[e.src].append(e.dst)
-            adj[e.dst].append(e.src)
-        for a in self.attachments:
-            adj[a.zero_vertex].append(a.special_vertex)
-            adj[a.special_vertex].append(a.zero_vertex)
+        for s, d in self.arcs():
+            adj[s].append(d)
+            adj[d].append(s)
         return _reaches_all(adj, next(iter(adj)))
 
     def validate(self) -> None:
@@ -337,7 +334,7 @@ def factorization_witness(model) -> Optional[FactorizationWitness]:
     graph: each generator loop projects to a walk whose signed weight sum is
     exactly its period.  Returns None as soon as a noncompact leaf exists.
     """
-    if any(not leaf.compact for leaf in model.catalog):
+    if not model.all_leaves_compact():
         return None
     graph = model.graph
     checks = []

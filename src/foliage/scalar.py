@@ -286,15 +286,13 @@ class SymScalar:
 
     def ratio_to(self, other: "SymScalar") -> Fraction | None:
         """The rational r with self == r*other, or None if no such r exists,
-        decided on the trimmed integer rows by cross-multiplying."""
+        decided on the trimmed integer rows, whose last entries give r."""
         self._check(other)
-        if other.is_zero() or len(self.nums) != len(other.nums):
-            return Fraction(0) if self.is_zero() else None
-        i0 = next(i for i, y in enumerate(other.nums) if y)
-        s0, o0 = self.nums[i0], other.nums[i0]
-        if any(x * o0 != s0 * y for x, y in zip(self.nums, other.nums)):
+        if not self.nums:
+            return Fraction(0)
+        if not _proportional(self.nums, other.nums):
             return None
-        return Fraction(s0 * other.den, self.den * o0)
+        return Fraction(self.nums[-1] * other.den, self.den * other.nums[-1])
 
     # -- rendering ----------------------------------------------------------
 
@@ -342,6 +340,12 @@ def _trimmed(nums: Sequence[int]) -> tuple[int, ...]:
     return tuple(nums[:n]) if n != len(nums) else tuple(nums)
 
 
+def _proportional(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """Whether two nonzero trimmed rows are proportional: they end in nonzero
+    entries, so exactly when they have one length and cross-multiply by those."""
+    return len(x) == len(y) and all(u * y[-1] == v * x[-1] for u, v in zip(x, y))
+
+
 def renders(a: SymScalar) -> bool:
     """Whether render() can write a: every coefficient's numerator and
     denominator in lowest terms has at most LITERAL_DIGITS digits, the most
@@ -354,7 +358,10 @@ def renders(a: SymScalar) -> bool:
 def _ratio_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, with one gcd."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:  # a part has more digits than str() of an int writes
+        raise ScalarError(f"a computed value expands past {LITERAL_DIGITS} digits") from None
 
 
 # -- module operations -------------------------------------------------------
@@ -379,10 +386,7 @@ def q_rank(vals: Sequence[SymScalar]) -> int:
     if len(rows) < 2:
         return len(rows)
     if len(rows) == 2:
-        # trimmed rows end in a nonzero entry, so two rows are dependent
-        # exactly when they have one length and cross-multiply by those ends
-        x, y = rows
-        return 1 if len(x) == len(y) and all(u * y[-1] == v * x[-1] for u, v in zip(x, y)) else 2
+        return 1 if _proportional(*rows) else 2
     ncols = max(map(len, rows))
     rows = [list(r) + [0] * (ncols - len(r)) for r in rows]
     rank, prev = 0, 1

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import scalar as sc
-from .forms import ClosedForm, NotBasicError, Zero, g_path_integral
+from .forms import ClosedForm, NotBasicError, Zero, periods
 from .graph import (
     MARKER,
     SPECIAL,
@@ -263,8 +263,7 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
             f"{name}: invariance check FAILED; proceeding under the declared-basic "
             f"override, foliation data computed on the invariant subgroup [{kept}]"
         )
-    generators = form.orbifold.generators
-    gens = tuple((g.gen_id, g_path_integral(form, g.loop)) for g in generators)
+    gens = tuple(periods(form))
     # a report writes every period and the circumference, so each must render
     for gen_id, period in gens:
         if not sc.renders(period):
@@ -274,7 +273,7 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
         raise ModelError(f"{name}: the leaf circle's circumference expands past "
                          f"{sc.LITERAL_DIGITS} digits")
     kept = set(form.invariant_elements)
-    witness_gens = tuple(g.gen_id for g in generators if g.arrow_index in kept)
+    witness_gens = tuple(g.gen_id for g in form.orbifold.generators if g.arrow_index in kept)
     model = FoliationModel(name, form, form.table, notes=notes, is_generic=True)
     if structure.compact:
         marker = model.graph.add_vertex(MARKER)

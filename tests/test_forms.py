@@ -4,9 +4,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from foliage.forms import (
     BumpDominatesError,
@@ -43,6 +44,14 @@ from conftest import (
     cyclic_presentation,
     random_gpath,
     random_rational,
+)
+from test_scalar import (
+    RefScalar,
+    as_ref,
+    forty_digit_pairs,
+    fraction_ratio_to,
+    nonzero_rationals,
+    ref_q_rank,
 )
 
 T = torus_presentation()
@@ -420,6 +429,46 @@ class TestRank:
         form = ClosedForm((table.symbol("p"), table.symbol("q")), Q, basic_override=True)
         vals = [v for _, v in periods(form)]
         assert q_rank(vals) == 2
+
+
+@st.composite
+def forty_digit_linear_parts(draw):
+    """(a, b) over a table of 40-digit literals, not both zero, each built as
+    a SymScalar and as a RefScalar: drawn free, with a or b zero, or with b a
+    rational multiple of a, so rank 1 rows of several entries occur."""
+    (a, ra), (b, rb) = draw(forty_digit_pairs(count=2))
+    how = draw(st.sampled_from(["free", "a zero", "b zero", "multiple"]))
+    if how == "a zero":
+        a, ra = a.table.zero(), RefScalar(a.table, {})
+    elif how == "b zero":
+        b, rb = b.table.zero(), RefScalar(b.table, {})
+    elif how == "multiple":
+        c = draw(nonzero_rationals)
+        b, rb = a * c, ra * c
+    assume(ra.coeffs or rb.coeffs)
+    # the leaf circle's content takes the sign of a, or of b when a = 0
+    assume((ra if ra.coeffs else rb).value() != 0)
+    return (a, ra), (b, rb)
+
+
+class TestStructureAgainstTheFractionReference:
+    @given(parts=forty_digit_linear_parts())
+    def test_rank_content_and_direction(self, parts):
+        (a, ra), (b, rb) = parts
+        structure = ClosedForm((a, b), T).structure
+        assert structure.rank == ref_q_rank([ra, rb])
+        assert structure.compact == (structure.rank == 1)
+        if structure.rank == 1:
+            # (a, b) = content * (m, n), m and n coprime, leaves along (n, -m)
+            n, minus_m = structure.direction
+            content = as_ref(structure.content)
+            assert content.value() > 0
+            assert gcd(-minus_m, n) == 1
+            assert ra == content * -minus_m and rb == content * n
+        # the ratio of two rows is read at their last entries, the Fraction
+        # definition at the first nonzero ones
+        assert a.ratio_to(b) == fraction_ratio_to(a, b)
+        assert b.ratio_to(a) == fraction_ratio_to(b, a)
 
 
 NONDOMINANCE_TABLE = SymbolTable([("p", PI), ("q", SQRT2)])

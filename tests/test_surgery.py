@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from foliage import cli, scalar, surgery
+from foliage import cli, forms, scalar, surgery
 from foliage.catalog import SCENARIOS
 from foliage.cli import build_report, build_scenario, parse_scenario
 from foliage.forms import ClosedForm
@@ -346,9 +346,9 @@ def _counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -555,7 +555,8 @@ class TestJoinCost:
     """A join does only the work its inputs need; every check still runs."""
 
     def test_building_a_kind_c_chain_ranks_each_form_once(self, monkeypatch):
-        calls = _counting(monkeypatch, scalar, "q_rank")
+        # each of the 9 forms decides its structure, rank included, once
+        calls = _counting(monkeypatch, forms, "LinearStructure")
         build_scenario(parse_scenario(surgery_chain("C", 8)))
         assert len(calls) == 9
 
