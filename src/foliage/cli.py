@@ -33,8 +33,7 @@ from .surgery import (
     FoliationModel,
     SurgerySpec,
     analyze,
-    connected_sum,
-    intermediate_sum,
+    build_joins,
     verdicts,
 )
 
@@ -503,19 +502,14 @@ def build_scenario(s: Scenario) -> BuiltScenario:
     def levels(pair):
         return _expr_value(table, pair[0]), _expr_value(table, pair[1])
 
-    # a join output that exactly one later join reads, and that is not the
-    # final model, is consumed: that join takes it over or copies it, and it
-    # is never finished nor kept in models
-    reads: dict[str, int] = {}
+    # the surgery tree as plain data: a form by its model, a join by its spec
+    nodes: dict[str, FoliationModel | SurgerySpec] = dict(models)
+    specs = []
     for g in s.surgeries:
-        for name in (g.left, g.right):
-            reads[name] = reads.get(name, 0) + 1
-    consumed = {g.name for g in s.surgeries[:-1] if reads.get(g.name) == 1}
-    for g in s.surgeries:
-        spec = SurgerySpec(
+        nodes[g.name] = spec = SurgerySpec(
             kind=g.kind,
-            left=models[g.left],
-            right=models[g.right],
+            left=nodes[g.left],
+            right=nodes[g.right],
             left_window=levels(g.left_window),
             right_window=levels(g.right_window),
             tube_levels=levels(g.tube),
@@ -523,14 +517,9 @@ def build_scenario(s: Scenario) -> BuiltScenario:
             right_region=g.right_region,
             name=g.name,
         )
-        for name in consumed.intersection((g.left, g.right)):
-            del models[name]
-        if g.name in consumed:
-            models[g.name] = intermediate_sum(spec, take_left=g.left in consumed)
-        else:
-            models[g.name] = connected_sum(spec)
-    if s.surgeries:
-        final = models[s.surgeries[-1].name]
+        specs.append(spec)
+    if specs:
+        final = build_joins(models, specs)
     elif len(s.forms) == 1:
         final = models[s.forms[0].name]
     else:

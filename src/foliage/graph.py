@@ -333,6 +333,8 @@ def factorization_witness(model) -> Optional[FactorizationWitness]:
     """When every leaf is compact, the period homomorphism factors through the
     graph: each generator loop projects to a walk whose signed weight sum is
     exactly its period.  Returns None as soon as a noncompact leaf exists.
+    A check pairs a period, a whole number of circumferences, with as many
+    laps of its side's circuit; they agree when the circuit spans the circle.
     """
     if not model.all_leaves_compact():
         return None
@@ -350,7 +352,7 @@ def factorization_witness(model) -> Optional[FactorizationWitness]:
                 raise GraphError("compact catalog with a dense side is inconsistent")
             if circuit_weight is None:
                 circuit_weight = _circuit_weight(graph, side)
-            laps = period.ratio_to(circuit_weight)
+            laps = period.ratio_to(side.circumference)
             if laps is None or laps.denominator != 1:
                 raise GraphError(f"generator {gen_id} does not project to a closed walk")
             checks.append((f"{side.side_id}.{gen_id}", period, circuit_weight * laps))
@@ -366,11 +368,11 @@ def factorization_witness(model) -> Optional[FactorizationWitness]:
 
 
 def _circuit_weight(graph: FoliationGraph, side) -> sc.SymScalar:
-    """Total weight around the side's leaf-space circle in the current graph."""
-    eids = [eid for eid in side.circuit_edges if eid in graph.edges]
-    if not eids:
+    """Total weight around the side's leaf-space circle: its circuit edges,
+    each in the graph, and each ending where the next one starts, cyclically."""
+    if not side.circuit_edges or any(eid not in graph.edges for eid in side.circuit_edges):
         raise GraphError(f"side {side.side_id}: circuit edges missing from graph")
-    total = graph.edges[eids[0]].weight.table.zero()
-    for eid in eids:
-        total = total + graph.edges[eid].weight
-    return total
+    edges = [graph.edges[eid] for eid in side.circuit_edges]
+    if any(e.dst != after.src for e, after in zip(edges, edges[1:] + edges[:1])):
+        raise GraphError(f"side {side.side_id}: consecutive circuit edges do not meet")
+    return sum((e.weight for e in edges[1:]), edges[0].weight)

@@ -17,6 +17,7 @@ The tube geometry itself is never integrated; levels carry all of it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -73,14 +74,14 @@ class FoliationModel:
     zeros and noncompact components, with the catalog and decomposition
     that `finish` adds.
 
-    A join fills a new record through the methods below, and `finish` checks
+    A join fills a record through the methods below, and `finish` checks
     it, once; a finished model is not changed again.  A join output that
-    exactly one later join reads is never finished: that join takes it over
-    (`taken_over`) or copies it, and the checks of the model kept at the end
-    cover it.  A surgered model has its surgery spec, from which genericize
-    rebuilds it; its verdicts read only the graph, levels and periods.
-    carried_transitive is set on a kind-A join that is transitive by the
-    lemma of _join; False means only that the verdict is not carried.
+    exactly one later join reads is never finished: that join extends it in
+    place or copies it (see build_joins), and the checks of the model kept
+    at the end cover it.  A surgered model has its surgery spec, from which
+    genericize rebuilds it; its verdicts read only the graph, levels and
+    periods.  carried_transitive is set on a kind-A join that is transitive
+    by the lemma of _join; False means only that the verdict is not carried.
     """
 
     name: str = ""
@@ -181,18 +182,6 @@ class FoliationModel:
         self.notes += part.notes
         return emap
 
-    def taken_over(self, spec: "SurgerySpec") -> "FoliationModel":
-        """A new record for spec's join holding this model's graph, sides,
-        zeros and maps as they are, ids unmoved.  This model is left a husk
-        that keeps only _HUSK, so any other read of it fails."""
-        state = vars(self)
-        model = FoliationModel(spec.name, table=self.table, spec=spec)
-        vars(model).update((key, state[key]) for key in _ADOPTED)
-        husk = {key: state[key] for key in _HUSK}
-        state.clear()
-        state.update(husk)
-        return model
-
     def add_side(self, side: Side) -> None:
         self._side_at[side.side_id] = len(self.sides)
         self.sides.append(side)
@@ -237,13 +226,6 @@ class FoliationModel:
                 component_ref=ref,
             )
         )
-
-
-# what a join takes over from its left input, and what the input keeps: enough
-# for genericize to walk its surgery tree
-_ADOPTED = ("sides", "_side_at", "graph", "zeros", "_zeros_on", "x_inf_periods",
-            "special_vertices", "singular_entries", "notes", "merged_into")
-_HUSK = ("name", "table", "spec", "is_generic", "carried_transitive")
 
 
 # -- virgin models ---------------------------------------------------------------
@@ -297,9 +279,13 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
 
 @dataclass(frozen=True)
 class SurgerySpec:
+    """One join of a surgery tree, naming each input by its model or by the
+    spec of the join that made it; a joined model's spec names a joined
+    input by its spec, so no model holds another joined model."""
+
     kind: str  # "A" | "B" | "C"
-    left: FoliationModel
-    right: FoliationModel
+    left: "FoliationModel | SurgerySpec"
+    right: "FoliationModel | SurgerySpec"
     left_window: tuple[sc.SymScalar, sc.SymScalar]
     right_window: tuple[sc.SymScalar, sc.SymScalar]
     tube_levels: tuple[sc.SymScalar, sc.SymScalar]
@@ -326,10 +312,9 @@ class _Site:
     shift: Optional[sc.SymScalar] = None  # modulus multiple placing levels in the span
 
 
-def _sites(spec: SurgerySpec) -> tuple[_Site, _Site]:
+def _sites(spec: SurgerySpec, left: FoliationModel, right: FoliationModel) -> tuple[_Site, _Site]:
     """Check that the inputs can be joined, and resolve both disk sites on
     the inputs as given, in their own edge ids."""
-    left, right = spec.left, spec.right
     if left.table is not right.table:
         raise ModelError("surgery inputs must share one symbol table")
     if left.name == right.name:
@@ -342,22 +327,25 @@ def _sites(spec: SurgerySpec) -> tuple[_Site, _Site]:
             _resolve_site("right", right, spec.right_region, spec.right_window))
 
 
-def _merge(spec: SurgerySpec, own_left: bool, sites: tuple[_Site, _Site]) -> FoliationModel:
-    """A new record holding both inputs, with each disk site moved onto its
-    edge ids.
+def _merge(spec: SurgerySpec, left: FoliationModel, right: FoliationModel, extend: bool,
+           sites: tuple[_Site, _Site]) -> FoliationModel:
+    """The record of spec's join holding both inputs, with each disk site
+    moved onto its edge ids.
 
-    With own_left the record takes over the left input, ids unmoved, and
-    leaves it a husk (FoliationModel.taken_over); only the right is copied.
-    Otherwise both are copied, renumbered in sorted-id order, and neither
-    input is written to.  An input may itself be unfinished.
+    With extend the record is the left input itself, extended in place with
+    its ids unmoved, and what finish and a join decided of it is cleared;
+    only the right is copied.  Otherwise both are copied, renumbered in
+    sorted-id order, and neither input is written to.  An input may itself
+    be unfinished.
     """
-    if own_left:
-        model = spec.left.taken_over(spec)
-        maps = [None]
+    if extend:
+        model, maps = left, [None]
+        model.name, model.spec, model.carried_transitive = spec.name, spec, False
+        model.catalog = model.decomposition = None
     else:
-        model = FoliationModel(spec.name, table=spec.left.table, spec=spec)
-        maps = [model.absorb(spec.left)]
-    maps.append(model.absorb(spec.right))
+        model = FoliationModel(spec.name, table=left.table, spec=spec)
+        maps = [model.absorb(left)]
+    maps.append(model.absorb(right))
     for site, emap in zip(sites, maps):
         if site.edge_id is not None and emap is not None:
             site.edge_id = emap[site.edge_id]
@@ -365,14 +353,6 @@ def _merge(spec: SurgerySpec, own_left: bool, sites: tuple[_Site, _Site]) -> Fol
 
 
 # -- exact level location -----------------------------------------------------------
-
-
-def _mod_reduce(x: sc.SymScalar, modulus: sc.SymScalar) -> sc.SymScalar:
-    """Representative of x mod modulus in [0, modulus), exactly verified."""
-    r = x - modulus * sc.floor_quotient(x, modulus)
-    if sc.sign(r) >= 0 and sc.sign(modulus - r) > 0:
-        return r
-    raise ModelError("could not reduce a level mod the side circumference")
 
 
 def _locate_window(window, span, modulus) -> Optional[sc.SymScalar]:
@@ -415,12 +395,9 @@ def _resolve_site(role: str, source: FoliationModel, region: str, window) -> _Si
 def _check_level_clear(model: FoliationModel, side: Side, position: sc.SymScalar) -> None:
     """New singular levels must avoid existing ones exactly (mod the circle)."""
     for z in sorted(model.zeros_on(side.side_id), key=lambda z: z.zero_id):
-        if z.zero_id.startswith(f"{model.spec.name}."):
-            continue
         diff = position - z.level
-        if side.circumference is not None:
-            diff = _mod_reduce(diff, side.circumference)
-        if diff.is_zero():
+        laps = diff.ratio_to(side.circumference) if side.circumference is not None else None
+        if diff.is_zero() or (laps is not None and laps.denominator == 1):
             raise ModelError(f"tube level collides with the singular level of zero {z.zero_id}")
 
 
@@ -715,10 +692,11 @@ def _input_transitive(model: FoliationModel) -> bool:
     return is_transitive(model)
 
 
-def _join(spec: SurgerySpec, own_left: bool = False) -> FoliationModel:
-    """Apply one surgery, leaving the result unfinished with is_generic set;
-    with own_left the result takes over spec.left (see _merge), so what the
-    join reads of its left it reads first.
+def _join(spec: SurgerySpec, left: FoliationModel, right: FoliationModel,
+          extend: bool) -> FoliationModel:
+    """Apply one surgery to its inputs, leaving the result unfinished with
+    is_generic set; with extend the result is the left input, extended in
+    place (see _merge), so what the join reads of its left it reads first.
 
     A generic kind-A join of generic inputs with Calabi graphs has a Calabi
     graph: each cut turns an edge u -> w into u -> Zx, Zy -> w; the removed
@@ -730,15 +708,15 @@ def _join(spec: SurgerySpec, own_left: bool = False) -> FoliationModel:
     companion), so such a join is transitive, and records it for the joins
     that take it as an input.
     """
-    sites = _sites(spec)
-    left_generic = spec.left.is_generic
-    left_transitive = spec.kind == "A" and _input_transitive(spec.left)
-    model = _merge(spec, own_left, sites)
+    sites = _sites(spec, left, right)
+    left_generic = left.is_generic
+    left_transitive = spec.kind == "A" and _input_transitive(left)
+    model = _merge(spec, left, right, extend, sites)
     apply = {"A": _apply_A, "B": _apply_B, "C": _apply_C}[spec.kind]
     generic = apply(model, *sites)
-    model.is_generic = generic and left_generic and spec.right.is_generic
+    model.is_generic = generic and left_generic and right.is_generic
     if spec.kind == "A":
-        if left_transitive and _input_transitive(spec.right):
+        if left_transitive and _input_transitive(right):
             model.carried_transitive = model.is_generic
         else:
             # no general preservation rule covers this case; only the graph decides
@@ -749,19 +727,66 @@ def _join(spec: SurgerySpec, own_left: bool = False) -> FoliationModel:
     return model
 
 
+def _rebuild_c_as_pinch(spec: SurgerySpec, left: FoliationModel, right: FoliationModel,
+                        extend: bool) -> FoliationModel:
+    """A perturbed equal-level tube is a pinched tube: the waist opens into a
+    short chain of compact families between the two separated levels."""
+    lsite, rsite = sites = _sites(spec, left, right)
+    model = _merge(spec, left, right, extend, sites)
+    lx, ly = spec.tube_levels  # x sits at the left junction, y at the right
+    if sc.sign(ly - lx) > 0:
+        _apply_pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
+    else:
+        _apply_pinch(model, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    model.is_generic = True
+    return model
+
+
+def _node(model: FoliationModel) -> "FoliationModel | SurgerySpec":
+    """How a spec names an input: a joined model by its spec, a virgin one as itself."""
+    return model if model.spec is None else model.spec
+
+
+def build_joins(models: dict[str, FoliationModel], specs: list[SurgerySpec],
+                shifts: Optional[dict[str, Fraction]] = None) -> FoliationModel:
+    """Apply the joins in order, each reading its inputs from models by
+    name, and return the last one's output.  An output that exactly one
+    later join reads is consumed: that join extends it in place if it is
+    consumed too and reads it as its left, else copies it, and it is never
+    finished nor left in models.  Every other output, the last included, is
+    finished and kept in models, and its join copies both inputs, so its
+    ids are where a join that copies everything puts them.  With shifts
+    the joins rebuild a genericized companion: tube levels move by their
+    zeros' shifts, specs name the rebuilt inputs, and a kind-C join whose
+    levels come apart is pinched."""
+    reads = Counter(node.name for spec in specs for node in (spec.left, spec.right))
+    consumed = {spec.name for spec in specs if reads[spec.name] == 1}
+    for spec in specs:
+        left, right = (models.pop(node.name) if node.name in consumed else models[node.name]
+                       for node in (spec.left, spec.right))
+        join = _join
+        if shifts is not None:
+            lx, ly = levels = tuple(
+                level + left.table.rational(shifts.get(f"{spec.name}.{z}", Fraction(0)))
+                for level, z in zip(spec.tube_levels, "xy"))
+            spec = replace(spec, left=_node(left), right=_node(right), tube_levels=levels)
+            if spec.kind == "C" and not (lx - ly).is_zero():
+                join = _rebuild_c_as_pinch
+        model = join(spec, left, right, spec.name in consumed and spec.left.name in consumed)
+        models[spec.name] = model if spec.name in consumed else model.finish()
+    return model
+
+
 def connected_sum(spec: SurgerySpec) -> FoliationModel:
     """Join two models with a tube; the catalog, graph and decomposition are
     rewired by the kind-specific rules, and everything off the disks survives
-    with its families and weights unchanged.  The inputs are not written to."""
-    return _join(spec).finish()
-
-
-def intermediate_sum(spec: SurgerySpec, take_left: bool) -> FoliationModel:
-    """A join whose result exactly one later join reads, left unfinished for
-    that join: the checks run on the model kept at the end, which contains
-    it.  With take_left, spec.left is such a result, which no caller holds,
-    and this join takes it over (FoliationModel.taken_over)."""
-    return _join(spec, take_left)
+    with its families and weights unchanged.  spec names each input by the
+    model itself; the joined model keeps it with a joined input named by that
+    input's spec.  The inputs are not written to."""
+    left, right = spec.left, spec.right
+    if left.spec is not None or right.spec is not None:
+        spec = replace(spec, left=_node(left), right=_node(right))
+    return build_joins({left.name: left, right.name: right}, [spec])
 
 
 def genericize(model: FoliationModel) -> FoliationModel:
@@ -802,54 +827,22 @@ def _levels_admissible(levels: list[sc.SymScalar], lattice: sc.Lattice) -> bool:
 
 
 def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> FoliationModel:
-    """Rebuild the surgery tree under model with shifted tube levels, inputs
-    before their join and left before right.  The walk keeps its own stack,
-    so a chain of any length rebuilds without recursing, and it reads only
-    each join's spec.  A rebuilt join stays unfinished and is read by one
-    rejoin only, which takes it over when it is that rejoin's left; the root
-    copies its left, as a kept join does.  Only the rebuilt root is
-    finished, and its checks then cover the whole tree."""
-    rebuilt: list = []
-    todo: list[tuple[FoliationModel, bool]] = [(model, False)]
+    """Rebuild the surgery tree under model at shifted levels through
+    build_joins, inputs before their join and left before right.  The walk
+    reads only specs, takes each virgin leaf as it is and keeps its own
+    stack, so a chain of any length rebuilds without recursing; only the
+    rebuilt root is finished, and its checks cover the whole tree."""
+    leaves, specs, todo = {}, [], [model.spec]
     while todo:
-        node, inputs_done = todo.pop()
-        if node.spec is None:
-            rebuilt.append(node)
-        elif not inputs_done:
-            todo += [(node, True), (node.spec.right, False), (node.spec.left, False)]
+        node = todo.pop()
+        if isinstance(node, SurgerySpec):
+            specs.append(node)
+            todo += [node.left, node.right]
         else:
-            right = rebuilt.pop()
-            left = rebuilt.pop()
-            own_left = left.spec is not None and node is not model
-            rebuilt.append(_rejoin(node.spec, left, right, shifts, own_left))
-    return rebuilt.pop().finish()
-
-
-def _rejoin(spec: SurgerySpec, left, right, shifts: dict[str, Fraction],
-            own_left: bool) -> FoliationModel:
-    """One join of the tree, redone over its rebuilt inputs at shifted levels."""
-    table = left.table
-    sx = table.rational(shifts.get(f"{spec.name}.x", Fraction(0)))
-    sy = table.rational(shifts.get(f"{spec.name}.y", Fraction(0)))
-    levels = (spec.tube_levels[0] + sx, spec.tube_levels[1] + sy)
-    spec = replace(spec, left=left, right=right, tube_levels=levels)
-    if spec.kind == "C" and not (levels[0] - levels[1]).is_zero():
-        return _rebuild_c_as_pinch(spec, own_left)
-    return _join(spec, own_left)
-
-
-def _rebuild_c_as_pinch(spec: SurgerySpec, own_left: bool) -> FoliationModel:
-    """A perturbed equal-level tube is a pinched tube: the waist opens into a
-    short chain of compact families between the two separated levels."""
-    lsite, rsite = sites = _sites(spec)
-    model = _merge(spec, own_left, sites)
-    lx, ly = spec.tube_levels  # x sits at the left junction, y at the right
-    if sc.sign(ly - lx) > 0:
-        _apply_pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
-    else:
-        _apply_pinch(model, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
-    model.is_generic = True
-    return model
+            leaves[node.name] = node
+    # a preorder that visits right before left, reversed, is the postorder
+    # that visits left before right
+    return build_joins(leaves, specs[::-1], shifts)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,57 @@ def build_catalog_model(name):
     return build_scenario(parse_scenario(SCENARIOS[name])).final
 
 
+# the steps of a join that tests hook or call, by the name foliage gives
+# each and the arguments it takes; an internal rename touches only this table
+JOIN_STEPS = {
+    "build": "build_joins",  # (models, specs, shifts=None) -> the last output
+    "join": "_join",  # (spec, left, right, extend) -> the record, unfinished
+    "pinch": "_rebuild_c_as_pinch",  # as "join": a kind-C rejoin whose levels came apart
+    "sites": "_sites",  # (spec, left, right) -> the two disk sites
+    "merge": "_merge",  # (spec, left, right, extend, sites) -> the record, inputs copied in
+    "apply pinch": "_apply_pinch",  # (model, low, high, low level, high level, low id, high id)
+    "rebuild": "_rebuild_with_shifts",  # (model, shifts) -> the companion, finished
+    "analyze": "analyze",  # (form, name) -> a virgin model, finished
+    "connected_sum": "connected_sum",  # (spec) -> the joined model, finished
+    "genericize": "genericize",  # (model) -> the companion
+}
+
+
+def join_step(step):
+    """The function foliage runs for a step of a join."""
+    from foliage import surgery
+
+    return getattr(surgery, JOIN_STEPS[step])
+
+
+def hook_join(monkeypatch, step, wrap):
+    """Make every call of a join step, in surgery and wherever cli imported
+    it, run wrap(real, *args) instead."""
+    from foliage import cli, surgery
+
+    name, real = JOIN_STEPS[step], join_step(step)
+
+    def hooked(*args, **kwargs):
+        return wrap(real, *args, **kwargs)
+
+    for module in (surgery, cli):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, hooked)
+
+
+def spec_tree_nodes(model):
+    """Every spec and model in the surgery tree under a model's spec, walked
+    with a stack of its own."""
+    from foliage.surgery import SurgerySpec
+
+    todo = [] if model.spec is None else [model.spec]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, SurgerySpec):
+            todo += [node.left, node.right]
+
+
 def random_rational(rng, max_den=8, max_num=8):
     den = rng.randint(1, max_den)
     num = rng.randint(-max_num, max_num)

@@ -16,6 +16,7 @@ from foliage.forms import ClosedForm
 from foliage.graph import FoliationGraph, factorization_witness, is_calabi
 from foliage.orbifold import pillowcase_presentation, torus_presentation
 from foliage.surgery import (
+    FoliationModel,
     ModelError,
     SurgerySpec,
     UnsupportedSurgery,
@@ -27,7 +28,16 @@ from foliage.surgery import (
     verdicts,
 )
 
-from conftest import PI, SQRT2, build_catalog_model, surgery_chain, surgery_trees
+from conftest import (
+    PI,
+    SQRT2,
+    build_catalog_model,
+    hook_join,
+    join_step,
+    spec_tree_nodes,
+    surgery_chain,
+    surgery_trees,
+)
 import test_scenarios
 
 
@@ -251,17 +261,28 @@ class TestValidation:
 
     def test_tube_level_collision_rejected(self, table):
         first = build_catalog_model("sum-b-compact")
-        extra = torus_model(first.table, 1, 2, "m3")
-        with pytest.raises(ModelError):
-            connected_sum(SurgerySpec(
-                "B", first, extra,
-                left_window=(r(first.table, "11/16"), r(first.table, "13/16")),
-                right_window=(r(first.table, "9/8"), r(first.table, "11/8")),
-                # 3/4 is already the singular level of the first surgery
-                tube_levels=(r(first.table, "10/8"), r(first.table, "3/4")),
+        t = first.table
+        extra = torus_model(t, 1, 2, "m3")
+        # a copy of first with a zero forged two laps of wR's circle above
+        # 7/8, inside the family wR.f0:1 (3/4 : 1), where the join pinches
+        forged = FoliationModel(first.name, table=t, spec=first.spec)
+        forged.absorb(first)
+        forged.register_zero("forged.z", r(t, "23/8"), "wR")
+        forged.finish()
+
+        def pinched(left):
+            return connected_sum(SurgerySpec(
+                "B", left, extra,
+                left_window=(r(t, "13/16"), r(t, "15/16")),
+                right_window=(r(t, "9/8"), r(t, "11/8")),
+                tube_levels=(r(t, "10/8"), r(t, "7/8")),
                 left_region="wR.f0:1",
                 name="s2",
             ))
+
+        assert [z.zero_id for z in pinched(first).zeros_on("wR")] == ["bsum.x", "s2.y"]
+        with pytest.raises(ModelError, match="collides with the singular level of zero forged.z"):
+            pinched(forged)
 
     def test_partial_wrap_unsupported(self, table):
         left = torus_model(table, 1, 0, "l")
@@ -391,17 +412,16 @@ class TestVerdictsDecidedOnce:
         assert "transitive: yes" in report
 
 
-def reference_copy(spec, own_left=False):
+def reference_copy(left, right, extend=False):
     """The per-item copy a join made before FoliationGraph.absorb: every
     vertex, edge and attachment of both inputs re-added one call at a time,
-    in sorted-id order.  With own_left the left's items stay as they are,
+    in sorted-id order.  With extend the left's items stay as they are,
     ids unmoved, and only the right is re-added after them.  Kept as the
-    oracle of the bulk copy and of the take-over."""
+    oracle of the bulk copy and of the in-place extension."""
     graph = FoliationGraph()
     edge_map, specials, sides = {}, {}, []
-    parts = [("left", spec.left), ("right", spec.right)]
-    if own_left:
-        left = spec.left
+    parts = [("left", left), ("right", right)]
+    if extend:
         graph.vertices, graph.edges = dict(left.graph.vertices), dict(left.graph.edges)
         graph.attachments = list(left.graph.attachments)
         graph._next_vid, graph._next_eid = left.graph._next_vid, left.graph._next_eid
@@ -429,20 +449,18 @@ def reference_copy(spec, own_left=False):
 
 
 def _checking_joins(monkeypatch):
-    """Check every join's copy or take-over of its inputs against
+    """Check every join's copy or extension of its inputs against
     reference_copy, and the disk sites it moves against the reference's edge
-    map; returns, for each join as it runs, whether it took over its left
+    map; returns, for each join as it runs, whether it extended its left
     and the left's vertex and edge ids before the join."""
     lefts = []
 
-    real = surgery._merge
-
-    def checked(spec, own_left, sites):
-        graph, ref_edge_map, specials, sides = reference_copy(spec, own_left)
+    def checked(real, spec, left, right, extend, sites):
+        graph, ref_edge_map, specials, sides = reference_copy(left, right, extend)
         want_sites = [ref_edge_map[(s.role, s.edge_id)] if s.edge_id is not None else None
                       for s in sites]
-        lefts.append((own_left, list(spec.left.graph.vertices), list(spec.left.graph.edges)))
-        model = real(spec, own_left, sites)
+        lefts.append((extend, list(left.graph.vertices), list(left.graph.edges)))
+        model = real(spec, left, right, extend, sites)
         assert list(model.graph.vertices.items()) == list(graph.vertices.items())
         assert list(model.graph.edges.items()) == list(graph.edges.items())
         assert model.graph.attachments == graph.attachments
@@ -452,7 +470,7 @@ def _checking_joins(monkeypatch):
         assert model.sides == sides
         return model
 
-    monkeypatch.setattr(surgery, "_merge", checked)
+    hook_join(monkeypatch, "merge", checked)
     return lefts
 
 
@@ -474,6 +492,18 @@ MIXED_COMPACT_CHAIN = "[symbols]\n\n[orbifold T]\nbuiltin = torus\n" + "".join(
 )
 
 
+def _kind_c_at_s2(text):
+    """A three-join chain with its middle join made kind C at one level."""
+    head, tail = text.split("[surgery s2]")
+    tail = tail.replace("kind = A", "kind = C", 1).replace("tube = 2/20 : 3/20", "tube = 2/20 : 2/20")
+    return f"{head}[surgery s2]{tail}"
+
+
+# s2 extends s1, a kind-A join that carries its verdict, and is itself not
+# transitive, so the kind-A join s3 that reads it is noted
+A_C_A_CHAIN = _kind_c_at_s2(surgery_chain("A", 3))
+
+
 class TestBulkCopy:
     """A join copies its inputs as the per-item loop did, id for id."""
 
@@ -483,7 +513,8 @@ class TestBulkCopy:
         built = build_scenario(parse_scenario(surgery_chain(kind, 6)))
         build_report(built, "surgery")
         assert len(lefts) >= 6
-        # the five intermediate joins are taken over, and the final join copies
+        # the first join copies its left, a form; the next four extend their
+        # consumed left in place, and the final join copies
         assert [own for own, _, _ in lefts[:6]] == [False] + [True] * 4 + [False]
         if kind == "A":
             # each kind-A join merges a noncompact component: vertex ids gap
@@ -587,15 +618,13 @@ class TestJoinCost:
     def test_decomposition_checks_reach_intermediate_models(self, monkeypatch):
         # a catalog fault planted in the first join's output, which is never
         # finished itself, reaches the final model's checks
-        real = surgery._join
-
-        def faulty(spec, *args):
+        def faulty(real, spec, *args):
             model = real(spec, *args)
             if spec.name == "s1":
                 model.singular_entries.append(model.singular_entries[0])
             return model
 
-        monkeypatch.setattr(surgery, "_join", faulty)
+        hook_join(monkeypatch, "join", faulty)
         with pytest.raises(scalar.FoliageError, match="duplicate leaf ids"):
             build_scenario(parse_scenario(surgery_chain("C", 4)))
 
@@ -634,21 +663,21 @@ class TestLongChains:
 
 def reference_rebuild(model, shifts):
     """The companion rebuild as it stood before rejoins stayed unfinished:
-    the tree walked with its own stack, inputs before their join and left
-    before right, and every rejoin, the pinched kind-C ones included,
+    the spec tree walked with its own stack, inputs before their join and
+    left before right, and every rejoin, the pinched kind-C ones included,
     finished as a model.  Kept as the oracle of _rebuild_with_shifts."""
     rebuilt = []
-    todo = [(model, False)]
+    todo = [(model.spec, False)]
     while todo:
         node, inputs_done = todo.pop()
-        if node.spec is None:
+        if isinstance(node, FoliationModel):
             rebuilt.append(node)
         elif not inputs_done:
-            todo += [(node, True), (node.spec.right, False), (node.spec.left, False)]
+            todo += [(node, True), (node.right, False), (node.left, False)]
         else:
             right = rebuilt.pop()
             left = rebuilt.pop()
-            rebuilt.append(_reference_rejoin(node.spec, left, right, shifts))
+            rebuilt.append(_reference_rejoin(node, left, right, shifts))
     return rebuilt.pop()
 
 
@@ -660,12 +689,13 @@ def _reference_rejoin(spec, left, right, shifts):
     spec = replace(spec, left=left, right=right, tube_levels=levels)
     if spec.kind != "C" or (lx - ly).is_zero():
         return connected_sum(spec)
-    lsite, rsite = sites = surgery._sites(spec)
-    model = surgery._merge(spec, False, sites)
+    lsite, rsite = sites = join_step("sites")(spec, left, right)
+    model = join_step("merge")(spec, left, right, False, sites)
+    pinch = join_step("apply pinch")
     if scalar.sign(ly - lx) > 0:
-        surgery._apply_pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
+        pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
     else:
-        surgery._apply_pinch(model, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+        pinch(model, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
     model.is_generic = True
     return model.finish()
 
@@ -706,27 +736,31 @@ REBUILD_SOURCES = {
 
 
 def reference_build(text):
-    """build_scenario with every join through connected_sum: each join
-    copies both inputs, and each join output is finished and kept in
-    models, in scenario order.  Kept as the oracle of the take-over."""
-    joined = {}
+    """build_scenario with the joins built one at a time: each join copies
+    both inputs, and each join output is finished and kept in models, in
+    scenario order.  A companion's rebuild is left as it is.  Kept as the
+    oracle of the consume-or-keep rule."""
 
-    def every_join(spec, take_left=False):
-        joined[spec.name] = connected_sum(spec)
-        return joined[spec.name]
+    def every_join(real, models, specs, shifts=None):
+        if shifts is not None:
+            return real(models, specs, shifts)
+        for spec in specs:
+            model = real(models, [spec])
+        return model
 
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(cli, "intermediate_sum", every_join)
-        patched.setattr(cli, "connected_sum", every_join)
-        built = build_scenario(parse_scenario(text))
-    built.models = {**{n: m for n, m in built.models.items() if n not in joined}, **joined}
-    return built
+        hook_join(patched, "build", every_join)
+        return build_scenario(parse_scenario(text))
+
+
+def _reference_rebuild_step(real, model, shifts):
+    return reference_rebuild(model, shifts)
 
 
 def reference_companion(model):
     """genericize through reference_rebuild, every rejoin copied and finished."""
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(surgery, "_rebuild_with_shifts", reference_rebuild)
+        hook_join(patched, "rebuild", _reference_rebuild_step)
         return genericize(model)
 
 
@@ -742,28 +776,25 @@ class TestCompanionRebuild:
             if model.spec is None:
                 continue
             shifts = _first_shifts(model)
-            new = _outcome(lambda: surgery._rebuild_with_shifts(model, shifts))
+            new = _outcome(lambda: join_step("rebuild")(model, shifts))
             assert new == _outcome(lambda: reference_rebuild(model, shifts)), model.name
             if model.is_generic:
                 continue
             companion = _items(genericize(model))
-            with monkeypatch.context() as patched:
-                patched.setattr(surgery, "_rebuild_with_shifts", reference_rebuild)
-                assert companion == _items(genericize(model)), model.name
+            assert companion == _items(reference_companion(model)), model.name
 
     def test_a_fault_in_a_rebuilt_join_reaches_the_companion_checks(self, monkeypatch):
         # the first rejoin plants a duplicate leaf; only the companion is
         # checked, and it carries the fault
         model = build_scenario(parse_scenario(surgery_chain("C", 4))).final
-        real = surgery._rebuild_c_as_pinch
 
-        def faulty(spec, own_left):
-            ws = real(spec, own_left)
+        def faulty(real, spec, *args):
+            ws = real(spec, *args)
             if spec.name == "s1":
                 ws.singular_entries.append(ws.singular_entries[0])
             return ws
 
-        monkeypatch.setattr(surgery, "_rebuild_c_as_pinch", faulty)
+        hook_join(monkeypatch, "pinch", faulty)
         with pytest.raises(scalar.FoliageError, match="duplicate leaf ids"):
             genericize(model)
 
@@ -777,18 +808,17 @@ def _finished(model):
 
 def _capturing_joins(monkeypatch):
     """Every kind-A join applied, finished or not, in the order applied, as
-    facts read when it is made, before a later join takes it over: its name,
+    facts read when it is made, before a later join extends it: its name,
     whether it carries its verdict (checked here where carried), whether it
     is noted, whether it is generic, and whether deciding both inputs finds
     them transitive."""
     joins = []
-    real = surgery._join
 
-    def captured(spec, *args):
+    def captured(real, spec, left, right, extend):
         if spec.kind != "A":
-            return real(spec, *args)
-        inputs = all(is_transitive(_finished(m)) for m in (spec.left, spec.right))
-        ws = real(spec, *args)
+            return real(spec, left, right, extend)
+        inputs = all(is_transitive(_finished(m)) for m in (left, right))
+        ws = real(spec, left, right, extend)
         if ws.carried_transitive:
             assert ws.is_generic
             assert is_calabi(genericize(_finished(ws)).graph) is True, ws.name
@@ -796,7 +826,7 @@ def _capturing_joins(monkeypatch):
         joins.append((ws.name, ws.carried_transitive, note, ws.is_generic, inputs))
         return ws
 
-    monkeypatch.setattr(surgery, "_join", captured)
+    hook_join(monkeypatch, "join", captured)
     return joins
 
 
@@ -1001,10 +1031,11 @@ class TestKindAChainCost:
         monkeypatch.setattr(surgery.FoliationModel, "__init__", counted_init)
         built = build_scenario(parse_scenario(surgery_chain("A", 16)))
         assert "transitive: yes" in build_report(built, "surgery")
-        # 17 forms and 16 joins; the forms and the final join are checked
-        # once each, and the report's Calabi test reaches every vertex both
-        # ways, so it needs no pass
-        assert len(constructed) == 33
+        # 17 forms and 16 joins: s1 and the final join make a record each,
+        # and s2 to s15 extend s1's in place; the forms and the final join
+        # are checked once each, and the report's Calabi test reaches every
+        # vertex both ways, so it needs no pass
+        assert len(constructed) == 19
         assert len(passes) == 18
         assert len(calabi) == 1
 
@@ -1151,15 +1182,8 @@ class TestMergedComponentNames:
         assert s2.merged_into == {"m3.inf": "m2.inf", "m2.inf": "m1.inf"}
         assert s1.merged_into == {"m3.inf": "m2.inf"}
         assert m1.merged_into == {}
-
-
-def reference_mod_reduce(x, modulus):
-    """_mod_reduce with its floor quotient taken from two value() Fractions,
-    as it was; kept as the oracle of the integer quotient."""
-    r = x - modulus * (x.value() // modulus.value())
-    if scalar.sign(r) >= 0 and scalar.sign(modulus - r) > 0:
-        return r
-    raise ModelError("could not reduce a level mod the side circumference")
+        # the joined input is named by its spec, the form's model as itself
+        assert s2.spec.left is s1.spec and s2.spec.right is m1
 
 
 def reference_locate_window(window, span, modulus):
@@ -1188,13 +1212,6 @@ def _outcome_of(reduce, *args):
 
 
 class TestIntegerFloorQuotients:
-    @given(x=level_values, modulus=level_values)
-    @example(x=LEVEL_TABLE.symbol("p", 5), modulus=LEVEL_TABLE.symbol("p"))
-    @example(x=LEVEL_TABLE.rational(-1), modulus=LEVEL_TABLE.rational(Fraction(1, 3)))
-    def test_mod_reduce_matches_the_fraction_formula(self, x, modulus):
-        assert _outcome_of(surgery._mod_reduce, x, modulus) == _outcome_of(
-            reference_mod_reduce, x, modulus)
-
     @given(lo=level_values, width=level_values, s_lo=level_values, s_width=level_values,
            modulus=st.one_of(st.none(), level_values))
     def test_locate_window_matches_the_fraction_formula(self, lo, width, s_lo, s_width,
@@ -1228,9 +1245,9 @@ def _copied_records(monkeypatch):
 
 
 class TestTakeOver:
-    """A join output that only one later join reads is taken over by it, and
-    every model a caller holds comes out as the copy-everything build makes
-    it."""
+    """A join output that only one later join reads is extended by it or
+    copied, and every model a caller holds comes out as the copy-everything
+    build makes it."""
 
     @pytest.mark.parametrize("kind", ["C", "A"])
     def test_the_records_copied_grow_linearly(self, monkeypatch, kind):
@@ -1245,7 +1262,7 @@ class TestTakeOver:
     @pytest.mark.parametrize("source", [
         *(f"chain-{kind}-{n}" for kind in "ABC" for n in (1, 2, 9)),
         *(f"catalog-{name}" for name in sorted(SCENARIOS)),
-        "mixed-compact-chain", "trees",
+        "mixed-compact-chain", "a-c-a-chain", "trees",
     ])
     def test_final_models_and_companions_match_the_reference_build(self, source):
         if source == "trees":
@@ -1255,6 +1272,8 @@ class TestTakeOver:
             texts = [surgery_chain(kind, int(n))]
         elif source.startswith("catalog-"):
             texts = [SCENARIOS[source.split("-", 1)[1]]]
+        elif source == "a-c-a-chain":
+            texts = [A_C_A_CHAIN]
         else:
             texts = [MIXED_COMPACT_CHAIN]
         # each build has its own symbol table, so items compare as text
@@ -1284,9 +1303,8 @@ class TestTakeOver:
             [f"w{i}" for i in range(9)] + ["x9", "x10", "x11", "s8", "s10", "s11"])
         held = {id(m): m for m in built.models.values()}
         for model in list(held.values()):
-            if model.spec is not None:
-                held.update((id(m), m) for m in (model.spec.left, model.spec.right)
-                            if m.decomposition is not None)
+            held.update((id(m), m) for m in spec_tree_nodes(model)
+                        if isinstance(m, FoliationModel))
         before = {key: _snapshot(m) for key, m in held.items()}
         for command in cli.COMMANDS:
             if command not in ("examples", "trace"):
@@ -1295,12 +1313,71 @@ class TestTakeOver:
             verdicts(model)
         assert {key: _snapshot(m) for key, m in held.items()} == before
 
-    def test_a_consumed_model_is_a_husk(self):
+    def test_a_consumed_model_is_the_next_joins_record(self, monkeypatch):
+        records = {}
+
+        def recorded(real, spec, *args):
+            records[spec.name] = real(spec, *args)
+            return records[spec.name]
+
+        hook_join(monkeypatch, "join", recorded)
         final = build_scenario(parse_scenario(surgery_chain("C", 4))).final
-        # the final join copies its left, s3; s3 took over s2
-        s3, s2 = final.spec.left, final.spec.left.spec.left
-        assert s3.graph.vertices and s3.decomposition is None
-        assert sorted(vars(s2)) == sorted(surgery._HUSK)
-        with pytest.raises(AttributeError):
-            s2.graph
-        assert s2.spec.name == "s2" and s2.spec.left.spec.name == "s1"
+        # s1 copies its left, the form w0, into a record that s2 and then s3
+        # extend in place; the final join copies its left, s3
+        s3 = records["s3"]
+        assert records["s1"] is records["s2"] is s3 is not final is records["s4"]
+        assert s3.name == "s3" and s3.graph.vertices and s3.decomposition is None
+        # the final model names s3 by its spec, and s3 names s2 by its own
+        assert s3.spec is final.spec.left
+        assert isinstance(s3.spec.left, SurgerySpec) and s3.spec.left.name == "s2"
+        assert s3.spec.left.left.name == "s1" and s3.spec.left.left.left.name == "w0"
+
+
+class TestPlainSpecTrees:
+    """A spec names a joined input by its spec: the tree under a kept model
+    or a companion holds specs and virgin models only."""
+
+    @staticmethod
+    def _checked(text):
+        try:
+            built = build_scenario(parse_scenario(text))
+        except scalar.FoliageError:
+            return 0
+        checked = 0
+        for model in built.models.values():
+            try:
+                companion = verdicts(model).companion
+            except scalar.FoliageError:
+                companion = None
+            for held in (model, companion):
+                if held is None:
+                    continue
+                for node in spec_tree_nodes(held):
+                    if isinstance(node, FoliationModel):
+                        assert node.spec is None and node.form is not None, node.name
+                        assert node.decomposition is not None, node.name
+                    else:
+                        assert isinstance(node, SurgerySpec), node
+                        checked += 1
+        return checked
+
+    @pytest.mark.parametrize("source", ["catalog", "chains", "trees"])
+    def test_spec_trees_hold_no_joined_model(self, source):
+        if source == "catalog":
+            texts = [SCENARIOS[name] for name in sorted(SCENARIOS)] + [MIXED_COMPACT_CHAIN]
+        elif source == "chains":
+            texts = [surgery_chain(kind, n) for kind in "ABC" for n in range(1, 17)]
+        else:
+            texts = list(surgery_trees(1, 100))
+        assert sum(self._checked(text) for text in texts) > 0
+
+    def test_a_companion_names_its_rebuilt_inputs(self):
+        model = build_scenario(parse_scenario(surgery_chain("C", 3))).final
+        companion = genericize(model)
+        # each rejoin's spec carries its shifted levels, and so does the
+        # spec that names it as an input
+        shifted = [spec for spec in spec_tree_nodes(companion) if isinstance(spec, SurgerySpec)]
+        assert [spec.name for spec in shifted] == ["s3", "s2", "s1"]
+        levels = {z.zero_id: z.level for z in companion.zeros}
+        for spec in shifted:
+            assert spec.tube_levels == (levels[f"{spec.name}.x"], levels[f"{spec.name}.y"])

@@ -6,13 +6,13 @@ from dataclasses import replace
 import pytest
 
 import test_scenarios
-from foliage import cli, surgery
+from foliage import surgery
 from foliage.cli import COMMANDS, build_report, build_scenario, parse_scenario, run
 from foliage.graph import calabi_equiv_bruteforce, is_calabi
 from foliage.scalar import FoliageError, PrecisionExhausted
 from foliage.surgery import verdicts
 
-from conftest import surgery_chain, surgery_trees
+from conftest import hook_join, surgery_chain, surgery_trees
 
 TREE_COMMANDS = [c for c in COMMANDS if c != "examples"]
 
@@ -61,20 +61,19 @@ def test_every_command_answers_and_the_outputs_are_pinned(trees):
 
 def test_every_model_returned_is_finished_once(monkeypatch, trees):
     # a model returned is finished when it is returned; a join may later
-    # take over one that only it reads, so each is checked as it comes back
+    # extend one that only it reads, so each is checked as it comes back
     returned, finished, decomposed = [], [], []
-    for name in ("analyze", "connected_sum", "genericize"):
-        def kept(*args, _real=getattr(surgery, name)):
-            model = _real(*args)
-            returned.append(model.decomposition)
-            return model
 
-        monkeypatch.setattr(surgery, name, kept)
-        if hasattr(cli, name):
-            monkeypatch.setattr(cli, name, kept)
+    def kept(real, *args):
+        model = real(*args)
+        returned.append(model.decomposition)
+        return model
+
+    for step in ("analyze", "connected_sum", "genericize"):
+        hook_join(monkeypatch, step, kept)
     real_finish, real_decompose = surgery.FoliationModel.finish, surgery.decompose
     monkeypatch.setattr(surgery.FoliationModel, "finish",
-                        lambda model: finished.append(model) or real_finish(model))
+                        lambda model: finished.append((model, model.name)) or real_finish(model))
     monkeypatch.setattr(surgery, "decompose",
                         lambda model: decomposed.append(model) or real_decompose(model))
     for text in trees + [surgery_chain(kind, 6) for kind in "ABC"]:
@@ -86,8 +85,12 @@ def test_every_model_returned_is_finished_once(monkeypatch, trees):
         returned += (model.decomposition for model in built.models.values())
     assert len(returned) > 500
     assert all(decomposition is not None for decomposition in returned)
-    assert decomposed == finished
-    assert len(set(map(id, finished))) == len(finished)
+    assert decomposed == [model for model, _ in finished]
+    # a record is finished at most once as each join's record: a consumed
+    # left that a kind-A join's verdict finished is finished again as the
+    # record that join extended it into
+    records = {(id(model), name) for model, name in finished}
+    assert len(records) == len(finished) > len({id(model) for model, _ in finished})
 
 
 def test_permuted_symbols_and_renamed_models_keep_the_verdicts(trees):
