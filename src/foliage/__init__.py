@@ -52,7 +52,6 @@ from .graph import (
     FactorizationWitness,
     FoliationGraph,
     calabi_equiv_bruteforce,
-    edge_weight,
     factorization_witness,
     is_calabi,
 )

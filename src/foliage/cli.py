@@ -173,14 +173,16 @@ def _expr(key: str, text: str, line: int, names: set[str]) -> Expr:
         term = raw.strip()
         if not term:
             raise ScenarioError(f"empty term in expression {text!r}", line)
+        numeral = term.replace("-", "").replace("/", "").replace(".", "").isdigit()
         if "*" in term:
             coef_text, _, name = term.partition("*")
             name = name.strip()
             coef = _parse_rational(coef_text, line)
-        elif term.replace("-", "").replace("/", "").replace(".", "").isdigit():
-            name, coef = "one", _parse_rational(term, line)
-        else:
+        elif term.isidentifier() or term in names and not numeral:
             name, coef = term, 1
+        else:
+            # a numeral, or a bare term that names no symbol: a constant
+            name, coef = "one", _parse_rational(term, line)
         if name != "one" and name not in names:
             raise ScenarioError(f"unresolved symbol {name!r}", line)
         if name in coeffs:
@@ -543,7 +545,7 @@ def _graph_lines(graph, indent: str) -> list[str]:
              for vid, v in sorted(graph.vertices.items())]
     lines += [f"v{e.src} -> v{e.dst} weight {e.weight.render()} family {e.family}"
               for _, e in sorted(graph.edges.items())]
-    lines += [f"attach v{a.zero_vertex} <-> v{a.special_vertex} ({a.mode})"
+    lines += [f"attach v{a.zero_vertex} <-> v{a.special_vertex} (both)"
               for a in graph.attachments]
     return [indent + line for line in lines]
 

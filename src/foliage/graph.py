@@ -1,11 +1,12 @@
 """Weighted directed leaf-space graphs and the Calabi transitivity test.
 
-Vertices stand for singular compact leaves (Zero), extremal zeros (Terminal),
-noncompact components (Special) or bookkeeping points on vertex-free circles
-(Marker).  Edges are maximal families of compact regular leaves, oriented by
-increasing level, with strictly positive symbolic weights.  Zeros bordering a
-noncompact component are recorded as attachments; passage through such a
-saddle is free inside the component, so attachments act as reachability arcs.
+Vertices stand for singular compact leaves (Zero), noncompact components
+(Special) or bookkeeping points on vertex-free circles (Marker).  Edges are
+maximal families of compact regular leaves, oriented by increasing level,
+with strictly positive symbolic weights, each signed once as it is added.
+Zeros bordering a noncompact component are recorded as attachments; passage
+through such a saddle is free inside the component in either direction, so
+each attachment acts as a pair of opposite reachability arcs.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ class GraphError(sc.FoliageError):
 
 
 ZERO = "Zero"
-TERMINAL = "Terminal"
 SPECIAL = "Special"
 MARKER = "Marker"
 
-_KINDS = (ZERO, TERMINAL, SPECIAL, MARKER)
+_KINDS = (ZERO, SPECIAL, MARKER)
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,6 @@ class Edge:
 class Attachment:
     zero_vertex: int
     special_vertex: int
-    mode: str  # "up" (zero -> special), "down" (special -> zero), "both"
-
-    def __post_init__(self):
-        if self.mode not in ("up", "down", "both"):
-            raise GraphError(f"unknown attachment mode {self.mode!r}")
 
 
 class FoliationGraph:
@@ -96,16 +91,16 @@ class FoliationGraph:
         self._family_edges.setdefault(e.family, []).append(e.eid)
         self._next_eid += 1
 
-    def attach(self, zero_vertex: int, special_vertex: int, mode: str = "both") -> None:
+    def attach(self, zero_vertex: int, special_vertex: int) -> None:
         self._check_attachment(zero_vertex, special_vertex)
-        self._add_attachment(Attachment(zero_vertex, special_vertex, mode))
+        self._add_attachment(Attachment(zero_vertex, special_vertex))
 
     def _add_attachment(self, a: Attachment) -> None:
         self._attached_at.setdefault(a.special_vertex, []).append(len(self.attachments))
         self.attachments.append(a)
 
     def _check_attachment(self, zero_vertex: int, special_vertex: int) -> None:
-        if self.vertices[zero_vertex].kind not in (ZERO, TERMINAL):
+        if self.vertices[zero_vertex].kind != ZERO:
             raise GraphError("attachments start at zero vertices")
         if self.vertices[special_vertex].kind != SPECIAL:
             raise GraphError("attachments end at special vertices")
@@ -116,7 +111,7 @@ class FoliationGraph:
 
         Records whose ids do not move are shared, not rebuilt.  Attachment
         kinds are checked as attach() checks them; edge weights are not
-        re-signed here, since validate() checks every edge of a model graph.
+        re-signed, since add_edge() signed each one as it entered a graph.
         """
         vmap: dict[int, int] = {}
         for vid in sorted(other.vertices):
@@ -138,7 +133,7 @@ class FoliationGraph:
             zv, sv = vmap[a.zero_vertex], vmap[a.special_vertex]
             self._check_attachment(zv, sv)
             if (zv, sv) != (a.zero_vertex, a.special_vertex):
-                a = Attachment(zv, sv, a.mode)
+                a = Attachment(zv, sv)
             self._add_attachment(a)
         return vmap, emap
 
@@ -155,13 +150,12 @@ class FoliationGraph:
         place in the list, and remove dead; touches only dead's attachments."""
         moved = self._attached_at.pop(dead, [])
         for i in moved:
-            a = self.attachments[i]
-            self.attachments[i] = Attachment(a.zero_vertex, keep, a.mode)
+            self.attachments[i] = Attachment(self.attachments[i].zero_vertex, keep)
         self._attached_at.setdefault(keep, []).extend(moved)
         self.remove_vertex(dead)
 
     def remove_vertex(self, vid: int) -> None:
-        if any(e.src == vid or e.dst == vid for e in self.edges.values()):
+        if self.has_edges_at(vid):
             raise GraphError("cannot remove a vertex with incident edges")
         del self.vertices[vid]
 
@@ -173,21 +167,16 @@ class FoliationGraph:
         return same[0] if same else None
 
     def arcs(self) -> list[tuple[int, int]]:
-        """Directed reachability arcs: edges plus attachment passages."""
+        """Directed reachability arcs: edges plus both passages of each
+        attachment."""
         out = [(e.src, e.dst) for e in self.edges.values()]
         for a in self.attachments:
-            if a.mode in ("up", "both"):
-                out.append((a.zero_vertex, a.special_vertex))
-            if a.mode in ("down", "both"):
-                out.append((a.special_vertex, a.zero_vertex))
+            out.append((a.zero_vertex, a.special_vertex))
+            out.append((a.special_vertex, a.zero_vertex))
         return out
 
-    def degree(self, vid: int) -> int:
-        d = sum((e.src == vid) + (e.dst == vid) for e in self.edges.values())
-        d += sum(
-            (a.zero_vertex == vid) + (a.special_vertex == vid) for a in self.attachments
-        )
-        return d
+    def has_edges_at(self, vid: int) -> bool:
+        return any(vid in (e.src, e.dst) for e in self.edges.values())
 
     def underlying_connected(self) -> bool:
         if not self.vertices:
@@ -197,14 +186,6 @@ class FoliationGraph:
             adj[s].append(d)
             adj[d].append(s)
         return _reaches_all(adj, next(iter(adj)))
-
-    def validate(self) -> None:
-        for e in self.edges.values():
-            if sc.sign(e.weight) <= 0:
-                raise GraphError(f"edge {e.eid} has nonpositive weight")
-        for v in self.vertices.values():
-            if v.kind == TERMINAL and self.degree(v.vid) != 1:
-                raise GraphError(f"terminal vertex v{v.vid} must be univalent")
 
     # -- export --------------------------------------------------------------
 
@@ -219,18 +200,7 @@ class FoliationGraph:
         return "\n".join(lines) + "\n"
 
 
-def edge_weight(graph: FoliationGraph, eid: int) -> sc.SymScalar:
-    return graph.edges[eid].weight
-
-
 # -- reachability ------------------------------------------------------------------
-
-
-def _successors(graph: FoliationGraph) -> dict[int, set[int]]:
-    succ: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    for s, d in graph.arcs():
-        succ[s].add(d)
-    return succ
 
 
 def _reachable(succ: dict[int, set[int]], start: int) -> set[int]:
@@ -292,7 +262,9 @@ def calabi_equiv_bruteforce(graph: FoliationGraph) -> tuple[bool, bool]:
     """
     if len(graph.vertices) > 12:
         raise GraphError("brute-force check is limited to 12 vertices")
-    succ = _successors(graph)
+    succ: dict[int, set[int]] = {v: set() for v in graph.vertices}
+    for s, d in graph.arcs():
+        succ[s].add(d)
     verts = sorted(graph.vertices)
     reach = {v: _reachable(succ, v) for v in verts}
     cond1 = all(y in reach[x] for x in verts for y in verts if x != y)
@@ -320,7 +292,6 @@ def digraph_from_arcs(n: int, arcs: Iterable[tuple[int, int]],
 
 @dataclass(frozen=True)
 class FactorizationWitness:
-    graph: FoliationGraph
     cocycle: tuple[tuple[int, sc.SymScalar], ...]  # edge id -> oriented weight
     checks: tuple[tuple[str, sc.SymScalar, sc.SymScalar], ...]
     free_rank: int
@@ -356,15 +327,11 @@ def factorization_witness(model) -> Optional[FactorizationWitness]:
             if laps is None or laps.denominator != 1:
                 raise GraphError(f"generator {gen_id} does not project to a closed walk")
             checks.append((f"{side.side_id}.{gen_id}", period, circuit_weight * laps))
-    edge_count = len(graph.edges)
-    vertex_count = len(graph.vertices)
-    witness = FactorizationWitness(
-        graph=graph,
+    return FactorizationWitness(
         cocycle=tuple((eid, graph.edges[eid].weight) for eid in sorted(graph.edges)),
         checks=tuple(checks),
-        free_rank=edge_count - vertex_count + 1,
+        free_rank=len(graph.edges) - len(graph.vertices) + 1,
     )
-    return witness
 
 
 def _circuit_weight(graph: FoliationGraph, side) -> sc.SymScalar:

@@ -35,7 +35,6 @@ class LeafClass:
     kind: str
     zeros: tuple[str, ...] = ()
     components: tuple[tuple[str, bool], ...] = ()  # (component id, compact?)
-    family: Optional[str] = None  # graph edge / special vertex the class maps to
     component_ref: Optional[str] = None  # hosting noncompact component, if any
 
     def __post_init__(self):
@@ -86,11 +85,7 @@ def classify_leaf(form: ClosedForm, presentation: OrbifoldPresentation, x: Torus
     """Classify the leaf through a point of a zero-free (virgin) form."""
     structure = form.structure
     kind = COMPACT_REGULAR if structure.compact else NONCOMPACT_REGULAR
-    return LeafClass(
-        leaf_id=f"leaf({x.theta},{x.phi})",
-        kind=kind,
-        family="e0" if structure.compact else "s0",
-    )
+    return LeafClass(leaf_id=f"leaf({x.theta},{x.phi})", kind=kind)
 
 
 def singular_components(leaf: LeafClass) -> list[tuple[str, bool]]:
@@ -128,14 +123,6 @@ def decompose(model) -> Decomposition:
         for comp_id, compact in leaf.components
         if compact
     )
-
-    covered = set(x_c)
-    for s in comp_sets.values():
-        if covered & s:
-            raise LeafError("compact region and noncompact components overlap")
-        covered |= s
-    if covered != set(ids):
-        raise LeafError("decomposition does not cover the leaf catalog")
 
     return Decomposition(
         x_c=x_c,

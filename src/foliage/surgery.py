@@ -120,16 +120,15 @@ class FoliationModel:
                 for leaf in self.singular_entries
             ]
         self.catalog = [
-            LeafClass(leaf_id=e.family, kind=COMPACT_REGULAR, family=e.family)
+            LeafClass(leaf_id=e.family, kind=COMPACT_REGULAR)
             for _, e in sorted(self.graph.edges.items())
         ]
         self.catalog += [
-            LeafClass(leaf_id=comp, kind=NONCOMPACT_REGULAR, family=comp, component_ref=comp)
+            LeafClass(leaf_id=comp, kind=NONCOMPACT_REGULAR, component_ref=comp)
             for comp in sorted(self.x_inf_periods)
         ]
         self.catalog += self.singular_entries
         self.decomposition = decompose(self)
-        self.graph.validate()
         if self.graph.vertices and not self.graph.underlying_connected():
             raise ModelError("model graph is disconnected")
         return self
@@ -479,7 +478,7 @@ def _absorb_side(model: FoliationModel, side_id: str) -> Side:
         touched.update((e.src, e.dst))
     for vid in sorted(touched):
         v = model.graph.vertices.get(vid)
-        if v is not None and v.kind == MARKER and model.graph.degree(vid) == 0:
+        if v is not None and v.kind == MARKER and not model.graph.has_edges_at(vid):
             model.graph.remove_vertex(vid)
     model.replace_side(side.with_circuit(()))
     return side
@@ -550,8 +549,8 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
             side = model.side(s.side_id)
             model.replace_side(side.with_circuit(eid for eid in side.circuit_edges if eid != mid))
         sv = model.special_vertices[target]
-        model.graph.attach(vZx, sv, "both")
-        model.graph.attach(vZy, sv, "both")
+        model.graph.attach(vZx, sv)
+        model.graph.attach(vZy, sv)
         leaf_kind, comp_ref = NONCOMPACT_SINGULAR, target
         noncompact_comps = [(f"rays@{target}", False)]
 
@@ -618,7 +617,7 @@ def _apply_pinch(
             comps.append((f"{zid}.circle@{site.side_id}", True))
             kind, ref = COMPACT_SINGULAR, None
         else:
-            model.graph.attach(vertex, model.special_vertices[site.component], "both")
+            model.graph.attach(vertex, model.special_vertices[site.component])
             comps.append((f"{zid}.rays@{site.component}", False))
             kind, ref = NONCOMPACT_SINGULAR, site.component
         model.register_zero(zid, level, site.side_id)
@@ -667,7 +666,7 @@ def _apply_C(model: FoliationModel, left: _Site, right: _Site) -> bool:
             _cut_edge(model, site, [(lx, vZ)])
             comps.append((f"{spec.name}.circle@{site.side_id}", True))
         else:
-            model.graph.attach(vZ, model.special_vertices[site.component], "both")
+            model.graph.attach(vZ, model.special_vertices[site.component])
             comps.append((f"{spec.name}.rays@{site.component}", False))
             refs.append(site.component)
     zx, zy = f"{spec.name}.x", f"{spec.name}.y"

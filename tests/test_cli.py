@@ -441,6 +441,41 @@ class TestEntryPoint:
             # a trace may end Inconclusive (exit 3): 9e4299 overflows a float
             assert got in (0, 3) and "== periods ==" in out
 
+    @pytest.mark.parametrize("written, plain", [("1e3", "1000"), ("-2.5e-1", "-1/4")])
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "examples"])
+    def test_a_bare_constant_in_exponent_form_reads_as_its_rational(
+            self, tmp_path, capsys, command, written, plain):
+        path = tmp_path / "bare.scn"
+        outputs = []
+        for dtheta in (written, plain):
+            path.write_text(
+                "[symbols]\np = 3/2\n\n[orbifold T]\nbuiltin = torus\n\n"
+                f"[form w]\non = T\ndtheta = {dtheta}\ndphi = 1*p\n"
+            )
+            outputs.append((main([command, str(path)]), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 3) and "Traceback" not in outputs[0][1].err
+
+    @pytest.mark.parametrize("dtheta, message", [
+        ("1e4300", "line 8: bad rational '1e4300'"),
+        ("xyz", "line 8: unresolved symbol 'xyz'"),
+        ("1e4299", None),
+    ])
+    def test_a_bare_term_that_names_no_symbol_is_a_rational_or_unresolved(
+            self, tmp_path, capsys, dtheta, message):
+        path = tmp_path / "bare.scn"
+        path.write_text(
+            "[symbols]\n\n[orbifold T]\nbuiltin = torus\n\n"
+            f"[form w]\non = T\ndtheta = {dtheta}\ndphi = 0\n"
+        )
+        code = main(["periods", str(path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if message is None:
+            assert code == 0, err
+        else:
+            assert code == 2 and message in err
+
     @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "examples"])
     def test_a_period_past_the_digit_bound_exit_two(self, tmp_path, capsys, command):
         # the translations by k/11 put 11 * 10^4299 under the period of

@@ -6,13 +6,11 @@ import pytest
 from foliage.graph import (
     MARKER,
     SPECIAL,
-    TERMINAL,
     ZERO,
     FoliationGraph,
     GraphError,
     calabi_equiv_bruteforce,
     digraph_from_arcs,
-    edge_weight,
     is_calabi,
 )
 from foliage.scalar import SymbolTable
@@ -58,23 +56,13 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             g.add_edge(v, v, TABLE.rational(-1), family="bad")
 
-    def test_terminal_vertices_must_be_univalent(self):
-        g = FoliationGraph()
-        t = g.add_vertex(TERMINAL, ref="z")
-        m = g.add_vertex(MARKER)
-        g.add_edge(t, m, ONE, family="f0")
-        g.validate()
-        g.add_edge(m, t, ONE, family="f1")
-        with pytest.raises(GraphError):
-            g.validate()
-
 
 class TestEdgeWeight:
     def test_dtheta_circle_weight_one(self):
         model = build_catalog_model("torus-dtheta")
         g = model.graph
         (eid,) = g.edges
-        assert edge_weight(g, eid) == model.table.rational(1)
+        assert g.edges[eid].weight == model.table.rational(1)
 
     def test_b_gap_edge_when_pinched_at_window_ends(self, table):
         # tube levels at the window boundary values give the window gap
@@ -222,7 +210,7 @@ def reference_is_calabi(graph):
 def random_graph_with_attachments(rng):
     """A random digraph, disconnected or one-vertex ones included, whose
     vertices are zeros and special vertices joined by edges and by
-    attachments of every mode."""
+    two-way attachments."""
     n = rng.randint(1, 9)
     g = FoliationGraph()
     for _ in range(n):
@@ -237,7 +225,7 @@ def random_graph_with_attachments(rng):
     for z in zeros:
         for s in specials:
             if rng.random() < p:
-                g.attach(z, s, rng.choice(["up", "down", "both"]))
+                g.attach(z, s)
     return g
 
 

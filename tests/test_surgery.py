@@ -412,6 +412,31 @@ class TestVerdictsDecidedOnce:
         assert "transitive: yes" in report
 
 
+class TestWeightsSignedOnce:
+    """Each edge weight is signed once, by add_edge; finishing a model, its
+    companion included, signs none again."""
+
+    @pytest.mark.parametrize("text", [
+        *(pytest.param(text, id=name) for name, text in SCENARIOS.items()),
+        *(pytest.param(surgery_chain(kind, n), id=f"{kind}{n}")
+          for kind in "ABC" for n in range(1, 9)),
+    ])
+    def test_finish_makes_no_sign_call(self, monkeypatch, text):
+        signs = _counting(monkeypatch, scalar, "sign")
+        signs_in_finish = []
+        real = FoliationModel.finish
+
+        def finish(model):
+            before = len(signs)
+            real(model)
+            signs_in_finish.append(len(signs) - before)
+            return model
+
+        monkeypatch.setattr(FoliationModel, "finish", finish)
+        build_report(build_scenario(parse_scenario(text)), "surgery")
+        assert signs_in_finish and not any(signs_in_finish)
+
+
 def reference_copy(left, right, extend=False):
     """The per-item copy a join made before FoliationGraph.absorb: every
     vertex, edge and attachment of both inputs re-added one call at a time,
@@ -440,7 +465,7 @@ def reference_copy(left, right, extend=False):
                 vmap[e.src], vmap[e.dst], e.weight, e.family, e.side, e.span
             )
         for a in model.graph.attachments:
-            graph.attach(vmap[a.zero_vertex], vmap[a.special_vertex], a.mode)
+            graph.attach(vmap[a.zero_vertex], vmap[a.special_vertex])
         for side in model.sides:
             sides.append(side.with_circuit(edge_map[(role, eid)] for eid in side.circuit_edges))
         for comp, vid in model.special_vertices.items():
