@@ -10,6 +10,7 @@ classifier (and draws pictures).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Optional
@@ -204,9 +205,15 @@ def trace_leaf(
     a straight run of such steps is taken in one pass.
     Verdicts: Closed when the trace returns within tolerance with matching
     direction, DenseEvidence when grid coverage passes the threshold,
-    Inconclusive otherwise (including field-degeneracy and drift aborts, and
-    forms whose coefficients exceed the float range).
+    Inconclusive otherwise (including field-degeneracy and drift aborts,
+    steps the float coordinates cannot resolve, and forms whose coefficients
+    exceed the float range).
     """
+    # floats resolve the square to about 1e-16: a smaller step leaves the point
+    # on the seed, where the closure test finds it; past 2**50 a coordinate
+    # keeps at most quarters of the square, and the cover runs out of range
+    if not 4 * math.ulp(1.0) < step < 2.0**50:
+        return TraceResult("Inconclusive", reason="step outside the float resolution of the square")
     # the one place a form becomes floats: the linear part, and one
     # (center, r^2, amplitude) tuple per kept orbit copy of each bump
     try:

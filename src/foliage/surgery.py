@@ -79,9 +79,8 @@ class FoliationModel:
     exactly one later join reads is never finished: that join extends it in
     place or copies it (see build_joins), and the checks of the model kept
     at the end cover it.  A surgered model has its surgery spec, from which
-    genericize rebuilds it; its verdicts read only the graph, levels and
-    periods.  carried_transitive is set on a kind-A join that is transitive
-    by the lemma of _join; False means only that the verdict is not carried.
+    genericize rebuilds it.  Only verdicts decides a model's transitivity,
+    from the graph, levels and periods; no join reads or decides it.
     """
 
     name: str = ""
@@ -97,7 +96,6 @@ class FoliationModel:
     notes: list[str] = field(default_factory=list)
     is_generic: bool = False
     spec: Optional["SurgerySpec"] = None
-    carried_transitive: bool = False
     # each noncompact component id a merge absorbed, and the id it merged into
     merged_into: dict[str, str] = field(default_factory=dict)
     catalog: Optional[list[LeafClass]] = field(default=None, init=False)
@@ -332,14 +330,13 @@ def _merge(spec: SurgerySpec, left: FoliationModel, right: FoliationModel, exten
     moved onto its edge ids.
 
     With extend the record is the left input itself, extended in place with
-    its ids unmoved, and what finish and a join decided of it is cleared;
-    only the right is copied.  Otherwise both are copied, renumbered in
-    sorted-id order, and neither input is written to.  An input may itself
-    be unfinished.
+    its ids unmoved, and what finish built of it is cleared; only the right
+    is copied.  Otherwise both are copied, renumbered in sorted-id order,
+    and neither input is written to.  An input may itself be unfinished.
     """
     if extend:
         model, maps = left, [None]
-        model.name, model.spec, model.carried_transitive = spec.name, spec, False
+        model.name, model.spec = spec.name, spec
         model.catalog = model.decomposition = None
     else:
         model = FoliationModel(spec.name, table=left.table, spec=spec)
@@ -681,48 +678,16 @@ def _apply_C(model: FoliationModel, left: _Site, right: _Site) -> bool:
 # -- public operations -----------------------------------------------------------------
 
 
-def _input_transitive(model: FoliationModel) -> bool:
-    """A kind-A input's verdict: carried when the input is a kind-A join that
-    recorded it, decided otherwise; an unfinished input is finished first."""
-    if model.carried_transitive:
-        return True
-    if model.decomposition is None:
-        model.finish()
-    return is_transitive(model)
-
-
 def _join(spec: SurgerySpec, left: FoliationModel, right: FoliationModel,
           extend: bool) -> FoliationModel:
     """Apply one surgery to its inputs, leaving the result unfinished with
     is_generic set; with extend the result is the left input, extended in
-    place (see _merge), so what the join reads of its left it reads first.
-
-    A generic kind-A join of generic inputs with Calabi graphs has a Calabi
-    graph: each cut turns an edge u -> w into u -> Zx, Zy -> w; the removed
-    mid bands come back as the fused edge Zx -> Zy or as two-way attachments
-    of Zx and Zy to one special vertex; merging special vertices contracts;
-    and a wrapped side is always a whole virgin input, replaced by the new
-    component's special vertex.  Generic transitive inputs are such inputs
-    (a zero-free graph has one vertex, a generic model is its own
-    companion), so such a join is transitive, and records it for the joins
-    that take it as an input.
-    """
+    place (see _merge), so what the join reads of its left it reads first."""
     sites = _sites(spec, left, right)
-    left_generic = left.is_generic
-    left_transitive = spec.kind == "A" and _input_transitive(left)
     model = _merge(spec, left, right, extend, sites)
     apply = {"A": _apply_A, "B": _apply_B, "C": _apply_C}[spec.kind]
     generic = apply(model, *sites)
-    model.is_generic = generic and left_generic and right.is_generic
-    if spec.kind == "A":
-        if left_transitive and _input_transitive(right):
-            model.carried_transitive = model.is_generic
-        else:
-            # no general preservation rule covers this case; only the graph decides
-            model.notes.append(
-                f"{spec.name}: kind-A join with a nontransitive input; the transitivity "
-                "verdict is derived from the graph alone"
-            )
+    model.is_generic = generic and left.is_generic and right.is_generic
     return model
 
 

@@ -802,6 +802,20 @@ class TestEntryPoint:
         out = capsys.readouterr().out
         assert "Inconclusive" in out
 
+    @pytest.mark.parametrize("name", ["torus-dense", "torus-rational", "pillowcase-dense"])
+    @pytest.mark.parametrize("step", ["1e-17", "1e-30", "1e300", "1e307", "1e308"])
+    def test_unresolvable_step_exits_three_with_a_reason(self, name, step, tmp_path, capsys):
+        # a tiny step never moves the point off its seed, and a huge one runs
+        # the cover out of the float range; as a flag and as [tracer] step
+        path = tmp_path / "step.scn"
+        path.write_text(SCENARIOS[name] + f"\n[tracer]\nstep = {step}\nmax_steps = 200\n")
+        for argv in (["trace", name, "--step", step, "--steps", "200"], ["trace", str(path)]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert "trace verdict: Inconclusive\n" in captured.out
+            assert "reason: step outside the float resolution of the square" in captured.out
+            assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command, code", [("periods", 0), ("transitivity", 0), ("trace", 3)])
     def test_overflowing_symbol_never_tracebacks(self, command, code, tmp_path, capsys):
         # p = 1e400 is exact everywhere but the tracer, where it has no float

@@ -111,11 +111,11 @@ class TestVirginDecompositions:
         assert dict(d.restricted_ranks)[d.x_inf_components[0][0]] == 2
 
 
-class TestDerivedVerdictNote:
-    def test_kind_a_with_nontransitive_input_is_flagged(self, table):
+class TestMixedKindAVerdict:
+    def test_kind_a_with_nontransitive_input_is_decided_by_its_graph(self, table):
         from foliage.forms import ClosedForm
         from foliage.orbifold import torus_presentation
-        from foliage.surgery import SurgerySpec, analyze, connected_sum
+        from foliage.surgery import SurgerySpec, analyze, connected_sum, verdicts
 
         def torus_model(a, b, name):
             pres = torus_presentation()
@@ -132,9 +132,14 @@ class TestDerivedVerdictNote:
             left_window=(r("5/16"), r("11/16")), right_window=(r("5/16"), r("11/16")),
             tube_levels=(r("3/8"), r("5/8")), left_region="b0.chain", name="a1",
         ))
-        assert any("derived from the graph alone" in note for note in mixed.notes)
+        assert not verdicts(nontransitive).transitive
+        # the graph alone decides it: not Calabi, so not transitive
+        decided = verdicts(mixed)
+        assert (decided.calabi, decided.transitive) == (False, False)
+        assert decided.harmonicity == "NotIntrinsicallyHarmonic"
+        assert not any("transitiv" in note for note in mixed.notes)
         model = build_scenario(parse_scenario(BUMPED)).final
-        assert not any("derived" in note for note in model.notes)
+        assert not any("transitiv" in note for note in model.notes)
 
 
 class TestLevelShiftInvariance:

@@ -524,8 +524,8 @@ def _kind_c_at_s2(text):
     return f"{head}[surgery s2]{tail}"
 
 
-# s2 extends s1, a kind-A join that carries its verdict, and is itself not
-# transitive, so the kind-A join s3 that reads it is noted
+# s2, kind C at one level, extends the kind-A join s1 and is not generic; the
+# kind-A join s3 reads it
 A_C_A_CHAIN = _kind_c_at_s2(surgery_chain("A", 3))
 
 
@@ -559,7 +559,7 @@ class TestBulkCopy:
         assert any(own for own, _, _ in lefts) and not all(own for own, _, _ in lefts)
         # captured with the per-item copy
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "79303165423888c4f4690f57befaa16c6e6af248f65b97f741c39268794151fc"
+            "ce1713fa6c9be5c2b5c9ae84ea307d58dbdd905af401da905a2a1b77059ebafc"
         )
 
     def test_records_whose_ids_stay_are_shared(self):
@@ -824,46 +824,55 @@ class TestCompanionRebuild:
             genericize(model)
 
 
-NONTRANSITIVE_NOTE = "kind-A join with a nontransitive input"
-
-
 def _finished(model):
     return model if model.decomposition is not None else model.finish()
 
 
 def _capturing_joins(monkeypatch):
     """Every kind-A join applied, finished or not, in the order applied, as
-    facts read when it is made, before a later join extends it: its name,
-    whether it carries its verdict (checked here where carried), whether it
-    is noted, whether it is generic, and whether deciding both inputs finds
-    them transitive."""
-    joins = []
+    facts read when it is made, before a later join extends it: whether the
+    lemma below covers it (checked here where it does), whether verdicts
+    finds a nontransitive input, whether it is not generic, whether its
+    right input is surgered, and whether it wrapped a side.
+
+    The lemma: a generic kind-A join of generic transitive inputs has a
+    Calabi graph.  Each cut turns an edge u -> w into u -> Zx, Zy -> w; the
+    removed mid bands come back as the fused edge Zx -> Zy or as two-way
+    attachments of Zx and Zy to one special vertex; merging special
+    vertices contracts; and a wrapped side is always a whole virgin input,
+    replaced by the new component's special vertex.  A generic model is its
+    own companion, so its verdict is the Calabi test on its own graph."""
+    joins, wraps = [], []
+
+    def wrapped(real, model, side_id):
+        wraps.append(side_id)
+        return real(model, side_id)
 
     def captured(real, spec, left, right, extend):
         if spec.kind != "A":
             return real(spec, left, right, extend)
-        inputs = all(is_transitive(_finished(m)) for m in (left, right))
+        inputs = [(m.is_generic, verdicts(_finished(m)).transitive) for m in (left, right)]
+        surgered_right = right.spec is not None
+        before = len(wraps)
         ws = real(spec, left, right, extend)
-        if ws.carried_transitive:
-            assert ws.is_generic
-            assert is_calabi(genericize(_finished(ws)).graph) is True, ws.name
-        note = any(n.startswith(f"{ws.name}: {NONTRANSITIVE_NOTE}") for n in ws.notes)
-        joins.append((ws.name, ws.carried_transitive, note, ws.is_generic, inputs))
+        lemma = ws.is_generic and all(generic and transitive for generic, transitive in inputs)
+        if lemma:
+            assert is_calabi(genericize(ws).graph) is True, ws.name
+        nontransitive = not all(transitive for _, transitive in inputs)
+        joins.append((lemma, nontransitive, not ws.is_generic, surgered_right,
+                      len(wraps) > before))
         return ws
 
+    hook_join(monkeypatch, "wrap", wrapped)
     hook_join(monkeypatch, "join", captured)
     return joins
 
 
-def _check_kind_a_joins(joins):
-    """The note falls on the joins where deciding both inputs finds a
-    nontransitive one; returns how many kind-A joins there were, how many
-    carried their verdict, were noted, and were not generic."""
-    for name, _, note, _, inputs_transitive in joins:
-        assert note == (not inputs_transitive), name
-    return (len(joins), sum(carried for _, carried, _, _, _ in joins),
-            sum(note for _, _, note, _, _ in joins),
-            sum(not generic for _, _, _, generic, _ in joins))
+def _count_kind_a_joins(joins):
+    """How many kind-A joins there were, and how many the lemma covers, had
+    a nontransitive input, were not generic, had a surgered right input, and
+    wrapped a side."""
+    return (len(joins), *(sum(column) for column in zip(*joins)))
 
 
 def _random_virgin(table, rng, name):
@@ -915,15 +924,17 @@ def _random_kind_a_spec(table, rng, left, right, name):
     )
 
 
-# kind-A joins, carried verdicts, notes and nongeneric joins: every A join of
-# the catalog and the A chains carries its verdict; the mixed chain's s4 (built,
+# kind-A joins, joins the lemma covers, joins with a nontransitive input,
+# nongeneric joins, surgered right inputs and wrapping joins: the lemma covers
+# every A join of the catalog and the A chains; the mixed chain's s4 (built,
 # and rejoined in its companion) takes the nontransitive kind-B s3 as input
-CATALOG_KIND_A_COUNTS = (15, 13, 2, 1)
+CATALOG_KIND_A_COUNTS = (15, 13, 2, 1, 0, 1)
 
 
-class TestCarriedVerdicts:
-    """A kind-A join carries its transitivity instead of deciding its inputs
-    again, and only where the verdict holds."""
+class TestKindALemma:
+    """Over the catalog, the A chains, the mixed chain and random kind-A
+    trees, every kind-A join the lemma covers has a Calabi graph; the inputs
+    are decided by verdicts here, and no join decides them itself."""
 
     def test_catalog_chains_and_mixed_joins(self, monkeypatch):
         joins = _capturing_joins(monkeypatch)
@@ -931,8 +942,7 @@ class TestCarriedVerdicts:
         texts += [surgery_chain("A", n) for n in (1, 2, 8)] + [MIXED_COMPACT_CHAIN]
         for text in texts:
             build_report(build_scenario(parse_scenario(text)), "surgery")
-        kind_a, carried, noted, nongeneric = _check_kind_a_joins(joins)
-        assert (kind_a, carried, noted, nongeneric) == CATALOG_KIND_A_COUNTS
+        assert _count_kind_a_joins(joins) == CATALOG_KIND_A_COUNTS
 
     def test_random_kind_a_joins(self, monkeypatch, table):
         joins = _capturing_joins(monkeypatch)
@@ -957,10 +967,11 @@ class TestCarriedVerdicts:
                     )
                 except ModelError:
                     continue
-        kind_a, carried, noted, nongeneric = _check_kind_a_joins(joins)
-        assert kind_a >= 60 and carried >= 40 and noted >= 5 and nongeneric >= 1
+        kind_a, lemma, nontransitive, nongeneric, surgered, wrapping = _count_kind_a_joins(joins)
+        assert kind_a >= 60 and lemma >= 40 and nontransitive >= 5
+        assert nongeneric >= 1 and surgered >= 1 and wrapping >= 1
 
-    def test_a_nontransitive_kind_b_input_is_noted(self, monkeypatch, table):
+    def test_a_nontransitive_kind_b_input_is_left_to_the_graph(self, monkeypatch, table):
         joins = _capturing_joins(monkeypatch)
         nontransitive = connected_sum(SurgerySpec(
             "B", torus_model(table, 1, 0, "m1"), torus_model(table, 2, 3, "m2"),
@@ -977,9 +988,11 @@ class TestCarriedVerdicts:
             left_region="bsum.chain",
             name="amix",
         ))
-        assert _check_kind_a_joins(joins) == (1, 0, 1, 0)
-        assert any(NONTRANSITIVE_NOTE in n for n in model.notes)
-        assert not model.carried_transitive
+        assert _count_kind_a_joins(joins) == (1, 0, 1, 0, 0, 0)
+        # generic, so the Calabi test on its own graph decides it
+        assert model.is_generic and verdicts(model).companion is model
+        assert (verdicts(model).calabi, is_transitive(model)) == (False, False)
+        assert not any("transitiv" in note for note in model.notes)
 
 
 def _prefix(text, last):

@@ -21,7 +21,7 @@ from foliage.orbifold import (
 )
 from foliage.scalar import SymbolTable
 
-from conftest import PI, SQRT2, SQRT3
+from conftest import PI, SQRT2, SQRT3, build_catalog_model
 
 T = torus_presentation()
 S = shifted_torus_presentation()
@@ -77,6 +77,40 @@ class TestDenseTraces:
         form = ClosedForm((table.zero(), table.zero()), T)
         result = trace_leaf(form, SEED)
         assert result.verdict == "Inconclusive"
+
+
+class TestUnresolvableSteps:
+    """A step the float coordinates cannot resolve ends Inconclusive before
+    the first step: a tiny one never moves the point, so the closure test
+    would find the seed again, and a huge one runs the cover coordinates out
+    of the float range."""
+
+    SEEDS = [SEED, TorusPoint(Fraction(5, 7), Fraction(2, 9))]
+    NAMES = ["torus-dense", "torus-rational", "pillowcase-dense"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_tiny_steps_never_close(self, name):
+        form = build_catalog_model(name).form
+        for exponent in range(17, 41):
+            for seed in self.SEEDS:
+                result = trace_leaf(form, seed, step=10.0**-exponent, max_steps=200)
+                assert result.verdict == "Inconclusive", (exponent, seed)
+                assert result.reason == "step outside the float resolution of the square"
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("step", [1e300, 1e307, 1e308])
+    def test_huge_steps_are_inconclusive(self, name, step):
+        form = build_catalog_model(name).form
+        for seed in self.SEEDS:
+            result = trace_leaf(form, seed, step=step, max_steps=200)
+            assert result.verdict == "Inconclusive"
+            assert result.reason == "step outside the float resolution of the square"
+
+    def test_resolvable_steps_still_trace(self, table):
+        form = rational_form(table, 2, 3)
+        for step in (1e-15, 2.0):
+            result = trace_leaf(form, SEED, step=step, max_steps=200)
+            assert result.steps > 0 and "float resolution" not in result.reason
 
 
 class TestDichotomy:
