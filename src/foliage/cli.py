@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from . import scalar as sc
@@ -166,8 +168,26 @@ def _steps_arg(text: str) -> int:
 # each reader takes (key, text, line, symbol names) and returns the field's value
 
 
+# one term in ASCII: an integer or p/q, times an identifier, or an identifier
+_TERM = re.compile(r"[ \t]*(?:(-?[0-9]+)(?:/([0-9]+))?(?:[ \t]*\*[ \t]*([A-Za-z_]\w*))?"
+                   r"|([A-Za-z_]\w*))[ \t]*", re.ASCII)
+
+
 def _expr(key: str, text: str, line: int, names: set[str]) -> Expr:
-    """An expression ``c0 + c1*name + ...`` over the declared symbols."""
+    """An expression ``c0 + c1*name + ...`` over the declared symbols.  One
+    `_TERM` is read at once; any other text, and a term that fails, go
+    through the loop, which reads each spelling and writes each error."""
+    match = _TERM.fullmatch(text)
+    if match:
+        num, den, name, bare = match.groups()
+        name = name or bare or "one"
+        if name == "one" or name in names:
+            try:
+                coef = Fraction(int(num), int(den)) if den else int(num or 1)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                return ((name, coef),) if coef else ()
     coeffs: dict[str, int | Fraction] = {}
     for raw in text.split("+"):
         term = raw.strip()
@@ -326,16 +346,15 @@ FORMAT = {
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario; every reference must resolve."""
+    if not text.strip():  # line breaks are whitespace too: no line holds anything
+        raise ScenarioError("empty scenario", 1)
     sections: list[tuple[str, str, dict[str, list[tuple[str, int]]]]] = []
     body = allowed = None  # the current section's key lines and the keys it allows
-    lines = text.splitlines()
-    if not any(line.strip() for line in lines):
-        raise ScenarioError("empty scenario", 1)
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for i, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line[0] == "#":
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             parts = line[1:-1].split()
             if len(parts) not in (1, 2):
                 raise ScenarioError(f"bad section header {line!r}", i)
@@ -355,19 +374,20 @@ def parse_scenario(text: str) -> Scenario:
             body = {}
             sections.append((kind, parts[1] if len(parts) == 2 else "", body))
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ScenarioError(f"expected 'key = value', got {line!r}", i)
         if body is None:
             raise ScenarioError("key outside any [section]", i)
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key = key.rstrip()  # the line is stripped: each part has one open side
         if allowed is not None and key not in allowed:
             raise ScenarioError(f"unknown key {key!r} in [{kind}]", i)
-        body.setdefault(key, []).append((value.strip(), i))
+        body.setdefault(key, []).append((value.lstrip(), i))
 
     symbols: list[tuple[str, str, int | Fraction]] = []
     names: set[str] = set()
-    found: dict[str, object] = {target: () for target, _, named, _ in FORMAT.values() if named}
+    listed: dict[str, list] = {}  # the declarations of each named section kind
+    found: dict[str, object] = {}  # the declaration of each other section kind
     for kind, name, items in sections:
         if kind == "symbols":
             for sym, entries in items.items():
@@ -403,8 +423,12 @@ def parse_scenario(text: str) -> Scenario:
             else:
                 value, i = entries[0]
                 values[field] = read(key, value, i, names)
-        found[target] = found[target] + (decl(**values),) if named else decl(**values)
+        if named:
+            listed.setdefault(target, []).append(decl(**values))
+        else:
+            found[target] = decl(**values)
 
+    found.update((target, tuple(decls)) for target, decls in listed.items())
     scenario = Scenario(symbols=tuple(symbols), **found)
     _validate_refs(scenario)
     return scenario
@@ -687,8 +711,8 @@ def render_svg(polyline, presentation) -> str:
     # a leaf that wraps around the square starts a new run of the polyline
     cuts = [
         i
-        for i, ((x0, y0), (x1, y1)) in enumerate(zip(polyline, polyline[1:]), 1)
-        if abs(x1 - x0) > 0.5 or abs(y1 - y0) > 0.5
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(polyline, islice(polyline, 1, None)), 1)
+        if not (-0.5 <= x1 - x0 <= 0.5 and -0.5 <= y1 - y0 <= 0.5)
     ]
     for lo, hi in zip([0, *cuts], [*cuts, len(polyline)]):
         if hi - lo < 2:

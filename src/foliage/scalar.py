@@ -83,20 +83,24 @@ _TOO_LONG = 10**LITERAL_DIGITS
 
 
 def read_rational(text: str) -> int | Fraction:
-    """The rational a literal writes.  ASCII ``-?digits(/digits)?`` is read
-    with int; any other text goes through Fraction, which decides what else is
-    accepted (decimals, exponents, ``+``, underscores, other digits), once its
-    mantissa's digits plus its exponent's size are at most LITERAL_DIGITS, so
-    no literal expands into a longer integer.  Raises ValueError or
-    ZeroDivisionError on any other text."""
+    """The rational a literal writes.  ASCII ``-?digits(/digits)?``, and
+    ``-?digits.digits`` of at most LITERAL_DIGITS characters, are read with
+    int; any other text goes through Fraction, which decides what else is
+    accepted (other decimals, exponents, ``+``, underscores, other digits),
+    once its mantissa's digits plus its exponent's size are at most
+    LITERAL_DIGITS, so no literal expands into a longer integer.  Raises
+    ValueError or ZeroDivisionError on any other text."""
     word = text.strip()
     if word.isascii():
         num, slash, den = word.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
-            if not slash:
+        whole, dot, frac = num.partition(".")
+        if (whole[1:] if whole[:1] == "-" else whole).isdigit():
+            if not (slash or dot):
                 return int(num)
-            if den.strip("0"):
+            if not dot and den.isdigit() and den.strip("0"):
                 return Fraction(int(num), int(den))
+            if not slash and frac.isdigit() and len(num) <= LITERAL_DIGITS:
+                return Fraction(int(whole + frac), 10 ** len(frac))
     mantissa, _, exponent = word.lower().partition("e")
     if sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0)) > LITERAL_DIGITS:
         raise ValueError(f"{text!r} expands past {LITERAL_DIGITS} digits")
@@ -178,13 +182,17 @@ class SymbolTable:
     def combination(self, terms: Iterable[tuple[object, str]]) -> "SymScalar":
         """Build sum of coeff*symbol terms, e.g. [(Fraction(3,2),'one'),(1,'p')],
         as one integer row over the lcm of the coefficients' denominators."""
-        found, den = [], 1
+        found = []
         for coeff, name in terms:
             c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
             found.append((self.index_of(name), c.numerator, c.denominator))
-            if c.denominator != 1:
-                den = lcm(den, c.denominator)
-        row = [0] * (max(i for i, _, _ in found) + 1 if found else 0)
+        if len(found) < 2:  # no term, or one in lowest terms: canonical as built
+            if not found or not found[0][1]:
+                return _canonical(self, (), 1)
+            i, n, d = found[0]
+            return _canonical(self, (0,) * i + (n,), d)
+        den = lcm(*[d for _, _, d in found])
+        row = [0] * (max(i for i, _, _ in found) + 1)
         for i, n, d in found:
             row[i] += n * (den // d)
         return SymScalar(self, row, den)

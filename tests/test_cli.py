@@ -209,6 +209,10 @@ class TestRationalParity:
         "3/0", "0/0", "-0", "007", "+5", "1_0", "1e3", " 2 / 3", "\u0663",
         "  -7/14\t", "\n5\n", "-3/007", "12/-4", "1/2/3", "--5", "-", "/", "",
         "0.25", "-0/5", "3/00", "1/", "/2", "\u0663/4",
+        # decimals: -?digits.digits is read with int, the rest by Fraction
+        "0.5", "-0.5", "0.0", "-0.0", "00.250", "-007.1000", "1.10", "12.5 ", "\t-3.75",
+        "1.", ".5", "-.5", "1.5e3", "-2.5E-2", "1.5.5", "1.5/2", "1/2.5", "+1.5", "1_0.5",
+        "-.", ".", "1.-5", "\u0663.5", "3.\u0663",
     ])
     def test_named_texts(self, text):
         assert_parses_as_fraction(text)
@@ -217,9 +221,97 @@ class TestRationalParity:
         for text in ("1" * 5000, "1/" + "7" * 5000):
             assert_parses_as_fraction(text)
 
+    def test_decimals_at_and_across_the_digit_bound(self):
+        for digits in (4298, 4299, 4300, 4301, 5000):
+            for whole in (1, digits // 2, digits - 1):
+                body = "7" * whole + "." + "3" * (digits - whole)
+                for text in (body, "-" + body, "0" * whole + "." + "0" * (digits - whole - 1) + "9"):
+                    assert_parses_as_fraction(text)
+                    assert_parses_as_fraction(text + "0")
+
     @given(text=st.text(alphabet="0123456789-+/_. e\t\u0663\u00b2", max_size=8))
     def test_any_short_text(self, text):
         assert_parses_as_fraction(text)
+
+
+def split_expr(key, text, line, names):
+    """Reference for `cli._expr`: every term split at '+', stripped and read
+    alone, one spelling at a time."""
+    coeffs = {}
+    for raw in text.split("+"):
+        term = raw.strip()
+        if not term:
+            raise ScenarioError(f"empty term in expression {text!r}", line)
+        numeral = term.replace("-", "").replace("/", "").replace(".", "").isdigit()
+        if "*" in term:
+            coef_text, _, name = term.partition("*")
+            name = name.strip()
+            coef = cli._parse_rational(coef_text, line)
+        elif term.isidentifier() or term in names and not numeral:
+            name, coef = term, 1
+        else:
+            name, coef = "one", cli._parse_rational(term, line)
+        if name != "one" and name not in names:
+            raise ScenarioError(f"unresolved symbol {name!r}", line)
+        if name in coeffs:
+            coef = coeffs[name] + coef
+            if max(abs(coef.numerator), coef.denominator) >= 10**scalar.LITERAL_DIGITS:
+                raise ScenarioError(
+                    f"coefficient of {name!r} expands past {scalar.LITERAL_DIGITS} digits", line)
+        coeffs[name] = coef
+    return tuple(sorted((n, c) for n, c in coeffs.items() if c))
+
+
+EXPR_NAMES = {"p", "q", "x1"}
+
+
+def read_expr(read, text):
+    """What a reader makes of `text` on line 7: the expression with each
+    coefficient's type, or the error's text and line.  Any other exception
+    propagates."""
+    try:
+        expr = read("dtheta", text, 7, EXPR_NAMES)
+    except ScenarioError as err:
+        return "error", str(err), err.line
+    return "expr", expr, [type(c) for _, c in expr]
+
+
+def assert_reads_as_split(text):
+    got = read_expr(cli._expr, text)
+    assert got == read_expr(split_expr, text)
+    return got
+
+
+class TestExpressionReader:
+    @pytest.mark.parametrize("text, want", [
+        ("3/0*p", ("error", "line 7: bad rational '3/0'", 7)),
+        ("-0*p", ("expr", (), [])),
+        ("1*one", ("expr", (("one", 1),), [int])),
+        ("one", ("expr", (("one", 1),), [int])),
+        ("p + p", ("expr", (("p", 2),), [int])),
+        ("1/2*p + -1/2*p", ("expr", (), [])),
+        (" -6/4 * x1\t", ("expr", (("x1", Fraction(-3, 2)),), [Fraction])),
+        ("4/2", ("expr", (("one", 2),), [Fraction])),
+        ("2*r", ("error", "line 7: unresolved symbol 'r'", 7)),
+        ("r", ("error", "line 7: unresolved symbol 'r'", 7)),
+        ("1/0", ("error", "line 7: bad rational '1/0'", 7)),
+        ("", ("error", "line 7: empty term in expression ''", 7)),
+    ])
+    def test_named_texts(self, text, want):
+        assert assert_reads_as_split(text) == want
+
+    def test_terms_past_the_digit_bound_are_bad_rationals(self):
+        for term in ("1" * 5000, "-" + "2" * 4301, "1/" + "3" * 5000):
+            for text in (term, f"{term}*p", f" {term} * q ", f"1 + {term}"):
+                kind, message, line = assert_reads_as_split(text)
+                assert kind == "error" and line == 7
+                assert message.startswith("line 7: bad rational ")
+
+    @given(text=st.lists(st.sampled_from(
+        list("0123456789-/.*+ ") + ["\t", "p", "q", "one", "x1", "_", "e"]), max_size=10,
+    ).map("".join))
+    def test_any_short_text(self, text):
+        assert_reads_as_split(text)
 
 
 class TestCommands:

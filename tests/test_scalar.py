@@ -713,10 +713,22 @@ class TestArithmeticAgainstTheFractionDefinition:
     @example(terms=[])
     @example(terms=[(1, "p"), (-1, "p")])
     @example(terms=[(Fraction(1, 2), "q"), ("-1/2", "q"), (3, "one")])
+    @example(terms=[(0, "r")])
+    @example(terms=[(Fraction(0), "one")])
+    @example(terms=[(7, "one")])
+    @example(terms=[(-3, "r")])
+    @example(terms=[(Fraction(-4, 6), "q")])
+    @example(terms=[(Fraction(6, 3), "p")])
+    @example(terms=[(True, "p")])
+    @example(terms=[(2, "p"), (Fraction(-1, 2), "q"), (-2, "p")])
+    @example(terms=[(Fraction(1, 3), "r"), (Fraction(-1, 3), "r")])
     def test_combination(self, terms):
         got = TABLE.combination(terms)
         assert (got.nums, got.den) == fraction_combination(TABLE, terms)
         assert_canonical(got)
+        # the same row from an iterator, and as the sum of one-term rows
+        assert TABLE.combination(iter(terms)) == got
+        assert sum((TABLE.combination([t]) for t in terms), TABLE.zero()) == got
 
     def test_combination_checks_each_term_in_order(self):
         with pytest.raises(ValueError) as err:
@@ -724,6 +736,12 @@ class TestArithmeticAgainstTheFractionDefinition:
         assert type(err.value) is ValueError  # the bad coefficient, not the name
         with pytest.raises(sc.ScalarError):
             TABLE.combination([(1, "nope"), ("x", "p")])
+        for coeff in (0, 1, Fraction(1, 2)):  # one term: its name is checked too
+            with pytest.raises(sc.ScalarError):
+                TABLE.combination([(coeff, "nope")])
+        with pytest.raises(ValueError) as err:
+            TABLE.combination([("x", "nope")])
+        assert type(err.value) is ValueError
 
 
 class TestTableSharedAcrossThreads:
