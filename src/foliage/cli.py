@@ -12,10 +12,10 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import scalar as sc
 from . import catalog as builtin_catalog
@@ -63,29 +63,30 @@ class ScenarioError(FoliageError):
 Expr = tuple[tuple[str, int | Fraction], ...]  # ((symbol name, coefficient), ...) sorted
 
 
-@dataclass(frozen=True)
-class OrbifoldDecl:
-    name: str
-    builtin: Optional[str] = None
-    elements: tuple[tuple[tuple[int, int, int, int], tuple[Fraction, Fraction]], ...] = ()
-    basepoint: Optional[tuple[Fraction, Fraction]] = None
+class OrbifoldDecl(namedtuple("OrbifoldDecl", "name builtin elements basepoint",
+                              defaults=(None, (), None))):
+    """An orbifold by builtin name or by its elements, each a matrix (a, b, c, d)
+    and an offset, with an optional basepoint.  The defaults stay on the
+    fields, where the scenario format reads them."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.builtin is None) == (not self.elements):
             raise ScenarioError(f"[orbifold {self.name}] needs either builtin or element lines")
         if self.builtin is not None and self.builtin not in BUILTIN_ORBIFOLDS:
             raise ScenarioError(f"unknown builtin orbifold {self.builtin!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class BumpDecl:
+class BumpDecl(NamedTuple):
     center: tuple[Fraction, Fraction]
     radius: Fraction
     amplitude: Expr
 
 
-@dataclass(frozen=True)
-class FormDecl:
+class FormDecl(NamedTuple):
     name: str
     on: str
     dtheta: Expr
@@ -94,8 +95,7 @@ class FormDecl:
     bumps: tuple[BumpDecl, ...] = ()
 
 
-@dataclass(frozen=True)
-class SurgeryDecl:
+class SurgeryDecl(NamedTuple):
     name: str
     kind: str
     left: str
@@ -107,21 +107,18 @@ class SurgeryDecl:
     right_region: str = "auto"
 
 
-@dataclass(frozen=True)
-class TracerDecl:
+class TracerDecl(NamedTuple):
     seed: tuple[Fraction, Fraction] = (Fraction(1, 8), Fraction(1, 8))
     step: float = 0.005
     max_steps: int = 1_000_000
 
 
-@dataclass(frozen=True)
-class OutputDecl:
+class OutputDecl(NamedTuple):
     dot: Optional[str] = None
     svg: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     symbols: tuple[tuple[str, str, int | Fraction], ...] = ()  # (name, literal, its value)
     orbifolds: tuple[OrbifoldDecl, ...] = ()
     forms: tuple[FormDecl, ...] = ()
@@ -296,10 +293,10 @@ def _row(target: str, decl, **keys):
     type, whether the header names one, and per key (field, reader, writer,
     default, required, repeats): no default makes a key required, and a `()`
     default lets it repeat; both are decided here, once, not per parse."""
-    defaults = {f.name: f.default for f in fields(decl)}
-    return target, decl, "name" in defaults, {
-        key: (field, read, write, defaults[field], defaults[field] is MISSING,
-              defaults[field] == ()) for key, (field, read, write) in keys.items()
+    defaults = decl._field_defaults
+    return target, decl, "name" in decl._fields, {
+        key: (field, read, write, defaults.get(field), field not in defaults,
+              defaults.get(field) == ()) for key, (field, read, write) in keys.items()
     }
 
 
@@ -474,8 +471,7 @@ def serialize_scenario(s: Scenario) -> str:
 # -- building ------------------------------------------------------------------------
 
 
-@dataclass
-class BuiltScenario:
+class BuiltScenario(NamedTuple):
     scenario: Scenario
     table: sc.SymbolTable
     presentations: dict[str, OrbifoldPresentation]

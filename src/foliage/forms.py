@@ -9,11 +9,11 @@ no form: their verdicts are read off the leaf graph, its levels and periods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import scalar as sc
 from .orbifold import (
@@ -37,8 +37,7 @@ class BumpDominatesError(FormError):
     """A bump perturbation overwhelms the linear part, creating stray zeros."""
 
 
-@dataclass(frozen=True)
-class BumpTerm:
+class BumpTerm(namedtuple("BumpTerm", "center radius amplitude")):
     """Exact term amplitude * d(h(dist to center)), orbit-replicated.
 
     h(r) = (1 - (r/R)^2)^4 inside the support disk, 0 outside.  The orbit
@@ -46,17 +45,15 @@ class BumpTerm:
     construction whenever the group acts by isometries.
     """
 
-    center: TorusPoint
-    radius: Fraction
-    amplitude: sc.SymScalar
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.radius < Fraction(1, 2)):
+    def __new__(cls, center: TorusPoint, radius: Fraction, amplitude: sc.SymScalar):
+        if not (0 < radius < Fraction(1, 2)):
             raise FormError("bump radius must lie in (0, 1/2)")
+        return tuple.__new__(cls, (center, radius, amplitude))
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(NamedTuple):
     """A zero of the form with its normal index and quotient data."""
 
     zero_id: str
@@ -66,8 +63,7 @@ class Zero:
     level: Optional[sc.SymScalar] = None
 
 
-@dataclass(frozen=True)
-class LinearStructure:
+class LinearStructure(NamedTuple):
     """Exact shape of the foliation of a zero-free linear (+ bump) form."""
 
     rank: int
@@ -79,39 +75,36 @@ class LinearStructure:
     reduced: bool  # some group elements do not preserve the form
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """A closed 1-form on an orbifold; its bump copies, invariant elements
-    and structure are computed on first read and then kept."""
+class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override")):
+    """A closed 1-form on an orbifold, compared as its four fields; its bump
+    copies, invariant elements and structure are computed on first read and
+    then kept in its `__dict__`."""
 
-    linear: tuple[sc.SymScalar, sc.SymScalar]
-    orbifold: OrbifoldPresentation
-    bumps: tuple[BumpTerm, ...] = ()
-    basic_override: bool = False
-
-    def __post_init__(self):
-        a, b = self.linear
+    def __new__(cls, linear: tuple[sc.SymScalar, sc.SymScalar], orbifold: OrbifoldPresentation,
+                bumps: tuple[BumpTerm, ...] = (), basic_override: bool = False):
+        a, b = linear
         a._check(b)
-        if self.bumps:
+        self = tuple.__new__(cls, (linear, orbifold, bumps, basic_override))
+        if bumps:
             _validate_bump_supports(self)
+        return self
 
     @property
     def table(self) -> sc.SymbolTable:
         return self.linear[0].table
 
     def with_bumps(self, bumps: Sequence[BumpTerm]) -> "ClosedForm":
-        return replace(self, bumps=tuple(self.bumps) + tuple(bumps))
+        return ClosedForm(self.linear, self.orbifold, tuple(self.bumps) + tuple(bumps),
+                          self.basic_override)
 
     def rescaled(self, c) -> "ClosedForm":
         c = Fraction(c)
         if c == 0:
             raise FormError("rescaling by zero destroys the form")
         a, b = self.linear
-        return replace(
-            self,
-            linear=(a * c, b * c),
-            bumps=tuple(replace(t, amplitude=t.amplitude * c) for t in self.bumps),
-        )
+        return ClosedForm((a * c, b * c), self.orbifold,
+                          tuple(t._replace(amplitude=t.amplitude * c) for t in self.bumps),
+                          self.basic_override)
 
     @sc.memo
     def bump_copies(self) -> tuple[tuple[TorusPoint, BumpTerm], ...]:

@@ -11,8 +11,8 @@ each attachment acts as a pair of opposite reachability arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Optional
 
 from . import scalar as sc
 
@@ -28,19 +28,16 @@ MARKER = "Marker"
 _KINDS = (ZERO, SPECIAL, MARKER)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    vid: int
-    kind: str
-    ref: Optional[str] = None  # zero id or component id
+class Vertex(namedtuple("Vertex", "vid kind ref")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise GraphError(f"unknown vertex kind {self.kind!r}")
+    def __new__(cls, vid: int, kind: str, ref: Optional[str] = None):  # zero id or component id
+        if kind not in _KINDS:
+            raise GraphError(f"unknown vertex kind {kind!r}")
+        return tuple.__new__(cls, (vid, kind, ref))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     eid: int
     src: int
     dst: int
@@ -50,8 +47,7 @@ class Edge:
     span: Optional[tuple[sc.SymScalar, sc.SymScalar]] = None
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(NamedTuple):
     zero_vertex: int
     special_vertex: int
 
@@ -290,8 +286,7 @@ def digraph_from_arcs(n: int, arcs: Iterable[tuple[int, int]],
 # -- factorization through the graph -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
+class FactorizationWitness(NamedTuple):
     cocycle: tuple[tuple[int, sc.SymScalar], ...]  # edge id -> oriented weight
     checks: tuple[tuple[str, sc.SymScalar, sc.SymScalar], ...]
     free_rank: int

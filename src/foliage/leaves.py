@@ -11,7 +11,7 @@ classifier (and draws pictures).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
 from typing import Optional
 
@@ -30,36 +30,30 @@ COMPACT_SINGULAR = "CompactSingular"
 NONCOMPACT_SINGULAR = "NoncompactSingular"
 
 
-@dataclass(frozen=True)
-class LeafClass:
-    leaf_id: str
-    kind: str
-    zeros: tuple[str, ...] = ()
-    components: tuple[tuple[str, bool], ...] = ()  # (component id, compact?)
-    component_ref: Optional[str] = None  # hosting noncompact component, if any
+class LeafClass(namedtuple("LeafClass", "leaf_id kind zeros components component_ref")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        singular = self.kind in (COMPACT_SINGULAR, NONCOMPACT_SINGULAR)
-        if singular != bool(self.zeros):
+    def __new__(cls, leaf_id: str, kind: str, zeros: tuple[str, ...] = (),
+                components: tuple[tuple[str, bool], ...] = (),  # (component id, compact?)
+                component_ref: Optional[str] = None):  # hosting noncompact component, if any
+        if (kind in (COMPACT_SINGULAR, NONCOMPACT_SINGULAR)) != bool(zeros):
             raise LeafError("a leaf is singular exactly when it carries zeros")
+        return tuple.__new__(cls, (leaf_id, kind, zeros, components, component_ref))
 
     @property
     def compact(self) -> bool:
         return self.kind in (COMPACT_REGULAR, COMPACT_SINGULAR)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """The checked split of a catalog.  The restricted ranks are computed on
-    first read from the stored periods and kept; the computation is pure, so
-    a decomposition shared between threads reads the same ranks in each.
+class Decomposition(namedtuple("Decomposition",
+                                "x_c x_inf_components boundary component_periods")):
+    """The checked split of a catalog: the compact leaf ids, the leaf ids of
+    each noncompact component, the boundary as (leaf id, compact component
+    id) pairs, and the distinct periods of each noncompact component, sorted
+    by id.  The restricted ranks are computed on first read from the stored
+    periods and kept in its `__dict__`; the computation is pure, so a
+    decomposition shared between threads reads the same ranks in each.
     The flags are derived from the kept ranks at each read."""
-
-    x_c: frozenset[str]
-    x_inf_components: tuple[tuple[str, frozenset[str]], ...]
-    boundary: tuple[tuple[str, str], ...]  # (leaf id, compact component id)
-    # the distinct periods of each noncompact component, sorted by id
-    component_periods: tuple[tuple[str, tuple[sc.SymScalar, ...]], ...]
 
     @sc.memo
     def restricted_ranks(self) -> tuple[tuple[str, Optional[int]], ...]:
@@ -170,19 +164,18 @@ def count_local_components(n: int, lam: int, group: str = "trivial") -> tuple[in
 # -- numeric leaf tracing ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    verdict: str  # Closed | DenseEvidence | Inconclusive
-    return_error: Optional[float] = None
-    period_length: Optional[float] = None
-    coverage: Optional[float] = None
-    steps: int = 0
-    reason: str = ""
-    polyline: Optional[list] = None
+class TraceResult(namedtuple("TraceResult", "verdict return_error period_length coverage "
+                                            "steps reason polyline")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.verdict == "Closed" and self.period_length is None:
+    def __new__(cls, verdict: str,  # Closed | DenseEvidence | Inconclusive
+                return_error: Optional[float] = None, period_length: Optional[float] = None,
+                coverage: Optional[float] = None, steps: int = 0, reason: str = "",
+                polyline: Optional[list] = None):
+        if verdict == "Closed" and period_length is None:
             raise LeafError("closed traces must report a period length")
+        return tuple.__new__(cls, (verdict, return_error, period_length, coverage, steps,
+                                   reason, polyline))
 
 
 def trace_leaf(

@@ -10,10 +10,10 @@ checkable in exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .scalar import FoliageError
 
@@ -26,28 +26,20 @@ def _mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(namedtuple("TorusPoint", "theta phi")):
     """Point of the torus with exact coordinates in [0, 1).
 
     Any rational input is reduced mod 1; a float is read as the binary
     rational it stores.
     """
 
-    theta: Fraction
-    phi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _mod1(Fraction(self.theta)))
-        object.__setattr__(self, "phi", _mod1(Fraction(self.phi)))
-
-    def __iter__(self):
-        yield self.theta
-        yield self.phi
+    def __new__(cls, theta, phi):
+        return tuple.__new__(cls, (_mod1(Fraction(theta)), _mod1(Fraction(phi))))
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """Torus map x -> A x + b with A integer and b rational, taken mod 1."""
 
     matrix: tuple[tuple[int, int], tuple[int, int]]
@@ -140,19 +132,18 @@ class GroupAction:
 DEFAULT_BASEPOINT = (Fraction(1, 8), Fraction(1, 8))
 
 
-@dataclass(frozen=True)
-class OrbifoldPresentation:
-    """A group action, a basepoint of trivial isotropy and the loop generators
-    there, built once (each loop points back here, so eq and repr skip them),
-    and the cone points of each grid asked for, found once per denominator."""
+class OrbifoldPresentation(namedtuple("OrbifoldPresentation", "action basepoint")):
+    """A group action and a basepoint of trivial isotropy, compared as that
+    pair; the loop generators there, built once (each loop points back here,
+    so they are kept beside the pair), and the cone points of each grid asked
+    for, found once per denominator."""
 
-    action: GroupAction
-    basepoint: tuple[Fraction, Fraction] = DEFAULT_BASEPOINT
-    generators: tuple["Generator", ...] = field(init=False, compare=False, repr=False)
-    _grid_cones: dict = field(init=False, compare=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", fundamental_generators(self))
+    def __new__(cls, action: GroupAction,
+                basepoint: tuple[Fraction, Fraction] = DEFAULT_BASEPOINT):
+        self = tuple.__new__(cls, (action, basepoint))
+        self._grid_cones: dict[int, tuple[TorusPoint, ...]] = {}
+        self.generators: tuple[Generator, ...] = fundamental_generators(self)
+        return self
 
     def singular_points_on_grid(self, denominator: int = 24) -> list[TorusPoint]:
         """Grid points (i/d, j/d) with nontrivial isotropy (display aid), i-major.
@@ -209,10 +200,7 @@ def _images(x: TorusPoint, presentation: OrbifoldPresentation) -> tuple[list[tup
 def _reduced_point(theta: Fraction, phi: Fraction) -> TorusPoint:
     """A TorusPoint of coordinates already in [0, 1), built without reducing
     them again."""
-    point = object.__new__(TorusPoint)
-    object.__setattr__(point, "theta", theta)
-    object.__setattr__(point, "phi", phi)
-    return point
+    return tuple.__new__(TorusPoint, (theta, phi))
 
 
 def orbit(x: TorusPoint, presentation: OrbifoldPresentation) -> set[TorusPoint]:
@@ -242,26 +230,22 @@ def _reduce(p: CoverPoint) -> TorusPoint:
     return TorusPoint(p[0], p[1])
 
 
-@dataclass(frozen=True)
-class GPath:
+class GPath(namedtuple("GPath", "presentation segments arrows")):
     """Alternating sequence of cover-lifted PL paths and group arrows.
 
     ``segments[k]`` is a waypoint list in the universal cover; ``arrows[k]``
     is the group element index carrying the end of segment k to the start of
     segment k+1.  Junction compatibility is exact and checked on creation.
     ``displacement`` is the segments' summed cover displacement, kept from
-    creation.
+    creation beside the three compared fields.
     """
 
-    presentation: OrbifoldPresentation
-    segments: tuple[tuple[CoverPoint, ...], ...]
-    arrows: tuple[int, ...]
-    displacement: CoverPoint = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        segs = self.segments
-        object.__setattr__(self, "displacement", (sum(s[-1][0] - s[0][0] for s in segs),
-                                                  sum(s[-1][1] - s[0][1] for s in segs)))
+    def __new__(cls, presentation: OrbifoldPresentation,
+                segments: tuple[tuple[CoverPoint, ...], ...], arrows: tuple[int, ...]):
+        self = tuple.__new__(cls, (presentation, segments, arrows))
+        self.displacement: CoverPoint = (sum(s[-1][0] - s[0][0] for s in segments),
+                                         sum(s[-1][1] - s[0][1] for s in segments))
+        return self
 
     @staticmethod
     def of(presentation, segments: Sequence[Sequence], arrows: Sequence[int] = ()) -> "GPath":
@@ -308,8 +292,7 @@ def concat(p: GPath, q: GPath) -> GPath:
     return GPath(p.presentation, p.segments + q.segments, p.arrows + (0,) + q.arrows)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     gen_id: str
     loop: GPath
     arrow_index: int  # 0 for the two torus loops

@@ -25,12 +25,11 @@ scale with old numerators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from threading import Lock
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class FoliageError(ValueError):
@@ -121,8 +120,7 @@ def read_symbol(name: str, value: str) -> int | Fraction:
     return exact
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     name: str
     value: str  # decimal literal, the numeric embedding
 

@@ -17,10 +17,9 @@ The tube geometry itself is never integrated; levels carry all of it.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import scalar as sc
 from .forms import ClosedForm, NotBasicError, Zero, periods
@@ -50,8 +49,7 @@ class UnsupportedSurgery(ModelError):
     """A disk/tube configuration outside the combinatorial rules we encode."""
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One input surface of a model, with its leaf-space circle bookkeeping."""
 
     side_id: str
@@ -65,10 +63,9 @@ class Side:
 
     def with_circuit(self, edges) -> "Side":
         edges = tuple(edges)
-        return self if edges == self.circuit_edges else replace(self, circuit_edges=edges)
+        return self if edges == self.circuit_edges else self._replace(circuit_edges=edges)
 
 
-@dataclass(eq=False, repr=False)
 class FoliationModel:
     """One record of a model: form (None once surgered), sides, leaf graph,
     zeros and noncompact components, with the catalog and decomposition
@@ -83,25 +80,25 @@ class FoliationModel:
     from the graph, levels and periods; no join reads or decides it.
     """
 
-    name: str = ""
-    form: Optional[ClosedForm] = None
-    table: Optional[sc.SymbolTable] = None
-    sides: list[Side] = field(default_factory=list)
-    graph: FoliationGraph = field(default_factory=FoliationGraph)
-    zeros: list[Zero] = field(default_factory=list)
-    # the distinct periods of each noncompact component, in first-seen order
-    x_inf_periods: dict[str, tuple[sc.SymScalar, ...]] = field(default_factory=dict)
-    special_vertices: dict[str, int] = field(default_factory=dict)
-    singular_entries: list[LeafClass] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    is_generic: bool = False
-    spec: Optional["SurgerySpec"] = None
-    # each noncompact component id a merge absorbed, and the id it merged into
-    merged_into: dict[str, str] = field(default_factory=dict)
-    catalog: Optional[list[LeafClass]] = field(default=None, init=False)
-    decomposition: Optional[Decomposition] = field(default=None, init=False)
-
-    def __post_init__(self):
+    def __init__(self, name: str = "", form: Optional[ClosedForm] = None,
+                 table: Optional[sc.SymbolTable] = None, sides=(), graph=None, zeros=(),
+                 x_inf_periods=(), special_vertices=(), singular_entries=(), notes=(),
+                 is_generic: bool = False, spec: Optional[SurgerySpec] = None, merged_into=()):
+        """Each collection given is copied; the graph is taken as it is."""
+        self.name, self.form, self.table, self.spec = name, form, table, spec
+        self.sides: list[Side] = list(sides)
+        self.graph: FoliationGraph = FoliationGraph() if graph is None else graph
+        self.zeros: list[Zero] = list(zeros)
+        # the distinct periods of each noncompact component, in first-seen order
+        self.x_inf_periods: dict[str, tuple[sc.SymScalar, ...]] = dict(x_inf_periods)
+        self.special_vertices: dict[str, int] = dict(special_vertices)
+        self.singular_entries: list[LeafClass] = list(singular_entries)
+        self.notes: list[str] = list(notes)
+        self.is_generic = is_generic
+        # each noncompact component id a merge absorbed, and the id it merged into
+        self.merged_into: dict[str, str] = dict(merged_into)
+        self.catalog: Optional[list[LeafClass]] = None
+        self.decomposition: Optional[Decomposition] = None
         self._side_at = {s.side_id: i for i, s in enumerate(self.sides)}
         self._zeros_on: dict[str, list[Zero]] = {}
         for z in self.zeros:
@@ -114,7 +111,7 @@ class FoliationModel:
         if self.merged_into:
             self.singular_entries = [
                 leaf if leaf.component_ref not in self.merged_into
-                else replace(leaf, component_ref=self.component_of(leaf.component_ref))
+                else leaf._replace(component_ref=self.component_of(leaf.component_ref))
                 for leaf in self.singular_entries
             ]
         self.catalog = [
@@ -274,39 +271,38 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
 # -- surgery specs -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurgerySpec:
+class SurgerySpec(namedtuple("SurgerySpec", "kind left right left_window right_window "
+                                            "tube_levels left_region right_region name")):
     """One join of a surgery tree, naming each input by its model or by the
     spec of the join that made it; a joined model's spec names a joined
     input by its spec, so no model holds another joined model."""
 
-    kind: str  # "A" | "B" | "C"
-    left: "FoliationModel | SurgerySpec"
-    right: "FoliationModel | SurgerySpec"
-    left_window: tuple[sc.SymScalar, sc.SymScalar]
-    right_window: tuple[sc.SymScalar, sc.SymScalar]
-    tube_levels: tuple[sc.SymScalar, sc.SymScalar]
-    left_region: str = "auto"
-    right_region: str = "auto"
-    name: str = "sum"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("A", "B", "C"):
-            raise ModelError(f"unknown surgery kind {self.kind!r}")
+    def __new__(cls, kind: str,  # "A" | "B" | "C"
+                left: FoliationModel | SurgerySpec, right: FoliationModel | SurgerySpec,
+                left_window: tuple[sc.SymScalar, sc.SymScalar],
+                right_window: tuple[sc.SymScalar, sc.SymScalar],
+                tube_levels: tuple[sc.SymScalar, sc.SymScalar],
+                left_region: str = "auto", right_region: str = "auto", name: str = "sum"):
+        if kind not in ("A", "B", "C"):
+            raise ModelError(f"unknown surgery kind {kind!r}")
+        return tuple.__new__(cls, (kind, left, right, left_window, right_window, tube_levels,
+                                   left_region, right_region, name))
 
 
-@dataclass
 class _Site:
     """A resolved disk placement: an edge of a compact family or a noncompact
     component, with the declared window and bookkeeping filled in on the way."""
 
-    role: str  # "left" | "right"
-    kind: str  # "edge" | "special"
-    side_id: str
-    window: tuple[sc.SymScalar, sc.SymScalar]
-    edge_id: Optional[int] = None
-    component: Optional[str] = None
-    shift: Optional[sc.SymScalar] = None  # modulus multiple placing levels in the span
+    def __init__(self, role: str, kind: str, side_id: str,
+                 window: tuple[sc.SymScalar, sc.SymScalar], edge_id: Optional[int] = None,
+                 component: Optional[str] = None):
+        self.role = role  # "left" | "right"
+        self.kind = kind  # "edge" | "special"
+        self.side_id, self.window = side_id, window
+        self.edge_id, self.component = edge_id, component
+        self.shift: Optional[sc.SymScalar] = None  # modulus multiple placing levels in the span
 
 
 def _sites(spec: SurgerySpec, left: FoliationModel, right: FoliationModel) -> tuple[_Site, _Site]:
@@ -733,7 +729,7 @@ def build_joins(models: dict[str, FoliationModel], specs: list[SurgerySpec],
             lx, ly = levels = tuple(
                 level + left.table.rational(shifts.get(f"{spec.name}.{z}", Fraction(0)))
                 for level, z in zip(spec.tube_levels, "xy"))
-            spec = replace(spec, left=_node(left), right=_node(right), tube_levels=levels)
+            spec = spec._replace(left=_node(left), right=_node(right), tube_levels=levels)
             if spec.kind == "C" and not (lx - ly).is_zero():
                 join = _rebuild_c_as_pinch
         model = join(spec, left, right, spec.name in consumed and spec.left.name in consumed)
@@ -749,7 +745,7 @@ def connected_sum(spec: SurgerySpec) -> FoliationModel:
     input's spec.  The inputs are not written to."""
     left, right = spec.left, spec.right
     if left.spec is not None or right.spec is not None:
-        spec = replace(spec, left=_node(left), right=_node(right))
+        spec = spec._replace(left=_node(left), right=_node(right))
     return build_joins({left.name: left, right.name: right}, [spec])
 
 
@@ -809,8 +805,7 @@ def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> 
     return build_joins(leaves, specs[::-1], shifts)
 
 
-@dataclass(frozen=True)
-class Verdicts:
+class Verdicts(NamedTuple):
     """A model's verdicts, decided once; calabi is None for zero-free models."""
 
     companion: FoliationModel

@@ -2,7 +2,6 @@ import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -533,7 +532,7 @@ class TestKeptStructure:
                 records = list(pool.map(first_read, range(4), timeout=60))
         finally:
             sys.setswitchinterval(saved)
-        fresh = replace(form)
+        fresh = form._replace()
         assert records == [(fresh.structure, fresh.invariant_elements)] * 4
         assert records[0][0].reduced and records[0][1] == (0,)
 
@@ -560,7 +559,7 @@ class TestKeptStructure:
                 records = list(pool.map(first_read, range(4), timeout=60))
         finally:
             sys.setswitchinterval(saved)
-        fresh = replace(form)
+        fresh = form._replace()
         cones = [TorusPoint(Fraction(i, 2), Fraction(j, 2)) for i in (0, 1) for j in (0, 1)]
         assert records == [(fresh.bump_copies, cones, cones)] * 4
         assert [copy for copy, _ in fresh.bump_copies] == [

@@ -2,7 +2,6 @@
 bump declarations, basepoint overrides, virgin decompositions, level shifts
 by whole circumferences, reordered symbols and renamed models."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -197,13 +196,12 @@ class TestDeclarationInvariance:
             head, dot, tail = text.partition(".")
             return text if text == "auto" else new[head] + dot + tail
 
-        return replace(
-            s,
-            orbifolds=tuple(replace(o, name=new[o.name]) for o in s.orbifolds),
-            forms=tuple(replace(f, name=new[f.name], on=new[f.on]) for f in s.forms),
+        return s._replace(
+            orbifolds=tuple(o._replace(name=new[o.name]) for o in s.orbifolds),
+            forms=tuple(f._replace(name=new[f.name], on=new[f.on]) for f in s.forms),
             surgeries=tuple(
-                replace(g, name=new[g.name], left=new[g.left], right=new[g.right],
-                        left_region=region(g.left_region), right_region=region(g.right_region))
+                g._replace(name=new[g.name], left=new[g.left], right=new[g.right],
+                           left_region=region(g.left_region), right_region=region(g.right_region))
                 for g in s.surgeries
             ),
         )
@@ -214,7 +212,7 @@ class TestDeclarationInvariance:
         expected = self._verdict_lines(s)
         assert any(line.startswith("transitive:") for line in expected)
         for perm in (s.symbols[::-1], s.symbols[1:] + s.symbols[:1]):
-            assert self._verdict_lines(replace(s, symbols=perm)) == expected
+            assert self._verdict_lines(s._replace(symbols=perm)) == expected
 
     @pytest.mark.parametrize("name", SURGERY_SCENARIOS)
     def test_renamed_models_keep_the_verdicts(self, name):

@@ -3,7 +3,6 @@ import inspect
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -580,7 +579,7 @@ class TestBulkCopy:
         s = graph.add_vertex("Special")
         graph.attach(z, s)
         # a forged attachment that starts at the special vertex
-        graph.attachments[0] = replace(graph.attachments[0], zero_vertex=s)
+        graph.attachments[0] = graph.attachments[0]._replace(zero_vertex=s)
         with pytest.raises(scalar.FoliageError, match="attachments start at zero vertices"):
             FoliationGraph().absorb(graph)
 
@@ -711,7 +710,7 @@ def _reference_rejoin(spec, left, right, shifts):
     sx = table.rational(shifts.get(f"{spec.name}.x", Fraction(0)))
     sy = table.rational(shifts.get(f"{spec.name}.y", Fraction(0)))
     lx, ly = levels = (spec.tube_levels[0] + sx, spec.tube_levels[1] + sy)
-    spec = replace(spec, left=left, right=right, tube_levels=levels)
+    spec = spec._replace(left=left, right=right, tube_levels=levels)
     if spec.kind != "C" or (lx - ly).is_zero():
         return connected_sum(spec)
     lsite, rsite = sites = join_step("sites")(spec, left, right)

@@ -11,7 +11,6 @@ round of each bench workload is replayed against the digests captured with
 the benchmark, so a changed report byte fails here as well as in the bench.
 """
 
-import dataclasses
 import hashlib
 import importlib.util
 import sys
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import surgery_chain
 from foliage import catalog, forms, orbifold, surgery
 from foliage.cli import build_report, build_scenario, main, parse_scenario, run
 
@@ -353,19 +353,28 @@ def test_a_periods_report_decides_invariance_once_per_form(monkeypatch, name):
 
 
 def test_chain_build_copies_no_record_unchanged(monkeypatch):
-    # the benchmark's kind-C chain at n = 8: a side whose circuit stays the
-    # same, or a leaf whose component survives a merge, is kept, not copied
+    # the benchmark's kind-C chain at n = 8, and a kind-A chain of dense
+    # pillowcases, whose joins merge noncompact components: a side whose
+    # circuit stays the same, or a leaf whose component survives a merge, is
+    # kept, not copied
     workloads = bench_module(monkeypatch, "workloads")
-    text = workloads.chain_text("C", 8, workloads.sqrt_literal(2), workloads.sqrt_literal(3))
+    chains = {
+        workloads.chain_text("C", 8, workloads.sqrt_literal(2), workloads.sqrt_literal(3)): "no",
+        surgery_chain("A", 8): "yes",
+    }
     copies = []
+    # every record surgery.py names is a named tuple, copied by its _replace
+    for record in {value for value in vars(surgery).values()
+                   if isinstance(value, type) and issubclass(value, tuple)}:
 
-    def recording_replace(record, **changes):
-        copies.append((record, dataclasses.replace(record, **changes)))
-        return copies[-1][1]
+        def recording_replace(old, /, copy=record._replace, **changes):
+            copies.append((old, copy(old, **changes)))
+            return copies[-1][1]
 
-    monkeypatch.setattr(surgery, "replace", recording_replace)
-    built = build_scenario(parse_scenario(text))
-    assert "transitive: no" in build_report(built, "transitivity")
+        monkeypatch.setattr(record, "_replace", recording_replace)
+    for text, transitive in chains.items():
+        built = build_scenario(parse_scenario(text))
+        assert f"transitive: {transitive}" in build_report(built, "transitivity")
     assert copies
     assert [old for old, new in copies if new == old] == []
 

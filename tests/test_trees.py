@@ -1,7 +1,6 @@
 """Random surgery trees: every command answers, and every output is pinned."""
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 
@@ -100,7 +99,7 @@ def test_permuted_symbols_and_renamed_models_keep_the_verdicts(trees):
             expected = helpers._verdict_lines(s)
         except FoliageError:
             continue
-        for variant in (replace(s, symbols=s.symbols[::-1]), helpers._renamed(s)):
+        for variant in (s._replace(symbols=s.symbols[::-1]), helpers._renamed(s)):
             assert helpers._verdict_lines(variant) == expected
         checked += 1
     assert checked == 87
@@ -161,10 +160,10 @@ def _level_shifted(s, built, k):
             surgeries.append(g)
             continue
         shift = circles[0] * (abs(ratio.numerator) * k)
-        surgeries.append(replace(g, **{key: tuple(_plus(e, shift) for e in getattr(g, key))
+        surgeries.append(g._replace(**{key: tuple(_plus(e, shift) for e in getattr(g, key))
                                        for key in ("left_window", "right_window", "tube")}))
         moved += 1
-    return replace(s, surgeries=tuple(surgeries)), moved
+    return s._replace(surgeries=tuple(surgeries)), moved
 
 
 def test_level_shifts_by_whole_circumferences_keep_the_verdicts(trees):
