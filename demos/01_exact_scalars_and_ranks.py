@@ -9,7 +9,7 @@ the numeric embeddings, read as the exact rationals their literals write.
 
 from fractions import Fraction
 
-from foliage import SymbolTable, in_lattice, is_rational, q_rank, sign
+from foliage import Lattice, SymbolTable, is_rational, q_rank, sign
 
 # declare two constants with high-precision decimal embeddings
 table = SymbolTable([
@@ -34,5 +34,6 @@ print("sign(p - p)         :", sign(p - p))
 
 # integer-lattice membership backs the genericity tests: 1/7 is not a
 # Z-combination of p and q, but 3p - 2q of course is
-print("3p - 2q in Zp + Zq? :", in_lattice(p * 3 - q * 2, [p, q]))
-print("1/7 in Zp + Zq?     :", in_lattice(table.rational(Fraction(1, 7)), [p, q]))
+lattice = Lattice([p, q])
+print("3p - 2q in Zp + Zq? :", p * 3 - q * 2 in lattice)
+print("1/7 in Zp + Zq?     :", table.rational(Fraction(1, 7)) in lattice)

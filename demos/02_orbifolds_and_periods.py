@@ -11,15 +11,14 @@ Q-rank controls the whole leaf classification.
 from fractions import Fraction
 
 from foliage import (
+    BUILTIN_ORBIFOLDS,
     ClosedForm,
     SymbolTable,
     TorusPoint,
     isotropy_order,
     orbit,
     periods,
-    pillowcase_presentation,
     rank_of_class,
-    torus_presentation,
 )
 
 table = SymbolTable([
@@ -28,7 +27,7 @@ table = SymbolTable([
 ])
 
 # the half-turn quotient: sphere with four cone points
-Q = pillowcase_presentation()
+Q = BUILTIN_ORBIFOLDS["pillowcase"]
 for pt in [(0, 0), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 3))]:
     x = TorusPoint(*pt)
     print(f"point {pt}: orbit size {len(orbit(x, Q))}, isotropy {isotropy_order(x, Q)}")
@@ -38,7 +37,7 @@ for pt in [(0, 0), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(1
 print("generators:", [g.gen_id for g in Q.generators])
 
 # periods of p*dtheta + q*dphi on the plain torus
-T = torus_presentation()
+T = BUILTIN_ORBIFOLDS["torus"]
 w = ClosedForm((table.symbol("p"), table.symbol("q")), T)
 for gen_id, value in periods(w):
     print(f"period over {gen_id}: {value.render()}")

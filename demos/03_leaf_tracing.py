@@ -10,11 +10,11 @@ tracer doubles as a picture generator.
 
 from fractions import Fraction
 
-from foliage import ClosedForm, SymbolTable, TorusPoint, classify_leaf, trace_leaf, torus_presentation
+from foliage import BUILTIN_ORBIFOLDS, ClosedForm, SymbolTable, TorusPoint, classify_leaf, trace_leaf
 from foliage.cli import render_svg
 
 table = SymbolTable([("q", "1.41421356237309504880168872420969807857")])
-T = torus_presentation()
+T = BUILTIN_ORBIFOLDS["torus"]
 seed = TorusPoint(Fraction(1, 8), Fraction(1, 8))
 
 # a rational slope: the leaf is a (3,-2) circle of length sqrt(13)

@@ -12,9 +12,8 @@ intrinsically harmonic ones.
 from foliage import (
     calabi_equiv_bruteforce,
     factorization_witness,
-    harmonicity_verdict,
     is_calabi,
-    is_transitive,
+    verdicts,
 )
 from foliage.catalog import SCENARIOS
 from foliage.cli import build_scenario, parse_scenario
@@ -32,8 +31,8 @@ for gen_id, period, walk in witness.checks:
 dense = build_scenario(parse_scenario(SCENARIOS["torus-dense"])).final
 print("dense graph vertices:", [v.kind for v in dense.graph.vertices.values()])
 print("witness for the dense form:", factorization_witness(dense))
-print("dense form transitive:", is_transitive(dense))
-print("harmonicity:", harmonicity_verdict(dense))
+print("dense form transitive:", verdicts(dense).transitive)
+print("harmonicity:", verdicts(dense).harmonicity)
 
 # the Calabi property on bare digraphs: a single cycle has it, two cycles
 # joined by a one-way bridge do not (the bridge edge lies on no cycle)

@@ -10,7 +10,7 @@ component (kind C).  Wrapping disks (kind A with windows longer than twice a
 side's circle) dissolve both sides into one dense component.
 """
 
-from foliage import harmonicity_verdict, is_transitive
+from foliage import verdicts
 from foliage.catalog import EXAMPLES, SCENARIOS
 from foliage.cli import build_scenario, parse_scenario
 
@@ -24,8 +24,9 @@ for name, expected in EXAMPLES:
     print("noncompact components:", len(d.x_inf_components))
     print("boundary (compact singular components of noncompact leaves):",
           [component for _, component in d.boundary])
-    print("transitive:", is_transitive(model), " expected:", expected["transitive"])
-    print("harmonicity:", harmonicity_verdict(model))
+    decided = verdicts(model)
+    print("transitive:", decided.transitive, " expected:", expected["transitive"])
+    print("harmonicity:", decided.harmonicity)
     print()
 
 # the equal-level construction is not generic: both zeros share one leaf; the

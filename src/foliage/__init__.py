@@ -7,15 +7,16 @@ compact/noncompact decomposition, and combinatorial tube surgeries.
 
 from .scalar import (
     FoliageError,
+    Lattice,
     PrecisionExhausted,
     SymbolTable,
     SymScalar,
-    in_lattice,
     is_rational,
     q_rank,
     sign,
 )
 from .orbifold import (
+    BUILTIN_ORBIFOLDS,
     AffineMap,
     GPath,
     GroupAction,
@@ -25,9 +26,6 @@ from .orbifold import (
     fundamental_generators,
     isotropy_order,
     orbit,
-    pillowcase_presentation,
-    shifted_torus_presentation,
-    torus_presentation,
 )
 from .forms import (
     BumpTerm,
@@ -45,7 +43,6 @@ from .leaves import (
     classify_leaf,
     count_local_components,
     decompose,
-    singular_components,
     trace_leaf,
 )
 from .graph import (
@@ -61,8 +58,6 @@ from .surgery import (
     analyze,
     connected_sum,
     genericize,
-    harmonicity_verdict,
-    is_transitive,
     verdicts,
 )
 

@@ -83,12 +83,6 @@ def classify_leaf(form: ClosedForm, presentation: OrbifoldPresentation, x: Torus
     return LeafClass(leaf_id=f"leaf({x.theta},{x.phi})", kind=kind)
 
 
-def singular_components(leaf: LeafClass) -> list[tuple[str, bool]]:
-    if leaf.kind not in (COMPACT_SINGULAR, NONCOMPACT_SINGULAR):
-        raise LeafError("regular leaves have no singular components")
-    return list(leaf.components)
-
-
 # -- decomposition ---------------------------------------------------------------
 
 

@@ -122,9 +122,6 @@ class GroupAction:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, g: AffineMap) -> int:
-        return self._index[g]
-
     def inverse_index(self, i: int) -> int:
         return self._index[self.elements[i].inverse()]
 
@@ -342,22 +339,10 @@ _IDENTITY = AffineMap.identity()
 _HALF_TURN = AffineMap.of(((-1, 0), (0, -1)), (0, 0))
 _HALF_SHIFT = AffineMap.of(((1, 0), (0, 1)), (Fraction(1, 2), 0))
 
+# the pillowcase is the quotient by the half-turn (theta, phi) -> (-theta, -phi),
+# the shifted torus the free Z2 quotient by (theta, phi) -> (theta + 1/2, phi)
 BUILTIN_ORBIFOLDS = {
     "torus": OrbifoldPresentation(GroupAction([_IDENTITY])),
     "pillowcase": OrbifoldPresentation(GroupAction([_IDENTITY, _HALF_TURN])),
     "shifted_torus": OrbifoldPresentation(GroupAction([_IDENTITY, _HALF_SHIFT])),
 }
-
-
-def torus_presentation() -> OrbifoldPresentation:
-    return BUILTIN_ORBIFOLDS["torus"]
-
-
-def pillowcase_presentation() -> OrbifoldPresentation:
-    """Quotient by the half-turn (theta, phi) -> (-theta, -phi)."""
-    return BUILTIN_ORBIFOLDS["pillowcase"]
-
-
-def shifted_torus_presentation() -> OrbifoldPresentation:
-    """Free Z2 quotient by the half shift (theta, phi) -> (theta + 1/2, phi)."""
-    return BUILTIN_ORBIFOLDS["shifted_torus"]

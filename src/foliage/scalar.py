@@ -283,9 +283,6 @@ class SymScalar:
     def coefficient(self, index: int) -> Fraction:
         return Fraction(self.nums[index], self.den) if index < len(self.nums) else Fraction(0)
 
-    def rational_part(self) -> Fraction:
-        return self.coefficient(0)
-
     def vector(self) -> tuple[Fraction, ...]:
         """Dense coefficient vector over the full table."""
         return tuple(self.coefficient(i) for i in range(len(self.table)))
@@ -439,16 +436,12 @@ def floor_quotient(a: SymScalar, b: SymScalar) -> int:
     return (an * bd) // (ad * bn)
 
 
-def compare(a: SymScalar, b: SymScalar) -> int:
-    return sign(a - b)
-
-
 def scalar_min(a: SymScalar, b: SymScalar) -> SymScalar:
-    return a if compare(a, b) <= 0 else b
+    return a if sign(a - b) <= 0 else b
 
 
 def scalar_max(a: SymScalar, b: SymScalar) -> SymScalar:
-    return a if compare(a, b) >= 0 else b
+    return a if sign(a - b) >= 0 else b
 
 
 # -- integer lattices over the coefficient space ------------------------------
@@ -526,8 +519,3 @@ class Lattice:
 
     def __contains__(self, v: SymScalar) -> bool:
         return self.reduce(v).is_zero()
-
-
-def in_lattice(value: SymScalar, generators: Sequence[SymScalar]) -> bool:
-    """Whether value lies in the Z-lattice spanned by the generators."""
-    return value in Lattice(generators)

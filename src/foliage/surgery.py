@@ -81,28 +81,25 @@ class FoliationModel:
     """
 
     def __init__(self, name: str = "", form: Optional[ClosedForm] = None,
-                 table: Optional[sc.SymbolTable] = None, sides=(), graph=None, zeros=(),
-                 x_inf_periods=(), special_vertices=(), singular_entries=(), notes=(),
-                 is_generic: bool = False, spec: Optional[SurgerySpec] = None, merged_into=()):
-        """Each collection given is copied; the graph is taken as it is."""
+                 table: Optional[sc.SymbolTable] = None, notes=(), is_generic: bool = False,
+                 spec: Optional[SurgerySpec] = None):
+        """An empty record; the operation that creates the model fills it."""
         self.name, self.form, self.table, self.spec = name, form, table, spec
-        self.sides: list[Side] = list(sides)
-        self.graph: FoliationGraph = FoliationGraph() if graph is None else graph
-        self.zeros: list[Zero] = list(zeros)
+        self.sides: list[Side] = []
+        self.graph = FoliationGraph()
+        self.zeros: list[Zero] = []
         # the distinct periods of each noncompact component, in first-seen order
-        self.x_inf_periods: dict[str, tuple[sc.SymScalar, ...]] = dict(x_inf_periods)
-        self.special_vertices: dict[str, int] = dict(special_vertices)
-        self.singular_entries: list[LeafClass] = list(singular_entries)
+        self.x_inf_periods: dict[str, tuple[sc.SymScalar, ...]] = {}
+        self.special_vertices: dict[str, int] = {}
+        self.singular_entries: list[LeafClass] = []
         self.notes: list[str] = list(notes)
         self.is_generic = is_generic
         # each noncompact component id a merge absorbed, and the id it merged into
-        self.merged_into: dict[str, str] = dict(merged_into)
+        self.merged_into: dict[str, str] = {}
         self.catalog: Optional[list[LeafClass]] = None
         self.decomposition: Optional[Decomposition] = None
-        self._side_at = {s.side_id: i for i, s in enumerate(self.sides)}
+        self._side_at: dict[str, int] = {}
         self._zeros_on: dict[str, list[Zero]] = {}
-        for z in self.zeros:
-            self._zeros_on.setdefault(z.side, []).append(z)
 
     def finish(self) -> "FoliationModel":
         """Build the catalog and decomposition and run the model's checks;
@@ -671,34 +668,34 @@ def _apply_C(model: FoliationModel, left: _Site, right: _Site) -> bool:
     return False  # two zeros on one leaf: never generic
 
 
+def _apply_opened_C(model: FoliationModel, left: _Site, right: _Site) -> bool:
+    """A perturbed equal-level tube is a pinched tube: the waist opens into a
+    short chain of compact families between the two separated levels."""
+    spec = model.spec
+    lx, ly = spec.tube_levels  # x sits at the left junction, y at the right
+    if sc.sign(ly - lx) > 0:
+        _apply_pinch(model, left, right, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
+    else:
+        _apply_pinch(model, right, left, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    return True
+
+
+_APPLY = {"A": _apply_A, "B": _apply_B, "C": _apply_C}
+
+
 # -- public operations -----------------------------------------------------------------
 
 
 def _join(spec: SurgerySpec, left: FoliationModel, right: FoliationModel,
-          extend: bool) -> FoliationModel:
-    """Apply one surgery to its inputs, leaving the result unfinished with
-    is_generic set; with extend the result is the left input, extended in
-    place (see _merge), so what the join reads of its left it reads first."""
+          extend: bool, apply) -> FoliationModel:
+    """Apply one surgery to its inputs through apply, the rewiring
+    build_joins chose for it, leaving the result unfinished with is_generic
+    set; with extend the result is the left input, extended in place (see
+    _merge), so what the join reads of its left it reads first."""
     sites = _sites(spec, left, right)
     model = _merge(spec, left, right, extend, sites)
-    apply = {"A": _apply_A, "B": _apply_B, "C": _apply_C}[spec.kind]
     generic = apply(model, *sites)
     model.is_generic = generic and left.is_generic and right.is_generic
-    return model
-
-
-def _rebuild_c_as_pinch(spec: SurgerySpec, left: FoliationModel, right: FoliationModel,
-                        extend: bool) -> FoliationModel:
-    """A perturbed equal-level tube is a pinched tube: the waist opens into a
-    short chain of compact families between the two separated levels."""
-    lsite, rsite = sites = _sites(spec, left, right)
-    model = _merge(spec, left, right, extend, sites)
-    lx, ly = spec.tube_levels  # x sits at the left junction, y at the right
-    if sc.sign(ly - lx) > 0:
-        _apply_pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
-    else:
-        _apply_pinch(model, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
-    model.is_generic = True
     return model
 
 
@@ -724,15 +721,16 @@ def build_joins(models: dict[str, FoliationModel], specs: list[SurgerySpec],
     for spec in specs:
         left, right = (models.pop(node.name) if node.name in consumed else models[node.name]
                        for node in (spec.left, spec.right))
-        join = _join
+        apply = _APPLY[spec.kind]
         if shifts is not None:
             lx, ly = levels = tuple(
                 level + left.table.rational(shifts.get(f"{spec.name}.{z}", Fraction(0)))
                 for level, z in zip(spec.tube_levels, "xy"))
             spec = spec._replace(left=_node(left), right=_node(right), tube_levels=levels)
             if spec.kind == "C" and not (lx - ly).is_zero():
-                join = _rebuild_c_as_pinch
-        model = join(spec, left, right, spec.name in consumed and spec.left.name in consumed)
+                apply = _apply_opened_C
+        model = _join(spec, left, right, spec.name in consumed and spec.left.name in consumed,
+                      apply)
         models[spec.name] = model if spec.name in consumed else model.finish()
     return model
 
@@ -778,7 +776,8 @@ def genericize(model: FoliationModel) -> FoliationModel:
             f"level shifts {sorted((k, str(v)) for k, v in shifts.items())}"
         )
         return rebuilt
-    raise ModelError(f"no admissible genericity amplitudes after 20 attempts ({last_error})")
+    why = last_error or "every shift set put two singular levels in one lattice class"
+    raise ModelError(f"no admissible genericity amplitudes after 20 attempts ({why})")
 
 
 def _levels_admissible(levels: list[sc.SymScalar], lattice: sc.Lattice) -> bool:
@@ -833,11 +832,3 @@ def verdicts(model: FoliationModel) -> Verdicts:
     if not any(sc.sign(p) != 0 for p in model.generator_periods()):
         raise ModelError("zero-free form with vanishing periods cannot be of Morse type")
     return Verdicts(model, None, True)
-
-
-def is_transitive(model: FoliationModel) -> bool:
-    return verdicts(model).transitive
-
-
-def harmonicity_verdict(model: FoliationModel) -> str:
-    return verdicts(model).harmonicity

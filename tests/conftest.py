@@ -32,8 +32,7 @@ def build_catalog_model(name):
 # each and the arguments it takes; an internal rename touches only this table
 JOIN_STEPS = {
     "build": "build_joins",  # (models, specs, shifts=None) -> the last output
-    "join": "_join",  # (spec, left, right, extend) -> the record, unfinished
-    "pinch": "_rebuild_c_as_pinch",  # as "join": a kind-C rejoin whose levels came apart
+    "join": "_join",  # (spec, left, right, extend, apply) -> the record, unfinished
     "sites": "_sites",  # (spec, left, right) -> the two disk sites
     "merge": "_merge",  # (spec, left, right, extend, sites) -> the record, inputs copied in
     "apply pinch": "_apply_pinch",  # (model, low, high, low level, high level, low id, high id)

@@ -13,8 +13,8 @@ from foliage.cli import build_scenario, parse_scenario, run, run_examples
 from foliage.forms import ClosedForm, g_path_integral
 from foliage.graph import calabi_equiv_bruteforce, factorization_witness, is_calabi
 from foliage.leaves import classify_leaf, count_local_components, trace_leaf
-from foliage.orbifold import TorusPoint, concat, torus_presentation
-from foliage.scalar import SymbolTable, in_lattice, q_rank
+from foliage.orbifold import BUILTIN_ORBIFOLDS, TorusPoint, concat
+from foliage.scalar import Lattice, SymbolTable, q_rank
 from foliage.surgery import genericize
 
 from conftest import (
@@ -78,7 +78,7 @@ def test_criterion_3_exact_vs_numeric_oracle():
         [("q", SQRT2), ("r", SQRT3), ("s", SQRT5),
          ("g", "1.61803398874989484820458683436563811772"), ("w", PI)]
     )
-    T = torus_presentation()
+    T = BUILTIN_ORBIFOLDS["torus"]
     seed = TorusPoint(Fraction(1, 8), Fraction(1, 8))
     slopes = [
         (p, q)
@@ -106,7 +106,7 @@ def test_criterion_4_period_homomorphism_suite():
     from sympy import Matrix, Rational
 
     table = SymbolTable([("p", PI), ("q", SQRT2)])
-    T = torus_presentation()
+    T = BUILTIN_ORBIFOLDS["torus"]
     base = ClosedForm((table.symbol("p"), table.symbol("q")), T)
     from foliage.forms import BumpTerm
 
@@ -220,7 +220,7 @@ def test_criterion_8_make_generic_postconditions():
         for j in range(i + 1, len(ids)):
             diff = levels[ids[i]] - levels[ids[j]]
             assert not diff.is_zero()
-            assert not in_lattice(diff, lattice)
+            assert diff not in Lattice(lattice)
     _report(8, "construction-(c) genericization: zeros and periods unchanged, "
                "levels distinct and outside the period lattice")
 

@@ -610,6 +610,23 @@ class TestEntryPoint:
         assert err == "scenario error: a computed value expands past 4300 digits\n"
         assert not (tmp_path / "g.dot").exists()
 
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "examples"])
+    def test_no_admissible_level_shift_exit_two(self, tmp_path, capsys, command):
+        # genericize shifts the second zero of this kind-C join by 1/(7*2^k),
+        # k < 20, each a whole number of laps of the circumference
+        # 1/7340032 = 1/(7*2^20), so no shift set separates the two levels
+        forms = "".join(f"[form {w}]\non = T\ndtheta = 1/7340032\ndphi = 0\n" for w in "uv")
+        path = tmp_path / "inseparable.scn"
+        path.write_text(
+            f"[orbifold T]\nbuiltin = torus\n{forms}[surgery s]\nkind = C\nleft = u\n"
+            "right = v\nleft_window = 1/58720256 : 3/58720256\n"
+            "right_window = 1/58720256 : 3/58720256\ntube = 1/29360128 : 1/29360128\n")
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err and "(None)" not in err
+        assert err == ("scenario error: no admissible genericity amplitudes after 20 attempts "
+                       "(every shift set put two singular levels in one lattice class)\n")
+
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(order=st.integers(1, 12), dtheta=near_bound_coefficients, dphi=near_bound_coefficients)
     @example(order=11, dtheta="1e-4299*p", dphi="1")

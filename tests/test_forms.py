@@ -22,14 +22,12 @@ from foliage.forms import (
     rank_of_class,
 )
 from foliage.orbifold import (
+    BUILTIN_ORBIFOLDS,
     GPath,
     TorusPoint,
     concat,
     fundamental_generators,
     orbit,
-    pillowcase_presentation,
-    shifted_torus_presentation,
-    torus_presentation,
 )
 from foliage.leaves import classify_leaf
 from foliage.scalar import SymbolTable, q_rank
@@ -53,9 +51,9 @@ from test_scalar import (
     ref_q_rank,
 )
 
-T = torus_presentation()
-Q = pillowcase_presentation()
-S = shifted_torus_presentation()
+T = BUILTIN_ORBIFOLDS["torus"]
+Q = BUILTIN_ORBIFOLDS["pillowcase"]
+S = BUILTIN_ORBIFOLDS["shifted_torus"]
 H = cyclic_presentation(HEXAGONAL_MATRIX)
 
 
@@ -360,9 +358,7 @@ class TestPeriodHomomorphism:
 
     def test_pullback_invariance_of_segment_integrals(self, rng, table):
         # honestly basic forms integrate equally over g-translates
-        from foliage.orbifold import shifted_torus_presentation
-
-        S = shifted_torus_presentation()
+        S = BUILTIN_ORBIFOLDS["shifted_torus"]
         cases = [
             (Q, ClosedForm((table.zero(), table.zero()), Q).with_bumps([small_bump(table)])),
             (S, ClosedForm((table.rational(1), table.symbol("q")), S)),

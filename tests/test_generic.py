@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from foliage.forms import ClosedForm
-from foliage.orbifold import torus_presentation
-from foliage.scalar import in_lattice, is_rational, sign
+from foliage.orbifold import BUILTIN_ORBIFOLDS
+from foliage.scalar import Lattice, is_rational, sign
 from foliage.surgery import FoliationModel, ModelError, analyze, genericize
 
-from conftest import build_catalog_model
+from conftest import build_catalog_model, hook_join
 
 
 class TestModelLevel:
@@ -17,7 +17,7 @@ class TestModelLevel:
         assert genericize(model) is model
 
     def test_zero_free_models_come_back_unchanged(self, table):
-        T = torus_presentation()
+        T = BUILTIN_ORBIFOLDS["torus"]
         model = analyze(ClosedForm((table.symbol("p"), table.symbol("q")), T), "w")
         assert genericize(model) is model
 
@@ -32,17 +32,24 @@ class TestModelLevel:
         lattice = model.generator_periods()
         diff = shifted["ex2.x"] - shifted["ex2.y"]
         assert not diff.is_zero()
-        assert not in_lattice(diff, lattice)
+        assert diff not in Lattice(lattice)
 
     def test_model_without_provenance_raises(self):
         m = build_catalog_model("pillowcase-ex2")
-        orphan = FoliationModel(
-            m.name, m.form, m.table, m.sides, m.graph, m.zeros, m.x_inf_periods,
-            m.special_vertices, m.singular_entries, m.notes, m.is_generic,
-        ).finish()
+        orphan = FoliationModel(m.name, m.form, m.table)
+        orphan.absorb(m)
+        orphan.finish()
         assert not orphan.is_generic and orphan.spec is None
         with pytest.raises(ModelError):
             genericize(orphan)
+
+    def test_a_failed_rebuild_is_the_reason_given(self, monkeypatch):
+        def refused(real, model, shifts):
+            raise ModelError("cut level falls outside the targeted family")
+
+        hook_join(monkeypatch, "rebuild", refused)
+        with pytest.raises(ModelError, match=r"after 20 attempts \(cut level falls outside"):
+            genericize(build_catalog_model("pillowcase-ex2"))
 
     def test_construction_c_postconditions(self):
         model = build_catalog_model("pillowcase-ex2")
@@ -67,7 +74,7 @@ class TestModelLevel:
             for j in range(i + 1, len(ids)):
                 diff = levels[ids[i]] - levels[ids[j]]
                 assert not diff.is_zero()
-                assert not in_lattice(diff, lattice)
+                assert diff not in Lattice(lattice)
 
         # each singular leaf of the companion carries exactly one zero
         assert companion.is_generic

@@ -67,10 +67,10 @@ class TestEdgeWeight:
     def test_b_gap_edge_when_pinched_at_window_ends(self, table):
         # tube levels at the window boundary values give the window gap
         from foliage.forms import ClosedForm
-        from foliage.orbifold import torus_presentation
+        from foliage.orbifold import BUILTIN_ORBIFOLDS
         from foliage.surgery import SurgerySpec, analyze, connected_sum
 
-        T1, T2 = torus_presentation(), torus_presentation()
+        T1 = T2 = BUILTIN_ORBIFOLDS["torus"]
         m1 = analyze(ClosedForm((table.rational(1), table.zero()), T1), "m1")
         m2 = analyze(ClosedForm((table.rational(2), table.rational(3)), T2), "m2")
         r = lambda v: table.rational(Fraction(v))

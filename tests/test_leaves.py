@@ -11,17 +11,11 @@ from foliage.leaves import (
     LeafError,
     classify_leaf,
     count_local_components,
-    singular_components,
 )
-from foliage.orbifold import (
-    TorusPoint,
-    pillowcase_presentation,
-    shifted_torus_presentation,
-    torus_presentation,
-)
-T = torus_presentation()
-Q = pillowcase_presentation()
-S = shifted_torus_presentation()
+from foliage.orbifold import BUILTIN_ORBIFOLDS, TorusPoint
+T = BUILTIN_ORBIFOLDS["torus"]
+Q = BUILTIN_ORBIFOLDS["pillowcase"]
+S = BUILTIN_ORBIFOLDS["shifted_torus"]
 X0 = TorusPoint(Fraction(1, 8), Fraction(1, 8))
 
 
@@ -84,17 +78,12 @@ class TestLinearStructure:
 
 
 class TestSingularComponents:
-    def test_regular_leaf_rejected(self):
-        leaf = LeafClass("f", COMPACT_REGULAR)
-        with pytest.raises(LeafError):
-            singular_components(leaf)
-
     def test_components_round_trip(self):
         leaf = LeafClass(
             "s", "NoncompactSingular", zeros=("z",),
             components=(("c0", True), ("c1", False)), component_ref="inf",
         )
-        assert singular_components(leaf) == [("c0", True), ("c1", False)]
+        assert leaf.components == (("c0", True), ("c1", False))
 
     def test_zero_bookkeeping_enforced(self):
         with pytest.raises(LeafError):

@@ -15,9 +15,6 @@ from foliage.orbifold import (
     fundamental_generators,
     isotropy_order,
     orbit,
-    pillowcase_presentation,
-    shifted_torus_presentation,
-    torus_presentation,
 )
 
 from conftest import (
@@ -28,9 +25,9 @@ from conftest import (
     random_rational,
 )
 
-Q = pillowcase_presentation()
-T = torus_presentation()
-S = shifted_torus_presentation()
+Q = BUILTIN_ORBIFOLDS["pillowcase"]
+T = BUILTIN_ORBIFOLDS["torus"]
+S = BUILTIN_ORBIFOLDS["shifted_torus"]
 H = cyclic_presentation(HEXAGONAL_MATRIX)
 
 

@@ -113,11 +113,11 @@ class TestVirginDecompositions:
 class TestMixedKindAVerdict:
     def test_kind_a_with_nontransitive_input_is_decided_by_its_graph(self, table):
         from foliage.forms import ClosedForm
-        from foliage.orbifold import torus_presentation
+        from foliage.orbifold import BUILTIN_ORBIFOLDS
         from foliage.surgery import SurgerySpec, analyze, connected_sum, verdicts
 
         def torus_model(a, b, name):
-            pres = torus_presentation()
+            pres = BUILTIN_ORBIFOLDS["torus"]
             return analyze(ClosedForm((table.rational(a), table.rational(b)), pres), name)
 
         r = lambda v: table.rational(Fraction(v))

@@ -13,7 +13,7 @@ from foliage.catalog import SCENARIOS
 from foliage.cli import build_report, build_scenario, parse_scenario
 from foliage.forms import ClosedForm
 from foliage.graph import FoliationGraph, factorization_witness, is_calabi
-from foliage.orbifold import pillowcase_presentation, torus_presentation
+from foliage.orbifold import BUILTIN_ORBIFOLDS
 from foliage.surgery import (
     FoliationModel,
     ModelError,
@@ -22,8 +22,6 @@ from foliage.surgery import (
     analyze,
     connected_sum,
     genericize,
-    harmonicity_verdict,
-    is_transitive,
     verdicts,
 )
 
@@ -45,7 +43,7 @@ def r(table, value):
 
 
 def torus_model(table, a, b, name):
-    pres = torus_presentation()
+    pres = BUILTIN_ORBIFOLDS["torus"]
     if isinstance(a, str):
         lin = (table.symbol(a), table.symbol(b))
     else:
@@ -54,7 +52,7 @@ def torus_model(table, a, b, name):
 
 
 def pillowcase_dense(table, name):
-    pres = pillowcase_presentation()
+    pres = BUILTIN_ORBIFOLDS["pillowcase"]
     form = ClosedForm((table.symbol("p"), table.symbol("q")), pres, basic_override=True)
     return analyze(form, name)
 
@@ -64,8 +62,8 @@ class TestCatalogVerdicts:
 
     def test_example_1_kind_a_mixed(self):
         model = build_catalog_model("pillowcase-ex1")
-        assert is_transitive(model) is True
-        assert harmonicity_verdict(model) == "IntrinsicallyHarmonic"
+        assert verdicts(model).transitive is True
+        assert verdicts(model).harmonicity == "IntrinsicallyHarmonic"
         assert any(l.compact for l in model.catalog)
         assert any(not l.compact for l in model.catalog)
         assert not model.decomposition.x_c == frozenset()
@@ -73,8 +71,8 @@ class TestCatalogVerdicts:
 
     def test_example_2_kind_c_one_compact_component(self):
         model = build_catalog_model("pillowcase-ex2")
-        assert is_transitive(model) is False
-        assert harmonicity_verdict(model) == "NotIntrinsicallyHarmonic"
+        assert verdicts(model).transitive is False
+        assert verdicts(model).harmonicity == "NotIntrinsicallyHarmonic"
         assert not any(l.compact for l in model.catalog)
         assert len(model.decomposition.boundary) == 1
         (leaf,) = [l for l in model.catalog if l.zeros]
@@ -84,13 +82,13 @@ class TestCatalogVerdicts:
 
     def test_example_3_kind_b_some_compact(self):
         model = build_catalog_model("pillowcase-ex3")
-        assert is_transitive(model) is False
+        assert verdicts(model).transitive is False
         assert any(l.kind == "CompactRegular" for l in model.catalog)
         assert any(not l.compact for l in model.catalog)
 
     def test_example_4_kind_a_wrapping(self):
         model = build_catalog_model("pillowcase-ex4")
-        assert is_transitive(model) is True
+        assert verdicts(model).transitive is True
         assert not any(l.compact for l in model.catalog)
         comps = model.decomposition.x_inf_components
         assert len(comps) == 1
@@ -109,7 +107,7 @@ class TestCatalogVerdicts:
             name="mix",
         )
         model = connected_sum(spec)
-        assert is_transitive(model) is True
+        assert verdicts(model).transitive is True
         assert any(l.compact for l in model.catalog)
         assert any(not l.compact for l in model.catalog)
 
@@ -130,7 +128,7 @@ class TestSurgeryInvariants:
             (torus_model(table, "p", "q", "l3"), pillowcase_dense(table, "r3")),
         ]
         for left, right in pairs:
-            assert is_transitive(left) and is_transitive(right)
+            assert verdicts(left).transitive and verdicts(right).transitive
             for _ in range(8):
                 lo = Fraction(rng.randint(1, 6), 32)
                 hi = lo + Fraction(rng.randint(1, 4), 32)
@@ -141,7 +139,7 @@ class TestSurgeryInvariants:
                     tube_levels=(r(table, lo), r(table, hi)),
                     name="rand",
                 )
-                assert is_transitive(connected_sum(spec)) is True
+                assert verdicts(connected_sum(spec)).transitive is True
 
     def test_kind_b_produces_new_compact_leaves(self):
         model = build_catalog_model("pillowcase-ex3")
@@ -149,11 +147,9 @@ class TestSurgeryInvariants:
         assert len(chain) == 1 and chain[0].kind == "CompactRegular"
 
     def test_kind_a_singular_components_follow_the_adjacency(self):
-        from foliage.leaves import singular_components
-
         model = build_catalog_model("pillowcase-ex1")
         leaf_x = next(l for l in model.catalog if l.leaf_id == "ex1.leaf_x")
-        comps = singular_components(leaf_x)
+        comps = leaf_x.components
         assert [flag for _, flag in comps] == [True, False]
         assert comps[0][0].endswith("circle@wL")
 
@@ -209,12 +205,12 @@ class TestSurgeryInvariants:
                 tube_levels=tuple(t * scale for t in spec.tube_levels),
                 name=spec.name,
             ))
-            assert is_transitive(scaled) == is_transitive(model)
+            assert verdicts(scaled).transitive == verdicts(model).transitive
 
     def test_zero_free_rescaling(self, table):
         model = torus_model(table, "p", "q", "v")
         scaled = analyze(model.form.rescaled(Fraction(7, 3)), "v7")
-        assert is_transitive(scaled) == is_transitive(model) is True
+        assert verdicts(scaled).transitive == verdicts(model).transitive is True
 
 
 def _rescaled_virgin(model, scale):
@@ -330,7 +326,7 @@ class TestDerivedCases:
             tube_levels=(r(table, "3/4"), r(table, "1/4")),
             name="bsum",
         ))
-        assert is_transitive(nontransitive) is False
+        assert verdicts(nontransitive).transitive is False
         dense = pillowcase_dense(table, "pd")
         model = connected_sum(SurgerySpec(
             "A", nontransitive, dense,
@@ -340,7 +336,7 @@ class TestDerivedCases:
             left_region="bsum.chain",
             name="amix",
         ))
-        assert is_transitive(model) is False
+        assert verdicts(model).transitive is False
 
     def test_kind_c_between_compact_sides(self, table):
         left = torus_model(table, 1, 0, "l")
@@ -358,7 +354,7 @@ class TestDerivedCases:
         assert not model.is_generic
         companion = genericize(model)
         assert companion.is_generic
-        assert is_transitive(model) is False
+        assert verdicts(model).transitive is False
         assert factorization_witness(model) is not None
 
 
@@ -380,7 +376,7 @@ class TestVerdictsDecidedOnce:
         decided = verdicts(model)
         assert decided.companion is not model and decided.companion.is_generic
         assert (decided.calabi, decided.transitive) == (False, False)
-        assert decided.harmonicity == harmonicity_verdict(model) == "NotIntrinsicallyHarmonic"
+        assert decided.harmonicity == verdicts(model).harmonicity == "NotIntrinsicallyHarmonic"
 
     def test_record_of_a_zero_free_model(self):
         model = build_catalog_model("torus-dense")
@@ -818,7 +814,7 @@ class TestCompanionRebuild:
                 ws.singular_entries.append(ws.singular_entries[0])
             return ws
 
-        hook_join(monkeypatch, "pinch", faulty)
+        hook_join(monkeypatch, "join", faulty)
         with pytest.raises(scalar.FoliageError, match="duplicate leaf ids"):
             genericize(model)
 
@@ -847,13 +843,13 @@ def _capturing_joins(monkeypatch):
         wraps.append(side_id)
         return real(model, side_id)
 
-    def captured(real, spec, left, right, extend):
+    def captured(real, spec, left, right, extend, apply):
         if spec.kind != "A":
-            return real(spec, left, right, extend)
+            return real(spec, left, right, extend, apply)
         inputs = [(m.is_generic, verdicts(_finished(m)).transitive) for m in (left, right)]
         surgered_right = right.spec is not None
         before = len(wraps)
-        ws = real(spec, left, right, extend)
+        ws = real(spec, left, right, extend, apply)
         lemma = ws.is_generic and all(generic and transitive for generic, transitive in inputs)
         if lemma:
             assert is_calabi(genericize(ws).graph) is True, ws.name
@@ -990,7 +986,7 @@ class TestKindALemma:
         assert _count_kind_a_joins(joins) == (1, 0, 1, 0, 0, 0)
         # generic, so the Calabi test on its own graph decides it
         assert model.is_generic and verdicts(model).companion is model
-        assert (verdicts(model).calabi, is_transitive(model)) == (False, False)
+        assert (verdicts(model).calabi, verdicts(model).transitive) == (False, False)
         assert not any("transitiv" in note for note in model.notes)
 
 

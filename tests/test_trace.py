@@ -10,22 +10,20 @@ from foliage.cli import build_scenario, parse_scenario, run
 from foliage.forms import BumpTerm, ClosedForm, FormError, bump_potential
 from foliage.leaves import TraceResult, _bump_sums, classify_leaf, trace_leaf
 from foliage.orbifold import (
+    BUILTIN_ORBIFOLDS,
     AffineMap,
     GroupAction,
     OrbifoldPresentation,
     TorusPoint,
     orbit,
-    pillowcase_presentation,
-    shifted_torus_presentation,
-    torus_presentation,
 )
 from foliage.scalar import SymbolTable
 
 from conftest import PI, SQRT2, SQRT3, build_catalog_model
 
-T = torus_presentation()
-S = shifted_torus_presentation()
-Q = pillowcase_presentation()
+T = BUILTIN_ORBIFOLDS["torus"]
+S = BUILTIN_ORBIFOLDS["shifted_torus"]
+Q = BUILTIN_ORBIFOLDS["pillowcase"]
 SEED = TorusPoint(Fraction(1, 8), Fraction(1, 8))
 
 

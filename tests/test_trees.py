@@ -1,17 +1,20 @@
 """Random surgery trees: every command answers, and every output is pinned."""
 
 import hashlib
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import test_scenarios
 from foliage import surgery
+from foliage.catalog import SCENARIOS
 from foliage.cli import COMMANDS, build_report, build_scenario, parse_scenario, run
 from foliage.graph import calabi_equiv_bruteforce, is_calabi
-from foliage.scalar import FoliageError, PrecisionExhausted
-from foliage.surgery import verdicts
+from foliage.scalar import FoliageError, Lattice, PrecisionExhausted
+from foliage.surgery import ModelError, verdicts
 
-from conftest import hook_join, surgery_chain, surgery_trees
+from conftest import hook_join, join_step, surgery_chain, surgery_trees
 
 TREE_COMMANDS = [c for c in COMMANDS if c != "examples"]
 
@@ -183,3 +186,47 @@ def test_level_shifts_by_whole_circumferences_keep_the_verdicts(trees):
         moved += count
     assert checked == 87
     assert moved == 128
+
+
+def _perturbed_companion(model, start):
+    """The model rebuilt at the shifts j/(7*2^k) of the first k >= start
+    that put no two singular levels in one class of the period lattice and
+    rebuild without error, as genericize takes them from k = 0."""
+    lattice = Lattice(model.generator_periods())
+    zero_ids = sorted(z.zero_id for z in model.zeros)
+    base = dict(model.singular_levels())
+    for k in range(start, start + 20):
+        shifts = {zid: Fraction(j, 7 * 2**k) for j, zid in enumerate(zero_ids)}
+        levels = [base[zid] + model.table.rational(shifts[zid]) for zid in zero_ids]
+        if any(a - b in lattice for a, b in combinations(levels, 2)):
+            continue
+        try:
+            return join_step("rebuild")(model, shifts)
+        except ModelError:
+            continue
+    raise AssertionError(f"{model.name}: no admissible shifts from k = {start}")
+
+
+def test_the_calabi_verdict_does_not_depend_on_the_perturbation(trees):
+    # every nongeneric surgered final model of the catalog, the chains and
+    # the trees; its companion rebuilt at later shift sets is Calabi exactly
+    # when the one genericize builds is
+    texts = [*SCENARIOS.values(), *(surgery_chain(kind, n) for kind in "ABC" for n in range(1, 9)),
+             *trees]
+    checked = brute = 0
+    for text in texts:
+        try:
+            model = build_scenario(parse_scenario(text)).final
+        except FoliageError:
+            continue
+        if model.spec is None or model.is_generic:
+            continue
+        expected = verdicts(model).calabi
+        for start in (0, 1, 2, 4, 8, 12):
+            graph = _perturbed_companion(model, start).graph
+            assert is_calabi(graph) == expected, (model.name, start)
+            if len(graph.vertices) <= 12:
+                assert calabi_equiv_bruteforce(graph) == (expected, expected), (model.name, start)
+                brute += 1
+        checked += 1
+    assert (checked, brute) == (53, 222)
