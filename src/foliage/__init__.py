@@ -11,7 +11,6 @@ from .scalar import (
     PrecisionExhausted,
     SymbolTable,
     SymScalar,
-    is_rational,
     q_rank,
     sign,
 )

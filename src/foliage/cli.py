@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from . import scalar as sc
 from . import catalog as builtin_catalog
-from .forms import ClosedForm, BumpTerm
+from .forms import ClosedForm, BumpTerm, rank_of_class
 from .graph import factorization_witness
 from .leaves import trace_leaf
 from .orbifold import (
@@ -504,21 +504,28 @@ def build_scenario(s: Scenario) -> BuiltScenario:
         presentations[o.name] = OrbifoldPresentation(action, o.basepoint or DEFAULT_BASEPOINT)
     forms: dict[str, ClosedForm] = {}
     models: dict[str, FoliationModel] = {}
+    # equal declarations on one presentation object share one form, which
+    # keeps its invariance, structure and periods; each name still gets its model
+    built_forms: dict[tuple, ClosedForm] = {}
     for f in s.forms:
-        bumps = tuple(
-            BumpTerm(
-                center=TorusPoint(*b.center),
-                radius=b.radius,
-                amplitude=_expr_value(table, b.amplitude),
+        orbifold = presentations[f.on]
+        key = (id(orbifold), f.dtheta, f.dphi, f.bumps, f.basic_override)
+        form = built_forms.get(key)
+        if form is None:
+            bumps = tuple(
+                BumpTerm(
+                    center=TorusPoint(*b.center),
+                    radius=b.radius,
+                    amplitude=_expr_value(table, b.amplitude),
+                )
+                for b in f.bumps
             )
-            for b in f.bumps
-        )
-        form = ClosedForm(
-            linear=(_expr_value(table, f.dtheta), _expr_value(table, f.dphi)),
-            orbifold=presentations[f.on],
-            bumps=bumps,
-            basic_override=f.basic_override,
-        )
+            form = built_forms[key] = ClosedForm(
+                linear=(_expr_value(table, f.dtheta), _expr_value(table, f.dphi)),
+                orbifold=orbifold,
+                bumps=bumps,
+                basic_override=f.basic_override,
+            )
         forms[f.name] = form
         models[f.name] = analyze(form, f.name)
     def levels(pair):
@@ -616,10 +623,9 @@ def build_report(built: BuiltScenario, command: str) -> str:
 
     lines.append("== periods ==")
     for name in sorted(built.forms):
-        pairs = built.models[name].sides[0].generators  # integrated once, by analyze
-        rank = sc.q_rank([v for _, v in pairs])
-        rendered = ", ".join(f"{g} = {v.render()}" for g, v in pairs)
-        lines.append(f"{name}: {rendered}; rank {rank}")
+        form = built.forms[name]
+        rendered = ", ".join(f"{g} = {v.render()}" for g, v in form.loop_periods)
+        lines.append(f"{name}: {rendered}; rank {rank_of_class(form)}")
     lines.append("")
 
     lines.append("== leaves ==")

@@ -77,8 +77,8 @@ class LinearStructure(NamedTuple):
 
 class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override")):
     """A closed 1-form on an orbifold, compared as its four fields; its bump
-    copies, invariant elements and structure are computed on first read and
-    then kept in its `__dict__`."""
+    copies, invariant elements, structure, loop periods and their rank are
+    computed on first read and then kept in its `__dict__`."""
 
     def __new__(cls, linear: tuple[sc.SymScalar, sc.SymScalar], orbifold: OrbifoldPresentation,
                 bumps: tuple[BumpTerm, ...] = (), basic_override: bool = False):
@@ -180,6 +180,16 @@ class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override"
             circumference=content / order,
             reduced=reduced,
         )
+
+    @sc.memo
+    def loop_periods(self) -> tuple[tuple[str, sc.SymScalar], ...]:
+        """The `periods` pairs, integrated once; raises as `periods` does."""
+        return tuple(periods(self))
+
+    @sc.memo
+    def period_rank(self) -> int:
+        """The rank over Q of the loop periods."""
+        return sc.q_rank([value for _, value in self.loop_periods])
 
 
 def _torus_dist2(x: tuple[Fraction, Fraction], c: TorusPoint) -> Fraction:
@@ -302,5 +312,6 @@ def periods(form: ClosedForm) -> list[tuple[str, sc.SymScalar]]:
 
 
 def rank_of_class(form: ClosedForm) -> int:
-    return sc.q_rank([value for _, value in periods(form)])
+    """The rank over Q of the form's periods (kept, as `ClosedForm.period_rank`)."""
+    return form.period_rank
 

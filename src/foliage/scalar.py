@@ -370,11 +370,6 @@ def _ratio_text(n: int, d: int) -> str:
 # -- module operations -------------------------------------------------------
 
 
-def is_rational(a: SymScalar) -> bool:
-    """True iff every coefficient except the one on "one" vanishes."""
-    return len(a.nums) <= 1
-
-
 def q_rank(vals: Sequence[SymScalar]) -> int:
     """Dimension of the Q-span of the values, by fraction-free (Bareiss)
     elimination on their integer numerator rows; up to two nonzero rows are

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import scalar as sc
-from .forms import ClosedForm, NotBasicError, Zero, periods
+from .forms import ClosedForm, NotBasicError, Zero
 from .graph import (
     MARKER,
     SPECIAL,
@@ -236,7 +236,7 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
             f"{name}: invariance check FAILED; proceeding under the declared-basic "
             f"override, foliation data computed on the invariant subgroup [{kept}]"
         )
-    gens = tuple(periods(form))
+    gens = form.loop_periods
     # a report writes every period and the circumference, so each must render
     for gen_id, period in gens:
         if not sc.renders(period):

@@ -204,7 +204,7 @@ def test_criterion_7_local_model_counts():
                "oracle for n <= 3, both groups")
 
 
-def test_criterion_8_make_generic_postconditions():
+def test_criterion_8_genericize_postconditions():
     model = build_catalog_model("pillowcase-ex2")
     companion = genericize(model)
     assert {(z.zero_id, z.index, z.isotropy_order) for z in model.zeros} == {

@@ -15,7 +15,6 @@ from foliage.scalar import (
     PrecisionExhausted,
     SymbolTable,
     hermite_normal_form,
-    is_rational,
     q_rank,
     sign,
 )
@@ -68,17 +67,6 @@ class TestArithmetic:
         p, q = TABLE.symbol("p"), TABLE.symbol("q")
         assert (p - p).is_zero() and (p - p).nums == ()
         assert (p + q - q).nums == p.nums
-
-
-class TestIsRational:
-    def test_plain_rational(self):
-        assert is_rational(TABLE.rational(Fraction(3, 2)))
-
-    def test_symbol_mixture(self):
-        assert not is_rational(TABLE.rational(Fraction(3, 2)) + TABLE.symbol("p"))
-
-    def test_zero(self):
-        assert is_rational(TABLE.zero())
 
 
 class TestQRank:

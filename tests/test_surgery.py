@@ -602,14 +602,72 @@ class TestBulkCopy:
             assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[(kind, what)], what
 
 
+W1_OF_A_ONE_JOIN_CHAIN = "[form w1]\non = Q1\ndtheta = 1*p\ndphi = 1*q\nbasic_override = true\n"
+
+
+class TestEqualFormsShared:
+    """Equal form declarations on one orbifold object are one `ClosedForm`;
+    each name keeps its own model."""
+
+    def test_the_forms_of_a_chain_are_one_record(self):
+        built = build_scenario(parse_scenario(surgery_chain("C", 2)))
+        assert built.forms["w0"] is built.forms["w1"] is built.forms["w2"]
+        models = [built.models[name] for name in ("w0", "w1", "w2")]
+        assert len({id(m) for m in models}) == 3
+        assert [m.name for m in models] == ["w0", "w1", "w2"]
+        assert [m.notes[0].split(":")[0] for m in models] == ["w0", "w1", "w2"]
+        # every model holds the one record's periods
+        assert models[0].sides[0].generators is models[2].sides[0].generators
+
+    @pytest.mark.parametrize("edit", [
+        # w1 gains a bump
+        lambda text: text.replace(
+            W1_OF_A_ONE_JOIN_CHAIN,
+            W1_OF_A_ONE_JOIN_CHAIN + "bump = center 1/4 1/4 radius 1/16 amplitude 1/1000\n"),
+        # on the torus both forms are invariant; only w0 declares the override
+        lambda text: text.replace("builtin = pillowcase", "builtin = torus").replace(
+            W1_OF_A_ONE_JOIN_CHAIN, W1_OF_A_ONE_JOIN_CHAIN.replace("basic_override = true\n", "")),
+        # two custom orbifolds with the same element: equal, but two objects
+        lambda text: text.replace("builtin = pillowcase", "element = -1 0 0 -1 ; 0 0"),
+    ], ids=["bumps", "basic_override", "custom-orbifold"])
+    def test_forms_declared_differently_are_not_shared(self, edit):
+        text = edit(surgery_chain("C", 1))
+        assert text != surgery_chain("C", 1)
+        built = build_scenario(parse_scenario(text))
+        w0, w1 = built.forms["w0"], built.forms["w1"]
+        assert w0 is not w1
+        assert w0.orbifold is built.presentations["Q0"]
+        assert w1.orbifold is built.presentations["Q1"]
+        periods = [built.models[name].sides[0].generators for name in ("w0", "w1")]
+        assert periods[0] is not periods[1]
+
+    def test_an_equal_form_without_its_override_exits_two_naming_the_first(self, tmp_path,
+                                                                          capsys):
+        path = tmp_path / "not_basic.scn"
+        path.write_text(surgery_chain("C", 1).replace("basic_override = true\n", ""))
+        assert cli.main(["periods", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "w0: form is not invariant under the action and no override is declared" in err
+        assert "w1" not in err and "Traceback" not in err
+
+
 class TestJoinCost:
     """A join does only the work its inputs need; every check still runs."""
 
-    def test_building_a_kind_c_chain_ranks_each_form_once(self, monkeypatch):
-        # each of the 9 forms decides its structure, rank included, once
+    def test_building_a_kind_c_chain_ranks_each_distinct_form_once(self, monkeypatch):
+        # the 9 equal forms are one record, which decides its structure,
+        # rank included, once
         calls = _counting(monkeypatch, forms, "LinearStructure")
         build_scenario(parse_scenario(surgery_chain("C", 8)))
-        assert len(calls) == 9
+        assert len(calls) == 1
+
+    def test_a_kind_c_chain_integrates_the_loops_of_each_distinct_form_once(self, monkeypatch):
+        calls = _counting(monkeypatch, forms, "g_path_integral")
+        built = build_scenario(parse_scenario(surgery_chain("C", 8)))
+        assert len(calls) == len(BUILTIN_ORBIFOLDS["pillowcase"].generators) == 3
+        # the report reads the kept periods and their rank
+        assert "w8: " in build_report(built, "surgery")
+        assert len(calls) == 3
 
     def test_a_kind_a_chain_reduces_only_distinct_periods(self, monkeypatch):
         calls = _counting(monkeypatch, scalar, "hermite_normal_form")
