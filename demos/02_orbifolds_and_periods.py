@@ -17,8 +17,6 @@ from foliage import (
     TorusPoint,
     isotropy_order,
     orbit,
-    periods,
-    rank_of_class,
 )
 
 table = SymbolTable([
@@ -39,10 +37,10 @@ print("generators:", [g.gen_id for g in Q.generators])
 # periods of p*dtheta + q*dphi on the plain torus
 T = BUILTIN_ORBIFOLDS["torus"]
 w = ClosedForm((table.symbol("p"), table.symbol("q")), T)
-for gen_id, value in periods(w):
+for gen_id, value in w.loop_periods:
     print(f"period over {gen_id}: {value.render()}")
-print("rank of the class:", rank_of_class(w))
+print("rank of the class:", w.period_rank)
 
 # a rational form has rank 1 -- every leaf closes up
 w_rational = ClosedForm((table.rational(2), table.rational(3)), T)
-print("rank of 2 dtheta + 3 dphi:", rank_of_class(w_rational))
+print("rank of 2 dtheta + 3 dphi:", w_rational.period_rank)

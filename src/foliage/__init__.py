@@ -30,10 +30,7 @@ from .forms import (
     BumpTerm,
     ClosedForm,
     Zero,
-    check_basic,
     g_path_integral,
-    periods,
-    rank_of_class,
 )
 from .leaves import (
     Decomposition,

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from . import scalar as sc
 from . import catalog as builtin_catalog
-from .forms import ClosedForm, BumpTerm, rank_of_class
+from .forms import ClosedForm, BumpTerm
 from .graph import factorization_witness
 from .leaves import trace_leaf
 from .orbifold import (
@@ -625,7 +625,7 @@ def build_report(built: BuiltScenario, command: str) -> str:
     for name in sorted(built.forms):
         form = built.forms[name]
         rendered = ", ".join(f"{g} = {v.render()}" for g, v in form.loop_periods)
-        lines.append(f"{name}: {rendered}; rank {rank_of_class(form)}")
+        lines.append(f"{name}: {rendered}; rank {form.period_rank}")
     lines.append("")
 
     lines.append("== leaves ==")
@@ -847,7 +847,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:
                 try:
                     with open(args.scenario, encoding="utf-8") as fh:
-                        text = fh.read()
+                        # some editors start a UTF-8 file with a byte order mark
+                        text = fh.read().removeprefix("\ufeff")
                 except UnicodeDecodeError as err:
                     raise ScenarioError(
                         f"{args.scenario}: not UTF-8 text (byte {err.start}: {err.reason})"

@@ -66,13 +66,11 @@ class Zero(NamedTuple):
 class LinearStructure(NamedTuple):
     """Exact shape of the foliation of a zero-free linear (+ bump) form."""
 
-    rank: int
-    compact: bool
+    rank: int  # 1 exactly when the leaves are compact
     direction: Optional[tuple[int, int]]  # primitive leaf direction on the cover
     content: Optional[sc.SymScalar]  # positive transverse period of the cover circle
     quotient_order: int  # collapsing of the leaf circle by the invariant subgroup
     circumference: Optional[sc.SymScalar]  # content / quotient_order
-    reduced: bool  # some group elements do not preserve the form
 
 
 class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override")):
@@ -117,8 +115,12 @@ class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override"
 
     @sc.memo
     def invariant_elements(self) -> tuple[int, ...]:
-        """Indices of the group elements whose pullback preserves the form."""
-        return tuple(invariant_subgroup(self))
+        """Indices of the group elements whose pullback preserves the form
+        exactly.  Bumps are orbit-replicated by construction, so they are
+        preserved exactly by the elements that act by (integer) isometries."""
+        a, b = self.linear
+        return tuple(i for i, g in enumerate(self.orbifold.action.elements)
+                     if _pulls_back_to_itself(g, a, b) and (not self.bumps or g.is_orthogonal()))
 
     @property
     def invariant(self) -> bool:
@@ -150,14 +152,13 @@ class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override"
                         f"bump at center {term.center.theta} {term.center.phi} dominates "
                         "the linear part; the perturbation regime is violated"
                     )
-        reduced = not self.invariant
         # rank 1 exactly when (a, b) = (m*t, n*t), m and n coprime, t symbolic
         if a.is_zero():
             content, (m, n) = b, (0, 1)
         else:
             r = b.ratio_to(a)
             if r is None:
-                return LinearStructure(2, False, None, None, 1, None, reduced)
+                return LinearStructure(2, None, None, 1, None)
             content, (m, n) = a / r.denominator, (r.denominator, r.numerator)
         if sc.sign(content) < 0:
             content, (m, n) = -content, (-m, -n)
@@ -173,18 +174,23 @@ class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override"
                                           + n * y.numerator * x.denominator, den))
         return LinearStructure(
             rank=1,
-            compact=True,
             direction=(n, -m),
             content=content,
             quotient_order=order,
             circumference=content / order,
-            reduced=reduced,
         )
 
     @sc.memo
     def loop_periods(self) -> tuple[tuple[str, sc.SymScalar], ...]:
-        """The `periods` pairs, integrated once; raises as `periods` does."""
-        return tuple(periods(self))
+        """Loop integrals over the fundamental generators, in generator order.
+        Raises unless the form descends to the quotient, that is every group
+        element preserves it, or it declares basic_override (which reports
+        record beside the honest verdict)."""
+        if not (self.basic_override or self.invariant):
+            raise NotBasicError(
+                "form does not descend to the quotient; declare basic_override to proceed"
+            )
+        return tuple((g.gen_id, g_path_integral(self, g.loop)) for g in self.orbifold.generators)
 
     @sc.memo
     def period_rank(self) -> int:
@@ -237,17 +243,6 @@ def bump_potential(form: ClosedForm, point: TorusPoint) -> sc.SymScalar:
 # -- operations ----------------------------------------------------------------
 
 
-def check_basic(form: ClosedForm) -> bool:
-    """Whether the form honestly descends to the quotient.
-
-    Linear part: every group matrix must pull it back to itself.  Bumps are
-    orbit-replicated by construction, so they descend exactly when the group
-    acts by (integer) isometries.  A declared override makes the verdict true
-    and is recorded separately by reports.
-    """
-    return form.basic_override or form.invariant
-
-
 def _pulls_back_to_itself(g: AffineMap, a: sc.SymScalar, b: sc.SymScalar) -> bool:
     """Whether g's matrix pulls a*dtheta + b*dphi back to itself, that is
     (m00 - 1)*a + m10*b = 0 = m01*a + (m11 - 1)*b, tested column by column
@@ -259,17 +254,6 @@ def _pulls_back_to_itself(g: AffineMap, a: sc.SymScalar, b: sc.SymScalar) -> boo
         if (m00 - 1) * x + m10 * y or m01 * x + (m11 - 1) * y:
             return False
     return True
-
-
-def invariant_subgroup(form: ClosedForm) -> list[int]:
-    """Indices of group elements whose pullback preserves the form exactly
-    (callers read it once kept, as `ClosedForm.invariant_elements`)."""
-    a, b = form.linear
-    keep = []
-    for i, g in enumerate(form.orbifold.action.elements):
-        if _pulls_back_to_itself(g, a, b) and (not form.bumps or g.is_orthogonal()):
-            keep.append(i)
-    return keep
 
 
 def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
@@ -300,18 +284,3 @@ def g_path_integral(form: ClosedForm, path: GPath) -> sc.SymScalar:
         total = total + bump_potential(form, TorusPoint(*end))
         total = total - bump_potential(form, TorusPoint(*start))
     return total
-
-
-def periods(form: ClosedForm) -> list[tuple[str, sc.SymScalar]]:
-    """Loop integrals over the fundamental generators, in generator order."""
-    if not check_basic(form):
-        raise NotBasicError(
-            "form does not descend to the quotient; declare basic_override to proceed"
-        )
-    return [(g.gen_id, g_path_integral(form, g.loop)) for g in form.orbifold.generators]
-
-
-def rank_of_class(form: ClosedForm) -> int:
-    """The rank over Q of the form's periods (kept, as `ClosedForm.period_rank`)."""
-    return form.period_rank
-

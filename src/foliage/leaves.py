@@ -78,8 +78,7 @@ class Decomposition(namedtuple("Decomposition",
 
 def classify_leaf(form: ClosedForm, presentation: OrbifoldPresentation, x: TorusPoint) -> LeafClass:
     """Classify the leaf through a point of a zero-free (virgin) form."""
-    structure = form.structure
-    kind = COMPACT_REGULAR if structure.compact else NONCOMPACT_REGULAR
+    kind = COMPACT_REGULAR if form.structure.rank == 1 else NONCOMPACT_REGULAR
     return LeafClass(leaf_id=f"leaf({x.theta},{x.phi})", kind=kind)
 
 

@@ -223,10 +223,6 @@ def _as_cover(p) -> CoverPoint:
     return (Fraction(p[0]), Fraction(p[1]))
 
 
-def _reduce(p: CoverPoint) -> TorusPoint:
-    return TorusPoint(p[0], p[1])
-
-
 class GPath(namedtuple("GPath", "presentation segments arrows")):
     """Alternating sequence of cover-lifted PL paths and group arrows.
 
@@ -255,18 +251,18 @@ class GPath(namedtuple("GPath", "presentation segments arrows")):
         path = GPath(presentation, segs, arrs)
         for k, a in enumerate(arrs):
             g = presentation.action.elements[a]
-            carried = g.apply(_reduce(segs[k][-1]))
-            if carried != _reduce(segs[k + 1][0]):
+            carried = g.apply(TorusPoint(*segs[k][-1]))
+            if carried != TorusPoint(*segs[k + 1][0]):
                 raise OrbifoldError(f"arrow {k} does not carry segment {k} onto segment {k + 1}")
         return path
 
     @property
     def start(self) -> TorusPoint:
-        return _reduce(self.segments[0][0])
+        return TorusPoint(*self.segments[0][0])
 
     @property
     def end(self) -> TorusPoint:
-        return _reduce(self.segments[-1][-1])
+        return TorusPoint(*self.segments[-1][-1])
 
     def is_loop(self) -> bool:
         """Whether the path ends where it starts: its cover displacement is integral."""

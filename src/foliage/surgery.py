@@ -226,7 +226,7 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
     """Build the model of a zero-free linear (+ bumps) form on its orbifold."""
     notes = []
     structure = form.structure
-    if structure.reduced:
+    if not form.invariant:
         if not form.basic_override:
             raise NotBasicError(
                 f"{name}: form is not invariant under the action and no override is declared"
@@ -242,13 +242,13 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
         if not sc.renders(period):
             raise ModelError(f"{name}: the period of loop {gen_id} expands past "
                              f"{sc.LITERAL_DIGITS} digits")
-    if structure.compact and not sc.renders(structure.circumference):
+    if structure.rank == 1 and not sc.renders(structure.circumference):
         raise ModelError(f"{name}: the leaf circle's circumference expands past "
                          f"{sc.LITERAL_DIGITS} digits")
     kept = set(form.invariant_elements)
     witness_gens = tuple(g.gen_id for g in form.orbifold.generators if g.arrow_index in kept)
     model = FoliationModel(name, form, form.table, notes=notes, is_generic=True)
-    if structure.compact:
+    if structure.rank == 1:
         marker = model.graph.add_vertex(MARKER)
         eid = model.graph.add_edge(
             marker,
@@ -322,15 +322,14 @@ def _merge(spec: SurgerySpec, left: FoliationModel, right: FoliationModel, exten
     """The record of spec's join holding both inputs, with each disk site
     moved onto its edge ids.
 
-    With extend the record is the left input itself, extended in place with
-    its ids unmoved, and what finish built of it is cleared; only the right
-    is copied.  Otherwise both are copied, renumbered in sorted-id order,
+    With extend the record is the left input itself, a join output never
+    finished, extended in place with its ids unmoved; only the right is
+    copied.  Otherwise both are copied, renumbered in sorted-id order,
     and neither input is written to.  An input may itself be unfinished.
     """
     if extend:
         model, maps = left, [None]
         model.name, model.spec = spec.name, spec
-        model.catalog = model.decomposition = None
     else:
         model = FoliationModel(spec.name, table=left.table, spec=spec)
         maps = [model.absorb(left)]
@@ -411,7 +410,7 @@ def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar,
     side = model.side(e.side)
     located = []
     for level, vid in cuts:
-        pos = level + site.shift if site.shift is not None else level
+        pos = level + site.shift
         if not (sc.sign(pos - e.span[0]) > 0 and sc.sign(e.span[1] - pos) > 0):
             raise ModelError("cut level falls outside the targeted family")
         _check_level_clear(model, side, pos)

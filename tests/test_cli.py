@@ -860,6 +860,27 @@ class TestEntryPoint:
         assert main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, name):
+        # some editors start a UTF-8 file with the mark EF BB BF
+        text = SCENARIOS[name].encode("utf-8")
+        plain, marked = tmp_path / "plain.scn", tmp_path / "marked.scn"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        for command in ("periods", "surgery"):
+            got = []
+            for path in (plain, marked):
+                code = main([command, str(path)])
+                got.append((code, capsys.readouterr().out))
+            assert got[1] == got[0]
+
+    def test_a_bad_byte_after_a_byte_order_mark_is_placed_in_the_file(self, tmp_path, capsys):
+        path = tmp_path / "marked.scn"
+        path.write_bytes(b"\xef\xbb\xbf[symbols]\n\x80\n")
+        assert main(["periods", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8 text (byte 13: " in err
         assert "Traceback" not in err
 
     def test_dominating_bump_exit_two_names_the_centre_as_written(self, tmp_path, capsys):

@@ -274,14 +274,16 @@ def test_chain_build_reuses_loops_and_decides_invariance_of_each_distinct_form_o
     text = workloads.chain_text("C", 8, workloads.sqrt_literal(2), workloads.sqrt_literal(3))
     calls = []
     count_calls(monkeypatch, calls, orbifold, "fundamental_generators")
-    count_calls(monkeypatch, calls, forms, "invariant_subgroup")
+    count_calls(monkeypatch, calls, forms, "_pulls_back_to_itself")
     built = build_scenario(parse_scenario(text))
     assert len(built.forms) == 9
+    # deciding invariance tests each group element once
+    elements = len(orbifold.BUILTIN_ORBIFOLDS["pillowcase"].action.elements)
     assert calls.count("fundamental_generators") == 0
-    assert calls.count("invariant_subgroup") == 1
+    assert calls.count("_pulls_back_to_itself") == elements
     # the report's basicness section reads the verdicts the build decided
     assert "transitive: no" in build_report(built, "surgery")
-    assert calls.count("invariant_subgroup") == 1
+    assert calls.count("_pulls_back_to_itself") == elements
 
 
 BUMPED_TORUS = """[symbols]
@@ -309,11 +311,13 @@ def test_a_trace_op_decides_invariance_once(monkeypatch):
     # analyze, the basicness section and the tracer's closure targets all
     # read the invariant elements the form kept
     calls = []
-    count_calls(monkeypatch, calls, forms, "invariant_subgroup")
+    count_calls(monkeypatch, calls, forms, "_pulls_back_to_itself")
     built = build_scenario(parse_scenario(BUMPED_TORUS))
     report, _, code = run("trace", built, {})
     assert code == 0 and "trace verdict: Closed" in report
-    assert calls == ["invariant_subgroup"]
+    # deciding invariance tests each group element once
+    (form,) = built.forms.values()
+    assert calls == ["_pulls_back_to_itself"] * len(form.orbifold.action.elements)
 
 
 def test_trace_ops_on_a_builtin_find_its_cone_markers_once(monkeypatch, tmp_path, capsys):
@@ -347,10 +351,12 @@ def test_a_trace_op_finds_each_bump_orbit_once(monkeypatch, tmp_path, capsys, te
 @pytest.mark.parametrize("name", ZERO_FREE_CATALOG)
 def test_a_periods_report_decides_invariance_once_per_form(monkeypatch, name):
     calls = []
-    count_calls(monkeypatch, calls, forms, "invariant_subgroup")
+    count_calls(monkeypatch, calls, forms, "_pulls_back_to_itself")
     built = build_scenario(parse_scenario(catalog.SCENARIOS[name]))
     build_report(built, "periods")
-    assert len(calls) == len(built.forms) == 1
+    # deciding invariance tests each group element once
+    (form,) = built.forms.values()
+    assert len(calls) == len(form.orbifold.action.elements)
 
 
 def test_chain_build_copies_no_record_unchanged(monkeypatch):

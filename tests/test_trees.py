@@ -1,6 +1,7 @@
 """Random surgery trees: every command answers, and every output is pinned."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from foliage.graph import calabi_equiv_bruteforce, is_calabi
 from foliage.scalar import FoliageError, Lattice, PrecisionExhausted
 from foliage.surgery import ModelError, verdicts
 
-from conftest import hook_join, join_step, surgery_chain, surgery_trees
+from conftest import PI, hook_join, join_step, surgery_chain, surgery_trees
 
 TREE_COMMANDS = [c for c in COMMANDS if c != "examples"]
 
@@ -230,3 +231,53 @@ def test_the_calabi_verdict_does_not_depend_on_the_perturbation(trees):
                 brute += 1
         checked += 1
     assert (checked, brute) == (53, 222)
+
+
+def dense_torus_chain(n, window, start, step, c, k):
+    """n + 1 dense tori p dtheta + c dphi joined in sequence by kind-A tubes
+    through their noncompact components, tube i at the levels
+    start + (i-1)*step : that + k*c inside both windows; the band k*c is a
+    multiple of the period c of loop b, so every tube's two zeros share a
+    class of the period lattice and the model is never generic."""
+    out = ["[symbols]", f"p = {PI}"]
+    for i in range(n + 1):
+        out += [f"[orbifold T{i}]", "builtin = torus", f"[form w{i}]", f"on = T{i}",
+                "dtheta = 1*p", f"dphi = {c}"]
+    for i in range(1, n + 1):
+        lx = start + (i - 1) * step
+        out += [f"[surgery s{i}]", "kind = A", f"left = {'w0' if i == 1 else f's{i - 1}'}",
+                f"right = w{i}", "left_region = w0.inf", f"right_region = w{i}.inf",
+                f"left_window = {window[0]} : {window[1]}",
+                f"right_window = {window[0]} : {window[1]}", f"tube = {lx} : {lx + k * c}"]
+    return "\n".join(out) + "\n"
+
+
+def dense_torus_chains(seed, count):
+    """Seeded dense_torus_chain scenarios: chain length 1 to 5, the period c,
+    the band's multiple k, the window and the tube levels all drawn."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k = rng.randint(1, 5), rng.randint(1, 2)
+        c = rng.choice([1, Fraction(1, 2), Fraction(2, 3)])
+        lo = rng.choice([0, -1, Fraction(1, 4)])
+        start = lo + rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+        step = rng.choice([Fraction(1, 7), Fraction(1, 11)])
+        hi = start + (n - 1) * step + k * c + rng.choice([1, Fraction(1, 2)])
+        yield dense_torus_chain(n, (lo, hi), start, step, c, k)
+
+
+def test_the_calabi_side_does_not_depend_on_the_perturbation():
+    # nongeneric kind-A chains of dense tori, whose companions are Calabi:
+    # rebuilt at later shift sets, each companion stays Calabi
+    checked = brute = 0
+    for text in dense_torus_chains(seed=30, count=12):
+        model = build_scenario(parse_scenario(text)).final
+        assert not model.is_generic and verdicts(model).calabi is True, model.name
+        for start in (0, 1, 2, 4, 8, 12):
+            graph = _perturbed_companion(model, start).graph
+            assert is_calabi(graph), (model.name, start)
+            if len(graph.vertices) <= 12:
+                assert calabi_equiv_bruteforce(graph) == (True, True), (model.name, start)
+                brute += 1
+        checked += 1
+    assert (checked, brute) == (12, 72)
