@@ -860,6 +860,7 @@ class TestEntryPoint:
         assert main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and "not UTF-8" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, name):
