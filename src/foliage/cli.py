@@ -396,6 +396,8 @@ def parse_scenario(text: str) -> Scenario:
                         raise ScenarioError("a dependent symbol needs its relation", i)
                     if len(parts) == 2 and parts[1] != "independent":
                         raise ScenarioError(f"bad symbol flag {parts[1]!r}", i)
+                    if not sym.isidentifier():
+                        raise ScenarioError(f"symbol name {sym!r} is not an identifier", i)
                     if sym in names or sym == "one":
                         raise ScenarioError(f"duplicate symbol {sym!r}", i)
                     try:
@@ -839,7 +841,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         built = None
-        if args.command != "examples":
+        if args.command == "examples":
+            if args.scenario:
+                parser.error("examples takes no scenario")
+        else:
             if not args.scenario:
                 parser.error("this command needs a scenario file")
             if args.scenario in builtin_catalog.SCENARIOS:

@@ -287,12 +287,8 @@ def digraph_from_arcs(n: int, arcs: Iterable[tuple[int, int]],
 
 
 class FactorizationWitness(NamedTuple):
-    cocycle: tuple[tuple[int, sc.SymScalar], ...]  # edge id -> oriented weight
     checks: tuple[tuple[str, sc.SymScalar, sc.SymScalar], ...]
     free_rank: int
-
-    def sound(self) -> bool:
-        return all(p == w for _, p, w in self.checks)
 
 
 def factorization_witness(model) -> Optional[FactorizationWitness]:
@@ -323,7 +319,6 @@ def factorization_witness(model) -> Optional[FactorizationWitness]:
                 raise GraphError(f"generator {gen_id} does not project to a closed walk")
             checks.append((f"{side.side_id}.{gen_id}", period, circuit_weight * laps))
     return FactorizationWitness(
-        cocycle=tuple((eid, graph.edges[eid].weight) for eid in sorted(graph.edges)),
         checks=tuple(checks),
         free_rank=len(graph.edges) - len(graph.vertices) + 1,
     )

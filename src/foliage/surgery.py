@@ -197,9 +197,6 @@ class FoliationModel:
         self.special_vertices[comp] = self.graph.add_vertex(SPECIAL, ref=comp)
         return comp
 
-    def add_tube_side(self) -> None:
-        self.add_side(Side(self.name, "tube", (), None))
-
     def add_zero(self, zero: Zero) -> None:
         self.zeros.append(zero)
         self._zeros_on.setdefault(zero.side, []).append(zero)
@@ -290,7 +287,8 @@ class SurgerySpec(namedtuple("SurgerySpec", "kind left right left_window right_w
 
 class _Site:
     """A resolved disk placement: an edge of a compact family or a noncompact
-    component, with the declared window and bookkeeping filled in on the way."""
+    component, with the declared window; _merge moves the edge id onto the
+    joined record."""
 
     def __init__(self, role: str, kind: str, side_id: str,
                  window: tuple[sc.SymScalar, sc.SymScalar], edge_id: Optional[int] = None,
@@ -299,7 +297,6 @@ class _Site:
         self.kind = kind  # "edge" | "special"
         self.side_id, self.window = side_id, window
         self.edge_id, self.component = edge_id, component
-        self.shift: Optional[sc.SymScalar] = None  # modulus multiple placing levels in the span
 
 
 def _sites(spec: SurgerySpec, left: FoliationModel, right: FoliationModel) -> tuple[_Site, _Site]:
@@ -389,28 +386,27 @@ def _check_level_clear(model: FoliationModel, side: Side, position: sc.SymScalar
             raise ModelError(f"tube level collides with the singular level of zero {z.zero_id}")
 
 
-def _fit_window(model: FoliationModel, site: _Site) -> None:
-    if site.kind != "edge":
-        return
-    e = model.graph.edges[site.edge_id]
-    side = model.side(e.side)
-    shift = _locate_window(site.window, e.span, side.circumference)
+def _fit_window(site: _Site, span, side: Side) -> sc.SymScalar:
+    """The modulus multiple that places the site's window inside the span."""
+    shift = _locate_window(site.window, span, side.circumference)
     if shift is None:
         raise ModelError(
             f"{site.role}: disk window does not fit inside the targeted region "
             "(windows may not straddle a family boundary; shift the level origin)"
         )
-    site.shift = shift
+    return shift
 
 
 def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar, int]]) -> list[int]:
-    """Split the site's edge at the given ambient levels; returns new edge ids
-    ordered from the low end of the span to the high end."""
+    """Split the site's edge at the given ambient levels, once its window is
+    fitted to the edge's span; returns new edge ids ordered from the low end
+    of the span to the high end."""
     e = model.graph.edges[site.edge_id]
     side = model.side(e.side)
+    shift = _fit_window(site, e.span, side)
     located = []
     for level, vid in cuts:
-        pos = level + site.shift
+        pos = level + shift
         if not (sc.sign(pos - e.span[0]) > 0 and sc.sign(e.span[1] - pos) > 0):
             raise ModelError("cut level falls outside the targeted family")
         _check_level_clear(model, side, pos)
@@ -418,20 +414,13 @@ def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar,
     model.graph.remove_edge(e.eid)
     pieces = []
     prev_v, prev_pos = e.src, e.span[0]
-    for i, (pos, vid) in enumerate(located):
-        pieces.append(
-            model.graph.add_edge(prev_v, vid, pos - prev_pos, f"{e.family}:{i}", e.side,
-                              (prev_pos, pos))
-        )
+    for i, (pos, vid) in enumerate(located + [(e.span[1], e.dst)]):
+        pieces.append(model.graph.add_edge(prev_v, vid, pos - prev_pos, f"{e.family}:{i}",
+                                           e.side, (prev_pos, pos)))
         prev_v, prev_pos = vid, pos
-    pieces.append(
-        model.graph.add_edge(prev_v, e.dst, e.span[1] - prev_pos,
-                          f"{e.family}:{len(located)}", e.side, (prev_pos, e.span[1]))
-    )
     # an edge lies on its own side's circle, if any; a kind-A fused edge,
     # whose side is the tube's, lies on the circles of both sides it joined
-    owner = model.side(e.side)
-    for s in [owner] if owner.kind == "circle" else model.sides:
+    for s in [side] if side.kind == "circle" else model.sides:
         if e.eid in s.circuit_edges:
             model.replace_side(s.with_circuit(
                 p for eid in s.circuit_edges for p in (pieces if eid == e.eid else (eid,))))
@@ -492,8 +481,6 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
     cut_sites = [s for s in (left, right) if modes[s.role] == "cut"]
     wrap_sites = [s for s in (left, right) if modes[s.role] == "wrap"]
     special_sites = [s for s in (left, right) if modes[s.role] == "special"]
-    for s in cut_sites:
-        _fit_window(model, s)
 
     vZx = model.graph.add_vertex(ZERO, ref=f"{spec.name}.x")
     vZy = model.graph.add_vertex(ZERO, ref=f"{spec.name}.y")
@@ -543,7 +530,6 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
         leaf_kind, comp_ref = NONCOMPACT_SINGULAR, target
         noncompact_comps = [(f"rays@{target}", False)]
 
-    model.add_tube_side()
     zx, zy = f"{spec.name}.x", f"{spec.name}.y"
     model.register_zero(zx, lx, left.side_id)
     model.register_zero(zy, ly, right.side_id)
@@ -561,8 +547,6 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
 
 
 def _forbid_wrapping(model: FoliationModel, site: _Site) -> None:
-    if site.kind != "edge":
-        return
     side = model.side(model.graph.edges[site.edge_id].side)
     if side.circumference is None:
         return
@@ -571,47 +555,38 @@ def _forbid_wrapping(model: FoliationModel, site: _Site) -> None:
         raise UnsupportedSurgery("pinch disks must not wrap the side circle")
 
 
-def _apply_pinch(
-    model: FoliationModel,
-    low_site: _Site,
-    high_site: _Site,
-    low_level: sc.SymScalar,
-    high_level: sc.SymScalar,
-    low_zero: str,
-    high_zero: str,
-) -> None:
+def _pin(model: FoliationModel, site: _Site, vertex: int, level: sc.SymScalar,
+         prefix: str) -> tuple[tuple[str, bool], Optional[str]]:
+    """Put a zero vertex of a pinched tube on its disk site at level: an
+    edge site's family is cut there, a special site's component takes the
+    vertex.  Returns the leaf component this adds, named under prefix, and
+    the noncompact component, if there is one."""
+    if site.kind == "edge":
+        _forbid_wrapping(model, site)
+        _cut_edge(model, site, [(level, vertex)])
+        return (f"{prefix}.circle@{site.side_id}", True), None
+    model.graph.attach(vertex, model.special_vertices[site.component])
+    return (f"{prefix}.rays@{site.component}", False), site.component
+
+
+def _apply_pinch(model: FoliationModel, low: tuple[_Site, sc.SymScalar, str],
+                 high: tuple[_Site, sc.SymScalar, str]) -> None:
     """Shared rewiring of kind B and of genericized kind C: a chain of new
-    compact families between the two pinch levels, one zero at each end."""
+    compact families between the two pinch levels, one zero at each end.
+    Each end is (site, level, zero id), the low end first."""
     spec = model.spec
+    low_level, high_level = low[1], high[1]
     if sc.sign(high_level - low_level) <= 0:
         raise ModelError("pinch needs two distinct ordered levels")
-    for s in (low_site, high_site):
-        _forbid_wrapping(model, s)
-        _fit_window(model, s)
-
-    v_low = model.graph.add_vertex(ZERO, ref=low_zero)
-    v_high = model.graph.add_vertex(ZERO, ref=high_zero)
-    model.graph.add_edge(
-        v_low, v_high, high_level - low_level, f"{spec.name}.chain", spec.name,
-        (low_level, high_level),
-    )
-
-    for site, vertex, level, zid, cap in (
-        (low_site, v_low, low_level, low_zero, "bottom"),
-        (high_site, v_high, high_level, high_zero, "top"),
-    ):
-        comps = [(f"{zid}.pinch_{cap}", True)]
-        if site.kind == "edge":
-            _cut_edge(model, site, [(level, vertex)])
-            comps.append((f"{zid}.circle@{site.side_id}", True))
-            kind, ref = COMPACT_SINGULAR, None
-        else:
-            model.graph.attach(vertex, model.special_vertices[site.component])
-            comps.append((f"{zid}.rays@{site.component}", False))
-            kind, ref = NONCOMPACT_SINGULAR, site.component
+    vertices = [model.graph.add_vertex(ZERO, ref=zid) for _, _, zid in (low, high)]
+    model.graph.add_edge(*vertices, high_level - low_level, f"{spec.name}.chain", spec.name,
+                         (low_level, high_level))
+    for (site, level, zid), vertex, cap in zip((low, high), vertices, ("bottom", "top")):
+        comp, ref = _pin(model, site, vertex, level, zid)
+        kind = COMPACT_SINGULAR if ref is None else NONCOMPACT_SINGULAR
         model.register_zero(zid, level, site.side_id)
-        model.add_singular_leaf(zid.rsplit(".", 1)[1], kind, (zid,), comps, ref)
-    model.add_tube_side()
+        model.add_singular_leaf(zid.rsplit(".", 1)[1], kind, (zid,),
+                                [(f"{zid}.pinch_{cap}", True), comp], ref)
 
 
 def _apply_B(model: FoliationModel, left: _Site, right: _Site) -> bool:
@@ -632,7 +607,7 @@ def _apply_B(model: FoliationModel, left: _Site, right: _Site) -> bool:
         and sc.sign(high_site.window[1] - lx) > 0
     ):
         raise ModelError("kind B tube levels must pinch at their own disk windows")
-    _apply_pinch(model, low_site, high_site, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    _apply_pinch(model, (low_site, ly, f"{spec.name}.y"), (high_site, lx, f"{spec.name}.x"))
     return True
 
 
@@ -646,36 +621,25 @@ def _apply_C(model: FoliationModel, left: _Site, right: _Site) -> bool:
         raise ModelError("kind C level must lie strictly inside the window overlap")
 
     vZ = model.graph.add_vertex(ZERO, ref=f"{spec.name}.x+{spec.name}.y")
-    comps: list[tuple[str, bool]] = [(f"{spec.name}.waist", True)]
-    refs = []
-    for site in (left, right):
-        if site.kind == "edge":
-            _forbid_wrapping(model, site)
-            _fit_window(model, site)
-            _cut_edge(model, site, [(lx, vZ)])
-            comps.append((f"{spec.name}.circle@{site.side_id}", True))
-        else:
-            model.graph.attach(vZ, model.special_vertices[site.component])
-            comps.append((f"{spec.name}.rays@{site.component}", False))
-            refs.append(site.component)
+    pins = [_pin(model, site, vZ, lx, spec.name) for site in (left, right)]
+    refs = sorted(ref for _, ref in pins if ref is not None)
     zx, zy = f"{spec.name}.x", f"{spec.name}.y"
     model.register_zero(zx, lx, left.side_id)
     model.register_zero(zy, ly, right.side_id)
-    model.add_tube_side()
     kind = NONCOMPACT_SINGULAR if refs else COMPACT_SINGULAR
-    model.add_singular_leaf("xy", kind, (zx, zy), comps, sorted(refs)[0] if refs else None)
+    comps = [(f"{spec.name}.waist", True)] + [comp for comp, _ in pins]
+    model.add_singular_leaf("xy", kind, (zx, zy), comps, refs[0] if refs else None)
     return False  # two zeros on one leaf: never generic
 
 
 def _apply_opened_C(model: FoliationModel, left: _Site, right: _Site) -> bool:
     """A perturbed equal-level tube is a pinched tube: the waist opens into a
-    short chain of compact families between the two separated levels."""
+    short chain of compact families between the two separated levels.
+    genericize shifts the zeros by j/(7*2^k) in sorted-id order, and x sorts
+    before y, so y, at the right junction, ends above x, at the left."""
     spec = model.spec
-    lx, ly = spec.tube_levels  # x sits at the left junction, y at the right
-    if sc.sign(ly - lx) > 0:
-        _apply_pinch(model, left, right, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
-    else:
-        _apply_pinch(model, right, left, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    lx, ly = spec.tube_levels
+    _apply_pinch(model, (left, lx, f"{spec.name}.x"), (right, ly, f"{spec.name}.y"))
     return True
 
 
@@ -688,12 +652,14 @@ _APPLY = {"A": _apply_A, "B": _apply_B, "C": _apply_C}
 def _join(spec: SurgerySpec, left: FoliationModel, right: FoliationModel,
           extend: bool, apply) -> FoliationModel:
     """Apply one surgery to its inputs through apply, the rewiring
-    build_joins chose for it, leaving the result unfinished with is_generic
-    set; with extend the result is the left input, extended in place (see
-    _merge), so what the join reads of its left it reads first."""
+    build_joins chose for it, then add the tube side, the last side a join
+    adds; the result is left unfinished with is_generic set.  With extend
+    the result is the left input, extended in place (see _merge), so what
+    the join reads of its left it reads first."""
     sites = _sites(spec, left, right)
     model = _merge(spec, left, right, extend, sites)
     generic = apply(model, *sites)
+    model.add_side(Side(spec.name, "tube", (), None))
     model.is_generic = generic and left.is_generic and right.is_generic
     return model
 
@@ -741,8 +707,7 @@ def connected_sum(spec: SurgerySpec) -> FoliationModel:
     model itself; the joined model keeps it with a joined input named by that
     input's spec.  The inputs are not written to."""
     left, right = spec.left, spec.right
-    if left.spec is not None or right.spec is not None:
-        spec = spec._replace(left=_node(left), right=_node(right))
+    spec = spec._replace(left=_node(left), right=_node(right))
     return build_joins({left.name: left, right.name: right}, [spec])
 
 

@@ -35,7 +35,7 @@ JOIN_STEPS = {
     "join": "_join",  # (spec, left, right, extend, apply) -> the record, unfinished
     "sites": "_sites",  # (spec, left, right) -> the two disk sites
     "merge": "_merge",  # (spec, left, right, extend, sites) -> the record, inputs copied in
-    "apply pinch": "_apply_pinch",  # (model, low, high, low level, high level, low id, high id)
+    "apply pinch": "_apply_pinch",  # (model, low, high), each end (site, level, zero id)
     "wrap": "_absorb_side",  # (model, side id) -> the wrapped side, its families removed
     "rebuild": "_rebuild_with_shifts",  # (model, shifts) -> the companion, finished
     "analyze": "analyze",  # (form, name) -> a virgin model, finished

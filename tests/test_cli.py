@@ -469,6 +469,12 @@ class TestEntryPoint:
         out = capsys.readouterr().out
         assert "4/4 rows match" in out
 
+    def test_examples_with_a_scenario_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["examples", "pillowcase-ex2"])
+        assert exited.value.code == 2
+        assert "examples takes no scenario" in capsys.readouterr().err
+
     def test_scenario_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("this is not a scenario\n")
@@ -668,6 +674,18 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: line 3: symbol 'p': ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["2", "p q", "r+s"])
+    def test_a_symbol_name_that_is_no_identifier_exits_two(self, name, tmp_path, capsys):
+        # no expression could name it, and '2' would read as the constant 2
+        path = tmp_path / "bad_name.scn"
+        path.write_text(
+            f"[symbols]\n{name} = 1.41421356237309504880168872420969807857\n\n"
+            "[orbifold T]\nbuiltin = torus\n\n[form w]\non = T\ndtheta = 2\ndphi = 1\n"
+        )
+        assert main(["periods", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"scenario error: line 2: symbol name {name!r} is not an identifier\n"
 
     def test_bare_dependent_flag_exit_two(self, tmp_path, capsys):
         # the flag names no relation, so honouring it is impossible and

@@ -17,6 +17,7 @@ from foliage.orbifold import BUILTIN_ORBIFOLDS
 from foliage.surgery import (
     FoliationModel,
     ModelError,
+    Side,
     SurgerySpec,
     UnsupportedSurgery,
     analyze,
@@ -769,11 +770,9 @@ def _reference_rejoin(spec, left, right, shifts):
         return connected_sum(spec)
     lsite, rsite = sites = join_step("sites")(spec, left, right)
     model = join_step("merge")(spec, left, right, False, sites)
-    pinch = join_step("apply pinch")
-    if scalar.sign(ly - lx) > 0:
-        pinch(model, lsite, rsite, lx, ly, f"{spec.name}.x", f"{spec.name}.y")
-    else:
-        pinch(model, rsite, lsite, ly, lx, f"{spec.name}.y", f"{spec.name}.x")
+    x, y = (lsite, lx, f"{spec.name}.x"), (rsite, ly, f"{spec.name}.y")
+    join_step("apply pinch")(model, *((x, y) if scalar.sign(ly - lx) > 0 else (y, x)))
+    model.add_side(Side(spec.name, "tube", (), None))
     model.is_generic = True
     return model.finish()
 

@@ -12,7 +12,7 @@ from foliage import surgery
 from foliage.catalog import SCENARIOS
 from foliage.cli import COMMANDS, build_report, build_scenario, parse_scenario, run
 from foliage.graph import calabi_equiv_bruteforce, is_calabi
-from foliage.scalar import FoliageError, Lattice, PrecisionExhausted
+from foliage.scalar import FoliageError, Lattice, PrecisionExhausted, sign
 from foliage.surgery import ModelError, verdicts
 
 from conftest import PI, hook_join, join_step, surgery_chain, surgery_trees
@@ -60,6 +60,24 @@ def test_every_command_answers_and_the_outputs_are_pinned(trees):
             digest.update(f"{command} {code}\n{out}\n{dot}\n".encode())
     assert {0, 2} <= codes <= {0, 2, 3}
     assert digest.hexdigest() == TREES_PIN
+
+
+def test_every_pinch_gets_its_low_end_first(monkeypatch, trees):
+    # genericize shifts the zeros in sorted-id order, so an opened kind-C
+    # waist, like a kind-B tube, reaches the pinch with its low end first
+    pinched = []
+
+    def recording(real, model, low, high):
+        pinched.append((model.spec.kind, sign(high[1] - low[1])))
+        return real(model, low, high)
+
+    hook_join(monkeypatch, "apply pinch", recording)
+    texts = [SCENARIOS[name] for name in sorted(SCENARIOS)]
+    texts += [surgery_chain(kind, n) for kind in "ABC" for n in range(1, 9)]
+    for text in texts + trees:
+        run_commands(text)
+    assert {kind for kind, _ in pinched} == {"B", "C"}
+    assert all(gap > 0 for _, gap in pinched)
 
 
 def test_every_model_returned_is_finished_once(monkeypatch, trees):
