@@ -514,3 +514,16 @@ class Lattice:
 
     def __contains__(self, v: SymScalar) -> bool:
         return self.reduce(v).is_zero()
+
+
+class Periods(tuple):
+    """Distinct scalars of one table in first-seen order, compared as that
+    tuple; the Lattice they span is built on first read and then kept in
+    the instance's `__dict__`."""
+
+    def __new__(cls, values: Iterable[SymScalar]):
+        return super().__new__(cls, dict.fromkeys(values))
+
+    @memo
+    def lattice(self) -> Lattice:
+        return Lattice(self)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Collection, NamedTuple, Optional
 
 from . import scalar as sc
 from .forms import ClosedForm, NotBasicError, Zero
@@ -89,7 +89,7 @@ class FoliationModel:
         self.graph = FoliationGraph()
         self.zeros: list[Zero] = []
         # the distinct periods of each noncompact component, in first-seen order
-        self.x_inf_periods: dict[str, tuple[sc.SymScalar, ...]] = {}
+        self.x_inf_periods: dict[str, sc.Periods] = {}
         self.special_vertices: dict[str, int] = {}
         self.singular_entries: list[LeafClass] = []
         self.notes: list[str] = list(notes)
@@ -181,19 +181,23 @@ class FoliationModel:
         self.sides[self._side_at[side.side_id]] = side
 
     def merge_components(self, comps: list[str], extra_periods: list) -> str:
-        """Fuse noncompact components into one; the smallest id survives.
-        Singular leaves keep naming an absorbed id until `finish`."""
+        """Fuse noncompact components into one; the smallest id survives,
+        with its periods record, and its kept lattice, if the merge adds no
+        period.  Singular leaves keep naming an absorbed id until `finish`."""
         target, *absorbed = sorted(set(comps))
         self.merged_into.update(dict.fromkeys(absorbed, target))
-        periods = [p for c in [target, *absorbed] for p in self.x_inf_periods.pop(c)]
-        self.x_inf_periods[target] = tuple(dict.fromkeys(periods + extra_periods))
+        kept = self.x_inf_periods[target]
+        periods = sc.Periods([*kept, *(p for c in absorbed for p in self.x_inf_periods.pop(c)),
+                              *extra_periods])
+        if periods != kept:
+            self.x_inf_periods[target] = periods
         keep_vid = self.special_vertices[target]
         for c in absorbed:
             self.graph.merge_special(self.special_vertices.pop(c), keep_vid)
         return target
 
-    def new_component(self, comp: str, periods) -> str:
-        self.x_inf_periods[comp] = tuple(dict.fromkeys(periods))
+    def new_component(self, comp: str, periods: sc.Periods) -> str:
+        self.x_inf_periods[comp] = periods
         self.special_vertices[comp] = self.graph.add_vertex(SPECIAL, ref=comp)
         return comp
 
@@ -257,7 +261,7 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
         )
         model.add_side(Side(name, "circle", gens, structure.circumference, (eid,), witness_gens))
     else:
-        model.new_component(f"{name}.inf", (p for _, p in gens))
+        model.new_component(f"{name}.inf", sc.Periods(p for _, p in gens))
         model.add_side(Side(name, "dense", gens, None, (), witness_gens))
     return model.finish()
 
@@ -518,7 +522,7 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
                     "wrapped sides with commensurate circumferences stay compact; "
                     "this regime is not modeled"
                 )
-            target = model.new_component(f"{spec.name}.inf", extra)
+            target = model.new_component(f"{spec.name}.inf", sc.Periods(extra))
         for s, mid in zip(cut_sites, mids):
             # the band goes noncompact: it leaves the graph and its circle
             model.graph.remove_edge(mid)
@@ -537,10 +541,12 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
         comps = [(f"{zid}.{n}", flag) for n, flag in compact_comps + noncompact_comps]
         model.add_singular_leaf(zid.rsplit(".", 1)[1], leaf_kind, (zid,), comps, comp_ref)
 
-    generic = True
-    if comp_ref is not None:
-        generic = band not in sc.Lattice(identifications + list(model.x_inf_periods[comp_ref]))
-    return generic
+    if comp_ref is None:
+        return True
+    # a component keeps the lattice of its periods; a wrapped circle adds one
+    periods = model.x_inf_periods[comp_ref]
+    return band not in (sc.Lattice([*identifications, *periods]) if identifications
+                        else periods.lattice)
 
 
 # -- kinds B and C (pinched tubes) ----------------------------------------------------
@@ -670,16 +676,16 @@ def _node(model: FoliationModel) -> "FoliationModel | SurgerySpec":
 
 
 def build_joins(models: dict[str, FoliationModel], specs: list[SurgerySpec],
-                shifts: Optional[dict[str, Fraction]] = None) -> FoliationModel:
+                levels: Optional[dict[str, sc.SymScalar]] = None) -> FoliationModel:
     """Apply the joins in order, each reading its inputs from models by
     name, and return the last one's output.  An output that exactly one
     later join reads is consumed: that join extends it in place if it is
     consumed too and reads it as its left, else copies it, and it is never
     finished nor left in models.  Every other output, the last included, is
     finished and kept in models, and its join copies both inputs, so its
-    ids are where a join that copies everything puts them.  With shifts
-    the joins rebuild a genericized companion: tube levels move by their
-    zeros' shifts, specs name the rebuilt inputs, and a kind-C join whose
+    ids are where a join that copies everything puts them.  With levels,
+    by zero id, the joins rebuild a genericized companion: each tube level
+    is its zero's, specs name the rebuilt inputs, and a kind-C join whose
     levels come apart is pinched."""
     reads = Counter(node.name for spec in specs for node in (spec.left, spec.right))
     consumed = {spec.name for spec in specs if reads[spec.name] == 1}
@@ -687,11 +693,9 @@ def build_joins(models: dict[str, FoliationModel], specs: list[SurgerySpec],
         left, right = (models.pop(node.name) if node.name in consumed else models[node.name]
                        for node in (spec.left, spec.right))
         apply = _APPLY[spec.kind]
-        if shifts is not None:
-            lx, ly = levels = tuple(
-                level + left.table.rational(shifts.get(f"{spec.name}.{z}", Fraction(0)))
-                for level, z in zip(spec.tube_levels, "xy"))
-            spec = spec._replace(left=_node(left), right=_node(right), tube_levels=levels)
+        if levels is not None:
+            lx, ly = tube = levels[f"{spec.name}.x"], levels[f"{spec.name}.y"]
+            spec = spec._replace(left=_node(left), right=_node(right), tube_levels=tube)
             if spec.kind == "C" and not (lx - ly).is_zero():
                 apply = _apply_opened_C
         model = _join(spec, left, right, spec.name in consumed and spec.left.name in consumed,
@@ -727,11 +731,11 @@ def genericize(model: FoliationModel) -> FoliationModel:
     for attempt in range(20):
         denom = 7 * (2 ** attempt)
         shifts = {zid: Fraction(j, denom) for j, zid in enumerate(zero_ids)}
-        shifted = [base[zid] + table.rational(shifts[zid]) for zid in zero_ids]
-        if not _levels_admissible(shifted, lattice):
+        levels = {zid: base[zid] + table.rational(shifts[zid]) for zid in zero_ids}
+        if not _levels_admissible(levels.values(), lattice):
             continue
         try:
-            rebuilt = _rebuild_with_shifts(model, shifts)
+            rebuilt = _rebuild_at_levels(model, levels)
         except ModelError as err:
             last_error = err
             continue
@@ -744,17 +748,19 @@ def genericize(model: FoliationModel) -> FoliationModel:
     raise ModelError(f"no admissible genericity amplitudes after 20 attempts ({why})")
 
 
-def _levels_admissible(levels: list[sc.SymScalar], lattice: sc.Lattice) -> bool:
+def _levels_admissible(levels: Collection[sc.SymScalar], lattice: sc.Lattice) -> bool:
     """No two levels agree modulo the lattice: their canonical reductions differ."""
     return len({lattice.reduce(level) for level in levels}) == len(levels)
 
 
-def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> FoliationModel:
-    """Rebuild the surgery tree under model at shifted levels through
-    build_joins, inputs before their join and left before right.  The walk
-    reads only specs, takes each virgin leaf as it is and keeps its own
-    stack, so a chain of any length rebuilds without recursing; only the
-    rebuilt root is finished, and its checks cover the whole tree."""
+def _rebuild_at_levels(model: FoliationModel,
+                       levels: dict[str, sc.SymScalar]) -> FoliationModel:
+    """Rebuild the surgery tree under model with each zero at its level in
+    levels, by zero id, through build_joins, inputs before their join and
+    left before right.  The walk reads only specs, takes each virgin leaf
+    as it is and keeps its own stack, so a chain of any length rebuilds
+    without recursing; only the rebuilt root is finished, and its checks
+    cover the whole tree."""
     leaves, specs, todo = {}, [], [model.spec]
     while todo:
         node = todo.pop()
@@ -765,7 +771,7 @@ def _rebuild_with_shifts(model: FoliationModel, shifts: dict[str, Fraction]) -> 
             leaves[node.name] = node
     # a preorder that visits right before left, reversed, is the postorder
     # that visits left before right
-    return build_joins(leaves, specs[::-1], shifts)
+    return build_joins(leaves, specs[::-1], levels)
 
 
 class Verdicts(NamedTuple):

@@ -31,13 +31,13 @@ def build_catalog_model(name):
 # the steps of a join that tests hook or call, by the name foliage gives
 # each and the arguments it takes; an internal rename touches only this table
 JOIN_STEPS = {
-    "build": "build_joins",  # (models, specs, shifts=None) -> the last output
+    "build": "build_joins",  # (models, specs, levels=None) -> the last output
     "join": "_join",  # (spec, left, right, extend, apply) -> the record, unfinished
     "sites": "_sites",  # (spec, left, right) -> the two disk sites
     "merge": "_merge",  # (spec, left, right, extend, sites) -> the record, inputs copied in
     "apply pinch": "_apply_pinch",  # (model, low, high), each end (site, level, zero id)
     "wrap": "_absorb_side",  # (model, side id) -> the wrapped side, its families removed
-    "rebuild": "_rebuild_with_shifts",  # (model, shifts) -> the companion, finished
+    "rebuild": "_rebuild_at_levels",  # (model, levels by zero id) -> the companion, finished
     "analyze": "analyze",  # (form, name) -> a virgin model, finished
     "connected_sum": "connected_sum",  # (spec) -> the joined model, finished
     "genericize": "genericize",  # (model) -> the companion

@@ -585,6 +585,18 @@ class TestEntryPoint:
         assert out == "" and "Traceback" not in err
         assert err == "scenario error: w: the period of loop k1 expands past 4300 digits\n"
 
+    def test_equal_forms_past_the_digit_bound_exit_two_naming_the_first(self, tmp_path,
+                                                                        capsys):
+        # v equals w, which it follows: the one form is checked once, under w
+        text = _translations_scenario(11, "1e-4299*p", "1")
+        text += "\n[form v]\non = O\ndtheta = 1e-4299*p\ndphi = 1\nbasic_override = true\n"
+        path = tmp_path / "period.scn"
+        path.write_text(text)
+        assert main(["periods", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "scenario error: w: the period of loop k1 expands past 4300 digits\n"
+
     def test_a_circumference_past_the_digit_bound_exit_two(self, tmp_path, capsys):
         # the periods p/(6*10^4299) and p/(4*10^4299) print, but the leaf
         # circle they close up is p/(12*10^4299): 4,301 digits

@@ -44,7 +44,7 @@ class TestModelLevel:
             genericize(orphan)
 
     def test_a_failed_rebuild_is_the_reason_given(self, monkeypatch):
-        def refused(real, model, shifts):
+        def refused(real, model, levels):
             raise ModelError("cut level falls outside the targeted family")
 
         hook_join(monkeypatch, "rebuild", refused)

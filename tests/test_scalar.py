@@ -3,6 +3,7 @@ import random
 import subprocess
 import threading
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -247,6 +248,43 @@ class TestLattice:
     def test_zero_always_member(self):
         assert TABLE.zero() in Lattice([TABLE.symbol("p")])
         assert TABLE.symbol("p") not in Lattice([])
+
+
+class TestKeptLattice:
+    """A periods record is its distinct scalars, in first-seen order, and
+    keeps the lattice they span from the first read."""
+
+    def test_a_record_is_its_distinct_values(self):
+        p, q = TABLE.symbol("p"), TABLE.symbol("q")
+        periods = sc.Periods([p, q, p, TABLE.rational(1), q])
+        assert periods == (p, q, TABLE.rational(1))
+        assert hash(periods) == hash((p, q, TABLE.rational(1)))
+        assert "lattice" not in vars(periods)  # not read yet
+        lattice = periods.lattice
+        assert periods.lattice is lattice and vars(periods) == {"lattice": lattice}
+        # the kept lattice is neither compared nor hashed
+        assert periods == sc.Periods(periods) and hash(periods) == hash(sc.Periods(periods))
+        assert p * 3 - q in lattice and p * Fraction(1, 2) not in lattice
+
+    def test_threads_racing_on_the_first_read_get_equal_rows(self):
+        p, q = TABLE.symbol("p"), TABLE.symbol("q")
+        periods = sc.Periods([p * 2 + q, p * Fraction(4, 3) - q * 6, q * Fraction(1, 5), p])
+        start = threading.Barrier(4)
+
+        def first_read(_):
+            start.wait(timeout=30)
+            lattice = periods.lattice
+            return lattice.denom, lattice._rows
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                records = list(pool.map(first_read, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(saved)
+        fresh = Lattice(periods)
+        assert records == [(fresh.denom, fresh._rows)] * 4
 
 
 def _hnf_member(value, generators):

@@ -642,6 +642,22 @@ class TestEqualFormsShared:
         periods = [built.models[name].sides[0].generators for name in ("w0", "w1")]
         assert periods[0] is not periods[1]
 
+    @pytest.mark.parametrize("source", [*(f"catalog-{name}" for name in sorted(SCENARIOS)),
+                                        *(f"chain-{kind}" for kind in "ABC")])
+    def test_each_form_model_is_the_one_analyze_builds(self, source):
+        # the checks run once per form; each name's model is analyze's, item for item
+        kind, _, which = source.partition("-")
+        texts = ([SCENARIOS[which]] if kind == "catalog"
+                 else [surgery_chain(which, n) for n in range(1, 9)])
+        for text in texts:
+            built = build_scenario(parse_scenario(text))
+            assert list(built.models)[:len(built.forms)] == list(built.forms)
+            for name, form in built.forms.items():
+                model, alone = built.models[name], analyze(form, name)
+                assert model is not alone
+                assert _snapshot(model) == _snapshot(alone), name
+                assert (model.form, model.decomposition) == (alone.form, alone.decomposition)
+
     def test_an_equal_form_without_its_override_exits_two_naming_the_first(self, tmp_path,
                                                                           capsys):
         path = tmp_path / "not_basic.scn"
@@ -675,6 +691,41 @@ class TestJoinCost:
         built = build_scenario(parse_scenario(surgery_chain("A", 16)))
         assert "transitive: yes" in build_report(built, "surgery")
         assert calls and max(len(rows) for (rows,) in calls) == 3
+
+    def test_a_kind_a_chain_builds_one_genericity_lattice(self, monkeypatch):
+        # each join asks whether its band lies in the merged component's
+        # lattice; the merges add no period, so w0.inf keeps its record and
+        # the lattice built at the first join
+        calls = _counting(monkeypatch, scalar.Lattice, "__init__")
+        built = build_scenario(parse_scenario(surgery_chain("A", 8)))
+        assert len(calls) == 1
+        periods = built.final.x_inf_periods["w0.inf"]
+        assert periods is built.models["w0"].x_inf_periods["w0.inf"]
+        assert calls[0][0] is periods.lattice
+        assert "transitive: yes" in build_report(built, "surgery")
+        assert len(calls) == 1
+
+    def test_a_wrapping_kind_a_join_builds_its_own_lattice(self, monkeypatch):
+        # pillowcase-ex4's tube 0 : 23/8 wraps both sides, of circumferences
+        # 1 and a, which join the new component's periods in its lattice
+        calls = _counting(monkeypatch, scalar.Lattice, "__init__")
+        built = build_scenario(parse_scenario(SCENARIOS["pillowcase-ex4"]))
+        assert len(calls) == 1
+        (_, gens), = calls
+        circles = [built.models[name].sides[0].circumference for name in ("wL", "wR")]
+        periods = built.final.x_inf_periods["ex4.inf"]
+        assert gens == [*circles, *periods]
+        assert "lattice" not in vars(periods)
+
+    def test_a_kind_c_report_sums_each_shifted_level_once(self, monkeypatch):
+        # genericize sums each zero's shifted level once per attempt, and
+        # the rebuild reads those levels by zero id
+        built = build_scenario(parse_scenario(surgery_chain("C", 8)))
+        attempts = _counting(monkeypatch, surgery, "_levels_admissible")
+        rationals = _counting(monkeypatch, scalar.SymbolTable, "rational")
+        assert "transitive: no" in build_report(built, "surgery")
+        assert len(built.final.zeros) == 16 and len(attempts) == 1
+        assert len(rationals) == 16 * len(attempts)
 
     def test_every_model_built_is_decomposed_once(self, monkeypatch):
         decomposed = _counting(monkeypatch, surgery, "decompose")
@@ -744,7 +795,8 @@ def reference_rebuild(model, shifts):
     """The companion rebuild as it stood before rejoins stayed unfinished:
     the spec tree walked with its own stack, inputs before their join and
     left before right, and every rejoin, the pinched kind-C ones included,
-    finished as a model.  Kept as the oracle of _rebuild_with_shifts."""
+    finished as a model, each at its level plus its shift.  Kept as the
+    oracle of the companion rebuild (JOIN_STEPS["rebuild"])."""
     rebuilt = []
     todo = [(model.spec, False)]
     while todo:
@@ -805,6 +857,13 @@ def _first_shifts(model):
     return {zid: Fraction(j, 7) for j, zid in enumerate(zero_ids)}
 
 
+def _shifted_levels(model, shifts):
+    """Each zero's level moved by its shift, by zero id, as genericize
+    hands them to the rebuild."""
+    return {zid: level + model.table.rational(shifts[zid])
+            for zid, level in model.singular_levels()}
+
+
 REBUILD_SOURCES = {
     **{f"chain-{kind}": surgery_chain(kind, 6) for kind in "ABC"},
     "mixed-compact-chain": MIXED_COMPACT_CHAIN,
@@ -818,9 +877,9 @@ def reference_build(text):
     scenario order.  A companion's rebuild is left as it is.  Kept as the
     oracle of the consume-or-keep rule."""
 
-    def every_join(real, models, specs, shifts=None):
-        if shifts is not None:
-            return real(models, specs, shifts)
+    def every_join(real, models, specs, levels=None):
+        if levels is not None:
+            return real(models, specs, levels)
         for spec in specs:
             model = real(models, [spec])
         return model
@@ -830,7 +889,9 @@ def reference_build(text):
         return build_scenario(parse_scenario(text))
 
 
-def _reference_rebuild_step(real, model, shifts):
+def _reference_rebuild_step(real, model, levels):
+    # the oracle sums its own shifts: each is the rational part its zero moved
+    shifts = {zid: (levels[zid] - level).coefficient(0) for zid, level in model.singular_levels()}
     return reference_rebuild(model, shifts)
 
 
@@ -853,7 +914,7 @@ class TestCompanionRebuild:
             if model.spec is None:
                 continue
             shifts = _first_shifts(model)
-            new = _outcome(lambda: join_step("rebuild")(model, shifts))
+            new = _outcome(lambda: join_step("rebuild")(model, _shifted_levels(model, shifts)))
             assert new == _outcome(lambda: reference_rebuild(model, shifts)), model.name
             if model.is_generic:
                 continue

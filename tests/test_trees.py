@@ -216,11 +216,11 @@ def _perturbed_companion(model, start):
     base = dict(model.singular_levels())
     for k in range(start, start + 20):
         shifts = {zid: Fraction(j, 7 * 2**k) for j, zid in enumerate(zero_ids)}
-        levels = [base[zid] + model.table.rational(shifts[zid]) for zid in zero_ids]
-        if any(a - b in lattice for a, b in combinations(levels, 2)):
+        levels = {zid: base[zid] + model.table.rational(shifts[zid]) for zid in zero_ids}
+        if any(a - b in lattice for a, b in combinations(levels.values(), 2)):
             continue
         try:
-            return join_step("rebuild")(model, shifts)
+            return join_step("rebuild")(model, levels)
         except ModelError:
             continue
     raise AssertionError(f"{model.name}: no admissible shifts from k = {start}")
