@@ -8,14 +8,16 @@ integer numerators by table position, in lowest terms and without trailing
 zeros: the form is unique, even across later declarations, and ranks and
 lattices work on the integer rows.  Operations stay on those rows: a result
 that is canonical by construction (a negation, a sum over the denominator 1,
-a zero or identity operand) is built without a trim or a gcd, a multiple by
-a whole number with one gcd of two integers, and text is formatted from the
-row.  A `Fraction`
+a zero or identity operand, a rational built from an int or a Fraction) is
+built without a trim or a gcd, a multiple by a whole number and a sum of two
+rationals (one numerator over the lcm of their denominators) each with one
+gcd of two integers, and text is formatted from the row.  A `Fraction`
 appears only where one comes in or goes out: a declared literal, a rational
 coefficient a caller writes, and `coefficient`/`value`/`ratio_to` results.
 Each symbol carries a decimal embedding, read as the exact rational it
 writes; the table keeps those literals as integers over one common
-denominator, so a sign is that of an integer sum.
+denominator, so a sign is that of an integer sum, and a rational's sign is
+its numerator's, since the table embeds "one" as a positive integer.
 
 Values are immutable and freely shareable across threads; no operation reads
 or writes module state.  Declarations are serialised by the table's lock, and
@@ -170,8 +172,11 @@ class SymbolTable:
         return _canonical(self, (), 1)
 
     def rational(self, value) -> "SymScalar":
-        c = Fraction(value)
-        return SymScalar(self, (c.numerator,), c.denominator)
+        # an int or a Fraction is in lowest terms already
+        c = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        if not c:
+            return _canonical(self, (), 1)
+        return _canonical(self, (c.numerator,), c.denominator)
 
     def symbol(self, name: str, coeff=1) -> "SymScalar":
         c = Fraction(coeff)
@@ -227,6 +232,15 @@ class SymScalar:
             return self
         if not self.nums:
             return other if s == 1 else -other
+        if len(self.nums) == 1 == len(other.nums):  # two rationals: one numerator
+            g = gcd(self.den, other.den)
+            ka = other.den // g
+            n = self.nums[0] * ka + s * other.nums[0] * (self.den // g)
+            if not n:
+                return _canonical(self.table, (), 1)
+            den = self.den * ka
+            g = gcd(n, den)
+            return _canonical(self.table, (n // g,), den // g)
         if self.den == 1 == other.den:  # a sum of integer rows is canonical once trimmed
             return _canonical(self.table, _trimmed(
                 [x + s * y for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]), 1)
@@ -410,10 +424,13 @@ def sign(a: SymScalar) -> int:
 
     Nonzero scalars take the sign of their exact embedding, one integer dot
     product with the table's scaled literals; one that embeds to exactly 0
-    raises PrecisionExhausted.
+    raises PrecisionExhausted.  A rational takes its numerator's sign: the
+    table embeds "one" as a positive integer.
     """
     if not a.nums:
         return 0
+    if len(a.nums) == 1:
+        return 1 if a.nums[0] > 0 else -1
     total = a._dot()[0]
     if total == 0:
         raise PrecisionExhausted(

@@ -769,6 +769,110 @@ class TestArithmeticAgainstTheFractionDefinition:
         assert type(err.value) is ValueError
 
 
+# one-entry rows: numerators of either sign, small or up to the 4,300-digit
+# bound, over denominators 1, small or as long
+_big = sc._TOO_LONG - 1
+_numerators = st.one_of(st.integers(-30, 30), st.integers(-_big, _big)).filter(bool)
+_denominators = st.one_of(st.just(1), st.integers(1, 60), st.integers(1, _big))
+
+
+@st.composite
+def rational_rows(draw, table=TABLE, den=None):
+    """A nonzero rational of `table` whose row's denominator is exactly `den`
+    when given, so two rows can share theirs or be coprime."""
+    d = draw(_denominators) if den is None else den
+    n = draw(_numerators.filter(lambda n: gcd(n, d) == 1))
+    return table.rational(Fraction(n, d))
+
+
+@st.composite
+def rational_pairs(draw, table=TABLE):
+    """Two rationals whose denominators are equal, coprime or drawn apart."""
+    a = draw(rational_rows(table))
+    shape = draw(st.sampled_from(["equal", "coprime", "free"]))
+    if shape == "equal":
+        return a, draw(rational_rows(table, a.den))
+    if shape == "coprime":
+        return a, draw(rational_rows(table, draw(_denominators.filter(
+            lambda d: gcd(d, a.den) == 1))))
+    return a, draw(rational_rows(table))
+
+
+@st.composite
+def rational_pairs_over_40_digit_tables(draw):
+    lits = draw(st.lists(literals40, min_size=1, max_size=3))
+    return draw(rational_pairs(SymbolTable([(f"s{i}", lit) for i, lit in enumerate(lits)])))
+
+
+class TestOneEntryRows:
+    """Rationals take one-step paths through `+`, `-`, `sign` and
+    `SymbolTable.rational`; each answer is the Fraction definition's."""
+
+    @given(pair=rational_pairs())
+    @example(pair=(TABLE.rational(Fraction(3, 56)), TABLE.rational(Fraction(3, 56))))
+    @example(pair=(TABLE.rational(7), TABLE.rational(-7)))
+    @example(pair=(TABLE.rational(Fraction(1, 6)), TABLE.rational(Fraction(5, 6))))
+    @example(pair=(TABLE.rational(Fraction(-2, 21)), TABLE.rational(Fraction(1, 112))))
+    @example(pair=(TABLE.rational(-_big), TABLE.rational(Fraction(1, _big))))
+    @example(pair=(TABLE.rational(_big), TABLE.rational(_big)))
+    def test_sum_and_difference(self, pair):
+        a, b = pair
+        for got, want in ((a + b, fraction_add(a, b)), (a - b, fraction_sub(a, b)),
+                          (b - a, fraction_sub(b, a)), (a - a, ((), 1)), (b - b, ((), 1))):
+            assert (got.nums, got.den) == want
+            assert_canonical(got)
+
+    @given(pair=rational_pairs_over_40_digit_tables())
+    def test_sign_is_that_of_the_embedding(self, pair):
+        a, b = pair
+        for v in (a, b, a + b, a - b, b - a, -a):
+            assert sign(v) == (v.value() > 0) - (v.value() < 0)
+
+    @given(value=st.one_of(
+        st.integers(-10**6, 10**6), st.integers(-_big, _big), st.booleans(),
+        st.fractions(max_denominator=10**6),
+        st.fractions(max_denominator=10**6).map(str),
+        st.decimals(allow_nan=False, allow_infinity=False, places=4).map(str)))
+    @example(value=0)
+    @example(value=Fraction(0))
+    @example(value=False)
+    @example(value="-0")
+    @example(value="-6/4")
+    @example(value=" 2.50 ")
+    @example(value=Fraction(3, 56))
+    def test_rational_is_the_general_constructors_row(self, value):
+        c = Fraction(value)
+        general = sc.SymScalar(TABLE, (c.numerator,), c.denominator)
+        got = TABLE.rational(value)
+        assert (got.nums, got.den) == (general.nums, general.den)
+        assert_canonical(got)
+
+
+class TestOneEntryCost:
+    """A rational never reaches the row constructor or the embedding's dot
+    product; a value with a symbol part still does."""
+
+    def test_rationals_take_neither_the_row_path_nor_the_dot_product(self, monkeypatch):
+        r, s = TABLE.rational(Fraction(3, 56)), TABLE.rational(Fraction(-5, 14))
+        x = TABLE.combination([(Fraction(1, 2), "p"), (Fraction(1, 3), "one")])
+
+        def refused(*args):
+            raise AssertionError("the general row path ran")
+
+        monkeypatch.setattr(sc.SymScalar, "_dot", refused)
+        monkeypatch.setattr(sc.SymScalar, "__init__", refused)
+        assert (sign(r), sign(s), sign(r - r)) == (1, -1, 0)
+        assert ((r + s).nums, (r + s).den) == ((-17,), 56)
+        assert ((r - s).nums, (r - s).den) == ((23,), 56)
+        assert ((s - r).nums, (s - r).den) == ((-23,), 56)
+        made = TABLE.rational(Fraction(3, 56))
+        assert (made.nums, made.den) == ((3,), 56)
+        for general in (lambda: sign(x), lambda: x + r, lambda: r + x, lambda: x - r,
+                        lambda: r - x, lambda: TABLE.symbol("p", Fraction(3, 56))):
+            with pytest.raises(AssertionError, match="general row path"):
+                general()
+
+
 class TestTableSharedAcrossThreads:
     def test_declares_never_tear_signs_or_values(self):
         table = SymbolTable([("p", PI), ("q", SQRT2)])
