@@ -68,9 +68,8 @@ class LinearStructure(NamedTuple):
 
     rank: int  # 1 exactly when the leaves are compact
     direction: Optional[tuple[int, int]]  # primitive leaf direction on the cover
-    content: Optional[sc.SymScalar]  # positive transverse period of the cover circle
     quotient_order: int  # collapsing of the leaf circle by the invariant subgroup
-    circumference: Optional[sc.SymScalar]  # content / quotient_order
+    circumference: Optional[sc.SymScalar]  # positive cover-circle period / quotient_order
 
 
 class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override")):
@@ -158,7 +157,7 @@ class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override"
         else:
             r = b.ratio_to(a)
             if r is None:
-                return LinearStructure(2, None, None, 1, None)
+                return LinearStructure(2, None, 1, None)
             content, (m, n) = a / r.denominator, (r.denominator, r.numerator)
         if sc.sign(content) < 0:
             content, (m, n) = -content, (-m, -n)
@@ -175,7 +174,6 @@ class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override"
         return LinearStructure(
             rank=1,
             direction=(n, -m),
-            content=content,
             quotient_order=order,
             circumference=content / order,
         )

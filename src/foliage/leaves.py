@@ -177,7 +177,6 @@ def trace_leaf(
     step: float = 0.01,
     max_steps: int = 1_000_000,
     return_tol: float = 1e-9,
-    grid_eps: float = 0.05,
     coverage_threshold: float = 0.99,
     drift_tol: float = 1e-6,
     collect_polyline: bool = False,
@@ -190,7 +189,8 @@ def trace_leaf(
     constant field there, byte for byte what the four stages would give, and
     a straight run of such steps is taken in one pass.
     Verdicts: Closed when the trace returns within tolerance with matching
-    direction, DenseEvidence when grid coverage passes the threshold,
+    direction, DenseEvidence when the share of the 20 x 20 coverage cells
+    (squares of side 1/20) the trace has visited passes the threshold,
     Inconclusive otherwise (including field-degeneracy and drift aborts,
     steps the float coordinates cannot resolve, and forms whose coefficients
     exceed the float range).
@@ -255,9 +255,9 @@ def trace_leaf(
     targets = _closure_targets(form, sx, sy, v0)
     # coverage is read only at the checkpoints and at the end, so each step
     # just keeps its point, and the points since the last checkpoint are
-    # mapped to their cells there: the same cells as marking every step; a
-    # cell (i, j) is kept as the one int i * ncells + j
-    ncells = max(2, round(1.0 / grid_eps))
+    # mapped to their cells there: the same cells as marking every step; the
+    # cells are the squares of side 1/20, and (i, j) is kept as i * ncells + j
+    ncells = 20
     cells = {int(sx * ncells) % ncells * ncells + int(sy * ncells) % ncells}
     pending = []
     total_cells = ncells * ncells

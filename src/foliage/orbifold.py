@@ -143,36 +143,17 @@ class OrbifoldPresentation(namedtuple("OrbifoldPresentation", "action basepoint"
         return self
 
     def singular_points_on_grid(self, denominator: int = 24) -> list[TorusPoint]:
-        """Grid points (i/d, j/d) with nontrivial isotropy (display aid), i-major.
-
-        Found on the first call for a denominator and kept; no lock, as
-        threads racing on that call find equal points."""
+        """Cone points on the grid (i/d, j/d), i-major: the grid points with
+        isotropy_order > 1 (a display aid; fixed points of affine torus maps
+        have small denominators, so a modest grid finds them all for the
+        shipped actions).  Found on the first call for a denominator and
+        kept; no lock, as threads racing on that call find equal points."""
         points = self._grid_cones.get(denominator)
         if points is None:
-            points = self._grid_cones[denominator] = _grid_cone_points(self, denominator)
+            d = denominator
+            grid = (TorusPoint(Fraction(i, d), Fraction(j, d)) for i in range(d) for j in range(d))
+            points = self._grid_cones[d] = tuple(p for p in grid if isotropy_order(p, self) > 1)
         return list(points)
-
-
-def _grid_cone_points(presentation: OrbifoldPresentation, d: int) -> tuple[TorusPoint, ...]:
-    """A non-identity element x -> A x + b fixes (i, j)/d iff
-    (A - I)(i, j)/d + b is integral; scaled by L = lcm(d, denominators of b)
-    the test runs on integers.  Fixed points of affine torus maps have small
-    denominators, so a modest grid finds them all for the shipped actions."""
-    tests = []  # per element: the rows of L*((A - I)(i, j)/d + b), and L
-    for g in presentation.action.elements[1:]:
-        (a, b), (c, e) = g.matrix
-        u, v = g.offset
-        scale = lcm(d, u.denominator, v.denominator)
-        k = scale // d
-        rows = ((k * (a - 1), k * b, int(u * scale)), (k * c, k * (e - 1), int(v * scale)))
-        tests.append((rows, scale))
-    return tuple(
-        TorusPoint(Fraction(i, d), Fraction(j, d))
-        for i in range(d)
-        for j in range(d)
-        if any(all((p * i + q * j + r) % scale == 0 for p, q, r in rows)
-               for rows, scale in tests)
-    )
 
 
 # -- orbits and isotropy ------------------------------------------------------
@@ -208,6 +189,7 @@ def orbit(x: TorusPoint, presentation: OrbifoldPresentation) -> set[TorusPoint]:
 
 
 def isotropy_order(x: TorusPoint, presentation: OrbifoldPresentation) -> int:
+    """How many group elements fix x; x is a cone point when more than one does."""
     images, _ = _images(x, presentation)
     return images.count(images[0])  # element 0 is the identity
 

@@ -7,8 +7,8 @@ declaration.  A value is one positive integer denominator over a tuple of
 integer numerators by table position, in lowest terms and without trailing
 zeros: the form is unique, even across later declarations, and ranks and
 lattices work on the integer rows.  Operations stay on those rows: a result
-that is canonical by construction (a negation, a sum over the denominator 1,
-a zero or identity operand, a rational built from an int or a Fraction) is
+that is canonical by construction (a negation, a zero or identity operand,
+a rational or a one-term combination built from an int or a Fraction) is
 built without a trim or a gcd, a multiple by a whole number and a sum of two
 rationals (one numerator over the lcm of their denominators) each with one
 gcd of two integers, and text is formatted from the row.  A `Fraction`
@@ -179,8 +179,7 @@ class SymbolTable:
         return _canonical(self, (c.numerator,), c.denominator)
 
     def symbol(self, name: str, coeff=1) -> "SymScalar":
-        c = Fraction(coeff)
-        return SymScalar(self, (0,) * self.index_of(name) + (c.numerator,), c.denominator)
+        return self.combination([(coeff, name)])
 
     def combination(self, terms: Iterable[tuple[object, str]]) -> "SymScalar":
         """Build sum of coeff*symbol terms, e.g. [(Fraction(3,2),'one'),(1,'p')],
@@ -241,9 +240,6 @@ class SymScalar:
             den = self.den * ka
             g = gcd(n, den)
             return _canonical(self.table, (n // g,), den // g)
-        if self.den == 1 == other.den:  # a sum of integer rows is canonical once trimmed
-            return _canonical(self.table, _trimmed(
-                [x + s * y for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]), 1)
         g = gcd(self.den, other.den)
         ka, kb = other.den // g, s * (self.den // g)
         nums = [x * ka + y * kb for x, y in zip_longest(self.nums, other.nums, fillvalue=0)]
@@ -414,8 +410,6 @@ def q_rank(vals: Sequence[SymScalar]) -> int:
             rows[r] = [(p * x - f * y) // prev for x, y in zip(row, lead)]
         prev = p
         rank += 1
-        if rank == len(rows):  # past the last column the loop ends anyway
-            break
     return rank
 
 

@@ -579,11 +579,10 @@ def _apply_pinch(model: FoliationModel, low: tuple[_Site, sc.SymScalar, str],
                  high: tuple[_Site, sc.SymScalar, str]) -> None:
     """Shared rewiring of kind B and of genericized kind C: a chain of new
     compact families between the two pinch levels, one zero at each end.
-    Each end is (site, level, zero id), the low end first."""
+    Each end is (site, level, zero id), the low end first: kind B refuses
+    levels out of order, and an opened kind C has y above x."""
     spec = model.spec
     low_level, high_level = low[1], high[1]
-    if sc.sign(high_level - low_level) <= 0:
-        raise ModelError("pinch needs two distinct ordered levels")
     vertices = [model.graph.add_vertex(ZERO, ref=zid) for _, _, zid in (low, high)]
     model.graph.add_edge(*vertices, high_level - low_level, f"{spec.name}.chain", spec.name,
                          (low_level, high_level))
@@ -661,10 +660,13 @@ def _join(spec: SurgerySpec, left: FoliationModel, right: FoliationModel,
     build_joins chose for it, then add the tube side, the last side a join
     adds; the result is left unfinished with is_generic set.  With extend
     the result is the left input, extended in place (see _merge), so what
-    the join reads of its left it reads first."""
-    sites = _sites(spec, left, right)
-    model = _merge(spec, left, right, extend, sites)
-    generic = apply(model, *sites)
+    the join reads of its left it reads first.  A refusal names the surgery."""
+    try:
+        sites = _sites(spec, left, right)
+        model = _merge(spec, left, right, extend, sites)
+        generic = apply(model, *sites)
+    except ModelError as err:
+        raise type(err)(f"surgery {spec.name!r}: {err}") from None
     model.add_side(Side(spec.name, "tube", (), None))
     model.is_generic = generic and left.is_generic and right.is_generic
     return model

@@ -95,7 +95,7 @@ def test_criterion_3_exact_vs_numeric_oracle():
     for a, b in (("one", "q"), ("one", "r"), ("q", "r"), ("one", "g"), ("s", "w")):
         form = ClosedForm((table.symbol(a), table.symbol(b)), T)
         assert classify_leaf(form, T, seed).kind == "NoncompactRegular"
-        result = trace_leaf(form, seed, step=0.02, max_steps=1_000_000, grid_eps=0.05)
+        result = trace_leaf(form, seed, step=0.02, max_steps=1_000_000)
         assert result.verdict == "DenseEvidence" and result.coverage >= 0.99, (a, b)
         assert result.steps <= 1_000_000
     _report(3, "50 rational slopes close under 1e-6, 5 irrational slopes reach "

@@ -27,6 +27,11 @@ from foliage.cli import (
     run_examples,
     serialize_scenario,
 )
+from foliage.forms import ClosedForm
+from foliage.graph import ZERO, FoliationGraph
+from foliage.orbifold import BUILTIN_ORBIFOLDS
+from foliage.scalar import FoliageError, PrecisionExhausted, SymbolTable, q_rank
+from foliage.surgery import FoliationModel, SurgerySpec, analyze, connected_sum, verdicts
 
 from conftest import surgery_trees
 
@@ -988,6 +993,156 @@ class TestEntryPoint:
         assert "Traceback" not in captured.out + captured.err
         if command == "trace":
             assert "reason: form overflows the float range" in captured.out
+
+
+# -- refusals: each ends with its exit code, message and line
+
+def _elements(*lines):
+    """A one-form scenario on an orbifold declared by its element lines."""
+    return ("[symbols]\n\n[orbifold H]\n" + "\n".join(lines)
+            + "\n\n[form w]\non = H\ndtheta = 1\ndphi = 0\n")
+
+
+def _models(*names, tables=None):
+    """Zero-free models of dtheta on the pillowcase, one per name, on one
+    table unless each is given its own."""
+    tables = tables or [SymbolTable()] * len(names)
+    return [analyze(ClosedForm((t.rational(1), t.zero()), BUILTIN_ORBIFOLDS["pillowcase"],
+                               basic_override=True), name) for t, name in zip(tables, names)]
+
+
+def _join(left, right):
+    t = left.table
+    window = (t.rational(Fraction(1, 8)), t.rational(Fraction(3, 8)))
+    tube = (t.rational(Fraction(3, 16)), t.rational(Fraction(5, 16)))
+    return connected_sum(SurgerySpec("A", left, right, window, window, tube, name="s"))
+
+
+def _join_colliding():
+    """The join s of models a and b, joined to another model named b."""
+    a, b, again = _models("a", "b", "b")
+    return _join(_join(a, b), again)
+
+
+def _graph_refusal(step):
+    graph = FoliationGraph()
+    u, v = graph.add_vertex(ZERO), graph.add_vertex(ZERO)
+    graph.add_edge(u, v, SymbolTable().rational(1), "f")
+    return graph.attach(u, v) if step == "attach" else graph.remove_vertex(u)
+
+
+TORUS = SCENARIOS["torus-rational"]
+EX2 = SCENARIOS["pillowcase-ex2"]
+SECOND_JOIN = EX1 + """
+[orbifold Q3]
+builtin = pillowcase
+
+[form w3]
+on = Q3
+dtheta = 1*p
+dphi = 1*q
+basic_override = true
+
+[surgery s2]
+kind = A
+left = ex1
+right = w3
+left_window = 1/8 : 3/8
+right_window = 1/8 : 3/8
+tube = 3/16 : 5/16
+"""
+DEPENDENT = """[symbols]
+p = 1.5 independent
+
+[orbifold T]
+builtin = torus
+
+[form w]
+on = T
+dtheta = 1*p + -3/2
+dphi = 0
+"""
+
+# every refusal no other test reaches: (id, scenario text or library call,
+# exit code, message, the offending line where the parser names one)
+REFUSALS = [
+    ("bad section header", TORUS.replace("[form w]", "[form w extra]"), 2,
+     "bad section header '[form w extra]'", "[form w extra]"),
+    ("section without its name", TORUS.replace("[form w]", "[form]"), 2,
+     "section 'form' needs a name", "[form]"),
+    ("duplicate symbol", TORUS.replace("[symbols]", "[symbols]\np = 1.5\np = 2.5"), 2,
+     "duplicate symbol 'p'", "p = 2.5"),
+    ("window", EX1.replace("left_window = 1/8 : 3/8", "left_window = 1/8 3/8"), 2,
+     "expected '<lo> : <hi>', got '1/8 3/8'", "left_window = 1/8 3/8"),
+    ("basepoint", TORUS.replace("torus", "torus\nbasepoint = 1/16 1/8"), 2,
+     "basepoint needs 'theta, phi'", "basepoint = 1/16 1/8"),
+    ("element syntax", _elements("element = 1 0 0 1 ; 1/2"), 2,
+     "element needs 'a b c d ; e f'", "element = 1 0 0 1 ; 1/2"),
+    ("matrix entries", _elements("element = 1 0 0 1.5 ; 0 0"), 2,
+     "matrix entries must be integers", "element = 1 0 0 1.5 ; 0 0"),
+    ("bump syntax", TORUS + "bump = center 1/4 radius 1/8 amplitude 1/100\n", 2,
+     "bump needs 'center <th> <ph> radius <r> amplitude <expr>'",
+     "bump = center 1/4 radius 1/8 amplitude 1/100"),
+    ("names not unique", TORUS.replace("[form w]", "[form T]"), 2,
+     "orbifold/form/surgery names must be unique", None),
+    ("no form", "[symbols]\n\n[orbifold T]\nbuiltin = torus\n", 2,
+     "scenario declares no form", None),
+    ("several forms", TORUS + "\n[form v]\non = T\ndtheta = 1\ndphi = 0\n", 2,
+     "several forms and no surgery; the final model is ambiguous", None),
+    ("auto region", SECOND_JOIN, 2,
+     "surgery 's2': left: region 'auto' needs a single-family model; name the region", None),
+    ("region not found", EX1.replace("kind = A", "kind = A\nleft_region = nope"), 2,
+     "surgery 'ex1': left: region 'nope' not found", None),
+    ("kind C level", EX2.replace("tube = 1/4 : 1/4", "tube = 3/8 : 3/8"), 2,
+     "surgery 'ex2': kind C level must lie strictly inside the window overlap", None),
+    ("duplicate elements", _elements(*["element = -1 0 0 -1 ; 0 0"] * 2), 2,
+     "duplicate group elements", None),
+    ("not invertible", _elements("element = 2 0 0 1 ; 0 0"), 2,
+     "group matrices must be invertible over Z", None),
+    ("not closed", _elements("element = -1 0 0 -1 ; 0 0", "element = 1 0 0 1 ; 1/2 0"), 2,
+     "element set is not closed under composition", None),
+    ("dependent literals", DEPENDENT, 3,
+     "sign of -3/2 + 1*p undecided: it embeds to exactly 0; "
+     "the symbol table's numeric embedding is ill-conditioned", None),
+    ("join across tables", lambda: _join(*_models("a", "b", tables=[SymbolTable(),
+                                                                     SymbolTable()])), 2,
+     "surgery 's': surgery inputs must share one symbol table", None),
+    ("join of equal names", lambda: _join(*_models("a", "a")), 2,
+     "surgery 's': surgery inputs need distinct model names", None),
+    ("join of colliding sides", _join_colliding, 2,
+     "surgery 's': side names collide between the two inputs", None),
+    ("rescaled by zero", lambda: _models("a")[0].form.rescaled(0), 2,
+     "rescaling by zero destroys the form", None),
+    ("verdicts of an empty model", lambda: verdicts(FoliationModel()), 2,
+     "zero-free form with vanishing periods cannot be of Morse type", None),
+    ("attach to a zero vertex", lambda: _graph_refusal("attach"), 2,
+     "attachments end at special vertices", None),
+    ("remove a vertex with edges", lambda: _graph_refusal("remove"), 2,
+     "cannot remove a vertex with incident edges", None),
+    ("rank of no values", lambda: q_rank([]), 2, "q_rank needs a nonempty list", None),
+    ("rank across tables", lambda: q_rank([SymbolTable().rational(1), SymbolTable().rational(1)]),
+     2, "q_rank inputs span several symbol tables", None),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("run, code, message, line", [row[1:] for row in REFUSALS],
+                             ids=[row[0] for row in REFUSALS])
+    def test_a_refusal_ends_with_its_code_message_and_line(self, run, code, message, line,
+                                                           tmp_path, capsys):
+        if callable(run):
+            with pytest.raises(FoliageError) as refused:
+                run()
+            # main ends on a FoliageError with exit 2, on a PrecisionExhausted with 3
+            ended = 3 if isinstance(refused.value, PrecisionExhausted) else 2
+            assert (ended, str(refused.value)) == (code, message)
+            return
+        path = tmp_path / "refused.scn"
+        path.write_text(run)
+        assert main(["periods", str(path)]) == code
+        where = "" if line is None else f"line {run.splitlines().index(line) + 1}: "
+        ending = "numeric failure: " if code == 3 else "scenario error: "
+        assert capsys.readouterr().err == f"{ending}{where}{message}\n"
 
 
 # -- fuzz: mutated catalog scenarios end in exit 0, 2 or 3, never in an exception

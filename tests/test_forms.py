@@ -461,9 +461,10 @@ class TestStructureAgainstTheFractionReference:
         assert structure.rank == ref_q_rank([ra, rb])
         assert (structure.direction is not None) == (structure.rank == 1)
         if structure.rank == 1:
-            # (a, b) = content * (m, n), m and n coprime, leaves along (n, -m)
+            # (a, b) = content * (m, n), m and n coprime, leaves along (n, -m),
+            # where content is the cover circle's period
             n, minus_m = structure.direction
-            content = as_ref(structure.content)
+            content = as_ref(structure.circumference * structure.quotient_order)
             assert content.value() > 0
             assert gcd(-minus_m, n) == 1
             assert ra == content * -minus_m and rb == content * n

@@ -868,7 +868,8 @@ class TestOneEntryCost:
         made = TABLE.rational(Fraction(3, 56))
         assert (made.nums, made.den) == ((3,), 56)
         for general in (lambda: sign(x), lambda: x + r, lambda: r + x, lambda: x - r,
-                        lambda: r - x, lambda: TABLE.symbol("p", Fraction(3, 56))):
+                        lambda: r - x,
+                        lambda: TABLE.combination([(Fraction(3, 56), "p"), (1, "one")])):
             with pytest.raises(AssertionError, match="general row path"):
                 general()
 

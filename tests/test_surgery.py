@@ -820,10 +820,13 @@ def _reference_rejoin(spec, left, right, shifts):
     spec = spec._replace(left=left, right=right, tube_levels=levels)
     if spec.kind != "C" or (lx - ly).is_zero():
         return connected_sum(spec)
-    lsite, rsite = sites = join_step("sites")(spec, left, right)
-    model = join_step("merge")(spec, left, right, False, sites)
-    x, y = (lsite, lx, f"{spec.name}.x"), (rsite, ly, f"{spec.name}.y")
-    join_step("apply pinch")(model, *((x, y) if scalar.sign(ly - lx) > 0 else (y, x)))
+    try:
+        lsite, rsite = sites = join_step("sites")(spec, left, right)
+        model = join_step("merge")(spec, left, right, False, sites)
+        x, y = (lsite, lx, f"{spec.name}.x"), (rsite, ly, f"{spec.name}.y")
+        join_step("apply pinch")(model, *((x, y) if scalar.sign(ly - lx) > 0 else (y, x)))
+    except ModelError as err:  # a join's refusal names its surgery
+        raise type(err)(f"surgery {spec.name!r}: {err}") from None
     model.add_side(Side(spec.name, "tube", (), None))
     model.is_generic = True
     return model.finish()

@@ -281,8 +281,7 @@ class TestCompiledField:
 
 
 def reference_trace(form, seed, step=0.01, max_steps=1_000_000, return_tol=1e-9,
-                    grid_eps=0.05, coverage_threshold=0.99, drift_tol=1e-6,
-                    collect_polyline=False):
+                    coverage_threshold=0.99, drift_tol=1e-6, collect_polyline=False):
     """The tracer before it stepped straight off the bump supports: four
     field evaluations on every step and a closure test after each one."""
     a_num, b_num = float(form.linear[0]), float(form.linear[1])
@@ -333,7 +332,7 @@ def reference_trace(form, seed, step=0.01, max_steps=1_000_000, return_tol=1e-9,
     if v0 is None:
         return TraceResult("Inconclusive", reason="field degenerate at seed", steps=0)
     targets = leaves._closure_targets(form, sx, sy, v0)
-    ncells = max(2, round(1.0 / grid_eps))
+    ncells = 20
     visited = [[False] * ncells for _ in range(ncells)]
     visited[int(sx * ncells) % ncells][int(sy * ncells) % ncells] = True
     marked = 1

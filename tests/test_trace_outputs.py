@@ -322,16 +322,20 @@ def test_a_trace_op_decides_invariance_once(monkeypatch):
 
 def test_trace_ops_on_a_builtin_find_its_cone_markers_once(monkeypatch, tmp_path, capsys):
     # the built-in pillowcase is shared, and keeps the cone points of the
-    # SVG's grid from the first op that draws them
+    # SVG's grid from the first op that draws them: that op tests the
+    # isotropy of each of the 8 x 8 grid points once, the second none
     pillowcase = orbifold.BUILTIN_ORBIFOLDS["pillowcase"]
     monkeypatch.delitem(pillowcase._grid_cones, 8, raising=False)
     calls = []
-    count_calls(monkeypatch, calls, orbifold, "_grid_cone_points")
+    count_calls(monkeypatch, calls, orbifold, "isotropy_order")
     scenario = tmp_path / "bumped.scn"
     scenario.write_text(BUMPED_PILLOWCASE)
+    per_op = []
     for i in range(2):
         assert main(["trace", str(scenario), "--svg", str(tmp_path / f"{i}.svg")]) == 0
-    assert calls == ["_grid_cone_points"]
+        per_op.append(len(calls))
+        calls.clear()
+    assert per_op == [64, 0]
     assert (tmp_path / "0.svg").read_text() == (tmp_path / "1.svg").read_text()
 
 

@@ -21,7 +21,7 @@ TREE_COMMANDS = [c for c in COMMANDS if c != "examples"]
 
 # sha256 over every command's exit code, report or error line, and DOT, for
 # the trees of surgery_trees(1, 100)
-TREES_PIN = "9cf42b6aceb894f262f3c5558eee951c38b012e5f09fe1f140cf035a3823a661"
+TREES_PIN = "bd190860d9296f340ecd7a7cfbfa13d96628a779d1cfadfb7ee95a65302ab6e5"
 
 
 @pytest.fixture(scope="module")
@@ -62,22 +62,35 @@ def test_every_command_answers_and_the_outputs_are_pinned(trees):
     assert digest.hexdigest() == TREES_PIN
 
 
-def test_every_pinch_gets_its_low_end_first(monkeypatch, trees):
+def test_every_pinch_is_ordered_and_no_noncompact_component_is_flagged(monkeypatch, trees):
     # genericize shifts the zeros in sorted-id order, so an opened kind-C
-    # waist, like a kind-B tube, reaches the pinch with its low end first
-    pinched = []
+    # waist, like a kind-B tube, reaches the pinch with its low end first;
+    # nothing else checks it, as a pinch out of order would fail add_edge's
+    # positive weight with a GraphError, which genericize does not retry
+    pinched, decompositions = [], []
 
     def recording(real, model, low, high):
         pinched.append((model.spec.kind, sign(high[1] - low[1])))
         return real(model, low, high)
 
+    def decomposing(model):
+        decompositions.append(real_decompose(model))
+        return decompositions[-1]
+
     hook_join(monkeypatch, "apply pinch", recording)
+    real_decompose = surgery.decompose
+    monkeypatch.setattr(surgery, "decompose", decomposing)
     texts = [SCENARIOS[name] for name in sorted(SCENARIOS)]
     texts += [surgery_chain(kind, n) for kind in "ABC" for n in range(1, 9)]
     for text in texts + trees:
         run_commands(text)
     assert {kind for kind, _ in pinched} == {"B", "C"}
     assert all(gap > 0 for _, gap in pinched)
+    # every noncompact component of every model checked keeps two
+    # independent periods, so no decompose report carries a flag
+    ranks = [rank for d in decompositions for _, rank in d.restricted_ranks]
+    assert len(ranks) > 1000 and all(rank is not None and rank >= 2 for rank in ranks)
+    assert not any(d.flags for d in decompositions)
 
 
 def test_every_model_returned_is_finished_once(monkeypatch, trees):
