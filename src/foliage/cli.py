@@ -195,6 +195,8 @@ def _expr(key: str, text: str, line: int, names: set[str]) -> Expr:
             coef_text, _, name = term.partition("*")
             name = name.strip()
             coef = _parse_rational(coef_text, line)
+            if not name.isidentifier():
+                raise ScenarioError(f"bad term {term!r}: terms are joined by '+'", line)
         elif term.isidentifier() or term in names and not numeral:
             name, coef = term, 1
         else:
@@ -228,6 +230,17 @@ def _point(key, text, line, names):
     if len(parts) != 2:
         raise ScenarioError(f"{key} needs 'theta, phi'", line)
     return _parse_rational(parts[0], line), _parse_rational(parts[1], line)
+
+
+def _one_of(what: str, allowed):
+    """A reader of a name that must be one of allowed."""
+
+    def read(key, text, line, names):
+        if text not in allowed:
+            raise ScenarioError(f"unknown {what} {text!r}", line)
+        return text
+
+    return read
 
 
 def _boolean(key, text, line, names):
@@ -304,7 +317,7 @@ def _row(target: str, decl, **keys):
 FORMAT = {
     "orbifold": _row(
         "orbifolds", OrbifoldDecl,
-        builtin=("builtin", _text, str),
+        builtin=("builtin", _one_of("builtin orbifold", BUILTIN_ORBIFOLDS), str),
         element=("elements", _element, lambda e: "{} {} {} {} ; {} {}".format(*e[0], *e[1])),
         basepoint=("basepoint", _point, _write_point),
     ),
@@ -318,7 +331,7 @@ FORMAT = {
     ),
     "surgery": _row(
         "surgeries", SurgeryDecl,
-        kind=("kind", _text, str),
+        kind=("kind", _one_of("surgery kind", ("A", "B", "C")), str),
         left=("left", _text, str),
         right=("right", _text, str),
         left_window=("left_window", _levels, _write_levels),

@@ -88,26 +88,23 @@ class FoliationGraph:
         self._next_eid += 1
 
     def attach(self, zero_vertex: int, special_vertex: int) -> None:
-        self._check_attachment(zero_vertex, special_vertex)
+        if self.vertices[zero_vertex].kind != ZERO:
+            raise GraphError("attachments start at zero vertices")
+        if self.vertices[special_vertex].kind != SPECIAL:
+            raise GraphError("attachments end at special vertices")
         self._add_attachment(Attachment(zero_vertex, special_vertex))
 
     def _add_attachment(self, a: Attachment) -> None:
         self._attached_at.setdefault(a.special_vertex, []).append(len(self.attachments))
         self.attachments.append(a)
 
-    def _check_attachment(self, zero_vertex: int, special_vertex: int) -> None:
-        if self.vertices[zero_vertex].kind != ZERO:
-            raise GraphError("attachments start at zero vertices")
-        if self.vertices[special_vertex].kind != SPECIAL:
-            raise GraphError("attachments end at special vertices")
-
     def absorb(self, other: "FoliationGraph") -> tuple[dict[int, int], dict[int, int]]:
         """Copy another graph in, renumbered in sorted-id order after this
         graph's items; returns the vertex and the edge id maps.
 
-        Records whose ids do not move are shared, not rebuilt.  Attachment
-        kinds are checked as attach() checks them; edge weights are not
-        re-signed, since add_edge() signed each one as it entered a graph.
+        Records whose ids do not move are shared, not rebuilt.  Nothing is
+        checked again: add_vertex, add_edge and attach checked each record
+        as it first entered a graph.
         """
         vmap: dict[int, int] = {}
         for vid in sorted(other.vertices):
@@ -119,15 +116,12 @@ class FoliationGraph:
         for eid in sorted(other.edges):
             e = other.edges[eid]
             new = emap[eid] = self._next_eid
-            src, dst = vmap.get(e.src), vmap.get(e.dst)
-            if src is None or dst is None:
-                raise GraphError("edge endpoints must exist")
+            src, dst = vmap[e.src], vmap[e.dst]
             if (new, src, dst) != (eid, e.src, e.dst):
                 e = Edge(new, src, dst, e.weight, e.family, e.side, e.span)
             self._put_edge(e)
         for a in other.attachments:
             zv, sv = vmap[a.zero_vertex], vmap[a.special_vertex]
-            self._check_attachment(zv, sv)
             if (zv, sv) != (a.zero_vertex, a.special_vertex):
                 a = Attachment(zv, sv)
             self._add_attachment(a)
@@ -143,17 +137,13 @@ class FoliationGraph:
 
     def merge_special(self, dead: int, keep: int) -> None:
         """Move the attachments of special vertex dead onto keep, each in its
-        place in the list, and remove dead; touches only dead's attachments."""
+        place in the list, and remove dead, which no edge ends at; touches
+        only dead's attachments."""
         moved = self._attached_at.pop(dead, [])
         for i in moved:
             self.attachments[i] = Attachment(self.attachments[i].zero_vertex, keep)
         self._attached_at.setdefault(keep, []).extend(moved)
-        self.remove_vertex(dead)
-
-    def remove_vertex(self, vid: int) -> None:
-        if self.has_edges_at(vid):
-            raise GraphError("cannot remove a vertex with incident edges")
-        del self.vertices[vid]
+        del self.vertices[dead]
 
     # -- queries -----------------------------------------------------------
 
@@ -170,9 +160,6 @@ class FoliationGraph:
             out.append((a.zero_vertex, a.special_vertex))
             out.append((a.special_vertex, a.zero_vertex))
         return out
-
-    def has_edges_at(self, vid: int) -> bool:
-        return any(vid in (e.src, e.dst) for e in self.edges.values())
 
     def underlying_connected(self) -> bool:
         if not self.vertices:
@@ -302,9 +289,7 @@ def factorization_witness(model) -> Optional[FactorizationWitness]:
         return None
     graph = model.graph
     checks = []
-    for side in model.sides:
-        if side.kind == "tube":
-            continue
+    for side in model.sides.values():
         circuit_weight = None
         witness_gens = set(side.witness_gens)
         for gen_id, period in side.generators:

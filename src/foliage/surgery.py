@@ -85,7 +85,8 @@ class FoliationModel:
                  spec: Optional[SurgerySpec] = None):
         """An empty record; the operation that creates the model fills it."""
         self.name, self.form, self.table, self.spec = name, form, table, spec
-        self.sides: list[Side] = []
+        # each side by its id, in the order the sides were added
+        self.sides: dict[str, Side] = {}
         self.graph = FoliationGraph()
         self.zeros: list[Zero] = []
         # the distinct periods of each noncompact component, in first-seen order
@@ -98,7 +99,6 @@ class FoliationModel:
         self.merged_into: dict[str, str] = {}
         self.catalog: Optional[list[LeafClass]] = None
         self.decomposition: Optional[Decomposition] = None
-        self._side_at: dict[str, int] = {}
         self._zeros_on: dict[str, list[Zero]] = {}
 
     def finish(self) -> "FoliationModel":
@@ -127,15 +127,6 @@ class FoliationModel:
 
     # -- reading -----------------------------------------------------------
 
-    def side(self, side_id: str) -> Side:
-        at = self._side_at.get(side_id)
-        if at is None:
-            raise ModelError(f"unknown side {side_id!r}")
-        return self.sides[at]
-
-    def has_side(self, side_id: str) -> bool:
-        return side_id in self._side_at
-
     def zeros_on(self, side_id: str) -> list[Zero]:
         return self._zeros_on.get(side_id, [])
 
@@ -147,7 +138,7 @@ class FoliationModel:
         return comp
 
     def generator_periods(self) -> list[sc.SymScalar]:
-        return [p for s in self.sides for _, p in s.generators]
+        return [p for s in self.sides.values() for _, p in s.generators]
 
     def all_leaves_compact(self) -> bool:
         return all(leaf.compact for leaf in self.catalog)
@@ -162,8 +153,8 @@ class FoliationModel:
         in sorted-id order; returns where each of its edges went.  The part
         is not written to."""
         vmap, emap = self.graph.absorb(part.graph)
-        for s in part.sides:
-            self.add_side(s.with_circuit(emap[eid] for eid in s.circuit_edges))
+        for s in part.sides.values():
+            self.put_side(s.with_circuit(emap[eid] for eid in s.circuit_edges))
         for z in part.zeros:
             self.add_zero(z)
         self.x_inf_periods.update(part.x_inf_periods)
@@ -173,12 +164,9 @@ class FoliationModel:
         self.notes += part.notes
         return emap
 
-    def add_side(self, side: Side) -> None:
-        self._side_at[side.side_id] = len(self.sides)
-        self.sides.append(side)
-
-    def replace_side(self, side: Side) -> None:
-        self.sides[self._side_at[side.side_id]] = side
+    def put_side(self, side: Side) -> None:
+        """Add a side, or replace the side with its id where it stands."""
+        self.sides[side.side_id] = side
 
     def merge_components(self, comps: list[str], extra_periods: list) -> str:
         """Fuse noncompact components into one; the smallest id survives,
@@ -259,10 +247,10 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
             side=name,
             span=(form.table.zero(), structure.circumference),
         )
-        model.add_side(Side(name, "circle", gens, structure.circumference, (eid,), witness_gens))
+        model.put_side(Side(name, "circle", gens, structure.circumference, (eid,), witness_gens))
     else:
         model.new_component(f"{name}.inf", sc.Periods(p for _, p in gens))
-        model.add_side(Side(name, "dense", gens, None, (), witness_gens))
+        model.put_side(Side(name, "dense", gens, None, (), witness_gens))
     return model.finish()
 
 
@@ -290,15 +278,13 @@ class SurgerySpec(namedtuple("SurgerySpec", "kind left right left_window right_w
 
 
 class _Site:
-    """A resolved disk placement: an edge of a compact family or a noncompact
-    component, with the declared window; _merge moves the edge id onto the
-    joined record."""
+    """A resolved disk placement: an edge of a compact family or, for a
+    special site, a noncompact component, with the declared window; _merge
+    moves the edge id onto the joined record."""
 
-    def __init__(self, role: str, kind: str, side_id: str,
-                 window: tuple[sc.SymScalar, sc.SymScalar], edge_id: Optional[int] = None,
-                 component: Optional[str] = None):
+    def __init__(self, role: str, side_id: str, window: tuple[sc.SymScalar, sc.SymScalar],
+                 edge_id: Optional[int] = None, component: Optional[str] = None):
         self.role = role  # "left" | "right"
-        self.kind = kind  # "edge" | "special"
         self.side_id, self.window = side_id, window
         self.edge_id, self.component = edge_id, component
 
@@ -310,9 +296,9 @@ def _sites(spec: SurgerySpec, left: FoliationModel, right: FoliationModel) -> tu
         raise ModelError("surgery inputs must share one symbol table")
     if left.name == right.name:
         raise ModelError("surgery inputs need distinct model names")
-    if any(left.has_side(s.side_id) for s in right.sides):
+    if left.sides.keys() & right.sides.keys():
         raise ModelError("side names collide between the two inputs")
-    if left.has_side(spec.name) or right.has_side(spec.name):
+    if spec.name in left.sides or spec.name in right.sides:
         raise ModelError(f"surgery name {spec.name!r} collides with an existing side")
     return (_resolve_site("left", left, spec.left_region, spec.left_window),
             _resolve_site("right", right, spec.right_region, spec.right_window))
@@ -374,11 +360,11 @@ def _resolve_site(role: str, source: FoliationModel, region: str, window) -> _Si
     component = source.component_of(region)
     if component in source.x_inf_periods:
         side_id = region.rsplit(".inf", 1)[0]
-        return _Site(role, "special", side_id, window, component=component)
+        return _Site(role, side_id, window, component=component)
     eid = source.graph.family_edge(region)
     if eid is None:
         raise ModelError(f"{role}: region {region!r} not found")
-    return _Site(role, "edge", source.graph.edges[eid].side, window, edge_id=eid)
+    return _Site(role, source.graph.edges[eid].side, window, edge_id=eid)
 
 
 def _check_level_clear(model: FoliationModel, side: Side, position: sc.SymScalar) -> None:
@@ -406,7 +392,7 @@ def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar,
     fitted to the edge's span; returns new edge ids ordered from the low end
     of the span to the high end."""
     e = model.graph.edges[site.edge_id]
-    side = model.side(e.side)
+    side = model.sides[e.side]
     shift = _fit_window(site, e.span, side)
     located = []
     for level, vid in cuts:
@@ -424,9 +410,9 @@ def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar,
         prev_v, prev_pos = vid, pos
     # an edge lies on its own side's circle, if any; a kind-A fused edge,
     # whose side is the tube's, lies on the circles of both sides it joined
-    for s in [side] if side.kind == "circle" else model.sides:
+    for s in [side] if side.kind == "circle" else model.sides.values():
         if e.eid in s.circuit_edges:
-            model.replace_side(s.with_circuit(
+            model.put_side(s.with_circuit(
                 p for eid in s.circuit_edges for p in (pieces if eid == e.eid else (eid,))))
     return pieces
 
@@ -435,9 +421,9 @@ def _cut_edge(model: FoliationModel, site: _Site, cuts: list[tuple[sc.SymScalar,
 
 
 def _side_mode(model: FoliationModel, site: _Site, band: sc.SymScalar) -> str:
-    if site.kind == "special":
+    if site.component is not None:
         return "special"
-    side = model.side(model.graph.edges[site.edge_id].side)
+    side = model.sides[site.side_id]
     c = side.circumference
     if c is None or sc.sign(c - band) > 0:
         return "cut"
@@ -451,18 +437,14 @@ def _side_mode(model: FoliationModel, site: _Site, band: sc.SymScalar) -> str:
 
 
 def _absorb_side(model: FoliationModel, side_id: str) -> Side:
-    """Remove a wrapped side's compact families; its material goes noncompact."""
-    side = model.side(side_id)
-    dead = [eid for eid, e in model.graph.edges.items() if e.side == side_id]
-    touched = set()
-    for eid in dead:
-        e = model.graph.remove_edge(eid)
-        touched.update((e.src, e.dst))
-    for vid in sorted(touched):
-        v = model.graph.vertices.get(vid)
-        if v is not None and v.kind == MARKER and not model.graph.has_edges_at(vid):
-            model.graph.remove_vertex(vid)
-    model.replace_side(side.with_circuit(()))
+    """Remove a wrapped side's compact family; its material goes noncompact.
+    _side_mode wraps only a side with no zeros, and a cut puts a zero on its
+    side, so the side was never cut: its circuit is its one family, a loop
+    at its marker, which no other edge touches."""
+    side = model.sides[side_id]
+    (eid,) = side.circuit_edges
+    del model.graph.vertices[model.graph.remove_edge(eid).src]
+    model.put_side(side.with_circuit(()))
     return side
 
 
@@ -502,9 +484,9 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
             model.graph.remove_edge(mid)
         fused = model.graph.add_edge(vZx, vZy, band, f"{spec.name}.fused", spec.name, (lx, ly))
         for s, mid in zip(cut_sites, mids):
-            side = model.side(s.side_id)
+            side = model.sides[s.side_id]
             circuit = [fused if eid == mid else eid for eid in side.circuit_edges]
-            model.replace_side(side.with_circuit(circuit))
+            model.put_side(side.with_circuit(circuit))
         leaf_kind, comp_ref = COMPACT_SINGULAR, None
         noncompact_comps: list[tuple[str, bool]] = []
     else:
@@ -526,8 +508,8 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
         for s, mid in zip(cut_sites, mids):
             # the band goes noncompact: it leaves the graph and its circle
             model.graph.remove_edge(mid)
-            side = model.side(s.side_id)
-            model.replace_side(side.with_circuit(eid for eid in side.circuit_edges if eid != mid))
+            side = model.sides[s.side_id]
+            model.put_side(side.with_circuit(eid for eid in side.circuit_edges if eid != mid))
         sv = model.special_vertices[target]
         model.graph.attach(vZx, sv)
         model.graph.attach(vZy, sv)
@@ -553,7 +535,7 @@ def _apply_A(model: FoliationModel, left: _Site, right: _Site) -> bool:
 
 
 def _forbid_wrapping(model: FoliationModel, site: _Site) -> None:
-    side = model.side(model.graph.edges[site.edge_id].side)
+    side = model.sides[site.side_id]
     if side.circumference is None:
         return
     w_len = site.window[1] - site.window[0]
@@ -567,7 +549,7 @@ def _pin(model: FoliationModel, site: _Site, vertex: int, level: sc.SymScalar,
     edge site's family is cut there, a special site's component takes the
     vertex.  Returns the leaf component this adds, named under prefix, and
     the noncompact component, if there is one."""
-    if site.kind == "edge":
+    if site.component is None:
         _forbid_wrapping(model, site)
         _cut_edge(model, site, [(level, vertex)])
         return (f"{prefix}.circle@{site.side_id}", True), None
@@ -667,7 +649,7 @@ def _join(spec: SurgerySpec, left: FoliationModel, right: FoliationModel,
         generic = apply(model, *sites)
     except ModelError as err:
         raise type(err)(f"surgery {spec.name!r}: {err}") from None
-    model.add_side(Side(spec.name, "tube", (), None))
+    model.put_side(Side(spec.name, "tube", (), None))
     model.is_generic = generic and left.is_generic and right.is_generic
     return model
 
@@ -726,14 +708,13 @@ def genericize(model: FoliationModel) -> FoliationModel:
     if model.spec is None:
         raise ModelError("cannot genericize a model without its surgery spec")
     lattice = sc.Lattice(model.generator_periods())
-    zero_ids = sorted(z.zero_id for z in model.zeros)
-    base = {zid: level for zid, level in model.singular_levels()}
+    base = dict(model.singular_levels())  # by zero id, in sorted order
     table = model.table
     last_error: Optional[Exception] = None
     for attempt in range(20):
         denom = 7 * (2 ** attempt)
-        shifts = {zid: Fraction(j, denom) for j, zid in enumerate(zero_ids)}
-        levels = {zid: base[zid] + table.rational(shifts[zid]) for zid in zero_ids}
+        shifts = {zid: Fraction(j, denom) for j, zid in enumerate(base)}
+        levels = {zid: level + table.rational(shifts[zid]) for zid, level in base.items()}
         if not _levels_admissible(levels.values(), lattice):
             continue
         try:

@@ -36,7 +36,7 @@ JOIN_STEPS = {
     "sites": "_sites",  # (spec, left, right) -> the two disk sites
     "merge": "_merge",  # (spec, left, right, extend, sites) -> the record, inputs copied in
     "apply pinch": "_apply_pinch",  # (model, low, high), each end (site, level, zero id)
-    "wrap": "_absorb_side",  # (model, side id) -> the wrapped side, its families removed
+    "wrap": "_absorb_side",  # (model, side id) -> the wrapped side, its family and marker removed
     "rebuild": "_rebuild_at_levels",  # (model, levels by zero id) -> the companion, finished
     "analyze": "analyze",  # (form, name) -> a virgin model, finished
     "connected_sum": "connected_sum",  # (spec) -> the joined model, finished

@@ -28,7 +28,7 @@ from foliage.cli import (
     serialize_scenario,
 )
 from foliage.forms import ClosedForm
-from foliage.graph import ZERO, FoliationGraph
+from foliage.graph import SPECIAL, ZERO, FoliationGraph
 from foliage.orbifold import BUILTIN_ORBIFOLDS
 from foliage.scalar import FoliageError, PrecisionExhausted, SymbolTable, q_rank
 from foliage.surgery import FoliationModel, SurgerySpec, analyze, connected_sum, verdicts
@@ -241,7 +241,7 @@ class TestRationalParity:
 
 def split_expr(key, text, line, names):
     """Reference for `cli._expr`: every term split at '+', stripped and read
-    alone, one spelling at a time."""
+    alone, one spelling at a time; a name after '*' is one identifier."""
     coeffs = {}
     for raw in text.split("+"):
         term = raw.strip()
@@ -252,6 +252,8 @@ def split_expr(key, text, line, names):
             coef_text, _, name = term.partition("*")
             name = name.strip()
             coef = cli._parse_rational(coef_text, line)
+            if not name.isidentifier():
+                raise ScenarioError(f"bad term {term!r}: terms are joined by '+'", line)
         elif term.isidentifier() or term in names and not numeral:
             name, coef = term, 1
         else:
@@ -301,6 +303,9 @@ class TestExpressionReader:
         ("r", ("error", "line 7: unresolved symbol 'r'", 7)),
         ("1/0", ("error", "line 7: bad rational '1/0'", 7)),
         ("", ("error", "line 7: empty term in expression ''", 7)),
+        ("1*p - 3/2", ("error", "line 7: bad term '1*p - 3/2': terms are joined by '+'", 7)),
+        ("1*p*q", ("error", "line 7: bad term '1*p*q': terms are joined by '+'", 7)),
+        ("1*p -3/2", ("error", "line 7: bad term '1*p -3/2': terms are joined by '+'", 7)),
     ])
     def test_named_texts(self, text, want):
         assert assert_reads_as_split(text) == want
@@ -1024,11 +1029,10 @@ def _join_colliding():
     return _join(_join(a, b), again)
 
 
-def _graph_refusal(step):
+def _graph_refusal(start, end):
+    """An attachment from a new vertex of kind start to one of kind end."""
     graph = FoliationGraph()
-    u, v = graph.add_vertex(ZERO), graph.add_vertex(ZERO)
-    graph.add_edge(u, v, SymbolTable().rational(1), "f")
-    return graph.attach(u, v) if step == "attach" else graph.remove_vertex(u)
+    return graph.attach(graph.add_vertex(start), graph.add_vertex(end))
 
 
 TORUS = SCENARIOS["torus-rational"]
@@ -1093,6 +1097,10 @@ REFUSALS = [
      "surgery 's2': left: region 'auto' needs a single-family model; name the region", None),
     ("region not found", EX1.replace("kind = A", "kind = A\nleft_region = nope"), 2,
      "surgery 'ex1': left: region 'nope' not found", None),
+    ("surgery kind", EX1.replace("kind = A", "kind = D"), 2,
+     "unknown surgery kind 'D'", "kind = D"),
+    ("builtin orbifold", TORUS.replace("builtin = torus", "builtin = klein"), 2,
+     "unknown builtin orbifold 'klein'", "builtin = klein"),
     ("kind C level", EX2.replace("tube = 1/4 : 1/4", "tube = 3/8 : 3/8"), 2,
      "surgery 'ex2': kind C level must lie strictly inside the window overlap", None),
     ("duplicate elements", _elements(*["element = -1 0 0 -1 ; 0 0"] * 2), 2,
@@ -1115,10 +1123,10 @@ REFUSALS = [
      "rescaling by zero destroys the form", None),
     ("verdicts of an empty model", lambda: verdicts(FoliationModel()), 2,
      "zero-free form with vanishing periods cannot be of Morse type", None),
-    ("attach to a zero vertex", lambda: _graph_refusal("attach"), 2,
+    ("attach to a zero vertex", lambda: _graph_refusal(ZERO, ZERO), 2,
      "attachments end at special vertices", None),
-    ("remove a vertex with edges", lambda: _graph_refusal("remove"), 2,
-     "cannot remove a vertex with incident edges", None),
+    ("attach from a special vertex", lambda: _graph_refusal(SPECIAL, SPECIAL), 2,
+     "attachments start at zero vertices", None),
     ("rank of no values", lambda: q_rank([]), 2, "q_rank needs a nonempty list", None),
     ("rank across tables", lambda: q_rank([SymbolTable().rational(1), SymbolTable().rational(1)]),
      2, "q_rank inputs span several symbol tables", None),

@@ -29,7 +29,7 @@ def _records() -> dict:
     s, form = every.scenario, every.forms["w0"]
     found = [
         model.graph.vertices[0], next(iter(model.graph.edges.values())),
-        model.graph.attachments[0], model.catalog[0], model.zeros[0], model.sides[0],
+        model.graph.attachments[0], model.catalog[0], model.zeros[0], next(iter(model.sides.values())),
         model.spec, form.bumps[0].center, form.orbifold.action.elements[0], form.bumps[0],
         every.table.symbols[1], form.structure,
         trace_leaf(form, TorusPoint(Fraction(1, 3), Fraction(2, 7)), step=0.01, max_steps=50),

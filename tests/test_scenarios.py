@@ -42,7 +42,7 @@ class TestCustomAction:
     def test_declared_shift_matches_the_builtin(self):
         built = build_scenario(parse_scenario(CUSTOM_ACTION))
         model = built.final
-        assert model.side("w").circumference == model.table.rational(Fraction(1, 2))
+        assert model.sides["w"].circumference == model.table.rational(Fraction(1, 2))
 
     def test_basepoint_override_propagates(self):
         built = build_scenario(parse_scenario(CUSTOM_ACTION))

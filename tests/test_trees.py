@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +12,7 @@ import test_scenarios
 from foliage import surgery
 from foliage.catalog import SCENARIOS
 from foliage.cli import COMMANDS, build_report, build_scenario, parse_scenario, run
-from foliage.graph import calabi_equiv_bruteforce, is_calabi
+from foliage.graph import MARKER, SPECIAL, calabi_equiv_bruteforce, is_calabi
 from foliage.scalar import FoliageError, Lattice, PrecisionExhausted, sign
 from foliage.surgery import ModelError, verdicts
 
@@ -93,6 +94,51 @@ def test_every_pinch_is_ordered_and_no_noncompact_component_is_flagged(monkeypat
     assert not any(d.flags for d in decompositions)
 
 
+def test_a_wrapped_side_is_one_marker_loop_and_no_edge_ends_at_a_special_vertex(monkeypatch):
+    # wrapping a side removes its one circuit edge and that edge's marker,
+    # and merging components removes a special vertex, neither looking for
+    # other edges: only a side without zeros is wrapped, and a cut puts a
+    # zero on its side, so the side is as its virgin model made it; and a
+    # special vertex meets the graph only through attachments.  The trees
+    # are drawn under the hook, as drawing them joins their models.
+    wrapped, checked = Counter(), 0
+    where = "drawing the trees"
+
+    def wrapping(real, model, side_id):
+        graph = model.graph
+        assert not model.zeros_on(side_id)
+        (eid,) = model.sides[side_id].circuit_edges
+        marker = graph.edges[eid].src
+        assert graph.edges[eid].dst == marker and graph.vertices[marker].kind == MARKER
+        assert [e.eid for e in graph.edges.values() if marker in (e.src, e.dst)] == [eid]
+        wrapped[where] += 1
+        return real(model, side_id)
+
+    hook_join(monkeypatch, "wrap", wrapping)
+    trees = list(surgery_trees(1, 100))
+    texts = [(name, SCENARIOS[name]) for name in sorted(SCENARIOS)]
+    texts += [(f"{kind}{n}", surgery_chain(kind, n)) for kind in "ABC" for n in range(1, 9)]
+    texts += [(f"tree {i}", text) for i, text in enumerate(trees)]
+    for where, text in texts:
+        try:
+            built = build_scenario(parse_scenario(text))
+        except FoliageError:
+            continue
+        for model in built.models.values():
+            models = [model]
+            try:
+                models.append(verdicts(model).companion)
+            except FoliageError:
+                pass
+            for m in models:
+                vertices = m.graph.vertices
+                assert all(vertices[v].kind != SPECIAL
+                           for e in m.graph.edges.values() for v in (e.src, e.dst)), where
+                checked += 1
+    assert wrapped == {"drawing the trees": 15, "pillowcase-ex4": 2, "tree 6": 3, "tree 72": 6}
+    assert checked == 1096
+
+
 def test_every_model_returned_is_finished_once(monkeypatch, trees):
     # a model returned is finished when it is returned; a join may later
     # extend one that only it reads, so each is checked as it comes back
@@ -164,7 +210,7 @@ def _circumference(built, region):
     whose levels are placed as written."""
     if _side(region) not in built.forms:
         return None if region.split(".")[1].startswith("inf") else "tube"
-    return built.models[_side(region)].sides[0].circumference
+    return built.models[_side(region)].sides[_side(region)].circumference
 
 
 def _plus(expr, shift):

@@ -64,13 +64,13 @@ def _half_circuit(loops):
     a walk that does not close."""
     built = build_scenario(parse_scenario(SCENARIOS["torus-dtheta"]))
     model = built.final
-    (side,) = model.sides
+    (side,) = model.sides.values()
     (eid,) = side.circuit_edges
     e = model.graph.remove_edge(eid)
     mid = e.src if loops else model.graph.add_vertex(MARKER)
     first = model.graph.add_edge(e.src, mid, e.weight / 2, f"{e.family}:0", e.side)
     model.graph.add_edge(mid, e.dst, e.weight / 2, f"{e.family}:1", e.side)
-    model.replace_side(side.with_circuit([first]))
+    model.put_side(side.with_circuit([first]))
     return built
 
 
@@ -95,7 +95,7 @@ class TestForgedCircuits:
 
     def test_a_circuit_edge_missing_from_the_graph_is_refused(self):
         model = build_catalog_model("torus-dtheta")
-        (side,) = model.sides
-        model.replace_side(side.with_circuit([*side.circuit_edges, max(model.graph.edges) + 1]))
+        (side,) = model.sides.values()
+        model.put_side(side.with_circuit([*side.circuit_edges, max(model.graph.edges) + 1]))
         with pytest.raises(GraphError, match="missing from graph"):
             factorization_witness(model)
