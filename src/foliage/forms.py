@@ -74,8 +74,11 @@ class LinearStructure(NamedTuple):
 
 class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override")):
     """A closed 1-form on an orbifold, compared as its four fields; its bump
-    copies, invariant elements, structure, loop periods and their rank are
-    computed on first read and then kept in its `__dict__`."""
+    copies, invariant elements, structure, loop periods, their rank, their
+    distinct values as one periods record and its witness generator ids are
+    computed on first read and then kept in its `__dict__`.  None depends on
+    the name a model gives the form, so every model of one form shares
+    them."""
 
     def __new__(cls, linear: tuple[sc.SymScalar, sc.SymScalar], orbifold: OrbifoldPresentation,
                 bumps: tuple[BumpTerm, ...] = (), basic_override: bool = False):
@@ -194,6 +197,19 @@ class ClosedForm(namedtuple("ClosedForm", "linear orbifold bumps basic_override"
     def period_rank(self) -> int:
         """The rank over Q of the loop periods."""
         return sc.q_rank([value for _, value in self.loop_periods])
+
+    @sc.memo
+    def periods(self) -> sc.Periods:
+        """The distinct loop periods as one record, which every model of
+        the form shares."""
+        return sc.Periods(value for _, value in self.loop_periods)
+
+    @sc.memo
+    def witness_gens(self) -> tuple[str, ...]:
+        """Ids of the generators whose arrow is an invariant element: the
+        witness loops of the side each model of the form has."""
+        kept = set(self.invariant_elements)
+        return tuple(g.gen_id for g in self.orbifold.generators if g.arrow_index in kept)
 
 
 def _torus_dist2(x: tuple[Fraction, Fraction], c: TorusPoint) -> Fraction:

@@ -68,16 +68,17 @@ class Side(NamedTuple):
 
 class FoliationModel:
     """One record of a model: form (None once surgered), sides, leaf graph,
-    zeros and noncompact components, with the catalog and decomposition
-    that `finish` adds.
+    zeros and noncompact components, with its catalog and decomposition.
 
-    A join fills a record through the methods below, and `finish` checks
-    it, once; a finished model is not changed again.  A join output that
-    exactly one later join reads is never finished: that join extends it in
-    place or copies it (see build_joins), and the checks of the model kept
-    at the end cover it.  A surgered model has its surgery spec, from which
-    genericize rebuilds it.  Only verdicts decides a model's transitivity,
-    from the graph, levels and periods; no join reads or decides it.
+    `analyze` builds a form's model with its catalog and decomposition
+    already set.  A join fills a record through the methods below, and
+    `finish` adds both and checks it, once; a finished model is not changed
+    again.  A join output that exactly one later join reads is never
+    finished: that join extends it in place or copies it (see build_joins),
+    and the checks of the model kept at the end cover it.  A surgered model
+    has its surgery spec, from which genericize rebuilds it.  Only verdicts
+    decides a model's transitivity, from the graph, levels and periods; no
+    join reads or decides it.
     """
 
     def __init__(self, name: str = "", form: Optional[ClosedForm] = None,
@@ -103,8 +104,10 @@ class FoliationModel:
 
     def finish(self) -> "FoliationModel":
         """Build the catalog and decomposition and run the model's checks;
-        the one place they run.  Singular leaves name the component their
-        own merged into, if a merge absorbed it since they were added."""
+        the one place a joined model is checked (a kept join output, the
+        final model or a genericized companion).  Singular leaves name the
+        component their own merged into, if a merge absorbed it since they
+        were added."""
         if self.merged_into:
             self.singular_entries = [
                 leaf if leaf.component_ref not in self.merged_into
@@ -212,7 +215,13 @@ class FoliationModel:
 
 
 def analyze(form: ClosedForm, name: str) -> FoliationModel:
-    """Build the model of a zero-free linear (+ bumps) form on its orbifold."""
+    """Build the model of a zero-free linear (+ bumps) form on its orbifold,
+    finished as it is built.  Its leaves are all compact, one family
+    `{name}.f0` on one marker loop, exactly when the periods have rank 1;
+    otherwise they are one noncompact component `{name}.inf`, its own one
+    leaf class.  A model of one vertex and one leaf class passes every
+    check `finish` makes, so it does not run them; the form's periods
+    record, shared by every model of the form, is the component's."""
     notes = []
     structure = form.structure
     if not form.invariant:
@@ -234,24 +243,31 @@ def analyze(form: ClosedForm, name: str) -> FoliationModel:
     if structure.rank == 1 and not sc.renders(structure.circumference):
         raise ModelError(f"{name}: the leaf circle's circumference expands past "
                          f"{sc.LITERAL_DIGITS} digits")
-    kept = set(form.invariant_elements)
-    witness_gens = tuple(g.gen_id for g in form.orbifold.generators if g.arrow_index in kept)
     model = FoliationModel(name, form, form.table, notes=notes, is_generic=True)
     if structure.rank == 1:
+        leaf = f"{name}.f0"
         marker = model.graph.add_vertex(MARKER)
         eid = model.graph.add_edge(
             marker,
             marker,
             structure.circumference,
-            family=f"{name}.f0",
+            family=leaf,
             side=name,
             span=(form.table.zero(), structure.circumference),
         )
-        model.put_side(Side(name, "circle", gens, structure.circumference, (eid,), witness_gens))
+        model.put_side(Side(name, "circle", gens, structure.circumference, (eid,),
+                            form.witness_gens))
+        model.catalog = [LeafClass(leaf, COMPACT_REGULAR)]
+        model.decomposition = Decomposition(x_c=frozenset((leaf,)), x_inf_components=(),
+                                            boundary=(), component_periods=())
     else:
-        model.new_component(f"{name}.inf", sc.Periods(p for _, p in gens))
-        model.put_side(Side(name, "dense", gens, None, (), witness_gens))
-    return model.finish()
+        comp = model.new_component(f"{name}.inf", form.periods)
+        model.put_side(Side(name, "dense", gens, None, (), form.witness_gens))
+        model.catalog = [LeafClass(comp, NONCOMPACT_REGULAR, component_ref=comp)]
+        model.decomposition = Decomposition(x_c=frozenset(),
+                                            x_inf_components=((comp, frozenset((comp,))),),
+                                            boundary=(), component_periods=((comp, form.periods),))
+    return model
 
 
 # -- surgery specs -----------------------------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,14 @@ def hook_join(monkeypatch, step, wrap):
     for module in (surgery, cli):
         if getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, hooked)
+
+
+def refinished(model):
+    """A copy of a model with its catalog and decomposition cleared, built
+    again and checked by FoliationModel.finish; the model is not written to."""
+    clone = copy.copy(model)
+    clone.catalog = clone.decomposition = None
+    return clone.finish()
 
 
 def spec_tree_nodes(model):
@@ -227,7 +237,17 @@ def _tree_join(rng, kind, left, right):
     return lreg, rreg, lw, rw, tube
 
 
-def surgery_trees(seed, count):
+# the texts of draw_surgery_trees(1, 100), each followed by a blank line;
+# test_trees draws them again and compares
+TREES_FILE = Path(__file__).with_name("trees.scn")
+
+
+def surgery_trees():
+    """The texts of draw_surgery_trees(1, 100), read from TREES_FILE."""
+    return [text + "\n" for text in TREES_FILE.read_text().split("\n\n")[:-1]]
+
+
+def draw_surgery_trees(seed, count):
     """Seeded random surgery trees as scenario texts: 2-5 forms on the three
     built-in orbifolds, with rational or symbolic coefficients and some
     bumps, joined two at a time by kind A, B or C surgeries until one model

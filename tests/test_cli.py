@@ -130,7 +130,7 @@ dphi = 0
 
     def test_round_trip_is_identity(self):
         texts = dict(sorted(SCENARIOS.items()))
-        texts.update((f"tree {i}", text) for i, text in enumerate(surgery_trees(1, 100)))
+        texts.update((f"tree {i}", text) for i, text in enumerate(surgery_trees()))
         texts["every key"] = EVERY_KEY
         for name, text in texts.items():
             s = parse_scenario(text)

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from conftest import (
     build_catalog_model,
     hook_join,
     join_step,
+    refinished,
     spec_tree_nodes,
     surgery_chain,
     surgery_trees,
@@ -429,7 +431,14 @@ class TestWeightsSignedOnce:
             return model
 
         monkeypatch.setattr(FoliationModel, "finish", finish)
-        build_report(build_scenario(parse_scenario(text)), "surgery")
+        built = build_scenario(parse_scenario(text))
+        build_report(built, "surgery")
+        # analyze builds a form's model finished; finishing it again signs
+        # nothing either, and gives the catalog and decomposition it has
+        for name in built.forms:
+            model = built.models[name]
+            again = refinished(model)
+            assert (again.catalog, again.decomposition) == (model.catalog, model.decomposition)
         assert signs_in_finish and not any(signs_in_finish)
 
 
@@ -658,6 +667,58 @@ class TestEqualFormsShared:
         assert "w1" not in err and "Traceback" not in err
 
 
+# single-form scenarios beside the catalog's: a bumped form, a form on an
+# orbifold declared by its element, and a non-invariant form under the
+# declared-basic override
+FORM_MODEL_EXTRAS = [
+    f"[symbols]\np = {PI}\nq = {SQRT2}\n" + body for body in (
+        "[orbifold T]\nbuiltin = torus\n[form bumped]\non = T\ndtheta = 1\ndphi = 2\n"
+        "bump = center 1/4 1/4 radius 1/16 amplitude 1/1000\n",
+        "[orbifold E]\nelement = 1 0 0 1 ; 1/2 0\n[form translated]\non = E\n"
+        "dtheta = 1*p\ndphi = 1*q\n",
+        "[orbifold Q]\nbuiltin = pillowcase\n[form overridden]\non = Q\ndtheta = 1\n"
+        "dphi = 3\nbasic_override = true\n",
+    )
+]
+
+
+class TestFormModelsBuiltFinished:
+    """analyze sets a form model's catalog and decomposition as it builds it,
+    without finish."""
+
+    def test_analyze_sets_what_finish_builds(self, monkeypatch):
+        # finish, run on a copy with both cleared, builds the same catalog
+        # and decomposition, and finds the graph connected
+        ranks = Counter()
+
+        def checked(real, form, name):
+            model = real(form, name)
+            assert model.catalog is not None and model.decomposition is not None
+            again = refinished(model)
+            assert (model.catalog, model.decomposition) == (again.catalog, again.decomposition)
+            assert model.graph.underlying_connected(), name
+            ranks[form.structure.rank] += 1
+            return model
+
+        hook_join(monkeypatch, "analyze", checked)
+        # only the forms are checked, so no scenario joins them
+        hook_join(monkeypatch, "build", lambda real, *args: None)
+        texts = [SCENARIOS[name] for name in sorted(SCENARIOS)] + FORM_MODEL_EXTRAS
+        texts += [surgery_chain(kind, n) for kind in "ABC" for n in range(1, 5)]
+        for text in texts + surgery_trees():
+            build_scenario(parse_scenario(text))
+        assert ranks == {1: 282, 2: 121}
+
+    def test_the_models_of_one_form_share_its_periods_record(self):
+        built = build_scenario(parse_scenario(surgery_chain("A", 3)))
+        form = built.forms["w0"]
+        for name in ("w0", "w1", "w2", "w3"):
+            model = built.models[name]
+            assert model.x_inf_periods[f"{name}.inf"] is form.periods
+            assert model.sides[name].witness_gens is form.witness_gens
+            assert model.decomposition.component_periods == ((f"{name}.inf", form.periods),)
+
+
 class TestJoinCost:
     """A join does only the work its inputs need; every check still runs."""
 
@@ -730,10 +791,14 @@ class TestJoinCost:
         n = 8
         built = build_scenario(parse_scenario(surgery_chain("C", n)))
         build_report(built, "surgery")
-        # n + 1 forms, the final join and one genericized companion; the
-        # n - 1 intermediate joins and the companion's rejoins stay unfinished
-        assert len(finished) == n + 3
+        # the final join and one genericized companion; analyze builds the
+        # n + 1 form models finished, and the n - 1 intermediate joins and
+        # the companion's rejoins stay unfinished
+        assert len(finished) == 2
         assert [m for (m,) in decomposed] == finished
+        for name in built.forms:
+            model = built.models[name]
+            assert model.decomposition == refinished(model).decomposition
 
     def test_decomposition_checks_reach_intermediate_models(self, monkeypatch):
         # a catalog fault planted in the first join's output, which is never
@@ -1176,12 +1241,17 @@ class TestKindAChainCost:
         built = build_scenario(parse_scenario(surgery_chain("A", 16)))
         assert "transitive: yes" in build_report(built, "surgery")
         # 17 forms and 16 joins: s1 and the final join make a record each,
-        # and s2 to s15 extend s1's in place; the forms and the final join
-        # are checked once each, and the report's Calabi test reaches every
-        # vertex both ways, so it needs no pass
+        # and s2 to s15 extend s1's in place; the final join is checked once,
+        # analyze builds each form's model finished, of one vertex, and the
+        # report's Calabi test reaches every vertex both ways, so it needs
+        # no pass
         assert len(constructed) == 19
-        assert len(passes) == 18
+        assert len(passes) == 1
         assert len(calabi) == 1
+        for name in built.forms:
+            model = built.models[name]
+            assert len(model.graph.vertices) == 1
+            assert model.decomposition == refinished(model).decomposition
 
 
 # s1's kind-A fused edge lies on the circuits of both sides it joined, w4 and
@@ -1410,7 +1480,7 @@ class TestTakeOver:
     ])
     def test_final_models_and_companions_match_the_reference_build(self, source):
         if source == "trees":
-            texts = list(surgery_trees(1, 100))
+            texts = surgery_trees()
         elif source.startswith("chain-"):
             _, kind, n = source.split("-")
             texts = [surgery_chain(kind, int(n))]
@@ -1512,7 +1582,7 @@ class TestPlainSpecTrees:
         elif source == "chains":
             texts = [surgery_chain(kind, n) for kind in "ABC" for n in range(1, 17)]
         else:
-            texts = list(surgery_trees(1, 100))
+            texts = surgery_trees()
         assert sum(self._checked(text) for text in texts) > 0
 
     def test_a_companion_names_its_rebuilt_inputs(self):

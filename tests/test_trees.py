@@ -16,18 +16,32 @@ from foliage.graph import MARKER, SPECIAL, calabi_equiv_bruteforce, is_calabi
 from foliage.scalar import FoliageError, Lattice, PrecisionExhausted, sign
 from foliage.surgery import ModelError, verdicts
 
-from conftest import PI, hook_join, join_step, surgery_chain, surgery_trees
+from conftest import (
+    PI,
+    TREES_FILE,
+    draw_surgery_trees,
+    hook_join,
+    join_step,
+    surgery_chain,
+    surgery_trees,
+)
 
 TREE_COMMANDS = [c for c in COMMANDS if c != "examples"]
 
 # sha256 over every command's exit code, report or error line, and DOT, for
-# the trees of surgery_trees(1, 100)
+# the trees of surgery_trees(), as TREES_FILE holds them
 TREES_PIN = "bd190860d9296f340ecd7a7cfbfa13d96628a779d1cfadfb7ee95a65302ab6e5"
 
 
 @pytest.fixture(scope="module")
 def trees():
-    return list(surgery_trees(1, 100))
+    return surgery_trees()
+
+
+def test_the_checked_in_trees_are_the_ones_drawn():
+    # drawing a tree joins its models, keeping the first join each draw does
+    # not refuse; a change to analyze or to a join's refusals shows here
+    assert "".join(text + "\n" for text in draw_surgery_trees(1, 100)) == TREES_FILE.read_text()
 
 
 def run_commands(text):
@@ -78,7 +92,14 @@ def test_every_pinch_is_ordered_and_no_noncompact_component_is_flagged(monkeypat
         decompositions.append(real_decompose(model))
         return decompositions[-1]
 
+    def analyzing(real, form, name):
+        # analyze builds a form's model with its decomposition, without decompose
+        model = real(form, name)
+        decompositions.append(model.decomposition)
+        return model
+
     hook_join(monkeypatch, "apply pinch", recording)
+    hook_join(monkeypatch, "analyze", analyzing)
     real_decompose = surgery.decompose
     monkeypatch.setattr(surgery, "decompose", decomposing)
     texts = [SCENARIOS[name] for name in sorted(SCENARIOS)]
@@ -115,7 +136,7 @@ def test_a_wrapped_side_is_one_marker_loop_and_no_edge_ends_at_a_special_vertex(
         return real(model, side_id)
 
     hook_join(monkeypatch, "wrap", wrapping)
-    trees = list(surgery_trees(1, 100))
+    trees = list(draw_surgery_trees(1, 100))
     texts = [(name, SCENARIOS[name]) for name in sorted(SCENARIOS)]
     texts += [(f"{kind}{n}", surgery_chain(kind, n)) for kind in "ABC" for n in range(1, 9)]
     texts += [(f"tree {i}", text) for i, text in enumerate(trees)]
