@@ -157,6 +157,9 @@ def count_local_components(n: int, lam: int, group: str = "trivial") -> tuple[in
 # -- numeric leaf tracing ----------------------------------------------------------
 
 
+_HORIZON = 8.0  # units of length a straight-run clearance looks ahead
+
+
 class TraceResult(namedtuple("TraceResult", "verdict return_error period_length coverage "
                                             "steps reason polyline")):
     __slots__ = ()
@@ -187,7 +190,9 @@ def trace_leaf(
     closure is tested against every form-preserving translate of the seed.
     A step that cannot reach a bump support adds the RK4 increment of the
     constant field there, byte for byte what the four stages would give, and
-    a straight run of such steps is taken in one pass.
+    a straight run of such steps is taken in one pass: it lasts until its
+    line first comes within a step of a support or of a closure target, or
+    reaches a checkpoint.
     Verdicts: Closed when the trace returns within tolerance with matching
     direction, DenseEvidence when the share of the 20 x 20 coverage cells
     (squares of side 1/20) the trace has visited passes the threshold,
@@ -276,14 +281,15 @@ def trace_leaf(
     capture = 1.5 * step
 
     # off every support the field is c, the field without its bump term, and
-    # rk4's increment of it is computed once; the clearance counts say how many
-    # coming steps cannot reach a support, and at how many coming points no
-    # closure target can be within capture
+    # rk4's increment of it is computed once; the clearance counts, measured
+    # along the line of that increment, say how many coming steps keep clear
+    # of every support, and at how many coming points no closure target can
+    # be within capture; the second holds only while steps are straight, so
+    # it is capped at the first
     c = field(0.0, 0.0, ())
     if c is not None:
         ix = step / 6.0 * (c[0] + 2 * c[0] + 2 * c[0] + c[0])
         iy = step / 6.0 * (c[1] + 2 * c[1] + 2 * c[1] + c[1])
-    reach = step * (1 + 1e-6)
     supports = [(cx, cy, r2**0.5) for cx, cy, r2, _ in bumps]
     captures = [(tx, ty, capture) for tx, ty, _ in targets]
     free = quiet = 0  # steps left that cannot reach a support / a closure target
@@ -292,11 +298,11 @@ def trace_leaf(
     while n < max_steps:
         n += 1
         if free <= 0 and c is not None:
-            free = _free_steps(supports, px, py, reach)
+            free = _line_clearance(supports, px, py, ix, iy)
         # a straight run: the coming k steps reach no support, meet no closure
         # target, pass no checkpoint and thin no polyline, so they are taken
         # in one pass, with the same float additions as one step at a time
-        k = int(min(free, quiet, -n % 1024, max_steps - n + 1))
+        k = min(free, quiet, -n % 1024, max_steps - n + 1)
         if collect_polyline:
             k = min(k, 200_000 - len(polyline)) if stride == 1 else 0
         if k > 1:
@@ -347,7 +353,7 @@ def trace_leaf(
                     steps=n,
                     polyline=polyline,
                 )
-            quiet = _free_steps(captures, px, py, reach)
+            quiet = min(free, _line_clearance(captures, px, py, ix, iy)) if free > 0 else 0
 
         if n % 1024 == 0:
             if abs(level(px, py) - level0) > drift_tol:
@@ -384,18 +390,51 @@ def _bump_sums(bumps, x: float, y: float) -> tuple[float, float, float]:
     return potential, gx, gy
 
 
-def _free_steps(discs, x: float, y: float, reach: float) -> float:
-    """How many coming steps from (x, y), each moving at most `reach` and
-    evaluating the field within `reach` of its start, cannot touch any
-    (cx, cy, keep_out) disc; one step short of the bound, as a margin, and
-    zero or negative when a disc is within reach."""
-    x, y = x % 1.0, y % 1.0
-    nearest = 1.0  # farther than any point of the unit torus
+def _line_clearance(discs, px: float, py: float, ix: float, iy: float) -> int:
+    """How many coming straight steps of (ix, iy) from (px, py) keep clear of
+    every (cx, cy, keep_out) disc and of its integer translates.
+
+    The count stops at the line's first entry into a disc widened by one
+    step, so the last step ends a step short of it, and at a horizon of
+    _HORIZON units of length or 1024 steps.  The translates are walked one
+    lattice column at a time along the longer axis of the line, where only
+    the one nearest the line can meet it; a widened disc too wide for that
+    gives 0, and the caller then takes its steps one at a time."""
+    x, y = px % 1.0, py % 1.0
+    if abs(iy) > abs(ix):
+        x, y, ix, iy = y, x, iy, ix
+        discs = [(cy, cx, keep_out) for cx, cy, keep_out in discs]
+    step2 = ix * ix + iy * iy
+    length = step2**0.5
+    cos = abs(ix) / length
+    slope = iy / ix
+    # a step moves at most `reach`: its length, and what the float additions
+    # of up to 1024 steps can round away on coordinates of this size, which
+    # a step near the float resolution of the square makes many steps long
+    reach = length + 2048 * math.ulp(abs(px) + abs(py) + _HORIZON)
+    horizon = min(1024, int(_HORIZON / reach))
+    lo, hi = sorted((x, x + horizon * ix))
+    first = horizon  # in steps from (x, y)
     for cx, cy, keep_out in discs:
-        dx = (x - cx + 0.5) % 1.0 - 0.5
-        dy = (y - cy + 0.5) % 1.0 - 0.5
-        nearest = min(nearest, (dx * dx + dy * dy) ** 0.5 - keep_out)
-    return nearest // reach - 1
+        r = keep_out + reach
+        band = r / cos  # how far above or below the line a centre meets it
+        if band >= 0.5:
+            return 0
+        # column m holds the translates at x = cx + m; the nearest one lies dy
+        # above the line there, and only it can be within `band`
+        base = cy - y - (cx - x) * slope + 0.5
+        for m in range(math.ceil(lo - r - cx), math.floor(hi + r - cx) + 1):
+            dy = (base - m * slope) % 1.0 - 0.5
+            if -band < dy < band:
+                dx = cx + m - x
+                foot = (dx * ix + (dx * slope + dy) * iy) / step2
+                half = (band * band - dy * dy) ** 0.5 * cos / length
+                if foot + half < 0.0:
+                    continue
+                if foot - half <= 0.0:
+                    return 0
+                first = min(first, foot - half)
+    return int(first)
 
 
 def _closure_targets(form, sx, sy, v0):

@@ -163,9 +163,6 @@ class SymbolTable:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "SymScalar":

@@ -806,6 +806,22 @@ class TestEntryPoint:
         assert f"{line.split()[0]}: " in err and "line " in err
         assert "Traceback" not in err
 
+    def test_a_field_that_vanishes_along_the_trace_exits_three(self, tmp_path, capsys):
+        # a valid form whose bump slope cancels its tiny linear part inside
+        # the support: the trace steps through the support by RK4 until the
+        # field falls below the degeneracy threshold
+        path = tmp_path / "degenerate.scn"
+        path.write_text(
+            "[symbols]\n\n[orbifold T]\nbuiltin = torus\n\n"
+            "[form w]\non = T\ndtheta = 3/200000000\ndphi = 0\n"
+            "bump = center 1/2 1/2 radius 1/8 amplitude 9/10000000000\n\n"
+            "[tracer]\nseed = 91/160, 1/5\nstep = 0.005\n"
+        )
+        assert main(["trace", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert "trace verdict: Inconclusive\nreason: field degenerate along trace\n" in out
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flag, value", [("--step", "nan"), ("--step", "inf"), ("--step", "-1"), ("--steps", "-5")]
     )

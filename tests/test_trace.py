@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import cos, gcd, sin, sqrt
 
 import pytest
@@ -484,9 +485,9 @@ class TestStraightSteps:
         calls = []
         original = getattr(leaves, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(leaves, name, counting)
         return calls
@@ -501,6 +502,26 @@ class TestStraightSteps:
         assert (result.verdict, result.steps) == ("Closed", 1802)
         assert len(bump_sums) <= result.steps / 10
         assert len(closures) <= result.steps / 10
+
+    # a straight run lasts until its line comes within a step of a support or
+    # a closure target, or reaches a checkpoint; each run makes three
+    # accumulate calls (its two coordinates and its arc length)
+    @pytest.mark.parametrize("kind", ["plain", "bumped"])
+    def test_a_closed_leaf_clear_of_its_support_is_one_or_two_runs(self, table, monkeypatch,
+                                                                  kind):
+        runs = self.count(monkeypatch, "accumulate")
+        closures = self.count(monkeypatch, "_try_close")
+        result = trace_leaf(self.plain_and_bumped(table)[kind], SEED, step=0.005)
+        assert (result.verdict, result.steps) == ("Closed", 720)
+        assert len(runs) <= 3 * 2
+        assert len(closures) <= 5
+
+    def test_a_dense_leaf_is_one_run_per_checkpoint(self, table, monkeypatch):
+        runs = self.count(monkeypatch, "accumulate")
+        form = ClosedForm((table.symbol("p"), table.symbol("q")), T)
+        result = trace_leaf(form, SEED, step=0.005)
+        assert (result.verdict, result.steps) == ("DenseEvidence", 5120)
+        assert len(runs) <= 3 * (result.steps // 1024 + 2)
 
     def test_a_dense_leaf_tests_closure_only_near_its_seed(self, table, monkeypatch):
         closures = self.count(monkeypatch, "_try_close")
@@ -546,3 +567,93 @@ class TestStraightSteps:
         args = dict(step=0.005, max_steps=max_steps, return_tol=1e-6)
         result = self.assert_same_trace(form, self.GRID_LINE_SEED, **args)
         assert result.verdict == ("Inconclusive" if max_steps < 200 else "Closed")
+
+
+@st.composite
+def lines_and_discs(draw):
+    """A point on the cover, a straight step of at most 0.1 in any direction,
+    and discs anywhere on the square, near its corners too, so that the
+    line meets their translates."""
+    coordinate = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                           st.sampled_from([0.0, 1e-9, 0.01, 0.99, 1.0 - 1e-9]))
+    point = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
+    angle = draw(st.floats(0.0, 6.3))
+    step = draw(st.floats(1e-4, 0.1))
+    # the increment trace_leaf compiles from a unit field
+    c = (cos(angle), sin(angle))
+    ix = step / 6.0 * (c[0] + 2 * c[0] + 2 * c[0] + c[0])
+    iy = step / 6.0 * (c[1] + 2 * c[1] + 2 * c[1] + c[1])
+    discs = draw(st.lists(st.tuples(coordinate, coordinate, st.floats(1e-3, 0.15)),
+                          min_size=0, max_size=4))
+    return point, (ix, iy), discs
+
+
+def segment_distance(px, py, qx, qy, cx, cy):
+    """Distance on the torus from (cx, cy) to the segment from (px, py) to
+    (qx, qy), over the minimal image and its eight neighbours."""
+    sx, sy = qx - px, qy - py
+    best = float("inf")
+    for ox in (-1, 0, 1):
+        for oy in (-1, 0, 1):
+            dx = (cx - px % 1.0 + 0.5) % 1.0 - 0.5 + ox
+            dy = (cy - py % 1.0 + 0.5) % 1.0 - 0.5 + oy
+            t = min(1.0, max(0.0, (dx * sx + dy * sy) / (sx * sx + sy * sy)))
+            best = min(best, ((dx - t * sx) ** 2 + (dy - t * sy) ** 2) ** 0.5)
+    return best
+
+
+class TestLineClearance:
+    @staticmethod
+    def assert_clear(discs, px, py, ix, iy):
+        k = leaves._line_clearance(discs, px, py, ix, iy)
+        assert 0 <= k <= 1024
+        # the points a straight run of k steps visits, with trace_leaf's additions
+        xs = list(accumulate(repeat(ix, k), initial=px))
+        ys = list(accumulate(repeat(iy, k), initial=py))
+        for j in range(k):
+            for cx, cy, keep_out in discs:
+                assert segment_distance(xs[j], ys[j], xs[j + 1], ys[j + 1], cx, cy) >= keep_out
+        return k
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lines_and_discs())
+    def test_no_counted_step_comes_within_a_keep_out(self, case):
+        (px, py), (ix, iy), discs = case
+        self.assert_clear(discs, px, py, ix, iy)
+
+    def test_the_count_allows_for_rounding_at_tiny_steps(self):
+        # on [1, 2) each addition of 3.9 ulps moves the point 4, so 1024 steps
+        # run 100 ulps, some 25 steps, past the line: a keep-out 1025.5 steps
+        # ahead would be entered if the count trusted the line
+        ulp = 2.0**-52
+        ix = 3.9 * ulp
+        edge = 1.25 + 1025.5 * ix
+        keep_out = 0.01
+        assert self.assert_clear([((edge + keep_out) % 1.0, 0.5, keep_out)], 1.25, 0.5, ix, 0.0) == 0
+
+    def test_a_clear_line_runs_to_its_horizon(self):
+        # the line phi = 0 passes midway between two rows of translates; the
+        # horizon is 1024 steps, or 8 units of length for a longer step
+        discs = [(0.5, 0.5, 0.1)]
+        assert leaves._line_clearance(discs, 0.25, 0.0, 0.005, 0.0) == 1024
+        assert leaves._line_clearance(discs, 0.25, 0.0, 0.05, 0.0) == 159
+
+    @pytest.mark.parametrize("px, py, ix, iy", [
+        (0.77, 0.0, 0.05, 0.0),  # the translate at theta = 3/2
+        (0.23, 0.0, -0.05, 0.0),  # the translate at theta = -1/2
+        (0.0, 0.77, 0.0, 0.05),  # along the other axis
+        (5.77, -3.0, 0.05, 0.0),  # from far out on the cover
+    ])
+    def test_the_count_stops_a_step_short_of_the_first_translate(self, px, py, ix, iy):
+        # the widened keep-out begins 0.58 ahead, 11.6 steps: the 12th step
+        # would end within a step of the keep-out
+        discs = [(0.5, 0.0, 0.1)] if iy == 0.0 else [(0.0, 0.5, 0.1)]
+        assert leaves._line_clearance(discs, px, py, ix, iy) == 11
+
+    def test_inside_a_widened_disc_the_count_is_zero(self):
+        assert leaves._line_clearance([(0.5, 0.0, 0.1)], 0.36, 0.0, -0.05, 0.0) == 0
+        assert leaves._line_clearance([(0.5, 0.0, 0.1)], 0.36, 0.0, 0.0, 0.05) == 0
+
+    @pytest.mark.parametrize("step", [0.2, 0.4, 10.0])
+    def test_a_disc_too_wide_for_one_translate_per_column_gives_zero(self, step):
+        assert leaves._line_clearance([(0.5, 0.5, 0.2)], 0.0, 0.0, step, step) == 0
